@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ConvergenceError, ParameterError
 from .mdp import Policy
 from .trace import RunTrace
 
@@ -110,6 +110,8 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
 
     ``eval_hook(theta_bar, policy) -> float`` is called at recorded rows only;
     ``iterate_hook(t, theta_t)`` sees every raw iterate (testing aid).
+    Raises ConvergenceError, naming t, when the running average is non-finite
+    at a recorded row.
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
@@ -128,6 +130,9 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
         theta_sum += theta
         if t % stride == 0 or t == iterations:
             theta_bar = theta_sum / t
+            # the last iteration is always recorded, so this also covers theta_hat
+            if not np.isfinite(theta_bar).all():
+                raise ConvergenceError(f"non-finite iterate average at t={t}")
             rec_t.append(t)
             rec_obj.append(problem.objective_offset + float(problem.loss_phi @ theta_bar))
             rec_vhat.append(problem.violation_estimate(theta_bar, rng_trace))

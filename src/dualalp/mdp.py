@@ -18,6 +18,8 @@ DENSE_GUARD = 10**6  # largest num_states * num_actions for exact dense-style so
 
 PROB_ATOL = 1e-12  # row-stochasticity tolerance
 
+_BICGSTAB_ITERS_PER_STATE = 2  # iteration cap of the stationary start, per state
+
 
 def _aggregation_matrix(num_states: int, num_actions: int) -> sp.csr_matrix:
     """(X, X*A) 0/1 matrix summing a pair vector over actions (the transpose
@@ -170,17 +172,75 @@ def induced_chain(model: MdpModel, pi: Policy) -> sp.csr_matrix:
     return chain
 
 
+def _bicgstab_start(chain_t: sp.csr_matrix, tol: float) -> np.ndarray:
+    """Starting point of the stationary solve: unpreconditioned BiCGSTAB
+    (van der Vorst 1992) on (I - P^T) mu = 0 with one anchor state's mass fixed
+    to 1.
+
+    The anchor is the argmax of P^T applied to the uniform vector. Its row and
+    column are dropped by holding its coordinate at 0, so the right-hand side is
+    the anchor's column of P^T without the anchor row. The iterate is clipped at
+    0 and normalized; breakdown or a non-finite result gives the uniform vector.
+    """
+    n = chain_t.shape[0]
+    uniform = np.full(n, 1.0 / n)
+    anchor = int(np.argmax(chain_t @ uniform))
+
+    def apply(v):
+        out = v - chain_t @ v
+        out[anchor] = 0.0
+        return out
+
+    r = chain_t[:, [anchor]].toarray().ravel()
+    r[anchor] = 0.0
+    r_hat = r.copy()
+    x, p, v = np.zeros(n), np.zeros(n), np.zeros(n)
+    rho = alpha = omega = 1.0
+    # the stationary residual of the normalized result is at most
+    # 2 * ||r||_1 / (1 + sum x), so this stop leaves a margin below tol
+    stop = max(1e-3 * tol, 8 * np.finfo(float).eps)
+    for _ in range(_BICGSTAB_ITERS_PER_STATE * n):
+        if np.abs(r).sum() <= stop * (1.0 + np.abs(x).sum()):
+            break
+        rho_next = float(r_hat @ r)
+        if rho_next == 0.0 or omega == 0.0:
+            return uniform
+        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+        rho = rho_next
+        v = apply(p)
+        denom = float(r_hat @ v)
+        if denom == 0.0:
+            return uniform
+        alpha = rho / denom
+        s = r - alpha * v
+        t = apply(s)
+        t_norm2 = float(t @ t)
+        omega = float(t @ s) / t_norm2 if t_norm2 > 0.0 else 0.0
+        x += alpha * p + omega * s
+        r = s - omega * t
+    x[anchor] = 1.0
+    np.maximum(x, 0.0, out=x)
+    total = x.sum()
+    if not (math.isfinite(total) and total > 0.0):
+        return uniform
+    return x / total
+
+
 def stationary_distribution(model: MdpModel, pi: Policy, tol: float = 1e-10,
                             max_iters: int = 10**6) -> np.ndarray:
-    """Stationary state distribution of the induced chain by power iteration.
+    """Stationary state distribution of the induced chain.
 
-    Iterates the lazy kernel (P^pi + I)/2, which has the same stationary
-    distribution and is aperiodic; the residual ||mu^T P^pi - mu^T||_1 is
-    checked against the original kernel. Raises ConvergenceError (carrying the
-    final residual) if the tolerance is not met within ``max_iters``.
+    Starts from the BiCGSTAB solution of (I - P^pi^T) mu = 0 (see
+    :func:`_bicgstab_start`), then iterates the lazy kernel (P^pi + I)/2, which
+    has the same stationary distribution and is aperiodic, until the residual
+    ||mu^T P^pi - mu^T||_1 on the original kernel is at most ``tol``. A start
+    that already meets ``tol`` is returned at once; reducible or periodic
+    chains and BiCGSTAB breakdowns are left to the lazy iteration. Raises
+    ConvergenceError (carrying the final residual) if the tolerance is not met
+    within ``max_iters``.
     """
     chain_t = induced_chain(model, pi).T.tocsr()
-    mu = np.full(model.num_states, 1.0 / model.num_states)
+    mu = _bicgstab_start(chain_t, tol)
     residual = math.inf
     for _ in range(max_iters):
         stepped = chain_t @ mu
@@ -371,7 +431,11 @@ def _solve_discounted(model: MdpModel, gamma: float, tol: float,
 def contraction_diagnostic(model: MdpModel, pi: Policy) -> float:
     """Dobrushin coefficient of the induced chain: half the largest L1 distance
     between two rows. 0 for rank-one chains, 1 for e.g. the identity kernel.
-    Densifies the chain, so intended for small models only."""
+    Densifies the chain, so it raises CapacityError when num_states**2
+    exceeds DENSE_GUARD."""
+    if model.num_states ** 2 > DENSE_GUARD:
+        raise CapacityError(
+            f"contraction_diagnostic is limited to num_states**2 <= {DENSE_GUARD}")
     rows = np.asarray(induced_chain(model, pi).todense())
     worst = 0.0
     for x in range(rows.shape[0] - 1):

@@ -239,7 +239,8 @@ def heuristic_stationary_trajectory(spec: QueueNetSpec, policy: Policy,
                                     length: int = 10**6, burn_in: int = 10**4,
                                     seed: int = 0) -> np.ndarray:
     """State-action visit frequencies of a policy from one long trajectory
-    (the full-scale substitute for exact power iteration)."""
+    (the full-scale substitute for the exact stationary solve of
+    :func:`dualalp.mdp.stationary_distribution`)."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     counts = np.zeros(spec.num_states * NUM_ACTIONS)
     lengths = (0, 0, 0, 0)

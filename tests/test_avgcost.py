@@ -8,7 +8,8 @@ from dualalp.avgcost import (AvgSolverConfig, estimate_violations, exact_subgrad
                              meta_solve_avg, project_theta_avg, sgd_solve_avg,
                              subgradient_estimate, surrogate_cost_exact,
                              violations_exact, _violation_summands_avg)
-from dualalp.errors import ParameterError
+from dualalp._sgd import SgdProblem, run_projected_sgd
+from dualalp.errors import ConvergenceError, ParameterError
 from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.mdp import average_cost, policy_from_occupancy, stationary_state_action
@@ -280,6 +281,29 @@ def test_sgd_learning_rate_halving_schedule(desk_fixture):
     # runs without error and produces a full-length trace
     trace = sgd_solve_avg(model, fs, sample, cfg)
     assert trace.iterations[-1] == 10
+
+
+def test_sgd_non_finite_iterate_raises_with_t():
+    calls = []
+    estimated_at = []
+
+    def grad_batch(theta, rng, m):
+        calls.append(1)
+        return np.full(2, np.nan if len(calls) >= 7 else 0.5)
+
+    def violation_estimate(theta_bar, rng):
+        estimated_at.append(theta_bar.copy())
+        return 0.0
+
+    problem = SgdProblem(dim=2, loss_phi=np.ones(2), objective_offset=0.0,
+                         grad_batch=grad_batch, project=lambda th: th,
+                         violation_estimate=violation_estimate,
+                         make_policy=lambda th: None)
+    # the 7th gradient makes theta_8 NaN; the next recorded row is t = 10
+    with pytest.raises(ConvergenceError, match=r"t=10\b"):
+        run_projected_sgd(problem, iterations=20, learning_rate=0.1, seed=0,
+                          trace_stride=5)
+    assert len(estimated_at) == 1 and np.isfinite(estimated_at[0]).all()
 
 
 def test_sgd_recovers_feasible_feature_optimum():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,8 @@ from dualalp.mdp import (MdpModel, Policy, average_cost, bellman_average,
                          discounted_visits, induced_chain, policy_from_occupancy,
                          solve_optimal, stationary_distribution,
                          stationary_state_action, value_function)
+
+from dualalp.queueing import DESK_SPEC, build_mdp, heuristic_policy
 
 from conftest import random_mdp, random_policy
 
@@ -170,6 +177,84 @@ def test_stationary_nonconvergence_error_carries_residual():
     with pytest.raises(ConvergenceError) as err:
         stationary_distribution(busy, pi, tol=1e-300, max_iters=5)
     assert err.value.residual is not None and err.value.residual > 0
+
+
+def stationary_residual(model, pi, mu):
+    chain = induced_chain(model, pi)
+    return float(np.abs(chain.T @ mu - mu).sum())
+
+
+def test_stationary_desk_heuristics_residual():
+    model = build_mdp(DESK_SPEC)
+    for kind in ("LONGER", "LBFS"):
+        pi = heuristic_policy(DESK_SPEC, kind)
+        mu = stationary_distribution(model, pi)
+        assert mu.min() >= 0.0 and abs(mu.sum() - 1.0) <= 1e-12
+        assert stationary_residual(model, pi, mu) <= 1e-12
+
+
+def test_stationary_matches_dense_solve_random():
+    for seed in range(20):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(6, 11))
+        num_actions = int(rng.integers(1, 4))
+        model = random_mdp(rng, n, num_actions, sharpness=[0.2, 1.0, 5.0][seed % 3])
+        pi = random_policy(rng, n, num_actions)
+        # dense oracle: (I - P^T) mu = 0 with the first equation replaced by sum(mu) = 1
+        system = np.eye(n) - induced_chain(model, pi).toarray().T
+        system[0] = 1.0
+        rhs = np.zeros(n)
+        rhs[0] = 1.0
+        expected = np.linalg.solve(system, rhs)
+        mu = stationary_distribution(model, pi)
+        assert np.abs(mu - expected).max() <= 1e-12
+
+
+def test_stationary_reducible_two_closed_classes():
+    block = np.array([[0.3, 0.7], [0.6, 0.4]])
+    kernel = np.zeros((4, 1, 4))
+    kernel[:2, 0, :2] = block
+    kernel[2:, 0, 2:] = block[::-1]
+    model = MdpModel.from_dense(kernel, np.zeros((4, 1)))
+    pi = Policy(np.ones((4, 1)))
+    mu = stationary_distribution(model, pi)
+    assert mu.min() >= 0.0 and abs(mu.sum() - 1.0) <= 1e-12
+    assert stationary_residual(model, pi, mu) <= 1e-10
+
+
+def test_stationary_transient_anchor_candidate():
+    # state 1 collects the most one-step inflow but is transient; state 0 absorbs
+    kernel = np.zeros((5, 1, 5))
+    kernel[0, 0, 0] = 1.0
+    kernel[1, 0, [0, 1]] = 0.5
+    kernel[2:, 0, 1] = 1.0
+    model = MdpModel.from_dense(kernel, np.zeros((5, 1)))
+    pi = Policy(np.ones((5, 1)))
+    inflow = induced_chain(model, pi).toarray().sum(axis=0)
+    assert int(np.argmax(inflow)) == 1
+    mu = stationary_distribution(model, pi)
+    assert mu.min() >= 0.0 and abs(mu.sum() - 1.0) <= 1e-12
+    assert stationary_residual(model, pi, mu) <= 1e-10
+    np.testing.assert_allclose(mu, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-10)
+
+
+def test_stationary_solve_leaves_sparse_linalg_unimported():
+    # scipy.sparse.linalg loads its own BLAS (about 10 MB of resident memory)
+    import dualalp
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import dualalp\n"
+        "from dualalp.mdp import MdpModel, Policy, stationary_distribution\n"
+        "model = MdpModel.from_dense(np.array([[[0.9, 0.1]], [[0.2, 0.8]]]), np.zeros((2, 1)))\n"
+        "stationary_distribution(model, Policy(np.ones((2, 1))))\n"
+        "print('scipy.sparse.linalg' in sys.modules)\n")
+    src = str(Path(dualalp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"
 
 
 # -------------------------------------------------------------- average cost
@@ -397,6 +482,14 @@ def test_contraction_rank_one_and_identity():
     ident = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
     model2 = MdpModel.from_dense(ident, np.zeros((2, 1)))
     assert contraction_diagnostic(model2, Policy(np.ones((2, 1)))) == 1.0
+
+
+def test_contraction_capacity_guard():
+    rng = np.random.default_rng(19)
+    model = random_mdp(rng, 3, 2)
+    object.__setattr__(model, "num_states", 1001)  # 1001**2 > DENSE_GUARD
+    with pytest.raises(CapacityError):
+        contraction_diagnostic(model, random_policy(rng, 3, 2))
 
 
 def test_contraction_matches_pairwise_loop():
