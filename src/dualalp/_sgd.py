@@ -1,4 +1,17 @@
-"""Shared projected stochastic-subgradient loop for the two dual-ALP solvers.
+"""Surrogate core and projected stochastic-subgradient loop shared by the two
+dual-ALP solvers.
+
+Both penalized surrogates have the shape
+
+    cost(theta) = offset + loss_phi^T theta
+                  + penalty * (negative mass of occ_base + Phi theta)
+                  + penalty * || S theta + res_base ||_1
+
+where the rows of the state operator S are the drift rows (P - B)^T Phi for
+average cost and the feasibility rows (B - gamma P)^T Phi for discounted cost.
+A :class:`Surrogate` holds what differs between the two; the exact oracles,
+the sampled estimators, the violation estimator, the SGD problem and the meta
+loop are written once against it.
 
 The loop is strictly sequential in the iterate; randomness is split into one
 stream for the gradient draws and one for the trace-time violation estimates,
@@ -12,17 +25,149 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConvergenceError, ParameterError
-from .mdp import Policy
-from .trace import RunTrace
-
-SeedLike = "int | np.random.SeedSequence"
+from .errors import CapacityError, ConvergenceError, ParameterError
+from .features import FeatureSpace, SamplingPair, importance_weight_guard
+from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution,
+                  policy_from_occupancy)
+from .trace import MetaResult, RunTrace
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
+
+
+class SolverConfigChecks:
+    """Validation shared by the two SGD run configurations."""
+
+    def __post_init__(self):
+        # The excess-loss analysis assumes penalty >= 1, but meta grids may
+        # legitimately start below 1, so only positivity is enforced here.
+        if self.penalty <= 0.0:
+            raise ParameterError("penalty must be positive")
+        if self.iterations < 1:
+            raise ParameterError("iterations must be >= 1")
+        if self.minibatch < 1:
+            raise ParameterError("minibatch must be >= 1")
+        if not 0.0 < self.failure_prob < 1.0:
+            raise ParameterError("failure_prob must lie in (0, 1)")
+
+
+def _guard_exact(model: MdpModel):
+    if model.num_pairs > DENSE_GUARD:
+        raise CapacityError(
+            f"exact enumeration limited to num_states*num_actions <= {DENSE_GUARD}")
+
+
+@dataclass(frozen=True)
+class Surrogate:
+    """What separates the average-cost and discounted surrogates.
+
+    ``occ_base`` is added inside the negativity term (one entry per pair),
+    ``state_rows(states) -> (n, d)`` and ``state_matrix() -> (X, d)`` give the
+    state operator S by rows and densely, ``res_base`` is added inside the
+    residual (one entry per state) and ``offset`` is the constant part of the
+    linear objective.
+    """
+
+    model: MdpModel
+    fs: FeatureSpace
+    occ_base: np.ndarray
+    state_rows: Callable[[np.ndarray], np.ndarray]
+    state_matrix: Callable[[], np.ndarray]
+    res_base: np.ndarray
+    offset: float
+
+    @classmethod
+    def average_cost(cls, model: MdpModel, fs: FeatureSpace) -> Surrogate:
+        """Baseline occupancy mu0, drift rows at rate 1, no residual offset."""
+        return cls(model, fs, occ_base=fs.mu0,
+                   state_rows=lambda states: fs.drift_rows(states, 1.0),
+                   state_matrix=lambda: fs.drift_matrix(1.0),
+                   res_base=np.zeros(model.num_states),
+                   offset=float(model.loss @ fs.mu0))
+
+    @classmethod
+    def discounted(cls, model: MdpModel, fs: FeatureSpace, gamma: float,
+                   alpha: np.ndarray | None) -> Surrogate:
+        """No baseline occupancy, feasibility rows at rate gamma, residual
+        offset -alpha (None means the uniform initial distribution)."""
+        alpha = _check_state_distribution(model, alpha)
+        return cls(model, fs, occ_base=np.zeros(model.num_pairs),
+                   state_rows=lambda states: fs.feasibility_rows(states, gamma),
+                   state_matrix=lambda: fs.feasibility_matrix(gamma),
+                   res_base=-alpha, offset=0.0)
+
+    def occupancy(self, theta: np.ndarray) -> np.ndarray:
+        """occ_base + Phi theta over all pairs (dense, length X*A)."""
+        return self.occ_base + self.fs.phi @ theta
+
+    def violations_exact(self, theta: np.ndarray) -> tuple[float, float]:
+        _guard_exact(self.model)
+        neg_mass = float(np.abs(np.minimum(self.occupancy(theta), 0.0)).sum())
+        residual = float(np.abs(self.state_matrix() @ theta + self.res_base).sum())
+        return neg_mass, residual
+
+    def cost_exact(self, penalty: float, theta: np.ndarray) -> float:
+        v_neg, v_res = self.violations_exact(theta)
+        return self.offset + float(self.fs.loss_phi @ theta) + penalty * (v_neg + v_res)
+
+    def exact_subgradient(self, penalty: float, theta: np.ndarray) -> np.ndarray:
+        _guard_exact(self.model)
+        active = (self.occupancy(theta) < 0.0).astype(float)
+        matrix = self.state_matrix()
+        signs = np.sign(matrix @ theta + self.res_base)
+        return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
+                + penalty * (matrix.T @ signs))
+
+    def subgradient_estimate(self, sp: SamplingPair, penalty: float, theta: np.ndarray,
+                             rng: np.random.Generator | None = None,
+                             pair_idx=None, state_idx=None, m: int = 1) -> np.ndarray:
+        """Importance-weighted subgradient estimate averaged over m draws from
+        the rng, or over the given indices."""
+        if pair_idx is None or state_idx is None:
+            if rng is None:
+                raise ParameterError("either an rng or explicit indices are required")
+            pair_idx = sp.sample_pairs(rng, m)
+            state_idx = sp.sample_states(rng, m)
+        pair_idx, state_idx = np.atleast_1d(pair_idx), np.atleast_1d(state_idx)
+        q_pair = sp.pair_prob(pair_idx)
+        q_state = sp.state_prob(state_idx)
+        importance_weight_guard(q_pair)
+        importance_weight_guard(q_state)
+        rows = self.fs.rows(pair_idx)
+        w_neg = np.where(self.occ_base[pair_idx] + rows @ theta < 0.0, 1.0 / q_pair, 0.0)
+        state_rows = self.state_rows(state_idx)
+        w_res = np.sign(state_rows @ theta + self.res_base[state_idx]) / q_state
+        m = len(pair_idx)
+        return (self.fs.loss_phi - (penalty / m) * (w_neg @ rows)
+                + (penalty / m) * (w_res @ state_rows))
+
+    def violation_summands(self, sp: SamplingPair, theta: np.ndarray,
+                           pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
+        q_pair = sp.pair_prob(pair_idx)
+        q_state = sp.state_prob(state_idx)
+        importance_weight_guard(q_pair)
+        importance_weight_guard(q_state)
+        occ = self.occ_base[pair_idx] + self.fs.rows(pair_idx) @ theta
+        neg = np.abs(np.minimum(occ, 0.0)) / q_pair
+        resid = self.state_rows(state_idx) @ theta + self.res_base[state_idx]
+        return neg + np.abs(resid) / q_state
+
+    def estimate_violations(self, sp: SamplingPair, theta: np.ndarray, n: int,
+                            rng: np.random.Generator, batch: int) -> float:
+        if n < 1:
+            raise ParameterError("n must be >= 1")
+        total = 0.0
+        remaining = n
+        while remaining > 0:
+            m = min(remaining, batch)
+            pair_idx = sp.sample_pairs(rng, m)
+            state_idx = sp.sample_states(rng, m)
+            total += float(self.violation_summands(sp, theta, pair_idx, state_idx).sum())
+            remaining -= m
+        return total / n
 
 
 @dataclass
@@ -38,20 +183,14 @@ class SgdProblem:
     make_policy: Callable[[np.ndarray], Policy]
 
 
-def make_buffered_grad(fs, sp, penalty: float, state_rows_fn,
-                       occ_base: np.ndarray, res_base: np.ndarray,
+def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float,
                        block: int = 512):
     """Single-draw gradient estimator with block-presampled draws.
 
     Presampling amortizes rng and gather overhead across ``block`` iterations;
-    the draw stream is still fully determined by the rng. ``occ_base`` is added
-    inside the negativity indicator (the baseline occupancy, or zeros);
-    ``state_rows_fn(states) -> (n, d)`` supplies the per-state residual rows
-    (drift rows for average cost, feasibility rows for discounted cost) and
-    ``res_base`` is added inside their sign.
+    the draw stream is still fully determined by the rng.
     """
-    from .features import importance_weight_guard
-
+    fs = surrogate.fs
     loss_phi = fs.loss_phi
     buf = {"pos": block}
 
@@ -63,9 +202,9 @@ def make_buffered_grad(fs, sp, penalty: float, state_rows_fn,
         importance_weight_guard(buf["q_pair"])
         importance_weight_guard(buf["q_state"])
         buf["rows"] = fs.rows(pairs)
-        buf["occ0"] = occ_base[pairs]
-        buf["drift"] = state_rows_fn(states)
-        buf["res0"] = res_base[states]
+        buf["occ0"] = surrogate.occ_base[pairs]
+        buf["drift"] = surrogate.state_rows(states)
+        buf["res0"] = surrogate.res_base[states]
         buf["pos"] = 0
 
     def grad(theta, rng, m):
@@ -153,3 +292,70 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
                     eval_cost=np.asarray(rec_cost),
                     theta=theta_hat,
                     policy=problem.make_policy(theta_hat))
+
+
+def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
+              violation_estimate, eval_hook=None, iterate_hook=None) -> RunTrace:
+    """One projected SGD run of ``cfg`` on the surrogate from theta_1 = 0.
+
+    The buffered single-draw estimator serves minibatch 1, the vectorized
+    estimator every larger minibatch. ``run`` is :func:`run_projected_sgd`,
+    and ``project`` and ``violation_estimate`` call the projection and the
+    violation estimator, as the calling solver module looks them up, so
+    wrappers installed on that module see every call.
+    """
+    fs = surrogate.fs
+    if cfg.minibatch == 1:
+        grad_batch = make_buffered_grad(surrogate, sp, cfg.penalty)
+    else:
+        def grad_batch(theta, rng, m):
+            return surrogate.subgradient_estimate(sp, cfg.penalty, theta, rng, m=m)
+
+    def make_policy(theta):
+        return policy_from_occupancy(surrogate.occupancy(theta), surrogate.model.num_actions)
+
+    problem = SgdProblem(dim=fs.dim, loss_phi=fs.loss_phi,
+                         objective_offset=surrogate.offset, grad_batch=grad_batch,
+                         project=project, violation_estimate=violation_estimate,
+                         make_policy=make_policy)
+    rate = resolve_learning_rate(cfg.learning_rate, cfg.radius, cfg.penalty,
+                                 sp.c_pair, sp.c_state, fs.dim, cfg.iterations)
+    return run(problem, cfg.iterations, rate, cfg.seed, minibatch=cfg.minibatch,
+               lr_halving_period=cfg.lr_halving_period, trace_stride=cfg.trace_stride,
+               eval_hook=eval_hook, iterate_hook=iterate_hook)
+
+
+def meta_loop(grid, seed, loss_phi: np.ndarray, n_violation: int, run_count, solve,
+              estimate, horizon: float = 0.0, scale: float = 1.0,
+              discount: float | None = None) -> MetaResult:
+    """Solve at every penalty H of the grid and select the point minimizing
+
+        linear objective + (H + horizon) * estimated violation + weight / (H * scale).
+
+    ``run_count(H)`` gives the iterations of a point, ``solve(H, iterations,
+    seed)`` runs it and ``estimate(theta, n, rng)`` estimates its violation
+    from n draws. Per-point seeds derive deterministically from the master
+    seed; ties in the selection go to the lowest grid index.
+    """
+    seeds = as_seed_sequence(seed).spawn(len(grid))
+    traces, lin_objs, v_hats, run_counts = [], [], [], []
+    for k, penalty in enumerate(grid.points):
+        penalty = float(penalty)
+        iterations = run_count(penalty)
+        run_ss, est_ss = seeds[k].spawn(2)
+        trace = solve(penalty, iterations, run_ss)
+        traces.append(trace)
+        run_counts.append(iterations)
+        lin_objs.append(float(loss_phi @ trace.theta))
+        v_hats.append(estimate(trace.theta, n_violation, np.random.default_rng(est_ss)))
+    points = np.asarray(grid.points, dtype=float)
+    lin_objs = np.asarray(lin_objs)
+    v_hats = np.asarray(v_hats)
+    selection = lin_objs + (points + horizon) * v_hats + grid.weight / (points * scale)
+    chosen = int(np.argmin(selection))
+    return MetaResult(grid_points=points, selection_weight=grid.weight, traces=traces,
+                      linear_objectives=lin_objs, violation_estimates=v_hats,
+                      selection_values=selection, chosen_index=chosen,
+                      theta=traces[chosen].theta, policy=traces[chosen].policy,
+                      iterations_per_point=np.asarray(run_counts, dtype=np.int64),
+                      violation_samples=n_violation, discount=discount)

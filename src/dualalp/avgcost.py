@@ -9,7 +9,8 @@ Minimizes the penalized surrogate
 over Theta = {theta : sum(theta) = sum_target, ||theta||_2 <= radius} by
 projected stochastic subgradient descent with importance-sampled gradient
 estimates, plus the penalty-grid meta-algorithm that tunes the gain and picks
-the best run by a penalized estimated objective.
+the best run by a penalized estimated objective. The surrogate is the
+average-cost parameterization of the shared core in :mod:`dualalp._sgd`.
 
 A single SGD run is strictly sequential in its iterate; grid points of the
 meta-algorithm are independent with deterministically derived per-point seeds,
@@ -22,17 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sgd import (SgdProblem, as_seed_sequence, make_buffered_grad,
-                   resolve_learning_rate, run_projected_sgd)
-from .errors import CapacityError, ParameterError
-from .features import FeatureSpace, SamplingPair, importance_weight_guard
+from ._sgd import SolverConfigChecks, Surrogate, meta_loop, run_projected_sgd, sgd_solve
+from .errors import ParameterError
+from .features import FeatureSpace, SamplingPair
 from .grid import build_penalty_grid
-from .mdp import DENSE_GUARD, MdpModel, policy_from_occupancy
+from .mdp import MdpModel
 from .trace import MetaResult, RunTrace
 
 
 @dataclass(frozen=True)
-class AvgSolverConfig:
+class AvgSolverConfig(SolverConfigChecks):
     """Knobs of one average-cost SGD run.
 
     penalty >= 1 is the violation gain; radius bounds ||theta||_2 and must be
@@ -54,71 +54,23 @@ class AvgSolverConfig:
     trace_stride: int | None = None
     trace_violation_samples: int = 64
 
-    def __post_init__(self):
-        # The excess-loss analysis assumes penalty >= 1, but meta grids may
-        # legitimately start below 1, so only positivity is enforced here.
-        if self.penalty <= 0.0:
-            raise ParameterError("penalty must be positive")
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
-        if self.minibatch < 1:
-            raise ParameterError("minibatch must be >= 1")
-        if not 0.0 < self.failure_prob < 1.0:
-            raise ParameterError("failure_prob must lie in (0, 1)")
-
-
-def _guard_exact(model: MdpModel):
-    if model.num_pairs > DENSE_GUARD:
-        raise CapacityError(
-            f"exact enumeration limited to num_states*num_actions <= {DENSE_GUARD}")
-
 
 def violations_exact(model: MdpModel, fs: FeatureSpace, theta: np.ndarray) -> tuple[float, float]:
     """Exact (negative-mass, stationarity-residual) pair by full enumeration."""
-    _guard_exact(model)
-    occupancy = fs.occupancy_vector(theta)
-    neg_mass = float(np.abs(np.minimum(occupancy, 0.0)).sum())
-    residual = float(np.abs(fs.drift_matrix(1.0) @ theta).sum())
-    return neg_mass, residual
+    return Surrogate.average_cost(model, fs).violations_exact(theta)
 
 
 def surrogate_cost_exact(model: MdpModel, fs: FeatureSpace, penalty: float,
                          theta: np.ndarray) -> float:
     """Exact surrogate value (test oracle; enumerates all pairs and states)."""
-    v1, v2 = violations_exact(model, fs, theta)
-    linear = float(model.loss @ fs.mu0) + float(fs.loss_phi @ theta)
-    return linear + penalty * (v1 + v2)
+    return Surrogate.average_cost(model, fs).cost_exact(penalty, theta)
 
 
 def exact_subgradient(model: MdpModel, fs: FeatureSpace, penalty: float,
                       theta: np.ndarray) -> np.ndarray:
     """Exact subgradient of the surrogate, with sign(0) = 0 and a strict
     indicator on the negativity penalty."""
-    _guard_exact(model)
-    occupancy = fs.occupancy_vector(theta)
-    active = (occupancy < 0.0).astype(float)
-    neg_term = fs.phi.T @ active
-    drift = fs.drift_matrix(1.0)
-    signs = np.sign(drift @ theta)
-    return fs.loss_phi - penalty * neg_term + penalty * (drift.T @ signs)
-
-
-def _grad_terms_avg(fs: FeatureSpace, sp: SamplingPair, penalty: float,
-                    theta: np.ndarray, pair_idx: np.ndarray,
-                    state_idx: np.ndarray) -> np.ndarray:
-    """Importance-weighted estimate averaged over the given draws."""
-    q_pair = sp.pair_prob(pair_idx)
-    q_state = sp.state_prob(state_idx)
-    importance_weight_guard(q_pair)
-    importance_weight_guard(q_state)
-    rows = fs.rows(pair_idx)
-    occ = fs.mu0[pair_idx] + rows @ theta
-    w_neg = np.where(occ < 0.0, 1.0 / q_pair, 0.0)
-    drift = fs.drift_rows(state_idx, 1.0)
-    w_drift = np.sign(drift @ theta) / q_state
-    m = len(pair_idx)
-    return (fs.loss_phi - (penalty / m) * (w_neg @ rows)
-            + (penalty / m) * (w_drift @ drift))
+    return Surrogate.average_cost(model, fs).exact_subgradient(penalty, theta)
 
 
 def subgradient_estimate(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
@@ -128,13 +80,8 @@ def subgradient_estimate(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
     """One unbiased subgradient draw: (x,a) ~ q_pair for the negativity term,
     x' ~ q_state for the stationarity term. Explicit indices may be supplied
     instead of an rng (used to enumerate the estimator's support in tests)."""
-    if pair_idx is None or state_idx is None:
-        if rng is None:
-            raise ParameterError("either an rng or explicit indices are required")
-        pair_idx = sp.sample_pairs(rng, 1)
-        state_idx = sp.sample_states(rng, 1)
-    return _grad_terms_avg(fs, sp, penalty, theta,
-                           np.atleast_1d(pair_idx), np.atleast_1d(state_idx))
+    return Surrogate.average_cost(model, fs).subgradient_estimate(
+        sp, penalty, theta, rng, pair_idx, state_idx)
 
 
 def project_theta_avg(theta: np.ndarray, radius: float,
@@ -160,14 +107,8 @@ def project_theta_avg(theta: np.ndarray, radius: float,
 
 def _violation_summands_avg(fs: FeatureSpace, sp: SamplingPair, theta: np.ndarray,
                             pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
-    q_pair = sp.pair_prob(pair_idx)
-    q_state = sp.state_prob(state_idx)
-    importance_weight_guard(q_pair)
-    importance_weight_guard(q_state)
-    occ = fs.mu0[pair_idx] + fs.rows(pair_idx) @ theta
-    neg = np.abs(np.minimum(occ, 0.0)) / q_pair
-    drift_vals = fs.drift_rows(state_idx, 1.0) @ theta
-    return neg + np.abs(drift_vals) / q_state
+    return Surrogate.average_cost(fs.model, fs).violation_summands(sp, theta, pair_idx,
+                                                                   state_idx)
 
 
 def estimate_violations(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
@@ -175,61 +116,19 @@ def estimate_violations(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
                         batch: int = 1 << 16) -> float:
     """Unbiased importance-sampling estimate of the total violation from n
     draws of each sampling distribution."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    total = 0.0
-    remaining = n
-    while remaining > 0:
-        m = min(remaining, batch)
-        pair_idx = sp.sample_pairs(rng, m)
-        state_idx = sp.sample_states(rng, m)
-        total += float(_violation_summands_avg(fs, sp, theta, pair_idx, state_idx).sum())
-        remaining -= m
-    return total / n
-
-
-def _make_problem(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
-                  cfg: AvgSolverConfig) -> SgdProblem:
-    if cfg.minibatch == 1:
-        grad_batch = make_buffered_grad(fs, sp, cfg.penalty,
-                                        lambda states: fs.drift_rows(states, 1.0),
-                                        occ_base=fs.mu0,
-                                        res_base=np.zeros(model.num_states))
-    else:
-        def grad_batch(theta, rng, m):
-            pair_idx = sp.sample_pairs(rng, m)
-            state_idx = sp.sample_states(rng, m)
-            return _grad_terms_avg(fs, sp, cfg.penalty, theta, pair_idx, state_idx)
-
-    def violation_estimate(theta, rng):
-        return estimate_violations(model, fs, sp, theta, cfg.trace_violation_samples, rng)
-
-    def make_policy(theta):
-        return policy_from_occupancy(fs.occupancy_vector(theta), model.num_actions)
-
-    return SgdProblem(
-        dim=fs.dim,
-        loss_phi=fs.loss_phi,
-        objective_offset=float(model.loss @ fs.mu0),
-        grad_batch=grad_batch,
-        project=lambda theta: project_theta_avg(theta, cfg.radius, cfg.sum_target),
-        violation_estimate=violation_estimate,
-        make_policy=make_policy,
-    )
+    return Surrogate.average_cost(model, fs).estimate_violations(sp, theta, n, rng, batch)
 
 
 def sgd_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
                   cfg: AvgSolverConfig, eval_hook=None, iterate_hook=None) -> RunTrace:
     """Projected SGD on the average-cost surrogate from theta_1 = 0; returns the
     trace of the running average and the policy of the averaged parameters."""
-    problem = _make_problem(model, fs, sp, cfg)
-    rate = resolve_learning_rate(cfg.learning_rate, cfg.radius, cfg.penalty,
-                                 sp.c_pair, sp.c_state, fs.dim, cfg.iterations)
-    return run_projected_sgd(problem, cfg.iterations, rate, cfg.seed,
-                             minibatch=cfg.minibatch,
-                             lr_halving_period=cfg.lr_halving_period,
-                             trace_stride=cfg.trace_stride, eval_hook=eval_hook,
-                             iterate_hook=iterate_hook)
+    return sgd_solve(
+        Surrogate.average_cost(model, fs), sp, cfg, run_projected_sgd,
+        project=lambda theta: project_theta_avg(theta, cfg.radius, cfg.sum_target),
+        violation_estimate=lambda theta, rng: estimate_violations(
+            model, fs, sp, theta, cfg.trace_violation_samples, rng),
+        eval_hook=eval_hook, iterate_hook=iterate_hook)
 
 
 def run_count_avg(penalty: float, radius: float, tolerance: float,
@@ -264,33 +163,20 @@ def meta_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     """
     grid = build_penalty_grid(violation_bound, selection_weight, tolerance)
     num_points = len(grid)
-    seeds = as_seed_sequence(seed).spawn(num_points)
     n_violation = violation_sample_count_avg(radius, sp.c_pair, sp.c_state,
                                              tolerance, failure_prob, num_points)
-    traces, lin_objs, v_hats, run_counts = [], [], [], []
-    for k, penalty in enumerate(grid.points):
-        penalty = float(penalty)
-        iterations = run_count_avg(penalty, radius, tolerance, failure_prob, num_points)
-        run_ss, est_ss = seeds[k].spawn(2)
+
+    def solve(penalty, iterations, run_seed):
         cfg = AvgSolverConfig(penalty=penalty, radius=radius, iterations=iterations,
                               learning_rate=learning_rate, minibatch=minibatch,
                               tolerance=tolerance, failure_prob=failure_prob,
-                              seed=run_ss, sum_target=sum_target,
+                              seed=run_seed, sum_target=sum_target,
                               trace_stride=trace_stride)
-        trace = sgd_solve_avg(model, fs, sp, cfg, eval_hook=eval_hook)
-        traces.append(trace)
-        run_counts.append(iterations)
-        lin_objs.append(float(fs.loss_phi @ trace.theta))
-        v_hats.append(estimate_violations(model, fs, sp, trace.theta, n_violation,
-                                          np.random.default_rng(est_ss)))
-    points = np.asarray(grid.points, dtype=float)
-    lin_objs = np.asarray(lin_objs)
-    v_hats = np.asarray(v_hats)
-    selection = lin_objs + points * v_hats + grid.weight / points
-    chosen = int(np.argmin(selection))
-    return MetaResult(grid_points=points, selection_weight=grid.weight, traces=traces,
-                      linear_objectives=lin_objs, violation_estimates=v_hats,
-                      selection_values=selection, chosen_index=chosen,
-                      theta=traces[chosen].theta, policy=traces[chosen].policy,
-                      iterations_per_point=np.asarray(run_counts, dtype=np.int64),
-                      violation_samples=n_violation)
+        return sgd_solve_avg(model, fs, sp, cfg, eval_hook=eval_hook)
+
+    return meta_loop(
+        grid, seed, fs.loss_phi, n_violation,
+        run_count=lambda penalty: run_count_avg(penalty, radius, tolerance,
+                                                failure_prob, num_points),
+        solve=solve,
+        estimate=lambda theta, n, rng: estimate_violations(model, fs, sp, theta, n, rng))

@@ -9,8 +9,8 @@ replayed from the summary alone, plus trace tables for solver runs. Outputs
 are byte-identical across reruns with the same config and seed; wall time is
 reported on stderr only.
 
-Exit codes: 0 success, 2 configuration error, 3 capacity error,
-4 convergence error.
+Exit codes: 0 success, 2 configuration or parameter error, 3 capacity error,
+4 convergence error, 5 input shape error, 6 sampling support error.
 """
 from __future__ import annotations
 
@@ -20,20 +20,36 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import avgcost, discounted, fixtures, queueing
-from .errors import CapacityError, ConfigError, ConvergenceError, DualAlpError
+from .errors import (CapacityError, ConfigError, ConvergenceError, DualAlpError,
+                     InputShapeError, SamplingSupportError)
 from .features import make_norm_proportional_sampling, make_uniform_sampling
 from .grid import build_penalty_grid
-from .mdp import average_cost, value_function
+from .mdp import (DENSE_GUARD, average_cost, policy_from_occupancy,
+                  stationary_state_action, value_function)
 from .trace import MetaResult, RunTrace
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAPACITY = 3
 EXIT_CONVERGENCE = 4
+EXIT_INPUT_SHAPE = 5
+EXIT_SAMPLING = 6
+
+# (error class, exit code, message prefix), most specific first: an error
+# exits with the first row whose class it is an instance of
+EXIT_CODES = (
+    (InputShapeError, EXIT_INPUT_SHAPE, "input shape error"),
+    (SamplingSupportError, EXIT_SAMPLING, "sampling support error"),
+    (ConfigError, EXIT_CONFIG, "config error"),
+    (CapacityError, EXIT_CAPACITY, "capacity error"),
+    (ConvergenceError, EXIT_CONVERGENCE, "convergence error"),
+    (DualAlpError, EXIT_CONFIG, "error"),
+)
 
 SEED_ENV_VAR = "DUALALP_SEED"
 
@@ -54,6 +70,13 @@ SOLVER_DEFAULTS = {
     "trace_violation_samples": 64,
 }
 SAMPLING_DEFAULTS = {"scheme": "uniform"}
+# scheme -> sampler builder(model, fs, kappa); the builders are looked up in
+# this module when a run starts, so wrappers installed here see the call
+SAMPLING_SCHEMES = {
+    "uniform": lambda model, fs, kappa: make_uniform_sampling(model, fs, kappa),
+    "norm-proportional": lambda model, fs, kappa: make_norm_proportional_sampling(
+        model, fs, kappa),
+}
 EVAL_DEFAULTS = {"mode": "none", "horizon": 20000, "burn_in": 2000, "reps": 3}
 META_DEFAULTS = {"violation_bound": 1.0, "selection_weight": 1.0}
 BENCH_DEFAULTS = {
@@ -142,17 +165,18 @@ def _resolve_features(config: dict, model, spec):
     raise ConfigError("config needs features.path (or a queue problem for the builder)")
 
 
+def _sampler_builder(scheme: str):
+    if scheme not in SAMPLING_SCHEMES:
+        raise ConfigError(f"unknown sampling scheme {scheme!r}")
+    return SAMPLING_SCHEMES[scheme]
+
+
 def _resolve_sampling(config: dict, model, fs, kappa: float):
     sampling = _resolve_section(config, "sampling", SAMPLING_DEFAULTS)
-    scheme = sampling["scheme"]
-    if scheme == "uniform":
-        return make_uniform_sampling(model, fs, kappa), sampling
-    if scheme == "norm-proportional":
-        return make_norm_proportional_sampling(model, fs, kappa), sampling
-    raise ConfigError(f"unknown sampling scheme {scheme!r}")
+    return _sampler_builder(sampling["scheme"])(model, fs, kappa), sampling
 
 
-def _resolve_initial_dist(solver: dict, model):
+def _resolve_initial_dist(solver: dict):
     spec = solver.get("initial_dist", "uniform")
     if spec == "uniform" or spec is None:
         return None
@@ -174,7 +198,7 @@ def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
             raise ConfigError("simulated evaluation needs a queue problem")
         return lambda theta, policy: queueing.evaluate_policy_simulated(
             spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"],
-            mode_cfg["reps"], seed=mode_cfg.get("seed", 0))[0]
+            mode_cfg["reps"], seed=0)[0]
     raise ConfigError(f"unknown eval mode {mode!r}")
 
 
@@ -185,9 +209,13 @@ def _write_json(doc: dict, path: Path) -> None:
         handle.write("\n")
 
 
-def _summary_base(mode: str, resolved_config: dict, seed, iterations: int) -> dict:
-    return {"config": {"mode": mode, **resolved_config},
-            "provenance": {"seed": seed, "iterations": int(iterations)}}
+def _write_summary(out_dir: Path, mode: str, resolved_config: dict, seed,
+                   iterations: int, result: dict) -> dict:
+    summary = {"config": {"mode": mode, **resolved_config},
+               "provenance": {"seed": seed, "iterations": int(iterations)},
+               "result": result}
+    _write_json(summary, out_dir / "summary.json")
+    return summary
 
 
 def _trace_summary(trace: RunTrace) -> dict:
@@ -216,126 +244,94 @@ def _meta_summary(result: MetaResult) -> dict:
     }
 
 
-def run_solve_avg(config: dict, out_dir: Path) -> dict:
-    model, spec, problem_cfg = _resolve_problem(config)
-    fs, features_cfg = _resolve_features(config, model, spec)
-    sampler, sampling_cfg = _resolve_sampling(config, model, fs, kappa=1.0)
-    solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
-    eval_cfg = _resolve_section(config, "eval", EVAL_DEFAULTS)
-    cfg = avgcost.AvgSolverConfig(
-        penalty=solver["penalty"], radius=solver["radius"],
-        iterations=int(solver["iterations"]), learning_rate=solver["learning_rate"],
-        lr_halving_period=solver["lr_halving_period"], minibatch=int(solver["minibatch"]),
-        tolerance=solver["tolerance"], failure_prob=solver["failure_prob"],
-        seed=int(solver["seed"]), sum_target=solver["sum_target"],
-        trace_stride=config.get("trace_stride"),
-        trace_violation_samples=int(solver["trace_violation_samples"]))
-    hook = _make_eval_hook(eval_cfg, model, spec)
-    trace = avgcost.sgd_solve_avg(model, fs, sampler, cfg, eval_hook=hook)
-    trace.write_csv(out_dir / "trace.csv")
-    resolved = {"problem": problem_cfg, "features": features_cfg,
-                "sampling": sampling_cfg, "solver": solver, "eval": eval_cfg,
-                "trace_stride": config.get("trace_stride")}
-    summary = _summary_base("solve-avg", resolved, solver["seed"], cfg.iterations)
-    summary["result"] = {"penalty": solver["penalty"], **_trace_summary(trace)}
-    if model.num_pairs <= avgcost.DENSE_GUARD:
-        v1, v2 = avgcost.violations_exact(model, fs, trace.theta)
-        summary["result"]["violations_exact"] = [v1, v2]
-    _write_json(summary, out_dir / "summary.json")
-    return summary
+class _Objective(NamedTuple):
+    """What separates an average-cost solver run from a discounted one."""
+
+    kappa: float                # rate of the sampling distributions
+    gamma: float | None         # discount of the exact evaluation (None: average cost)
+    alpha: np.ndarray | None    # initial state distribution (None: uniform)
+    config_cls: type            # SGD run configuration
+    config_args: dict           # its fields that only this objective has
+    sgd_solve: Callable
+    meta_solve: Callable
+    meta_args: dict             # meta-solver arguments that only this objective takes
+    violations_exact: Callable  # theta -> (negative mass, residual)
+    summary: dict               # summary fields that only this objective writes
 
 
-def run_solve_disc(config: dict, out_dir: Path) -> dict:
-    model, spec, problem_cfg = _resolve_problem(config)
-    fs, features_cfg = _resolve_features(config, model, spec)
-    solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
+def _avg_objective(model, fs, solver: dict) -> _Objective:
+    sum_target = {"sum_target": solver["sum_target"]}
+    return _Objective(1.0, None, None, avgcost.AvgSolverConfig, sum_target,
+                      avgcost.sgd_solve_avg, avgcost.meta_solve_avg, sum_target,
+                      lambda theta: avgcost.violations_exact(model, fs, theta), {})
+
+
+def _disc_objective(model, fs, solver: dict) -> _Objective:
     gamma = float(solver["discount"])
-    sampler, sampling_cfg = _resolve_sampling(config, model, fs, kappa=gamma)
-    eval_cfg = _resolve_section(config, "eval", EVAL_DEFAULTS)
-    alpha = _resolve_initial_dist(solver, model)
-    cfg = discounted.DiscSolverConfig(
-        discount=gamma, penalty=solver["penalty"], radius=solver["radius"],
-        iterations=int(solver["iterations"]), initial_dist=alpha,
-        learning_rate=solver["learning_rate"],
-        lr_halving_period=solver["lr_halving_period"], minibatch=int(solver["minibatch"]),
-        tolerance=solver["tolerance"], failure_prob=solver["failure_prob"],
-        seed=int(solver["seed"]), trace_stride=config.get("trace_stride"),
-        trace_violation_samples=int(solver["trace_violation_samples"]),
-        enforce_sum_constraint=bool(solver["enforce_sum_constraint"]))
-    hook = _make_eval_hook(eval_cfg, model, spec, gamma=gamma, alpha=alpha)
-    trace = discounted.sgd_solve_disc(model, fs, sampler, cfg, eval_hook=hook)
-    trace.write_csv(out_dir / "trace.csv")
-    resolved = {"problem": problem_cfg, "features": features_cfg,
-                "sampling": sampling_cfg, "solver": solver, "eval": eval_cfg,
-                "trace_stride": config.get("trace_stride")}
-    summary = _summary_base("solve-disc", resolved, solver["seed"], cfg.iterations)
-    summary["result"] = {"penalty": solver["penalty"], "discount": gamma,
-                         "alpha_spec": solver.get("initial_dist", "uniform"),
-                         **_trace_summary(trace)}
-    if model.num_pairs <= avgcost.DENSE_GUARD:
-        v3, v4 = discounted.violations_exact_disc(model, fs, gamma, alpha, trace.theta)
-        summary["result"]["violations_exact"] = [v3, v4]
-    _write_json(summary, out_dir / "summary.json")
-    return summary
+    alpha = _resolve_initial_dist(solver)
+    enforce = bool(solver["enforce_sum_constraint"])
+    return _Objective(
+        gamma, gamma, alpha, discounted.DiscSolverConfig,
+        {"discount": gamma, "initial_dist": alpha, "enforce_sum_constraint": enforce},
+        discounted.sgd_solve_disc, discounted.meta_solve_disc,
+        {"gamma": gamma, "alpha": alpha, "enforce_sum_constraint": enforce},
+        lambda theta: discounted.violations_exact_disc(model, fs, gamma, alpha, theta),
+        {"discount": gamma, "alpha_spec": solver.get("initial_dist", "uniform")})
 
 
-def run_meta_avg(config: dict, out_dir: Path) -> dict:
-    model, spec, problem_cfg = _resolve_problem(config)
-    fs, features_cfg = _resolve_features(config, model, spec)
-    sampler, sampling_cfg = _resolve_sampling(config, model, fs, kappa=1.0)
-    solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
-    meta = _resolve_section(config, "meta", META_DEFAULTS)
-    eval_cfg = _resolve_section(config, "eval", EVAL_DEFAULTS)
-    hook = _make_eval_hook(eval_cfg, model, spec)
-    result = avgcost.meta_solve_avg(
-        model, fs, sampler, violation_bound=meta["violation_bound"],
-        selection_weight=meta["selection_weight"], tolerance=solver["tolerance"],
-        failure_prob=solver["failure_prob"], seed=int(solver["seed"]),
-        radius=solver["radius"], sum_target=solver["sum_target"],
-        learning_rate=solver["learning_rate"], minibatch=int(solver["minibatch"]),
-        trace_stride=config.get("trace_stride"), eval_hook=hook)
-    for k, trace in enumerate(result.traces):
-        trace.write_csv(out_dir / f"trace_{k:03d}.csv")
-    resolved = {"problem": problem_cfg, "features": features_cfg,
-                "sampling": sampling_cfg, "solver": solver, "meta": meta,
-                "eval": eval_cfg, "trace_stride": config.get("trace_stride")}
-    total_iters = int(result.iterations_per_point.sum())
-    summary = _summary_base("meta-avg", resolved, solver["seed"], total_iters)
-    summary["result"] = _meta_summary(result)
-    _write_json(summary, out_dir / "summary.json")
-    return summary
+# mode -> (objective, whether the run is a penalty-grid meta run)
+SOLVER_MODES = {
+    "solve-avg": (_avg_objective, False),
+    "solve-disc": (_disc_objective, False),
+    "meta-avg": (_avg_objective, True),
+    "meta-disc": (_disc_objective, True),
+}
 
 
-def run_meta_disc(config: dict, out_dir: Path) -> dict:
+def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
+    """One SGD run (solve-*) or one penalty-grid meta run (meta-*) of the
+    average-cost (*-avg) or discounted (*-disc) surrogate."""
+    make_objective, meta_run = SOLVER_MODES[mode]
     model, spec, problem_cfg = _resolve_problem(config)
     fs, features_cfg = _resolve_features(config, model, spec)
     solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
-    gamma = float(solver["discount"])
-    sampler, sampling_cfg = _resolve_sampling(config, model, fs, kappa=gamma)
-    meta = _resolve_section(config, "meta", META_DEFAULTS)
-    eval_cfg = _resolve_section(config, "eval", EVAL_DEFAULTS)
-    alpha = _resolve_initial_dist(solver, model)
-    hook = _make_eval_hook(eval_cfg, model, spec, gamma=gamma, alpha=alpha)
-    result = discounted.meta_solve_disc(
-        model, fs, sampler, gamma=gamma, alpha=alpha,
-        tolerance=solver["tolerance"], failure_prob=solver["failure_prob"],
-        seed=int(solver["seed"]), radius=solver["radius"],
-        violation_bound=meta["violation_bound"],
-        selection_weight=meta["selection_weight"],
-        learning_rate=solver["learning_rate"], minibatch=int(solver["minibatch"]),
-        trace_stride=config.get("trace_stride"), eval_hook=hook,
-        enforce_sum_constraint=bool(solver["enforce_sum_constraint"]))
-    for k, trace in enumerate(result.traces):
-        trace.write_csv(out_dir / f"trace_{k:03d}.csv")
+    objective = make_objective(model, fs, solver)
+    sampler, sampling_cfg = _resolve_sampling(config, model, fs, kappa=objective.kappa)
+    stride = config.get("trace_stride")
     resolved = {"problem": problem_cfg, "features": features_cfg,
-                "sampling": sampling_cfg, "solver": solver, "meta": meta,
-                "eval": eval_cfg, "trace_stride": config.get("trace_stride")}
-    total_iters = int(result.iterations_per_point.sum())
-    summary = _summary_base("meta-disc", resolved, solver["seed"], total_iters)
-    summary["result"] = {**_meta_summary(result), "discount": gamma,
-                         "alpha_spec": solver.get("initial_dist", "uniform")}
-    _write_json(summary, out_dir / "summary.json")
-    return summary
+                "sampling": sampling_cfg, "solver": solver, "trace_stride": stride}
+    eval_cfg = resolved["eval"] = _resolve_section(config, "eval", EVAL_DEFAULTS)
+    hook = _make_eval_hook(eval_cfg, model, spec, gamma=objective.gamma, alpha=objective.alpha)
+    if meta_run:
+        meta = resolved["meta"] = _resolve_section(config, "meta", META_DEFAULTS)
+        result = objective.meta_solve(
+            model, fs, sampler, violation_bound=meta["violation_bound"],
+            selection_weight=meta["selection_weight"], tolerance=solver["tolerance"],
+            failure_prob=solver["failure_prob"], seed=int(solver["seed"]),
+            radius=solver["radius"], learning_rate=solver["learning_rate"],
+            minibatch=int(solver["minibatch"]), trace_stride=stride, eval_hook=hook,
+            **objective.meta_args)
+        for k, trace in enumerate(result.traces):
+            trace.write_csv(out_dir / f"trace_{k:03d}.csv")
+        iterations = int(result.iterations_per_point.sum())
+        fields = _meta_summary(result)
+    else:
+        cfg = objective.config_cls(
+            penalty=solver["penalty"], radius=solver["radius"],
+            iterations=int(solver["iterations"]), learning_rate=solver["learning_rate"],
+            lr_halving_period=solver["lr_halving_period"], minibatch=int(solver["minibatch"]),
+            tolerance=solver["tolerance"], failure_prob=solver["failure_prob"],
+            seed=int(solver["seed"]), trace_stride=stride,
+            trace_violation_samples=int(solver["trace_violation_samples"]),
+            **objective.config_args)
+        trace = objective.sgd_solve(model, fs, sampler, cfg, eval_hook=hook)
+        trace.write_csv(out_dir / "trace.csv")
+        iterations = cfg.iterations
+        fields = {"penalty": solver["penalty"], **_trace_summary(trace)}
+        if model.num_pairs <= DENSE_GUARD:
+            fields["violations_exact"] = list(objective.violations_exact(trace.theta))
+    return _write_summary(out_dir, mode, resolved, solver["seed"], iterations,
+                          {**fields, **objective.summary})
 
 
 def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
@@ -347,6 +343,7 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
         raise ConfigError(f"unknown queue preset {preset!r}")
     spec, loss_iv, comp_iv = QUEUE_PRESETS[preset]
     bench = _resolve_section(config, "bench", BENCH_DEFAULTS)
+    build_sampler = _sampler_builder(bench["sampling"])
     eval_cfg = _resolve_section(config, "eval", EVAL_DEFAULTS)
     resolved = {"problem": {"queue_preset": preset}, "bench": bench, "eval": eval_cfg}
     if preset == "paper":
@@ -357,13 +354,10 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
                 spec, policy, eval_cfg["horizon"], eval_cfg["burn_in"],
                 eval_cfg["reps"], seed=int(bench["seed"]))
             results[kind] = {"simulated_loss": mean, "std": std}
-        summary = _summary_base("bench-queue", resolved, bench["seed"], 0)
-        summary["result"] = {"baselines": results, "solved": None}
-        _write_json(summary, out_dir / "summary.json")
-        return summary
+        return _write_summary(out_dir, "bench-queue", resolved, bench["seed"], 0,
+                              {"baselines": results, "solved": None})
     model = queueing.build_mdp(spec)
     if bench["mu0"] in ("LONGER", "LBFS"):
-        from .mdp import stationary_state_action
         mu0 = stationary_state_action(model, queueing.heuristic_policy(spec, bench["mu0"]))
         sum_target = 0.0  # mu0 already carries the unit mass
     elif bench["mu0"] in ("zero", None):
@@ -372,10 +366,7 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
         raise ConfigError(f"unknown bench mu0 {bench['mu0']!r}")
     fs, dropped = queueing.build_features(spec, model=model, loss_intervals=loss_iv,
                                           component_intervals=comp_iv, mu0=mu0)
-    if bench["sampling"] == "norm-proportional":
-        sampler = make_norm_proportional_sampling(model, fs, kappa=1.0)
-    else:
-        sampler = make_uniform_sampling(model, fs, kappa=1.0)
+    sampler = build_sampler(model, fs, 1.0)
     cfg = avgcost.AvgSolverConfig(
         penalty=bench["penalty"], radius=bench["radius"],
         iterations=int(bench["iterations"]), learning_rate=bench["learning_rate"],
@@ -389,14 +380,11 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
         policy = queueing.heuristic_policy(spec, kind)
         baselines[kind] = {"exact_loss": average_cost(model, policy) * spec.total_capacity}
     solved_loss = average_cost(model, trace.policy) * spec.total_capacity
-    summary = _summary_base("bench-queue", resolved, bench["seed"], cfg.iterations)
-    summary["result"] = {
+    return _write_summary(out_dir, "bench-queue", resolved, bench["seed"], cfg.iterations, {
         "baselines": baselines,
         "solved": {"exact_loss": solved_loss, **_trace_summary(trace)},
         "num_features": fs.dim, "dropped_columns": len(dropped),
-    }
-    _write_json(summary, out_dir / "summary.json")
-    return summary
+    })
 
 
 def run_eval_policy(config: dict, out_dir: Path) -> dict:
@@ -411,7 +399,6 @@ def run_eval_policy(config: dict, out_dir: Path) -> dict:
     elif "theta" in policy_cfg:
         fs, _ = _resolve_features(config, model, spec)
         theta = np.asarray(policy_cfg["theta"], dtype=float)
-        from .mdp import policy_from_occupancy
         policy = policy_from_occupancy(fs.occupancy_vector(theta), model.num_actions)
         label = "theta"
     else:
@@ -425,14 +412,11 @@ def run_eval_policy(config: dict, out_dir: Path) -> dict:
             raise ConfigError("simulated evaluation needs a queue problem")
         mean, std = queueing.evaluate_policy_simulated(
             spec, policy, eval_cfg["horizon"], eval_cfg["burn_in"], eval_cfg["reps"],
-            seed=int(eval_cfg.get("seed", 0)))
+            seed=0)
         result["simulated_loss"] = mean
         result["std"] = std
     resolved = {"problem": problem_cfg, "policy": policy_cfg, "eval": eval_cfg}
-    summary = _summary_base("eval-policy", resolved, eval_cfg.get("seed", 0), 0)
-    summary["result"] = result
-    _write_json(summary, out_dir / "summary.json")
-    return summary
+    return _write_summary(out_dir, "eval-policy", resolved, 0, 0, result)
 
 
 def run_print_grid(violation_bound: float, weight: float, tolerance: float,
@@ -447,6 +431,16 @@ def run_print_grid(violation_bound: float, weight: float, tolerance: float,
     if out_dir is not None:
         _write_json(summary, out_dir / "summary.json")
     return summary
+
+
+# mode -> runner(args, config, out_dir); print-grid runs without a config
+RUNNERS = {
+    **dict.fromkeys(SOLVER_MODES, lambda args, config, out_dir: run_solver(
+        args.mode, config, out_dir)),
+    "bench-queue": lambda args, config, out_dir: run_bench_queue(
+        config, out_dir, preset=args.preset),
+    "eval-policy": lambda args, config, out_dir: run_eval_policy(config, out_dir),
+}
 
 
 def _apply_seed_override(config: dict, cli_seed: int | None) -> None:
@@ -471,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--trace-stride", type=int, default=None,
                         help="record every N-th iteration")
-    for mode in ("solve-avg", "solve-disc", "meta-avg", "meta-disc", "eval-policy"):
+    for mode in (*SOLVER_MODES, "eval-policy"):
         sub.add_parser(mode, parents=[common])
     bench = sub.add_parser("bench-queue", parents=[common])
     bench.add_argument("--preset", choices=("paper", "desk"), default="desk")
@@ -495,20 +489,7 @@ def run(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    if args.mode == "solve-avg":
-        run_solve_avg(config, out_dir)
-    elif args.mode == "solve-disc":
-        run_solve_disc(config, out_dir)
-    elif args.mode == "meta-avg":
-        run_meta_avg(config, out_dir)
-    elif args.mode == "meta-disc":
-        run_meta_disc(config, out_dir)
-    elif args.mode == "bench-queue":
-        run_bench_queue(config, out_dir, preset=args.preset)
-    elif args.mode == "eval-policy":
-        run_eval_policy(config, out_dir)
-    else:
-        raise ConfigError(f"unknown mode {args.mode!r}")
+    RUNNERS[args.mode](args, config, out_dir)
     elapsed = time.perf_counter() - started
     print(f"{args.mode}: done in {elapsed:.2f}s, outputs in {out_dir}", file=sys.stderr)
     return EXIT_OK
@@ -518,18 +499,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except CapacityError as exc:
-        print(f"capacity error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except ConvergenceError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except DualAlpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        code, prefix = next((code, prefix) for cls, code, prefix in EXIT_CODES
+                            if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -10,7 +10,8 @@ over the ball Theta = {||theta||_2 <= radius} (an optional flag additionally
 enforces sum(theta) = 1/(1-gamma)). The feasibility residual works through the
 rows F[x] = (B - gamma P)^T_{:,x} Phi; note these are not sign flips of the
 drift rows (P - gamma B)^T_{:,x} Phi once gamma < 1, so the two are cached
-separately by the feature space.
+separately by the feature space. The surrogate is the discounted
+parameterization of the shared core in :mod:`dualalp._sgd`.
 """
 from __future__ import annotations
 
@@ -19,18 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sgd import (SgdProblem, as_seed_sequence, make_buffered_grad,
-                   resolve_learning_rate, run_projected_sgd)
-from .avgcost import _guard_exact, project_theta_avg
+from ._sgd import SolverConfigChecks, Surrogate, meta_loop, run_projected_sgd, sgd_solve
+from .avgcost import project_theta_avg
 from .errors import ParameterError
-from .features import FeatureSpace, SamplingPair, importance_weight_guard
+from .features import FeatureSpace, SamplingPair
 from .grid import build_penalty_grid
-from .mdp import MdpModel, _check_state_distribution, policy_from_occupancy
+from .mdp import MdpModel, _check_state_distribution
 from .trace import MetaResult, RunTrace
 
 
 @dataclass(frozen=True)
-class DiscSolverConfig:
+class DiscSolverConfig(SolverConfigChecks):
     """Knobs of one discounted-cost SGD run. ``initial_dist`` of None means the
     uniform distribution over states."""
 
@@ -52,33 +52,20 @@ class DiscSolverConfig:
     def __post_init__(self):
         if not 0.0 < self.discount < 1.0:
             raise ParameterError("discount must lie in (0, 1)")
-        if self.penalty <= 0.0:
-            raise ParameterError("penalty must be positive")
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
-        if self.minibatch < 1:
-            raise ParameterError("minibatch must be >= 1")
-        if not 0.0 < self.failure_prob < 1.0:
-            raise ParameterError("failure_prob must lie in (0, 1)")
+        super().__post_init__()
 
 
 def violations_exact_disc(model: MdpModel, fs: FeatureSpace, gamma: float,
                           alpha: np.ndarray | None, theta: np.ndarray) -> tuple[float, float]:
     """Exact (negative-mass, feasibility-residual) pair by full enumeration."""
-    _guard_exact(model)
-    alpha = _check_state_distribution(model, alpha)
-    values = fs.phi @ theta
-    neg_mass = float(np.abs(np.minimum(values, 0.0)).sum())
-    residual = float(np.abs(fs.feasibility_matrix(gamma) @ theta - alpha).sum())
-    return neg_mass, residual
+    return Surrogate.discounted(model, fs, gamma, alpha).violations_exact(theta)
 
 
 def surrogate_cost_exact_disc(model: MdpModel, fs: FeatureSpace, penalty: float,
                               gamma: float, alpha: np.ndarray | None,
                               theta: np.ndarray) -> float:
     """Exact discounted surrogate value (test oracle)."""
-    v3, v4 = violations_exact_disc(model, fs, gamma, alpha, theta)
-    return float(fs.loss_phi @ theta) + penalty * (v3 + v4)
+    return Surrogate.discounted(model, fs, gamma, alpha).cost_exact(penalty, theta)
 
 
 def exact_subgradient_disc(model: MdpModel, fs: FeatureSpace, penalty: float,
@@ -86,30 +73,7 @@ def exact_subgradient_disc(model: MdpModel, fs: FeatureSpace, penalty: float,
                            theta: np.ndarray) -> np.ndarray:
     """Exact subgradient of the discounted surrogate (sign(0) = 0, strict
     negativity indicator)."""
-    _guard_exact(model)
-    alpha = _check_state_distribution(model, alpha)
-    values = fs.phi @ theta
-    active = (values < 0.0).astype(float)
-    neg_term = fs.phi.T @ active
-    feas = fs.feasibility_matrix(gamma)
-    signs = np.sign(feas @ theta - alpha)
-    return fs.loss_phi - penalty * neg_term + penalty * (feas.T @ signs)
-
-
-def _grad_terms_disc(fs: FeatureSpace, sp: SamplingPair, penalty: float,
-                     gamma: float, alpha: np.ndarray, theta: np.ndarray,
-                     pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
-    q_pair = sp.pair_prob(pair_idx)
-    q_state = sp.state_prob(state_idx)
-    importance_weight_guard(q_pair)
-    importance_weight_guard(q_state)
-    rows = fs.rows(pair_idx)
-    w_neg = np.where(rows @ theta < 0.0, 1.0 / q_pair, 0.0)
-    feas = fs.feasibility_rows(state_idx, gamma)
-    w_feas = np.sign(feas @ theta - alpha[state_idx]) / q_state
-    m = len(pair_idx)
-    return (fs.loss_phi - (penalty / m) * (w_neg @ rows)
-            + (penalty / m) * (w_feas @ feas))
+    return Surrogate.discounted(model, fs, gamma, alpha).exact_subgradient(penalty, theta)
 
 
 def subgradient_estimate_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
@@ -119,14 +83,8 @@ def subgradient_estimate_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPai
                               pair_idx=None, state_idx=None) -> np.ndarray:
     """One unbiased subgradient draw for the discounted surrogate; explicit
     indices may replace the rng (support enumeration in tests)."""
-    alpha = _check_state_distribution(model, alpha)
-    if pair_idx is None or state_idx is None:
-        if rng is None:
-            raise ParameterError("either an rng or explicit indices are required")
-        pair_idx = sp.sample_pairs(rng, 1)
-        state_idx = sp.sample_states(rng, 1)
-    return _grad_terms_disc(fs, sp, penalty, gamma, alpha, theta,
-                            np.atleast_1d(pair_idx), np.atleast_1d(state_idx))
+    return Surrogate.discounted(model, fs, gamma, alpha).subgradient_estimate(
+        sp, penalty, theta, rng, pair_idx, state_idx)
 
 
 def project_theta_disc(theta: np.ndarray, radius: float) -> np.ndarray:
@@ -143,14 +101,8 @@ def project_theta_disc(theta: np.ndarray, radius: float) -> np.ndarray:
 def _violation_summands_disc(fs: FeatureSpace, sp: SamplingPair, gamma: float,
                              alpha: np.ndarray, theta: np.ndarray,
                              pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
-    q_pair = sp.pair_prob(pair_idx)
-    q_state = sp.state_prob(state_idx)
-    importance_weight_guard(q_pair)
-    importance_weight_guard(q_state)
-    values = fs.rows(pair_idx) @ theta
-    neg = np.abs(np.minimum(values, 0.0)) / q_pair
-    resid = fs.feasibility_rows(state_idx, gamma) @ theta - alpha[state_idx]
-    return neg + np.abs(resid) / q_state
+    return Surrogate.discounted(fs.model, fs, gamma, alpha).violation_summands(
+        sp, theta, pair_idx, state_idx)
 
 
 def estimate_violations_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
@@ -158,66 +110,25 @@ def estimate_violations_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair
                              theta: np.ndarray, n: int, rng: np.random.Generator,
                              batch: int = 1 << 16) -> float:
     """Unbiased estimate of the discounted total violation from n draws."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
-    alpha = _check_state_distribution(model, alpha)
-    total = 0.0
-    remaining = n
-    while remaining > 0:
-        m = min(remaining, batch)
-        pair_idx = sp.sample_pairs(rng, m)
-        state_idx = sp.sample_states(rng, m)
-        total += float(_violation_summands_disc(fs, sp, gamma, alpha, theta,
-                                                pair_idx, state_idx).sum())
-        remaining -= m
-    return total / n
-
-
-def _make_problem_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
-                       cfg: DiscSolverConfig, alpha: np.ndarray) -> SgdProblem:
-    if cfg.minibatch == 1:
-        gamma = cfg.discount
-        grad_batch = make_buffered_grad(fs, sp, cfg.penalty,
-                                        lambda states: fs.feasibility_rows(states, gamma),
-                                        occ_base=np.zeros(model.num_pairs),
-                                        res_base=-alpha)
-    else:
-        def grad_batch(theta, rng, m):
-            pair_idx = sp.sample_pairs(rng, m)
-            state_idx = sp.sample_states(rng, m)
-            return _grad_terms_disc(fs, sp, cfg.penalty, cfg.discount, alpha, theta,
-                                    pair_idx, state_idx)
-
-    def violation_estimate(theta, rng):
-        return estimate_violations_disc(model, fs, sp, cfg.discount, alpha, theta,
-                                        cfg.trace_violation_samples, rng)
-
-    def make_policy(theta):
-        return policy_from_occupancy(fs.phi @ theta, model.num_actions)
-
-    if cfg.enforce_sum_constraint:
-        target = 1.0 / (1.0 - cfg.discount)
-        project = lambda theta: project_theta_avg(theta, cfg.radius, target)
-    else:
-        project = lambda theta: project_theta_disc(theta, cfg.radius)
-
-    return SgdProblem(dim=fs.dim, loss_phi=fs.loss_phi, objective_offset=0.0,
-                      grad_batch=grad_batch, project=project,
-                      violation_estimate=violation_estimate, make_policy=make_policy)
+    return Surrogate.discounted(model, fs, gamma, alpha).estimate_violations(
+        sp, theta, n, rng, batch)
 
 
 def sgd_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
                    cfg: DiscSolverConfig, eval_hook=None, iterate_hook=None) -> RunTrace:
     """Projected SGD on the discounted surrogate from theta_1 = 0."""
-    alpha = _check_state_distribution(model, cfg.initial_dist)
-    problem = _make_problem_disc(model, fs, sp, cfg, alpha)
-    rate = resolve_learning_rate(cfg.learning_rate, cfg.radius, cfg.penalty,
-                                 sp.c_pair, sp.c_state, fs.dim, cfg.iterations)
-    return run_projected_sgd(problem, cfg.iterations, rate, cfg.seed,
-                             minibatch=cfg.minibatch,
-                             lr_halving_period=cfg.lr_halving_period,
-                             trace_stride=cfg.trace_stride, eval_hook=eval_hook,
-                             iterate_hook=iterate_hook)
+    if cfg.enforce_sum_constraint:
+        target = 1.0 / (1.0 - cfg.discount)
+        project = lambda theta: project_theta_avg(theta, cfg.radius, target)
+    else:
+        project = lambda theta: project_theta_disc(theta, cfg.radius)
+    return sgd_solve(
+        Surrogate.discounted(model, fs, cfg.discount, cfg.initial_dist), sp, cfg,
+        run_projected_sgd, project=project,
+        violation_estimate=lambda theta, rng: estimate_violations_disc(
+            model, fs, sp, cfg.discount, cfg.initial_dist, theta,
+            cfg.trace_violation_samples, rng),
+        eval_hook=eval_hook, iterate_hook=iterate_hook)
 
 
 def run_count_disc(penalty: float, radius: float, c_pair: float, c_state: float,
@@ -269,40 +180,27 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     if selection_weight is None:
         selection_weight = 6.0 * scale / (1.0 - gamma)
     grid = build_penalty_grid(violation_bound, selection_weight, tolerance)
-    num_points = len(grid)
-    seeds = as_seed_sequence(seed).spawn(num_points)
     n_violation = violation_sample_count_disc(radius, sp.c_pair, sp.c_state,
-                                              tolerance, failure_prob, num_points)
-    traces, lin_objs, v_hats, run_counts = [], [], [], []
-    for k, penalty in enumerate(grid.points):
-        penalty = float(penalty)
+                                              tolerance, failure_prob, len(grid))
+
+    def run_count(penalty):
         iterations = run_count_disc(penalty, radius, sp.c_pair, sp.c_state,
                                     fs.dim, tolerance, failure_prob)
         if max_iterations_per_point is not None:
             iterations = min(iterations, int(max_iterations_per_point))
-        run_ss, est_ss = seeds[k].spawn(2)
+        return iterations
+
+    def solve(penalty, iterations, run_seed):
         cfg = DiscSolverConfig(discount=gamma, penalty=penalty, radius=radius,
                                iterations=iterations, initial_dist=alpha,
                                learning_rate=learning_rate, minibatch=minibatch,
                                tolerance=tolerance, failure_prob=failure_prob,
-                               seed=run_ss, trace_stride=trace_stride,
+                               seed=run_seed, trace_stride=trace_stride,
                                enforce_sum_constraint=enforce_sum_constraint)
-        trace = sgd_solve_disc(model, fs, sp, cfg, eval_hook=eval_hook)
-        traces.append(trace)
-        run_counts.append(iterations)
-        lin_objs.append(float(fs.loss_phi @ trace.theta))
-        v_hats.append(estimate_violations_disc(model, fs, sp, gamma, alpha,
-                                               trace.theta, n_violation,
-                                               np.random.default_rng(est_ss)))
-    points = np.asarray(grid.points, dtype=float)
-    lin_objs = np.asarray(lin_objs)
-    v_hats = np.asarray(v_hats)
-    horizon = 1.0 / (1.0 - gamma)
-    selection = lin_objs + (points + horizon) * v_hats + grid.weight / (points * (1.0 - gamma))
-    chosen = int(np.argmin(selection))
-    return MetaResult(grid_points=points, selection_weight=grid.weight, traces=traces,
-                      linear_objectives=lin_objs, violation_estimates=v_hats,
-                      selection_values=selection, chosen_index=chosen,
-                      theta=traces[chosen].theta, policy=traces[chosen].policy,
-                      iterations_per_point=np.asarray(run_counts, dtype=np.int64),
-                      violation_samples=n_violation, discount=gamma)
+        return sgd_solve_disc(model, fs, sp, cfg, eval_hook=eval_hook)
+
+    return meta_loop(
+        grid, seed, fs.loss_phi, n_violation, run_count=run_count, solve=solve,
+        estimate=lambda theta, n, rng: estimate_violations_disc(
+            model, fs, sp, gamma, alpha, theta, n, rng),
+        horizon=1.0 / (1.0 - gamma), scale=1.0 - gamma, discount=gamma)

@@ -5,7 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualalp.cli import (EXIT_CAPACITY, EXIT_CONFIG, SEED_ENV_VAR, main)
+from dualalp import avgcost, discounted, features
+from dualalp.cli import (EXIT_CAPACITY, EXIT_CONFIG, EXIT_INPUT_SHAPE, EXIT_SAMPLING,
+                         SEED_ENV_VAR, main)
+from dualalp.errors import SamplingSupportError
+from dualalp.features import make_uniform_sampling
+from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
 from dualalp.trace import read_trace_csv
 
 DATA = Path(__file__).parent / "data"
@@ -176,3 +181,100 @@ def test_capacity_error_exit_code(tmp_path):
     # the paper preset cannot be solved exactly: meta-avg on it must refuse
     assert main(["meta-avg", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == EXIT_CAPACITY
+
+
+def test_input_shape_error_exit_code(tmp_path):
+    cfg = base_config(tmp_path, initial_dist=[0.5, 0.5])  # mdp4.json has 4 states
+    assert main(["solve-disc", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == EXIT_INPUT_SHAPE
+
+
+def test_sampling_support_error_exit_code(tmp_path, monkeypatch):
+    def no_support(self, rng, size):
+        raise SamplingSupportError("sampled a point with zero sampling probability")
+
+    monkeypatch.setattr(features.SamplingPair, "sample_pairs", no_support)
+    cfg = base_config(tmp_path)
+    assert main(["solve-avg", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == EXIT_SAMPLING
+
+
+def test_bench_queue_rejects_unknown_sampling_scheme(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"bench": {"sampling": "norm-proportionnal"}}))
+    out = tmp_path / "o"
+    assert main(["bench-queue", "--preset", "desk", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "summary.json").exists()
+
+
+def _library_theta(mode, summary):
+    """theta of the library call that the summary's resolved config names."""
+    model = load_mdp_fixture(DATA / "mdp4.json")
+    fs = load_feature_fixture(DATA / "features3.json", model)
+    s = summary["config"]["solver"]
+    gamma = s["discount"]
+    alpha = None if s["initial_dist"] == "uniform" else np.asarray(s["initial_dist"])
+    if mode.startswith("solve"):
+        run_args = dict(penalty=s["penalty"], radius=s["radius"],
+                        iterations=s["iterations"], learning_rate=s["learning_rate"],
+                        lr_halving_period=s["lr_halving_period"], minibatch=s["minibatch"],
+                        tolerance=s["tolerance"], failure_prob=s["failure_prob"],
+                        seed=s["seed"],
+                        trace_violation_samples=s["trace_violation_samples"])
+    else:
+        meta = summary["config"]["meta"]
+        meta_args = dict(violation_bound=meta["violation_bound"],
+                         selection_weight=meta["selection_weight"],
+                         tolerance=s["tolerance"], failure_prob=s["failure_prob"],
+                         seed=s["seed"], radius=s["radius"],
+                         learning_rate=s["learning_rate"], minibatch=s["minibatch"])
+    if mode == "solve-avg":
+        cfg = avgcost.AvgSolverConfig(sum_target=s["sum_target"], **run_args)
+        return avgcost.sgd_solve_avg(model, fs, make_uniform_sampling(model, fs, 1.0),
+                                     cfg).theta
+    if mode == "solve-disc":
+        cfg = discounted.DiscSolverConfig(
+            discount=gamma, initial_dist=alpha,
+            enforce_sum_constraint=s["enforce_sum_constraint"], **run_args)
+        return discounted.sgd_solve_disc(model, fs, make_uniform_sampling(model, fs, gamma),
+                                         cfg).theta
+    if mode == "meta-avg":
+        return avgcost.meta_solve_avg(model, fs, make_uniform_sampling(model, fs, 1.0),
+                                      sum_target=s["sum_target"], **meta_args).theta
+    return discounted.meta_solve_disc(model, fs, make_uniform_sampling(model, fs, gamma),
+                                      gamma=gamma, alpha=alpha,
+                                      enforce_sum_constraint=s["enforce_sum_constraint"],
+                                      **meta_args).theta
+
+
+QUARTER_DIST = [0.1, 0.2, 0.3, 0.4]
+
+
+@pytest.mark.parametrize("mode, solver", [
+    ("solve-avg", {"minibatch": 4, "lr_halving_period": 50, "sum_target": 0.5}),
+    ("solve-avg", {}),
+    ("solve-disc", {"discount": 0.85, "initial_dist": QUARTER_DIST,
+                    "lr_halving_period": 50}),
+    ("solve-disc", {"discount": 0.5, "enforce_sum_constraint": True, "minibatch": 4,
+                    "initial_dist": QUARTER_DIST}),
+    ("meta-avg", {"tolerance": 0.8, "failure_prob": 0.2, "minibatch": 4,
+                  "sum_target": 0.5}),
+    ("meta-disc", {"tolerance": 0.8, "failure_prob": 0.2, "discount": 0.5,
+                   "initial_dist": QUARTER_DIST, "enforce_sum_constraint": True}),
+], ids=["solve-avg-mb4", "solve-avg", "solve-disc", "solve-disc-enforce-mb4",
+        "meta-avg-mb4", "meta-disc-enforce"])
+def test_cli_theta_matches_library(tmp_path, mode, solver):
+    """The runner hands every resolved solver key to the library unchanged."""
+    doc = {"problem": {"mdp_path": str(DATA / "mdp4.json")},
+           "features": {"path": str(DATA / "features3.json")},
+           "solver": {"penalty": 2.0, "radius": 1.5, "iterations": 200, "seed": 7,
+                      **solver}}
+    if mode.startswith("meta"):
+        doc["meta"] = {"violation_bound": 1.0, "selection_weight": 1.0}
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert summary["result"]["theta"] == [float(v) for v in _library_theta(mode, summary)]
