@@ -31,6 +31,8 @@ from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
 
+GRAD_BLOCK = 512  # single-draw iterations served by one presampled block
+
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     if isinstance(seed, np.random.SeedSequence):
@@ -121,24 +123,28 @@ class Surrogate:
         return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
                 + penalty * (matrix.T @ signs))
 
+    def gather(self, sp: SamplingPair, idx: np.ndarray, states: bool = False):
+        """Sampling probabilities and dense rows at the draws ``idx``: (q_pair,
+        feature rows) at pair draws, or with ``states`` (q_state, state rows).
+        Raises SamplingSupportError on a draw of probability zero."""
+        prob, rows = (sp.state_prob, self.state_rows) if states else (sp.pair_prob, self.fs.rows)
+        q = prob(idx)
+        importance_weight_guard(q)
+        return q, rows(idx)
+
     def subgradient_estimate(self, sp: SamplingPair, penalty: float, theta: np.ndarray,
                              rng: np.random.Generator | None = None,
                              pair_idx=None, state_idx=None, m: int = 1) -> np.ndarray:
         """Importance-weighted subgradient estimate averaged over m draws from
-        the rng, or over the given indices."""
-        if pair_idx is None or state_idx is None:
-            if rng is None:
-                raise ParameterError("either an rng or explicit indices are required")
-            pair_idx = sp.sample_pairs(rng, m)
-            state_idx = sp.sample_states(rng, m)
+        the rng, or over the given indices (both or neither)."""
+        if pair_idx is None and state_idx is None and rng is not None:
+            pair_idx, state_idx = draw(sp, rng, m)
+        elif pair_idx is None or state_idx is None:
+            raise ParameterError("either an rng or both pair_idx and state_idx are required")
         pair_idx, state_idx = np.atleast_1d(pair_idx), np.atleast_1d(state_idx)
-        q_pair = sp.pair_prob(pair_idx)
-        q_state = sp.state_prob(state_idx)
-        importance_weight_guard(q_pair)
-        importance_weight_guard(q_state)
-        rows = self.fs.rows(pair_idx)
+        q_pair, rows = self.gather(sp, pair_idx)
         w_neg = np.where(self.occ_base[pair_idx] + rows @ theta < 0.0, 1.0 / q_pair, 0.0)
-        state_rows = self.state_rows(state_idx)
+        q_state, state_rows = self.gather(sp, state_idx, states=True)
         w_res = np.sign(state_rows @ theta + self.res_base[state_idx]) / q_state
         m = len(pair_idx)
         return (self.fs.loss_phi - (penalty / m) * (w_neg @ rows)
@@ -146,27 +152,20 @@ class Surrogate:
 
     def violation_summands(self, sp: SamplingPair, theta: np.ndarray,
                            pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
-        q_pair = sp.pair_prob(pair_idx)
-        q_state = sp.state_prob(state_idx)
-        importance_weight_guard(q_pair)
-        importance_weight_guard(q_state)
-        occ = self.occ_base[pair_idx] + self.fs.rows(pair_idx) @ theta
-        neg = np.abs(np.minimum(occ, 0.0)) / q_pair
-        resid = self.state_rows(state_idx) @ theta + self.res_base[state_idx]
-        return neg + np.abs(resid) / q_state
+        q_pair, rows = self.gather(sp, pair_idx)
+        neg = np.abs(np.minimum(self.occ_base[pair_idx] + rows @ theta, 0.0)) / q_pair
+        del q_pair, rows  # free the pair side first: holding it doubled the page faults
+        q_state, state_rows = self.gather(sp, state_idx, states=True)
+        return neg + np.abs(state_rows @ theta + self.res_base[state_idx]) / q_state
 
     def estimate_violations(self, sp: SamplingPair, theta: np.ndarray, n: int,
                             rng: np.random.Generator, batch: int) -> float:
         if n < 1:
             raise ParameterError("n must be >= 1")
         total = 0.0
-        remaining = n
-        while remaining > 0:
-            m = min(remaining, batch)
-            pair_idx = sp.sample_pairs(rng, m)
-            state_idx = sp.sample_states(rng, m)
+        for start in range(0, n, batch):
+            pair_idx, state_idx = draw(sp, rng, min(batch, n - start))
             total += float(self.violation_summands(sp, theta, pair_idx, state_idx).sum())
-            remaining -= m
         return total / n
 
 
@@ -183,28 +182,26 @@ class SgdProblem:
     make_policy: Callable[[np.ndarray], Policy]
 
 
-def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float,
-                       block: int = 512):
+def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m pair draws, then m state draws: the order every estimator draws in."""
+    return sp.sample_pairs(rng, m), sp.sample_states(rng, m)
+
+
+def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
     """Single-draw gradient estimator with block-presampled draws.
 
-    Presampling amortizes rng and gather overhead across ``block`` iterations;
-    the draw stream is still fully determined by the rng.
+    Presampling amortizes rng and gather overhead across ``GRAD_BLOCK``
+    iterations; the draw stream is still fully determined by the rng.
     """
-    fs = surrogate.fs
-    loss_phi = fs.loss_phi
+    loss_phi = surrogate.fs.loss_phi
+    block = GRAD_BLOCK  # a closure variable, as the per-iteration check reads it
     buf = {"pos": block}
 
     def refill(rng):
-        pairs = sp.sample_pairs(rng, block)
-        states = sp.sample_states(rng, block)
-        buf["q_pair"] = sp.pair_prob(pairs)
-        buf["q_state"] = sp.state_prob(states)
-        importance_weight_guard(buf["q_pair"])
-        importance_weight_guard(buf["q_state"])
-        buf["rows"] = fs.rows(pairs)
-        buf["occ0"] = surrogate.occ_base[pairs]
-        buf["drift"] = surrogate.state_rows(states)
-        buf["res0"] = surrogate.res_base[states]
+        pairs, states = draw(sp, rng, block)
+        buf["q_pair"], buf["rows"] = surrogate.gather(sp, pairs)
+        buf["q_state"], buf["drift"] = surrogate.gather(sp, states, states=True)
+        buf["occ0"], buf["res0"] = surrogate.occ_base[pairs], surrogate.res_base[states]
         buf["pos"] = 0
 
     def grad(theta, rng, m):

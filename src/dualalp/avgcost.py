@@ -84,6 +84,18 @@ def subgradient_estimate(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
         sp, penalty, theta, rng, pair_idx, state_idx)
 
 
+def _in_plane_radius_sq(radius: float, sum_target: float, dim: int,
+                        error: type = ParameterError) -> float:
+    """radius^2 - sum_target^2/dim, the squared radius of the ball's slice by
+    the sum-``sum_target`` hyperplane; raises ``error`` when it is negative."""
+    in_plane_sq = radius * radius - sum_target * sum_target / dim
+    if in_plane_sq < 0:
+        raise error(
+            f"radius {radius!r} too small: the sum-{sum_target!r} hyperplane "
+            f"misses the ball (need radius >= {abs(sum_target) / math.sqrt(dim):g})")
+    return in_plane_sq
+
+
 def project_theta_avg(theta: np.ndarray, radius: float,
                       sum_target: float = 1.0) -> np.ndarray:
     """Euclidean projection onto {sum(theta) = sum_target, ||theta|| <= radius}:
@@ -91,11 +103,7 @@ def project_theta_avg(theta: np.ndarray, radius: float,
     (sum_target/d) * ones within the in-plane radius."""
     theta = np.asarray(theta, dtype=float)
     dim = theta.size
-    in_plane_sq = radius * radius - sum_target * sum_target / dim
-    if in_plane_sq < 0:
-        raise ParameterError(
-            f"radius {radius!r} too small: the sum-{sum_target!r} hyperplane "
-            f"misses the ball (need radius >= {abs(sum_target) / math.sqrt(dim):g})")
+    in_plane_sq = _in_plane_radius_sq(radius, sum_target, dim)
     center = sum_target / dim
     deviation = theta - (theta.sum() / dim)  # onto the plane, then around its center
     norm_sq = float(deviation @ deviation)

@@ -260,6 +260,7 @@ class _Objective(NamedTuple):
 
 
 def _avg_objective(model, fs, solver: dict) -> _Objective:
+    avgcost._in_plane_radius_sq(solver["radius"], solver["sum_target"], fs.dim, ConfigError)
     sum_target = {"sum_target": solver["sum_target"]}
     return _Objective(1.0, None, None, avgcost.AvgSolverConfig, sum_target,
                       avgcost.sgd_solve_avg, avgcost.meta_solve_avg, sum_target,
@@ -270,6 +271,8 @@ def _disc_objective(model, fs, solver: dict) -> _Objective:
     gamma = float(solver["discount"])
     alpha = _resolve_initial_dist(solver)
     enforce = bool(solver["enforce_sum_constraint"])
+    if enforce and 0.0 < gamma < 1.0:  # the solver rejects every other discount
+        avgcost._in_plane_radius_sq(solver["radius"], 1.0 / (1.0 - gamma), fs.dim, ConfigError)
     return _Objective(
         gamma, gamma, alpha, discounted.DiscSolverConfig,
         {"discount": gamma, "initial_dist": alpha, "enforce_sum_constraint": enforce},
@@ -366,6 +369,7 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
         raise ConfigError(f"unknown bench mu0 {bench['mu0']!r}")
     fs, dropped = queueing.build_features(spec, model=model, loss_intervals=loss_iv,
                                           component_intervals=comp_iv, mu0=mu0)
+    avgcost._in_plane_radius_sq(bench["radius"], sum_target, fs.dim, ConfigError)
     sampler = build_sampler(model, fs, 1.0)
     cfg = avgcost.AvgSolverConfig(
         penalty=bench["penalty"], radius=bench["radius"],

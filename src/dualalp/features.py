@@ -7,10 +7,13 @@ A feature matrix has one row per state-action pair (x-major flattening, as in
 at state x' under rate kappa is the d-vector (P - kappa*B)^T_{:,x'} Phi, i.e.
 the one-step inflow minus kappa times the action-marginal at x'.
 
-Feature spaces are immutable after construction apart from the internal memo
-cache of drift/feasibility products, whose dict inserts are atomic, so sharing
-one instance across threads is safe; samplers take the caller's generator, so
-concurrent runs stay reproducible under per-run seeds.
+Row blocks of Phi and of the drift and feasibility operators all come through
+one gather: from a lazily cached dense copy of the operator while it has at
+most ``DENSE_CACHE_LIMIT`` entries, otherwise straight from its CSR form.
+Feature spaces are immutable after construction apart from these operator
+caches, whose dict inserts are atomic, so sharing one instance across threads
+is safe; samplers take the caller's generator, so concurrent runs stay
+reproducible under per-run seeds.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from .errors import CapacityError, InputShapeError, ParameterError, SamplingSupp
 from .mdp import MdpModel, _aggregation_matrix
 
 ENUMERATION_GUARD = 10**6  # largest X*A for exhaustive constant computation
-DENSE_CACHE_LIMIT = 2 * 10**7  # matrices below this many entries get dense caches
+DENSE_CACHE_LIMIT = 2 * 10**7  # operators with at most this many entries are gathered densely
 
 
 class FeatureSpace:
@@ -66,8 +69,8 @@ class FeatureSpace:
         self.mu0 = mu0
         self.loss_phi = model.loss @ phi
         self.column_norm_bound = float(np.asarray(abs(phi).sum(axis=0)).max()) if phi.nnz else 0.0
-        self._dense = phi.toarray() if phi.shape[0] * phi.shape[1] <= DENSE_CACHE_LIMIT else None
-        self._drift_cache: dict = {}
+        self._operators: dict = {}  # coefficient pair -> CSR one-step operator
+        self._dense: dict = {}  # coefficient pair (None for Phi) -> dense copy
         self._row_norms: np.ndarray | None = None
 
     # -- row access ---------------------------------------------------------
@@ -80,57 +83,51 @@ class FeatureSpace:
 
     def rows(self, pair_idx: np.ndarray) -> np.ndarray:
         """(n, d) dense block of feature rows for the given pair indices."""
-        if self._dense is not None:
-            return self._dense[pair_idx]
-        return self.phi[pair_idx].toarray()
+        return self._gather(None, pair_idx)
 
     def row_norms(self) -> np.ndarray:
         """Euclidean norm of every feature row (length X*A)."""
         if self._row_norms is None:
-            sq = self.phi.multiply(self.phi).sum(axis=1)
-            self._row_norms = np.sqrt(np.asarray(sq).ravel())
+            self._row_norms = _row_norms_sparse(self.phi)
         return self._row_norms
 
-    # -- drift columns ------------------------------------------------------
+    # -- operator rows ------------------------------------------------------
 
-    def _inflow_sparse(self) -> sp.csr_matrix:
-        """(X, d) sparse P^T Phi: row x' aggregates feature rows of the pairs
-        that flow into x', weighted by their transition probability."""
-        cached = self._drift_cache.get("inflow")
+    def _operator(self, coefs: tuple[float, float] | None) -> sp.csr_matrix:
+        """Phi for ``coefs`` None, else the (X, d) one-step operator
+        in_coef * P^T Phi + marg_coef * B^T Phi for ``coefs = (in_coef, marg_coef)``."""
+        if coefs is None:
+            return self.phi
+        cached = self._operators.get(coefs)
         if cached is None:
-            cached = (self.model.reverse_transitions @ self.phi).tocsr()
-            self._drift_cache["inflow"] = cached
-        return cached
-
-    def _marginal_sparse(self) -> sp.csr_matrix:
-        """(X, d) sparse B^T Phi: row x sums the feature rows of (x, a) over a."""
-        cached = self._drift_cache.get("marginal")
-        if cached is None:
+            in_coef, marg_coef = coefs
             agg = _aggregation_matrix(self.model.num_states, self.model.num_actions)
-            cached = (agg @ self.phi).tocsr()
-            self._drift_cache["marginal"] = cached
+            cached = (in_coef * (self.model.reverse_transitions @ self.phi).tocsr()
+                      + marg_coef * (agg @ self.phi).tocsr()).tocsr()
+            self._operators[coefs] = cached
         return cached
 
-    def _combo_sparse(self, in_coef: float, marg_coef: float) -> sp.csr_matrix:
-        key = ("sparse", float(in_coef), float(marg_coef))
-        cached = self._drift_cache.get(key)
+    def _dense_copy(self, coefs: tuple[float, float] | None) -> np.ndarray:
+        cached = self._dense.get(coefs)
         if cached is None:
-            cached = (in_coef * self._inflow_sparse()
-                      + marg_coef * self._marginal_sparse()).tocsr()
-            self._drift_cache[key] = cached
+            cached = self._dense[coefs] = self._operator(coefs).toarray()
         return cached
 
-    def _combo_matrix(self, in_coef: float, marg_coef: float) -> np.ndarray:
-        key = ("matrix", float(in_coef), float(marg_coef))
-        cached = self._drift_cache.get(key)
-        if cached is None:
-            cached = self._combo_sparse(in_coef, marg_coef).toarray()
-            self._drift_cache[key] = cached
-        return cached
+    def _gather(self, coefs: tuple[float, float] | None, idx) -> np.ndarray:
+        """Dense rows ``idx`` of ``_operator(coefs)``."""
+        operator = self._operator(coefs)
+        if operator.shape[0] * operator.shape[1] <= DENSE_CACHE_LIMIT:
+            return self._dense_copy(coefs)[idx]
+        return operator[idx].toarray()
+
+    def _state_row(self, coefs: tuple[float, float], x: int) -> np.ndarray:
+        if not 0 <= x < self.model.num_states:
+            raise InputShapeError(f"state {x} out of range")
+        return self._gather(coefs, [x])[0]
 
     def drift_matrix(self, kappa: float) -> np.ndarray:
         """Dense (X, d) matrix whose row x' is (P - kappa*B)^T_{:,x'} Phi."""
-        return self._combo_matrix(1.0, -kappa)
+        return self._dense_copy((1.0, -kappa))
 
     def feasibility_matrix(self, kappa: float) -> np.ndarray:
         """Dense (X, d) matrix whose row x' is (B - kappa*P)^T_{:,x'} Phi.
@@ -139,47 +136,23 @@ class FeatureSpace:
         operators are genuinely different and both are needed (the drift norm
         enters the coverage constants, the feasibility rows enter the
         discounted residual)."""
-        return self._combo_matrix(-kappa, 1.0)
+        return self._dense_copy((-kappa, 1.0))
 
     def drift_column(self, x: int, kappa: float) -> np.ndarray:
-        """(P - kappa*B)^T_{:,x} Phi as a dense d-vector; memoized per (x, kappa)."""
-        return self._column(x, 1.0, -kappa)
+        """(P - kappa*B)^T_{:,x} Phi as a dense d-vector."""
+        return self._state_row((1.0, -kappa), x)
 
     def feasibility_column(self, x: int, kappa: float) -> np.ndarray:
         """(B - kappa*P)^T_{:,x} Phi as a dense d-vector."""
-        return self._column(x, -kappa, 1.0)
-
-    def _column(self, x: int, in_coef: float, marg_coef: float) -> np.ndarray:
-        if not 0 <= x < self.model.num_states:
-            raise InputShapeError(f"state {x} out of range")
-        if self._dense_drift_ok():
-            return self._combo_matrix(in_coef, marg_coef)[x]
-        key = (int(x), float(in_coef), float(marg_coef))
-        cached = self._drift_cache.get(key)
-        if cached is None:
-            model = self.model
-            inflow = (model.reverse_transitions[x] @ self.phi).toarray().ravel()
-            base = x * model.num_actions
-            marginal = np.asarray(
-                self.phi[base:base + model.num_actions].sum(axis=0)).ravel()
-            cached = in_coef * inflow + marg_coef * marginal
-            self._drift_cache[key] = cached
-        return cached
+        return self._state_row((-kappa, 1.0), x)
 
     def drift_rows(self, states: np.ndarray, kappa: float) -> np.ndarray:
         """(n, d) dense block of drift vectors for the given states."""
-        if self._dense_drift_ok():
-            return self.drift_matrix(kappa)[states]
-        return np.stack([self.drift_column(int(x), kappa) for x in states])
+        return self._gather((1.0, -kappa), states)
 
     def feasibility_rows(self, states: np.ndarray, kappa: float) -> np.ndarray:
         """(n, d) dense block of feasibility vectors for the given states."""
-        if self._dense_drift_ok():
-            return self.feasibility_matrix(kappa)[states]
-        return np.stack([self.feasibility_column(int(x), kappa) for x in states])
-
-    def _dense_drift_ok(self) -> bool:
-        return self.model.num_states * self.dim <= DENSE_CACHE_LIMIT
+        return self._gather((-kappa, 1.0), states)
 
     # -- pointwise products -------------------------------------------------
 
@@ -212,13 +185,11 @@ class SamplingPair:
 
     def __post_init__(self):
         for name in ("pair_probs", "state_probs"):
-            probs = getattr(self, name)
-            if probs is not None:
-                cum = np.cumsum(probs)
+            cum = getattr(self, name)
+            if cum is not None:
+                cum = np.cumsum(cum)
                 cum[-1] = 1.0
-                object.__setattr__(self, "_cum_" + name, cum)
-            else:
-                object.__setattr__(self, "_cum_" + name, None)
+            object.__setattr__(self, "_cum_" + name, cum)
 
     def pair_prob(self, idx) -> np.ndarray:
         if self.pair_probs is None:
@@ -258,9 +229,9 @@ def _drift_norms(fs: FeatureSpace, kappa: float) -> np.ndarray:
     """Per-state norm bound covering both one-step operators: the drift
     (P - kappa B)^T Phi and, when they differ (kappa < 1), the feasibility
     combination (B - kappa P)^T Phi used by the discounted residual."""
-    norms = _row_norms_sparse(fs._combo_sparse(1.0, -kappa))
+    norms = _row_norms_sparse(fs._operator((1.0, -kappa)))
     if kappa != 1.0:
-        feas = _row_norms_sparse(fs._combo_sparse(-kappa, 1.0))
+        feas = _row_norms_sparse(fs._operator((-kappa, 1.0)))
         norms = np.maximum(norms, feas)
     return norms
 
@@ -294,9 +265,8 @@ def make_norm_proportional_sampling(model: MdpModel, fs: FeatureSpace,
         raise CapacityError("norm-proportional sampling needs full enumeration")
     row_norms = fs.row_norms()
     z_pair = row_norms.sum()
-    agg = _aggregation_matrix(model.num_states, model.num_actions)
-    marg = agg @ fs.phi
-    marg_norms = np.sqrt(np.asarray(marg.multiply(marg).sum(axis=1)).ravel())
+    marg_norms = _row_norms_sparse(
+        _aggregation_matrix(model.num_states, model.num_actions) @ fs.phi)
     z_state = marg_norms.sum()
     if z_pair <= 0 or z_state <= 0:
         raise ParameterError("norm-proportional sampling needs a nonzero feature matrix")

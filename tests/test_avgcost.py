@@ -180,6 +180,19 @@ def test_estimator_norm_bound_every_draw():
         assert np.linalg.norm(g) <= bound + 1e-9
 
 
+def test_estimator_rejects_one_sided_indices():
+    rng = np.random.default_rng(49)
+    model = random_mdp(rng, 4, 2)
+    fs = random_features(rng, model, 3, normalize=True)
+    sample = make_uniform_sampling(model, fs, 1.0)
+    theta = rng.normal(size=3)
+    # one index list with an rng used to redraw both silently
+    with pytest.raises(ParameterError):
+        subgradient_estimate(model, fs, sample, 2.0, theta, rng=rng, pair_idx=[0])
+    with pytest.raises(ParameterError):
+        subgradient_estimate(model, fs, sample, 2.0, theta, rng=rng, state_idx=[0])
+
+
 # --------------------------------------------------------------- projection
 
 def test_projection_examples():

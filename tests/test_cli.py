@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualalp import avgcost, discounted, features
+from dualalp import avgcost, cli, discounted, features
 from dualalp.cli import (EXIT_CAPACITY, EXIT_CONFIG, EXIT_INPUT_SHAPE, EXIT_SAMPLING,
                          SEED_ENV_VAR, main)
 from dualalp.errors import SamplingSupportError
@@ -173,6 +173,10 @@ def test_config_errors_exit_code(tmp_path):
     }))
     assert main(["solve-avg", "--config", str(unknown_key), "--out",
                  str(tmp_path / "o2")]) == EXIT_CONFIG
+    # a discount outside (0, 1) must not reach the sum-radius check's 1/(1 - discount)
+    no_discount = base_config(tmp_path, discount=1.0, enforce_sum_constraint=True)
+    assert main(["solve-disc", "--config", str(no_discount), "--out",
+                 str(tmp_path / "o3")]) == EXIT_CONFIG
 
 
 def test_capacity_error_exit_code(tmp_path):
@@ -197,6 +201,35 @@ def test_sampling_support_error_exit_code(tmp_path, monkeypatch):
     cfg = base_config(tmp_path)
     assert main(["solve-avg", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == EXIT_SAMPLING
+
+
+@pytest.mark.parametrize("mode, solver", [
+    ("solve-disc", {"enforce_sum_constraint": True}),  # needs radius >= 10/sqrt(3)
+    ("solve-avg", {"radius": 0.5}),  # needs radius >= 1/sqrt(3)
+], ids=["solve-disc-enforce", "solve-avg"])
+def test_sum_radius_checked_before_sampler(tmp_path, monkeypatch, capsys, mode, solver):
+    def no_sampler(*args, **kwargs):
+        pytest.fail("the sampler was built before the radius check")
+
+    monkeypatch.setattr(cli, "make_uniform_sampling", no_sampler)
+    cfg = base_config(tmp_path, **solver)
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: radius" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_bench_queue_checks_sum_radius_before_sampler(tmp_path, monkeypatch, capsys):
+    def no_sampler(*args, **kwargs):
+        pytest.fail("the sampler was built before the radius check")
+
+    monkeypatch.setattr(cli, "make_norm_proportional_sampling", no_sampler)
+    cfg = tmp_path / "bench.json"
+    # mu0 "zero" enforces sum(theta) = 1 on d = 170 features
+    cfg.write_text(json.dumps({"bench": {"mu0": "zero", "radius": 0.01}}))
+    assert main(["bench-queue", "--preset", "desk", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: radius" in capsys.readouterr().err
 
 
 def test_bench_queue_rejects_unknown_sampling_scheme(tmp_path):

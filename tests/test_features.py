@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dualalp import features
+from dualalp.avgcost import AvgSolverConfig, sgd_solve_avg
+from dualalp.discounted import DiscSolverConfig, sgd_solve_disc
 from dualalp.errors import CapacityError, InputShapeError, ParameterError
 from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
@@ -282,3 +285,51 @@ def test_capacity_guard_requires_supplied_bounds():
         make_uniform_sampling(model, fs, 1.0)
     sample = make_uniform_sampling(model, fs, 1.0, c_pair=5.0, c_state=7.0)
     assert sample.c_pair == 5.0 and sample.c_state == 7.0
+
+
+# ------------------------------------------------------- CSR gather branch
+
+def test_csr_gather_branch_matches_dense_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(39)
+    model = random_mdp(rng, 6, 3)
+    fs = random_features(rng, model, 4)
+    pairs = rng.integers(0, model.num_pairs, size=25)
+    states = rng.integers(0, model.num_states, size=25)
+
+    def gathers():
+        out = [fs.rows(pairs)]
+        for kappa in (1.0, 0.7):
+            out += [fs.drift_rows(states, kappa), fs.feasibility_rows(states, kappa)]
+            out += [fs.drift_column(x, kappa) for x in range(model.num_states)]
+            out += [fs.feasibility_column(x, kappa) for x in range(model.num_states)]
+        return out
+
+    dense = gathers()
+    monkeypatch.setattr(features, "DENSE_CACHE_LIMIT", 0)
+    sparse = gathers()
+    assert len(dense) == len(sparse)
+    for a, b in zip(dense, sparse):
+        np.testing.assert_array_equal(a, b)
+    with pytest.raises(InputShapeError):
+        fs.drift_column(model.num_states, 1.0)
+
+
+def test_csr_gather_branch_gives_identical_sgd_runs(monkeypatch):
+    rng = np.random.default_rng(40)
+    model = random_mdp(rng, 5, 2)
+    fs = random_features(rng, model, 3, normalize=True)
+
+    def thetas():
+        avg = sgd_solve_avg(model, fs, make_uniform_sampling(model, fs, 1.0),
+                            AvgSolverConfig(penalty=2.0, radius=1.5, iterations=300,
+                                            minibatch=4, seed=3))
+        disc = sgd_solve_disc(model, fs, make_uniform_sampling(model, fs, 0.8),
+                              DiscSolverConfig(discount=0.8, penalty=2.0, radius=1.5,
+                                               iterations=1200, seed=4))
+        return avg.theta, disc.theta
+
+    dense = thetas()
+    monkeypatch.setattr(features, "DENSE_CACHE_LIMIT", 0)
+    sparse = thetas()
+    for a, b in zip(dense, sparse):
+        np.testing.assert_array_equal(a, b)
