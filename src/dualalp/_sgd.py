@@ -40,10 +40,17 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
+def check_radius(radius: float, error: type = ParameterError) -> None:
+    """Every solver's parameter ball needs a positive radius."""
+    if not radius > 0:
+        raise error(f"radius must be positive, got {radius!r}")
+
+
 class SolverConfigChecks:
     """Validation shared by the two SGD run configurations."""
 
     def __post_init__(self):
+        check_radius(self.radius)
         # The excess-loss analysis assumes penalty >= 1, but meta grids may
         # legitimately start below 1, so only positivity is enforced here.
         if self.penalty <= 0.0:

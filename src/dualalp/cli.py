@@ -25,6 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import avgcost, discounted, fixtures, queueing
+from ._sgd import check_radius
 from .errors import (CapacityError, ConfigError, ConvergenceError, DualAlpError,
                      InputShapeError, SamplingSupportError)
 from .features import make_norm_proportional_sampling, make_uniform_sampling
@@ -125,6 +126,22 @@ def _load_config(path: str | None) -> dict:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
 
 
+def _resolve_eval(config: dict) -> dict:
+    """The eval section, checked before any model is built."""
+    section = _resolve_section(config, "eval", EVAL_DEFAULTS)
+    if section["mode"] not in ("none", "exact", "simulated"):
+        raise ConfigError(f"eval.mode {section['mode']!r} is not none, exact or simulated")
+    for key in ("horizon", "burn_in", "reps"):
+        if type(section[key]) is not int:
+            raise ConfigError(f"eval.{key} must be an integer, got {section[key]!r}")
+    if not 0 <= section["burn_in"] < section["horizon"]:
+        raise ConfigError(f"eval needs 0 <= burn_in < horizon, got burn_in "
+                          f"{section['burn_in']} and horizon {section['horizon']}")
+    if section["reps"] < 1:
+        raise ConfigError("eval.reps must be >= 1")
+    return section
+
+
 def _resolve_problem(config: dict):
     """Returns (model, queue_spec_or_None, problem_section)."""
     problem = config.get("problem") or {}
@@ -193,13 +210,10 @@ def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
         weights = alpha if alpha is not None else np.full(model.num_states,
                                                           1.0 / model.num_states)
         return lambda theta, policy: float(weights @ value_function(model, policy, gamma))
-    if mode == "simulated":
-        if spec is None:
-            raise ConfigError("simulated evaluation needs a queue problem")
-        return lambda theta, policy: queueing.evaluate_policy_simulated(
-            spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"],
-            mode_cfg["reps"], seed=0)[0]
-    raise ConfigError(f"unknown eval mode {mode!r}")
+    if spec is None:  # mode "simulated"
+        raise ConfigError("simulated evaluation needs a queue problem")
+    return lambda theta, policy: queueing.evaluate_policy_simulated(
+        spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"], mode_cfg["reps"], seed=0)[0]
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -295,15 +309,16 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
     """One SGD run (solve-*) or one penalty-grid meta run (meta-*) of the
     average-cost (*-avg) or discounted (*-disc) surrogate."""
     make_objective, meta_run = SOLVER_MODES[mode]
+    solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
+    check_radius(solver["radius"], ConfigError)
+    eval_cfg = _resolve_eval(config)
     model, spec, problem_cfg = _resolve_problem(config)
     fs, features_cfg = _resolve_features(config, model, spec)
-    solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
     objective = make_objective(model, fs, solver)
     sampler, sampling_cfg = _resolve_sampling(config, model, fs, kappa=objective.kappa)
     stride = config.get("trace_stride")
-    resolved = {"problem": problem_cfg, "features": features_cfg,
-                "sampling": sampling_cfg, "solver": solver, "trace_stride": stride}
-    eval_cfg = resolved["eval"] = _resolve_section(config, "eval", EVAL_DEFAULTS)
+    resolved = {"problem": problem_cfg, "features": features_cfg, "sampling": sampling_cfg,
+                "solver": solver, "trace_stride": stride, "eval": eval_cfg}
     hook = _make_eval_hook(eval_cfg, model, spec, gamma=objective.gamma, alpha=objective.alpha)
     if meta_run:
         meta = resolved["meta"] = _resolve_section(config, "meta", META_DEFAULTS)
@@ -346,8 +361,9 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
         raise ConfigError(f"unknown queue preset {preset!r}")
     spec, loss_iv, comp_iv = QUEUE_PRESETS[preset]
     bench = _resolve_section(config, "bench", BENCH_DEFAULTS)
+    check_radius(bench["radius"], ConfigError)
     build_sampler = _sampler_builder(bench["sampling"])
-    eval_cfg = _resolve_section(config, "eval", EVAL_DEFAULTS)
+    eval_cfg = _resolve_eval(config)
     resolved = {"problem": {"queue_preset": preset}, "bench": bench, "eval": eval_cfg}
     if preset == "paper":
         results = {}
@@ -392,9 +408,9 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
 
 
 def run_eval_policy(config: dict, out_dir: Path) -> dict:
+    eval_cfg = _resolve_eval(config)
     model, spec, problem_cfg = _resolve_problem(config)
     policy_cfg = config.get("policy") or {}
-    eval_cfg = _resolve_section(config, "eval", EVAL_DEFAULTS)
     if "heuristic" in policy_cfg:
         if spec is None:
             raise ConfigError("heuristic policies need a queue problem")
@@ -408,10 +424,9 @@ def run_eval_policy(config: dict, out_dir: Path) -> dict:
     else:
         raise ConfigError("config needs policy.heuristic or policy.theta")
     result: dict = {"policy": label}
-    mode = eval_cfg["mode"] if eval_cfg["mode"] != "none" else "exact"
-    if mode == "exact":
+    if eval_cfg["mode"] != "simulated":  # "none" evaluates exactly too
         result["average_loss"] = average_cost(model, policy)
-    elif mode == "simulated":
+    else:
         if spec is None:
             raise ConfigError("simulated evaluation needs a queue problem")
         mean, std = queueing.evaluate_policy_simulated(

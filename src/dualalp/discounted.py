@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sgd import SolverConfigChecks, Surrogate, meta_loop, run_projected_sgd, sgd_solve
+from ._sgd import (SolverConfigChecks, Surrogate, check_radius, meta_loop, run_projected_sgd,
+                   sgd_solve)
 from .avgcost import project_theta_avg
 from .errors import ParameterError
 from .features import FeatureSpace, SamplingPair
@@ -89,8 +90,7 @@ def subgradient_estimate_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPai
 
 def project_theta_disc(theta: np.ndarray, radius: float) -> np.ndarray:
     """Radial shrink onto the ball of the given radius."""
-    if radius <= 0:
-        raise ParameterError("radius must be positive")
+    check_radius(radius)
     theta = np.asarray(theta, dtype=float)
     norm = float(np.linalg.norm(theta))
     if norm <= radius:

@@ -103,23 +103,23 @@ def encode_state(spec: QueueNetSpec, lengths) -> int:
 def decode_state(spec: QueueNetSpec, idx: int) -> tuple[int, int, int, int]:
     if not 0 <= idx < spec.num_states:
         raise InputShapeError(f"state index {idx} out of range")
-    lengths = []
-    for k in range(4):
-        radix = spec.buffers[k] + 1
-        lengths.append(idx % radix)
-        idx //= radix
-    return tuple(lengths)
+    return tuple(int(v) for v in _decode_array(spec, [idx])[0])
 
 
-def _all_states(spec: QueueNetSpec) -> np.ndarray:
-    """(X, 4) table of queue lengths in flat-index order."""
-    idx = np.arange(spec.num_states)
-    out = np.empty((spec.num_states, 4), dtype=np.int64)
+def _decode_array(spec: QueueNetSpec, idx) -> np.ndarray:
+    """(n, 4) table of the queue lengths of flat state indices."""
+    idx = np.asarray(idx, dtype=np.int64)
+    out = np.empty((len(idx), 4), dtype=np.int64)
     for k in range(4):
         radix = spec.buffers[k] + 1
         out[:, k] = idx % radix
         idx = idx // radix
     return out
+
+
+def _all_states(spec: QueueNetSpec) -> np.ndarray:
+    """(X, 4) table of queue lengths in flat-index order."""
+    return _decode_array(spec, np.arange(spec.num_states))
 
 
 def _encode_array(spec: QueueNetSpec, lengths: np.ndarray) -> np.ndarray:
@@ -193,7 +193,8 @@ def step(spec: QueueNetSpec, lengths, action: int,
          rng: np.random.Generator) -> tuple[int, int, int, int]:
     """One stochastic transition. Always consumes four uniforms (arrival at
     queue 0, arrival at queue 2, departure at each served queue), so the draw
-    stream is fixed regardless of outcome."""
+    stream is fixed regardless of outcome; on a trajectory they follow the
+    uniform that picks the step's action (see :func:`_visited_pairs`)."""
     q_s1, q_s2 = served_queues(action)
     u = rng.random(4)
     new = [int(v) for v in lengths]
@@ -235,24 +236,36 @@ def heuristic_policy(spec: QueueNetSpec, kind: str) -> Policy:
     return Policy(probs)
 
 
+def _visited_pairs(spec: QueueNetSpec, policy: Policy, steps: int, burn_in: int,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Pair indices x*A + a visited after ``burn_in`` on one ``steps``-step trajectory
+    from the empty network: the simulator's one trajectory loop. Per step, one uniform
+    picks the action from the policy row, then :func:`step` draws its four."""
+    if not 0 <= burn_in < steps:
+        raise ParameterError(f"horizon must exceed burn_in >= 0 (got {steps}, {burn_in})")
+    if policy.probs.shape != (spec.num_states, NUM_ACTIONS):
+        raise InputShapeError(f"policy shape {policy.probs.shape} does not fit the network")
+    cums = np.cumsum(policy.probs, axis=1)
+    visited = np.empty(steps, dtype=np.int64)
+    lengths = (0, 0, 0, 0)
+    for t in range(steps):
+        idx = encode_state(spec, lengths)
+        action = min(int(np.searchsorted(cums[idx], rng.random(), side="right")), NUM_ACTIONS - 1)
+        visited[t] = idx * NUM_ACTIONS + action
+        lengths = step(spec, lengths, action, rng)
+    return visited[burn_in:]
+
+
 def heuristic_stationary_trajectory(spec: QueueNetSpec, policy: Policy,
                                     length: int = 10**6, burn_in: int = 10**4,
                                     seed: int = 0) -> np.ndarray:
-    """State-action visit frequencies of a policy from one long trajectory
-    (the full-scale substitute for the exact stationary solve of
-    :func:`dualalp.mdp.stationary_distribution`)."""
+    """State-action visit frequencies of a policy over ``length`` steps after
+    ``burn_in`` on one trajectory (the full-scale substitute for the exact
+    stationary solve of :func:`dualalp.mdp.stationary_distribution`). Per step,
+    one uniform picks the action, then :func:`step` draws its four."""
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    counts = np.zeros(spec.num_states * NUM_ACTIONS)
-    lengths = (0, 0, 0, 0)
-    for t in range(burn_in + length):
-        idx = encode_state(spec, lengths)
-        row = policy.probs[idx]
-        action = int(np.searchsorted(np.cumsum(row), rng.random(), side="right"))
-        action = min(action, NUM_ACTIONS - 1)
-        if t >= burn_in:
-            counts[idx * NUM_ACTIONS + action] += 1.0
-        lengths = step(spec, lengths, action, rng)
-    return counts / counts.sum()
+    visited = _visited_pairs(spec, policy, burn_in + length, burn_in, rng)
+    return np.bincount(visited, minlength=spec.num_states * NUM_ACTIONS) / length
 
 
 def build_features(spec: QueueNetSpec, model: MdpModel | None = None,
@@ -323,25 +336,12 @@ def evaluate_policy_simulated(spec: QueueNetSpec, policy: Policy, horizon: int,
     """Mean raw total queue length over ``reps`` independent trajectories,
     averaging steps after ``burn_in`` (trajectories start empty). Returns the
     across-rep mean and the sample standard deviation of the per-rep means."""
-    if horizon <= burn_in:
-        raise ParameterError("horizon must exceed burn_in")
     if reps < 1:
         raise ParameterError("reps must be >= 1")
-    rep_seeds = np.random.SeedSequence(seed).spawn(reps)
-    cums = np.cumsum(policy.probs, axis=1)
     per_rep = np.empty(reps)
-    for r in range(reps):
-        rng = np.random.default_rng(rep_seeds[r])
-        lengths = (0, 0, 0, 0)
-        total = 0.0
-        for t in range(horizon):
-            idx = encode_state(spec, lengths)
-            action = int(np.searchsorted(cums[idx], rng.random(), side="right"))
-            action = min(action, NUM_ACTIONS - 1)
-            if t >= burn_in:
-                total += sum(lengths)
-            lengths = step(spec, lengths, action, rng)
-        per_rep[r] = total / (horizon - burn_in)
+    for r, rep_seed in enumerate(np.random.SeedSequence(seed).spawn(reps)):
+        visited = _visited_pairs(spec, policy, horizon, burn_in, np.random.default_rng(rep_seed))
+        per_rep[r] = _decode_array(spec, visited // NUM_ACTIONS).sum() / (horizon - burn_in)
     mean = float(per_rep.mean())
     std = float(per_rep.std(ddof=1)) if reps > 1 else 0.0
     return mean, std

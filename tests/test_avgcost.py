@@ -207,6 +207,12 @@ def test_projection_infeasible_radius():
         project_theta_avg(np.zeros(4), 0.3, 1.0)  # need radius >= 1/2
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.5])
+def test_solver_config_rejects_nonpositive_radius(radius):
+    with pytest.raises(ParameterError, match="radius must be positive"):
+        AvgSolverConfig(penalty=1.0, radius=radius, iterations=10)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=2, max_size=6),
        st.floats(0.8, 4.0))

@@ -232,6 +232,71 @@ def test_bench_queue_checks_sum_radius_before_sampler(tmp_path, monkeypatch, cap
     assert "config error: radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["solve-avg", "solve-disc", "meta-avg", "meta-disc"])
+def test_negative_radius_checked_before_sampler(tmp_path, monkeypatch, capsys, mode):
+    def no_sampler(*args, **kwargs):
+        pytest.fail("the sampler was built before the radius check")
+
+    monkeypatch.setattr(cli, "make_uniform_sampling", no_sampler)
+    cfg = base_config(tmp_path, radius=-1.5)
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: radius must be positive" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+def test_bench_queue_checks_negative_radius_before_sampler(tmp_path, monkeypatch, capsys):
+    def no_sampler(*args, **kwargs):
+        pytest.fail("the sampler was built before the radius check")
+
+    monkeypatch.setattr(cli, "make_norm_proportional_sampling", no_sampler)
+    cfg = tmp_path / "bench.json"
+    # mu0 "LBFS" sets no sum constraint, so only the sign rule can catch this
+    cfg.write_text(json.dumps({"bench": {"radius": -1.5}}))
+    assert main(["bench-queue", "--preset", "desk", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: radius must be positive" in capsys.readouterr().err
+
+
+def _no_model(*args, **kwargs):
+    pytest.fail("the model was built before the eval check")
+
+
+@pytest.mark.parametrize("bad_eval", [
+    {"horizon": 2000, "burn_in": -2000},  # averaged over horizon - burn_in = 4000 steps
+    {"horizon": 2e3},  # a float horizon failed with a TypeError in the simulator
+    {"horizon": 2000, "burn_in": 2000},
+    {"reps": 0},
+    {"reps": True},
+    {"mode": "simulatd"},  # eval-policy wrote a summary without a loss and exited 0
+], ids=["negative-burn-in", "float-horizon", "burn-in-at-horizon", "no-reps", "bool-reps",
+        "unknown-mode"])
+def test_eval_policy_checks_eval_section_before_model(tmp_path, monkeypatch, capsys,
+                                                      bad_eval):
+    monkeypatch.setattr(cli.queueing, "build_mdp", _no_model)
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"problem": {"queue_preset": "desk"},
+                               "policy": {"heuristic": "LBFS"},
+                               "eval": {"mode": "simulated", **bad_eval}}))
+    out = tmp_path / "o"
+    assert main(["eval-policy", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: eval" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("mode", ["solve-avg", "meta-disc", "bench-queue"])
+def test_solver_and_bench_modes_check_eval_section_before_model(tmp_path, monkeypatch,
+                                                                 capsys, mode):
+    monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    monkeypatch.setattr(cli.queueing, "build_mdp", _no_model)
+    cfg = base_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["eval"] = {"mode": "simulated", "horizon": 2000, "burn_in": -1}
+    cfg.write_text(json.dumps(doc))
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: eval" in capsys.readouterr().err
+
+
 def test_bench_queue_rejects_unknown_sampling_scheme(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"bench": {"sampling": "norm-proportionnal"}}))

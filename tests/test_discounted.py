@@ -194,6 +194,12 @@ def test_projection_ball_cases():
         project_theta_disc(theta, 0.0)
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.5])
+def test_disc_solver_config_rejects_nonpositive_radius(radius):
+    with pytest.raises(ParameterError, match="radius must be positive"):
+        DiscSolverConfig(discount=0.9, penalty=1.0, radius=radius, iterations=10)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-10, 10, allow_nan=False), min_size=1, max_size=6),
        st.floats(0.1, 5.0))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from dualalp.queueing import (DESK_SPEC, NUM_ACTIONS, QueueNetSpec, build_featur
                               build_mdp, decode_state, encode_state,
                               evaluate_policy_simulated, heuristic_policy,
                               served_queues, step)
+from dualalp.queueing import heuristic_stationary_trajectory
 
 SMALL_SPEC = QueueNetSpec(buffers=(3, 2, 2, 3), arrival_probs=(0.08, 0.08),
                           service_probs=(0.12, 0.12, 0.28, 0.28))
@@ -287,3 +290,61 @@ def test_evaluate_simulated_deterministic():
     out1 = evaluate_policy_simulated(spec, policy, 3000, 200, 3, seed=42)
     out2 = evaluate_policy_simulated(spec, policy, 3000, 200, 3, seed=42)
     assert out1 == out2
+
+
+# --------------------------------------------------------------- simulator inputs
+
+def test_simulators_reject_burn_in_outside_horizon():
+    policy = heuristic_policy(DESK_SPEC, "LBFS")
+    with pytest.raises(ParameterError):  # would average over horizon - burn_in = 4000 steps
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000, -2000, 1)
+    with pytest.raises(ParameterError, match="horizon must exceed burn_in"):
+        evaluate_policy_simulated(DESK_SPEC, policy, 200, 200, 1)
+    with pytest.raises(ParameterError):
+        heuristic_stationary_trajectory(DESK_SPEC, policy, length=100, burn_in=-1)
+
+
+def test_stationary_trajectory_rejects_empty_length():
+    policy = heuristic_policy(SMALL_SPEC, "LBFS")
+    with pytest.raises(ParameterError):  # was an all-NaN column
+        heuristic_stationary_trajectory(SMALL_SPEC, policy, length=0, burn_in=10)
+
+
+def test_evaluate_simulated_rejects_no_reps():
+    with pytest.raises(ParameterError, match="reps must be >= 1"):
+        evaluate_policy_simulated(SMALL_SPEC, heuristic_policy(SMALL_SPEC, "LBFS"), 200, 20, 0)
+
+
+@pytest.mark.parametrize("spec, other", [(SMALL_SPEC, DESK_SPEC), (DESK_SPEC, SMALL_SPEC)],
+                         ids=["larger-policy", "smaller-policy"])
+def test_simulators_reject_policy_of_another_network(spec, other):
+    policy = heuristic_policy(other, "LONGER")
+    with pytest.raises(InputShapeError):
+        evaluate_policy_simulated(spec, policy, 200, 20, 1)
+    with pytest.raises(InputShapeError):
+        heuristic_stationary_trajectory(spec, policy, length=200, burn_in=20)
+
+
+# --------------------------------------------------------------- draw stream
+
+# Exact outputs of the fixed draw order (per step: one action uniform, then the
+# four of step) on the desk network; a change to the stream or to the
+# reductions over it shows here, where run-twice determinism cannot see it.
+GOLDEN_SIMULATED = {
+    "LONGER": (10.854444444444445, 1.231311395661723),
+    "LBFS": (8.097407407407408, 0.4405308432656141),
+}
+GOLDEN_TRAJECTORY_SHA256 = {
+    "LONGER": "96e3386844eb48ff1dfbe499dc4309aaf376b23d1342c60a6f5d6fb2fa852b6e",
+    "LBFS": "e5425389440502595e6e95d922d658eedb2e9510bac6829298c3f9bb44e2b5f9",
+}
+
+
+@pytest.mark.parametrize("kind", ["LONGER", "LBFS"])
+def test_simulator_draw_stream_golden(kind):
+    policy = heuristic_policy(DESK_SPEC, kind)
+    assert (evaluate_policy_simulated(DESK_SPEC, policy, 5000, 500, 3, seed=11)
+            == GOLDEN_SIMULATED[kind])
+    col = heuristic_stationary_trajectory(DESK_SPEC, policy, length=20000, burn_in=500,
+                                          seed=11)
+    assert hashlib.sha256(col.tobytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256[kind]
