@@ -104,12 +104,26 @@ QUEUE_PRESETS = {
 }
 
 
+# the values other than numbers that a key with a numeric default may take
+NON_NUMERIC_VALUES = {"learning_rate": ("auto",), "lr_halving_period": (None,)}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _resolve_section(config: dict, key: str, defaults: dict) -> dict:
+    """The defaults updated by the config's section. A key whose default is a
+    number must get a number; other keys are checked where they are used."""
     section = dict(defaults)
     extra = config.get(key) or {}
     unknown = set(extra) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in config section {key!r}: {sorted(unknown)}")
+    for name, value in extra.items():
+        if (_is_number(defaults[name]) and not _is_number(value)
+                and value not in NON_NUMERIC_VALUES.get(name, ())):
+            raise ConfigError(f"{key}.{name} must be a number, got {value!r}")
     section.update(extra)
     return section
 
@@ -140,6 +154,11 @@ def _resolve_eval(config: dict) -> dict:
     if section["reps"] < 1:
         raise ConfigError("eval.reps must be >= 1")
     return section
+
+
+def _check_simulated_problem(eval_cfg: dict, spec) -> None:
+    if eval_cfg["mode"] == "simulated" and spec is None:
+        raise ConfigError("simulated evaluation needs a queue problem")
 
 
 def _resolve_problem(config: dict):
@@ -210,8 +229,6 @@ def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
         weights = alpha if alpha is not None else np.full(model.num_states,
                                                           1.0 / model.num_states)
         return lambda theta, policy: float(weights @ value_function(model, policy, gamma))
-    if spec is None:  # mode "simulated"
-        raise ConfigError("simulated evaluation needs a queue problem")
     return lambda theta, policy: queueing.evaluate_policy_simulated(
         spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"], mode_cfg["reps"], seed=0)[0]
 
@@ -311,8 +328,10 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
     make_objective, meta_run = SOLVER_MODES[mode]
     solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
     check_radius(solver["radius"], ConfigError)
+    meta = _resolve_section(config, "meta", META_DEFAULTS) if meta_run else None
     eval_cfg = _resolve_eval(config)
     model, spec, problem_cfg = _resolve_problem(config)
+    _check_simulated_problem(eval_cfg, spec)
     fs, features_cfg = _resolve_features(config, model, spec)
     objective = make_objective(model, fs, solver)
     sampler, sampling_cfg = _resolve_sampling(config, model, fs, kappa=objective.kappa)
@@ -321,7 +340,7 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
                 "solver": solver, "trace_stride": stride, "eval": eval_cfg}
     hook = _make_eval_hook(eval_cfg, model, spec, gamma=objective.gamma, alpha=objective.alpha)
     if meta_run:
-        meta = resolved["meta"] = _resolve_section(config, "meta", META_DEFAULTS)
+        resolved["meta"] = meta
         result = objective.meta_solve(
             model, fs, sampler, violation_bound=meta["violation_bound"],
             selection_weight=meta["selection_weight"], tolerance=solver["tolerance"],
@@ -410,6 +429,7 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
 def run_eval_policy(config: dict, out_dir: Path) -> dict:
     eval_cfg = _resolve_eval(config)
     model, spec, problem_cfg = _resolve_problem(config)
+    _check_simulated_problem(eval_cfg, spec)
     policy_cfg = config.get("policy") or {}
     if "heuristic" in policy_cfg:
         if spec is None:
@@ -427,8 +447,6 @@ def run_eval_policy(config: dict, out_dir: Path) -> dict:
     if eval_cfg["mode"] != "simulated":  # "none" evaluates exactly too
         result["average_loss"] = average_cost(model, policy)
     else:
-        if spec is None:
-            raise ConfigError("simulated evaluation needs a queue problem")
         mean, std = queueing.evaluate_policy_simulated(
             spec, policy, eval_cfg["horizon"], eval_cfg["burn_in"], eval_cfg["reps"],
             seed=0)

@@ -15,6 +15,7 @@ Joint actions are flattened as a = 2*i + j with i the server-1 choice
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 from itertools import product
 
@@ -194,7 +195,8 @@ def step(spec: QueueNetSpec, lengths, action: int,
     """One stochastic transition. Always consumes four uniforms (arrival at
     queue 0, arrival at queue 2, departure at each served queue), so the draw
     stream is fixed regardless of outcome; on a trajectory they follow the
-    uniform that picks the step's action (see :func:`_visited_pairs`)."""
+    uniform that picks the step's action. :func:`_visited_pairs` inlines this
+    transition, and the tests check the two against each other."""
     q_s1, q_s2 = served_queues(action)
     u = rng.random(4)
     new = [int(v) for v in lengths]
@@ -236,23 +238,74 @@ def heuristic_policy(spec: QueueNetSpec, kind: str) -> Policy:
     return Policy(probs)
 
 
+def _check_integer(name: str, value) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+
+
 def _visited_pairs(spec: QueueNetSpec, policy: Policy, steps: int, burn_in: int,
                    rng: np.random.Generator) -> np.ndarray:
     """Pair indices x*A + a visited after ``burn_in`` on one ``steps``-step trajectory
     from the empty network: the simulator's one trajectory loop. Per step, one uniform
-    picks the action from the policy row, then :func:`step` draws its four."""
+    picks the action from the policy row, then four drive the transition of
+    :func:`step`, which this loop inlines on the queue lengths and the flat index."""
+    _check_integer("horizon", steps)
+    _check_integer("burn_in", burn_in)
     if not 0 <= burn_in < steps:
         raise ParameterError(f"horizon must exceed burn_in >= 0 (got {steps}, {burn_in})")
     if policy.probs.shape != (spec.num_states, NUM_ACTIONS):
         raise InputShapeError(f"policy shape {policy.probs.shape} does not fit the network")
-    cums = np.cumsum(policy.probs, axis=1)
+    # uniforms come in bounded blocks of rows of five, the order of rng.random()
+    # then rng.random(4) per step
+    block = 4096
+    item = policy.probs.item
+    arrive0, arrive2 = spec.arrival_probs
+    serve0, serve1, serve2, serve3 = spec.service_probs
+    cap0, cap1, cap2, cap3 = spec.buffers
+    stride1 = cap0 + 1
+    stride2 = stride1 * (cap1 + 1)
+    stride3 = stride2 * (cap2 + 1)
     visited = np.empty(steps, dtype=np.int64)
-    lengths = (0, 0, 0, 0)
-    for t in range(steps):
-        idx = encode_state(spec, lengths)
-        action = min(int(np.searchsorted(cums[idx], rng.random(), side="right")), NUM_ACTIONS - 1)
-        visited[t] = idx * NUM_ACTIONS + action
-        lengths = step(spec, lengths, action, rng)
+    x0 = x1 = x2 = x3 = idx = 0
+    for start in range(0, steps, block):
+        pairs = []
+        append = pairs.append
+        for u, arr0, arr2, dep1, dep2 in rng.random((min(block, steps - start), 5)).tolist():
+            # the additions of np.cumsum over the row; a uniform at or above the
+            # row's sum picks the last action
+            c = item(idx, 0)
+            a = u >= c
+            c += item(idx, 1)
+            a += u >= c
+            c += item(idx, 2)
+            a += u >= c
+            append(idx * NUM_ACTIONS + a)
+            # DEPARTURE_EFFECTS: 0 -> 1, 2 -> 3, and 1 and 3 leave; a departure
+            # needs a job in the served queue before the step, so no length
+            # falls below 0 and only the top is clamped
+            n0, n1, n2, n3 = x0, x1, x2, x3
+            if arr0 < arrive0:
+                n0 += 1
+            if arr2 < arrive2:
+                n2 += 1
+            if a < 2:  # server 1 serves queue 0
+                if dep1 < serve0 and x0:
+                    n0 -= 1
+                    n1 += 1
+            elif dep1 < serve3 and x3:
+                n3 -= 1
+            if not a & 1:  # server 2 serves queue 1
+                if dep2 < serve1 and x1:
+                    n1 -= 1
+            elif dep2 < serve2 and x2:
+                n2 -= 1
+                n3 += 1
+            x0 = n0 if n0 < cap0 else cap0
+            x1 = n1 if n1 < cap1 else cap1
+            x2 = n2 if n2 < cap2 else cap2
+            x3 = n3 if n3 < cap3 else cap3
+            idx = x0 + stride1 * x1 + stride2 * x2 + stride3 * x3
+        visited[start:start + len(pairs)] = pairs
     return visited[burn_in:]
 
 
@@ -336,6 +389,7 @@ def evaluate_policy_simulated(spec: QueueNetSpec, policy: Policy, horizon: int,
     """Mean raw total queue length over ``reps`` independent trajectories,
     averaging steps after ``burn_in`` (trajectories start empty). Returns the
     across-rep mean and the sample standard deviation of the per-rep means."""
+    _check_integer("reps", reps)
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     per_rep = np.empty(reps)

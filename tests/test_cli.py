@@ -297,6 +297,55 @@ def test_solver_and_bench_modes_check_eval_section_before_model(tmp_path, monkey
     assert "config error: eval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["solve-avg", "meta-disc"])
+def test_simulated_eval_needs_queue_before_features(tmp_path, monkeypatch, capsys, mode):
+    def no_features(*args, **kwargs):
+        pytest.fail("the features were built before the problem check")
+
+    monkeypatch.setattr(cli.fixtures, "load_feature_fixture", no_features)
+    monkeypatch.setattr(cli, "make_uniform_sampling", no_features)
+    cfg = base_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["eval"] = {"mode": "simulated"}
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: simulated evaluation needs a queue problem" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("solver", [{"radius": "2"}, {"iterations": True},
+                                    {"penalty": None}, {"seed": [7]}],
+                         ids=["str-radius", "bool-iterations", "null-penalty", "list-seed"])
+def test_solver_numeric_fields_type_checked(tmp_path, monkeypatch, capsys, solver):
+    # a string radius died with a TypeError traceback at the first comparison
+    monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    cfg = base_config(tmp_path, **solver)
+    assert main(["solve-avg", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    (name, value), = solver.items()
+    assert f"config error: solver.{name} must be a number, got {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bench", [{"minibatch": "1000"}, {"penalty": False},
+                                   {"learning_rate": "fast"}],
+                         ids=["str-minibatch", "bool-penalty", "str-learning-rate"])
+def test_bench_numeric_fields_type_checked(tmp_path, monkeypatch, capsys, bench):
+    monkeypatch.setattr(cli.queueing, "build_mdp", _no_model)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"bench": bench}))
+    assert main(["bench-queue", "--preset", "desk", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    (name, value), = bench.items()
+    assert f"config error: bench.{name} must be a number, got {value!r}" in capsys.readouterr().err
+
+
+def test_numeric_fields_keep_their_named_alternatives():
+    # the solver resolves "auto" and treats a null period as no halving
+    extra = {"learning_rate": "auto", "lr_halving_period": None, "radius": 3}
+    section = cli._resolve_section({"bench": extra}, "bench", cli.BENCH_DEFAULTS)
+    assert {key: section[key] for key in extra} == extra
+
+
 def test_bench_queue_rejects_unknown_sampling_scheme(tmp_path):
     cfg = tmp_path / "bench.json"
     cfg.write_text(json.dumps({"bench": {"sampling": "norm-proportionnal"}}))

@@ -10,6 +10,8 @@ from dualalp.queueing import (DESK_SPEC, NUM_ACTIONS, QueueNetSpec, build_featur
                               evaluate_policy_simulated, heuristic_policy,
                               served_queues, step)
 from dualalp.queueing import heuristic_stationary_trajectory
+from dualalp.mdp import Policy
+from dualalp.queueing import _visited_pairs
 
 SMALL_SPEC = QueueNetSpec(buffers=(3, 2, 2, 3), arrival_probs=(0.08, 0.08),
                           service_probs=(0.12, 0.12, 0.28, 0.28))
@@ -348,3 +350,139 @@ def test_simulator_draw_stream_golden(kind):
     col = heuristic_stationary_trajectory(DESK_SPEC, policy, length=20000, burn_in=500,
                                           seed=11)
     assert hashlib.sha256(col.tobytes()).hexdigest() == GOLDEN_TRAJECTORY_SHA256[kind]
+
+
+# --------------------------------------------------------------- kernel oracle
+
+# Saturating probabilities: queue 2 always receives and is never served, queue 0
+# is always served when chosen, so buffers fill and servers sit at empty queues.
+SATURATING_SPEC = QueueNetSpec((1, 2, 1, 2), (0.5, 1.0), (1.0, 0.3, 0.0, 0.7))
+
+
+def reference_visited_pairs(spec, policy, steps, burn_in, rng):
+    """The step-driven trajectory loop: one action uniform through the row's
+    cumulative sums, then :func:`step`."""
+    cums = np.cumsum(policy.probs, axis=1)
+    visited = np.empty(steps, dtype=np.int64)
+    lengths = (0, 0, 0, 0)
+    for t in range(steps):
+        idx = encode_state(spec, lengths)
+        action = min(int(np.searchsorted(cums[idx], rng.random(), side="right")),
+                     NUM_ACTIONS - 1)
+        visited[t] = idx * NUM_ACTIONS + action
+        lengths = step(spec, lengths, action, rng)
+    return visited[burn_in:]
+
+
+class ScriptedUniforms:
+    """Serves a fixed sequence of uniforms to both call shapes of
+    ``Generator.random`` that the simulators use (a scalar, or an array)."""
+
+    def __init__(self, values):
+        self.values = values
+        self.pos = 0
+
+    def random(self, size=None):
+        count = 1 if size is None else int(np.prod(size))
+        out = self.values[self.pos:self.pos + count]
+        self.pos += count
+        return float(out[0]) if size is None else out.reshape(size)
+
+
+def dirichlet_policy(spec, seed):
+    return Policy(np.random.default_rng(seed).dirichlet(np.ones(NUM_ACTIONS), spec.num_states))
+
+
+def edge_policy(spec):
+    """Rows with zero entries, a deterministic row at each end, and a row whose
+    sum falls just below 1 (inside the policy tolerance)."""
+    rows = np.array([[0.25, 0.25, 0.25, 0.25],
+                     [0.0, 0.5, 0.0, 0.5],
+                     [1.0, 0.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0],
+                     [0.3, 0.3, 0.4 - 5e-13, 0.0]])
+    return Policy(rows[np.arange(spec.num_states) % len(rows)])
+
+
+@pytest.mark.parametrize("spec", [DESK_SPEC, SATURATING_SPEC], ids=["desk", "saturating"])
+@pytest.mark.parametrize("kind", ["LONGER", "LBFS", "dirichlet"])
+def test_kernel_matches_step_loop(spec, kind):
+    policy = (dirichlet_policy(spec, 17) if kind == "dirichlet"
+              else heuristic_policy(spec, kind))
+    got = _visited_pairs(spec, policy, 3000, 100, np.random.default_rng(23))
+    want = reference_visited_pairs(spec, policy, 3000, 100, np.random.default_rng(23))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spec", [DESK_SPEC, SATURATING_SPEC], ids=["desk", "saturating"])
+def test_kernel_matches_step_loop_on_row_edges(spec):
+    # action uniforms on the cumulative sums (ties), at 0, and above a row sum
+    # that falls short of 1, where the last action is picked
+    steps = 2000
+    values = np.random.default_rng(29).random(steps * 5)
+    specials = [0.0, 0.25, 0.5, 0.75, 0.6, np.nextafter(1.0, 0.0)]
+    values[::10] = np.resize(specials, steps // 2)  # the action uniform of every other step
+    policy = edge_policy(spec)
+    got = _visited_pairs(spec, policy, steps, 0, ScriptedUniforms(values))
+    want = reference_visited_pairs(spec, policy, steps, 0, ScriptedUniforms(values))
+    assert np.array_equal(got, want)
+    # the short row gives action 3 no mass, so only the clamp picks it there
+    assert np.any((got // NUM_ACTIONS % 5 == 4) & (got % NUM_ACTIONS == 3))
+
+
+def test_kernel_matches_step_loop_across_draw_blocks():
+    # longer than one block of uniforms and not a multiple of its size
+    policy = dirichlet_policy(DESK_SPEC, 31)
+    got = _visited_pairs(DESK_SPEC, policy, 10007, 3, np.random.default_rng(37))
+    want = reference_visited_pairs(DESK_SPEC, policy, 10007, 3, np.random.default_rng(37))
+    assert np.array_equal(got, want)
+
+
+# sha256 of the outputs of both public simulators on the saturating network
+GOLDEN_SATURATING_SHA256 = {
+    "LONGER": ("eba67a57c9a33cc2efdbac1ae24ae1360caac1a53641ffbb8ef1b3edb03a7c7a",
+               "43373e108befb06dc40f2e3abf0b3acd3023b2b6a886f33eea9ad5231d9318d2"),
+    "LBFS": ("b84241b2236ffb1bb49ecf79c604d8be963a62b965b593d46d6f9b43cbd18884",
+             "99209605fb416b8190159e28249e199c54be28502bfc546f44dda66392693e04"),
+}
+
+
+@pytest.mark.parametrize("kind", ["LONGER", "LBFS"])
+def test_simulator_saturating_golden(kind):
+    policy = heuristic_policy(SATURATING_SPEC, kind)
+    simulated = evaluate_policy_simulated(SATURATING_SPEC, policy, 5000, 500, 3, seed=11)
+    col = heuristic_stationary_trajectory(SATURATING_SPEC, policy, length=20000, burn_in=500,
+                                          seed=11)
+    assert (hashlib.sha256(np.array(simulated).tobytes()).hexdigest(),
+            hashlib.sha256(col.tobytes()).hexdigest()) == GOLDEN_SATURATING_SHA256[kind]
+
+
+# --------------------------------------------------------------- integer lengths
+
+def test_simulators_reject_non_integer_horizon():
+    policy = heuristic_policy(DESK_SPEC, "LBFS")
+    with pytest.raises(ParameterError, match="horizon must be an integer"):
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000.0, 200, 1)
+    with pytest.raises(ParameterError, match="horizon must be an integer"):
+        heuristic_stationary_trajectory(DESK_SPEC, policy, length=2000.0, burn_in=200)
+
+
+class NoDraws:
+    def random(self, size=None):
+        pytest.fail("the trajectory was simulated before the input check")
+
+
+def test_simulators_reject_non_integer_burn_in(monkeypatch):
+    # checked before the trajectory is simulated, not at the final slice
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
+    policy = heuristic_policy(DESK_SPEC, "LBFS")
+    with pytest.raises(ParameterError, match="burn_in must be an integer"):
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000, 200.0, 1)
+    with pytest.raises(ParameterError, match="burn_in must be an integer"):
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000, True, 1)
+
+
+def test_evaluate_simulated_rejects_non_integer_reps():
+    policy = heuristic_policy(DESK_SPEC, "LBFS")
+    with pytest.raises(ParameterError, match="reps must be an integer"):
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000, 200, 2.0)
