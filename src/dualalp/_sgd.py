@@ -130,11 +130,19 @@ class Surrogate:
         return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
                 + penalty * (matrix.T @ signs))
 
-    def gather(self, sp: SamplingPair, idx: np.ndarray, states: bool = False):
-        """Sampling probabilities and dense rows at the draws ``idx``: (q_pair,
-        feature rows) at pair draws, or with ``states`` (q_state, state rows).
-        Raises SamplingSupportError on a draw of probability zero."""
-        prob, rows = (sp.state_prob, self.state_rows) if states else (sp.pair_prob, self.fs.rows)
+    def gather(self, sp: SamplingPair, idx: np.ndarray, states: bool = False,
+               dense: bool = False):
+        """Sampling probabilities and rows at the draws ``idx``: (q_pair,
+        feature rows) at pair draws, or with ``states`` (q_state, dense state
+        rows). Feature rows are an ELL block when Phi's rows are narrow (see
+        :mod:`dualalp.features`) and ``dense`` is not set; either kind
+        supports ``rows @ theta`` and ``weights @ rows``. Raises
+        SamplingSupportError on a draw of probability zero, before any row is
+        gathered."""
+        if states:
+            prob, rows = sp.state_prob, self.state_rows
+        else:
+            prob, rows = sp.pair_prob, (self.fs.rows if dense else self.fs._row_block)
         q = prob(idx)
         importance_weight_guard(q)
         return q, rows(idx)
@@ -206,7 +214,7 @@ def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
 
     def refill(rng):
         pairs, states = draw(sp, rng, block)
-        buf["q_pair"], buf["rows"] = surrogate.gather(sp, pairs)
+        buf["q_pair"], buf["rows"] = surrogate.gather(sp, pairs, dense=True)
         buf["q_state"], buf["drift"] = surrogate.gather(sp, states, states=True)
         buf["occ0"], buf["res0"] = surrogate.occ_base[pairs], surrogate.res_base[states]
         buf["pos"] = 0

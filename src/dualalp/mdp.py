@@ -118,8 +118,9 @@ class Policy:
         if probs.ndim != 2:
             raise InputShapeError("policy probabilities must be a 2-D (states, actions) array")
         row_sums = probs.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > PROB_ATOL) or (probs.size and probs.min() < 0):
-            raise ParameterError("policy rows must be nonnegative and sum to 1")
+        # a non-finite entry makes its row sum non-finite, and NaN fails "<="
+        if not np.all(np.abs(row_sums - 1.0) <= PROB_ATOL) or (probs.size and probs.min() < 0):
+            raise ParameterError("policy rows must be finite, nonnegative and sum to 1")
         object.__setattr__(self, "probs", probs)
 
     @property

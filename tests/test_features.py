@@ -1,14 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dualalp import features
+from dualalp._sgd import Surrogate
 from dualalp.avgcost import AvgSolverConfig, sgd_solve_avg
 from dualalp.discounted import DiscSolverConfig, sgd_solve_disc
-from dualalp.errors import CapacityError, InputShapeError, ParameterError
+from dualalp.errors import (CapacityError, InputShapeError, ParameterError,
+                            SamplingSupportError)
 from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.mdp import MdpModel, stationary_state_action
+from dualalp.queueing import DESK_SPEC, build_features, build_mdp
 
 from conftest import random_features, random_mdp, random_policy, stationary_features
 
@@ -333,3 +338,183 @@ def test_csr_gather_branch_gives_identical_sgd_runs(monkeypatch):
     sparse = thetas()
     for a, b in zip(dense, sparse):
         np.testing.assert_array_equal(a, b)
+
+
+# ------------------------------------------------------ guide-table sampler
+
+class _FixedUniforms:
+    """Stands in for a generator whose next ``random`` call returns ``u``."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size):
+        assert size == len(self.u)
+        return self.u
+
+
+@pytest.fixture(scope="module")
+def desk_space():
+    model = build_mdp(DESK_SPEC)
+    fs, _ = build_features(DESK_SPEC, model=model)
+    return model, fs
+
+
+def _pair_tables(probs):
+    """The cumulative and guide tables a sampler builds for ``probs``."""
+    sample = features.SamplingPair(num_pairs=len(probs), num_states=1, c_pair=1.0,
+                                   c_state=1.0, kappa=1.0, pair_probs=np.asarray(probs))
+    return sample._cum_pair_probs, sample._guide_pair_probs
+
+
+def _check_guide_search(cum, guide, rng, draws):
+    """``_sample`` against ``searchsorted`` at every cumulative value and its
+    next-lower double, 0.0, the largest double below 1 and ``draws`` random
+    uniforms (values >= 1, which rng.random cannot return, are left out)."""
+    u = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)],
+                        rng.random(draws)])
+    u = u[u < 1.0]
+    expected = np.searchsorted(cum, u, side="right")
+    # the bucket start is a lower bound of the answer
+    buckets = np.minimum((u * float(len(guide))).astype(np.intp), len(guide) - 1)
+    assert np.all(guide[buckets] <= expected)
+    got = features._sample(cum, guide, len(cum), _FixedUniforms(u), len(u))
+    np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("size", [1, 2, 6, 4900, 19600])
+def test_guide_sampler_matches_searchsorted_random_distributions(size):
+    rng = np.random.default_rng(size)
+    probs = rng.dirichlet(np.full(size, 0.5)) if size > 1 else np.ones(1)
+    _check_guide_search(*_pair_tables(probs), rng, 1000)
+
+
+@pytest.mark.parametrize("probs", [
+    [0.0, 0.0, 0.5, 0.5],  # leading zeros
+    [0.3, 0.0, 0.0, 0.2, 0.0, 0.5],  # interior zeros
+    [0.25, 0.75, 0.0, 0.0],  # trailing zeros
+    [0.0, 0.4, 0.0, 0.6, 0.0],  # all three
+    # one entry holds almost all mass: the other 99 share a bucket, and
+    # draws there walk past _WALK_STEPS and finish by bisection
+    [1.0 - 1e-9] + [1e-9 / 99] * 99,
+    [1e-9 / 99] * 50 + [1.0 - 1e-9] + [1e-9 / 99] * 49,
+    [0.1] * 10,  # sums to 1 - 1.1e-16 in floating point
+], ids=["leading", "interior", "trailing", "mixed", "heavy-first", "heavy-middle",
+        "rounded-sum"])
+def test_guide_sampler_matches_searchsorted_edge_distributions(probs):
+    _check_guide_search(*_pair_tables(probs), np.random.default_rng(len(probs)), 1000)
+
+
+@pytest.mark.parametrize("cum", [
+    [0.33333333333333337, 0.6666666666666667, 1.0],
+    [0.16666666666666669, 0.33333333333333337, 0.5, 0.6666666666666667,
+     0.8333333333333334, 1.0],
+], ids=["thirds", "sixths"])
+def test_guide_start_survives_rounding_collisions(cum):
+    """Each inner entry c has fl(c * K) == j exactly, and so has the double
+    just below c: a bucket start that counted c would pass that draw's answer."""
+    cum = np.asarray(cum)
+    _check_guide_search(cum, features._guide_table(cum), np.random.default_rng(0), 1000)
+
+
+def test_guide_sampler_matches_searchsorted_desk(desk_space):
+    model, fs = desk_space
+    sample = make_norm_proportional_sampling(model, fs, 1.0)
+    rng = np.random.default_rng(12)
+    for probs in (sample.pair_probs, sample.state_probs):
+        _check_guide_search(*_pair_tables(probs), rng, 10**6)
+
+
+def test_desk_draw_stream_pinned(desk_space):
+    """The desk norm-proportional draws are those of the searchsorted sampler."""
+    model, fs = desk_space
+    sample = make_norm_proportional_sampling(model, fs, 1.0)
+    rng = np.random.default_rng(11)
+    pairs = sample.sample_pairs(rng, 10000)
+    states = sample.sample_states(rng, 10000)
+    assert pairs.dtype == states.dtype == np.int64
+    assert hashlib.sha256(pairs.astype("<i8").tobytes()).hexdigest() == (
+        "b46194fe3c4f604582052e0cb7fe353e9c496523af16b427850fb538496eccbd")
+    assert hashlib.sha256(states.astype("<i8").tobytes()).hexdigest() == (
+        "39399072a2476eb25c1033bf80e19ffc3e86a7be2850d0721baeec3c5456ea65")
+
+
+# ------------------------------------------------------------- narrow rows
+
+def _narrow_random_space(rng, num_states=30, num_actions=3, dim=48):
+    """Random sparse features with 1-6 nonzeros per row: narrow at d = 48."""
+    model = random_mdp(rng, num_states, num_actions)
+    phi = np.zeros((model.num_pairs, dim))
+    for i in range(model.num_pairs):
+        cols = rng.choice(dim, size=rng.integers(1, 7), replace=False)
+        phi[i, cols] = rng.standard_normal(len(cols))
+    return model, FeatureSpace(model, sp.csr_matrix(phi), mu0=rng.random(model.num_pairs) * 0.1)
+
+
+def _assert_narrow_matches_dense(model, fs, sample, seed):
+    assert fs._narrow is not None
+    rng = np.random.default_rng(seed)
+    theta = rng.standard_normal(fs.dim) * 0.3
+    pair_idx = sample.sample_pairs(rng, 500)
+    state_idx = sample.sample_states(rng, 500)
+    for surrogate in (Surrogate.average_cost(model, fs),
+                      Surrogate.discounted(model, fs, 0.9, None)):
+        def outputs():
+            return (surrogate.subgradient_estimate(sample, 2.0, theta, pair_idx=pair_idx,
+                                                   state_idx=state_idx),
+                    surrogate.violation_summands(sample, theta, pair_idx, state_idx))
+        narrow = outputs()
+        ell, fs._narrow = fs._narrow, None
+        try:
+            dense = outputs()
+        finally:
+            fs._narrow = ell
+        for a, b in zip(narrow, dense):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
+
+
+def test_narrow_rows_match_dense_rows_desk(desk_space):
+    model, fs = desk_space
+    assert 8 * fs._narrow.cols.shape[1] <= fs.dim
+    _assert_narrow_matches_dense(model, fs, make_norm_proportional_sampling(model, fs, 1.0), 41)
+
+
+def test_narrow_rows_match_dense_rows_random():
+    rng = np.random.default_rng(42)
+    model, fs = _narrow_random_space(rng)
+    _assert_narrow_matches_dense(model, fs, make_uniform_sampling(model, fs, 0.9), 43)
+    pairs = np.array([0, 5, 5, 89])
+    block = fs._row_block(pairs)
+    np.testing.assert_array_equal(block @ np.eye(fs.dim)[3], fs.rows(pairs)[:, 3])
+    # a weighted sum is a full d-vector even when no row reaches the last column
+    short = np.flatnonzero(fs.phi[:, fs.dim - 1].toarray().ravel() == 0)[:3]
+    np.testing.assert_array_equal(np.ones(3) @ fs._row_block(short),
+                                  fs.rows(short).sum(axis=0))
+
+
+def test_dense_path_kept_for_wide_rows(desk_fixture):
+    _, fs = desk_fixture  # d = 3: every nonempty row is wide
+    assert fs._narrow is None
+    pairs = np.array([0, 3, 7])
+    np.testing.assert_array_equal(fs._row_block(pairs), fs.rows(pairs))
+
+
+def test_support_guard_fires_before_narrow_gather(monkeypatch):
+    rng = np.random.default_rng(44)
+    model, fs = _narrow_random_space(rng)
+    probs = np.full(model.num_pairs, 1.0 / (model.num_pairs - 1))
+    probs[7] = 0.0
+    sample = features.SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
+                                   c_pair=1.0, c_state=1.0, kappa=1.0, pair_probs=probs)
+
+    def no_gather(self, idx):
+        pytest.fail("rows were gathered for a zero-probability draw")
+
+    monkeypatch.setattr(features.FeatureSpace, "_row_block", no_gather)
+    surrogate = Surrogate.average_cost(model, fs)
+    pairs, states = np.array([3, 7, 9]), np.array([0, 1, 2])
+    with pytest.raises(SamplingSupportError):
+        surrogate.subgradient_estimate(sample, 2.0, np.zeros(fs.dim), pair_idx=pairs,
+                                       state_idx=states)
+    with pytest.raises(SamplingSupportError):
+        surrogate.violation_summands(sample, np.zeros(fs.dim), pairs, states)

@@ -62,6 +62,17 @@ def test_policy_validation():
         Policy(np.array([[-0.1, 1.1]]))
 
 
+@pytest.mark.parametrize("bad_row", [[np.nan, np.nan], [np.inf, 0.0], [np.nan, 1.0]],
+                         ids=["nan-row", "inf-row", "nan-entry"])
+def test_policy_rejects_non_finite_probabilities(bad_row):
+    probs = np.full((3, 2), 0.5)
+    probs[1] = bad_row
+    with pytest.raises(ParameterError):
+        Policy(probs)
+    with pytest.raises(ParameterError):
+        Policy(np.full((3, 4), np.nan))
+
+
 # ---------------------------------------------------- policy_from_occupancy
 
 def test_policy_from_occupancy_examples():
