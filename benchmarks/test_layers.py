@@ -1,5 +1,6 @@
 """Layer micro-benchmarks of the minibatch and single-draw estimators on the
-desk queue preset (4900 states, 19600 pairs, d = 170).
+desk queue preset (4900 states, 19600 pairs, d = 170), and of one single-draw
+discounted SGD step at d = 3, where a step is almost all interpreter overhead.
 
 Run from the repository root with
 
@@ -10,9 +11,11 @@ suite does not collect it. pytest-benchmark reports the time per call.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from dualalp import features, queueing
+from dualalp import features, mdp, queueing
 from dualalp._sgd import GRAD_BLOCK, Surrogate, make_buffered_grad
+from dualalp.discounted import project_theta_disc
 
 DRAWS = 1000
 
@@ -54,3 +57,36 @@ def test_buffered_step(benchmark, desk):
     grad(theta, rng, 1)  # the first block's dense gathers happen outside the timing
     assert benchmark.pedantic(grad, args=(theta, rng, 1), rounds=20,
                               iterations=GRAD_BLOCK).shape == theta.shape
+
+
+@pytest.fixture(scope="module")
+def small_disc():
+    """A 6-state, 2-action Dirichlet MDP with d = 3 features at discount 0.9."""
+    rng = np.random.default_rng(210)
+    model = mdp.MdpModel.from_dense(rng.dirichlet(np.ones(6), size=(6, 2)),
+                                    rng.random((6, 2)))
+    fs = features.FeatureSpace(model, sp.csr_matrix(rng.random((12, 3))), normalize=True)
+    sampler = features.make_norm_proportional_sampling(model, fs, kappa=0.9)
+    return Surrogate.discounted(model, fs, 0.9, None), sampler
+
+
+def test_single_draw_step_d3(benchmark, small_disc):
+    """One m = 1 discounted step at d = 3: the buffered gradient and the ball
+    projection, with the block refill amortized over GRAD_BLOCK calls."""
+    surrogate, sampler = small_disc
+    grad = make_buffered_grad(surrogate, sampler, 2.0)
+    rng = np.random.default_rng(5)
+    theta = np.array([0.4, -0.2, 0.3])
+
+    def step():
+        return project_theta_disc(theta - 0.01 * grad(theta, rng, 1), 1.3)
+
+    step()
+    assert benchmark.pedantic(step, rounds=50, iterations=GRAD_BLOCK).shape == (3,)
+
+
+@pytest.mark.parametrize("norm", [0.5, 2.0], ids=["inside", "outside"])
+def test_project_theta_disc_d3(benchmark, norm):
+    """The ball projection alone, with the point inside and outside the ball."""
+    theta = np.array([0.6, -0.48, 0.64]) * norm  # unit direction times norm
+    assert benchmark(project_theta_disc, theta, 1.3).shape == (3,)

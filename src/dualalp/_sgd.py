@@ -46,6 +46,14 @@ def check_radius(radius: float, error: type = ParameterError) -> None:
         raise error(f"radius must be positive, got {radius!r}")
 
 
+def check_halving_period(period, error: type = ParameterError) -> None:
+    """A learning-rate halving period is None (no halving) or a positive
+    integer: a negative one would double the rate, zero would turn halving off
+    and a fraction would halve at uneven steps."""
+    if period is not None and (type(period) is not int or period < 1):
+        raise error(f"lr_halving_period must be null or a positive integer, got {period!r}")
+
+
 class SolverConfigChecks:
     """Validation shared by the two SGD run configurations."""
 
@@ -61,6 +69,7 @@ class SolverConfigChecks:
             raise ParameterError("minibatch must be >= 1")
         if not 0.0 < self.failure_prob < 1.0:
             raise ParameterError("failure_prob must lie in (0, 1)")
+        check_halving_period(self.lr_halving_period)
 
 
 def _guard_exact(model: MdpModel):
@@ -205,36 +214,47 @@ def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray
 def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
     """Single-draw gradient estimator with block-presampled draws.
 
-    Presampling amortizes rng and gather overhead across ``GRAD_BLOCK``
-    iterations; the draw stream is still fully determined by the rng.
+    Each refill draws ``GRAD_BLOCK`` pairs and states in one :func:`draw`, so
+    the draw stream is still fully determined by the rng, and gathers their
+    rows. It also precomputes, per draw, the gradient when the negativity
+    term is active, loss_phi - (penalty / q_pair) * row, and the residual
+    term (penalty / q_state) * state_row: the IEEE operations of a per-step
+    evaluation, in its order, only vectorised over the block. A step is then
+    two ``ndarray.dot`` calls (the BLAS dot product that ``@`` takes on two
+    vectors, at about half the call overhead), a choice of base and at most
+    one vector add or subtract. One matrix-vector product for both dot
+    products, or sums over Python floats, would round differently. Every
+    gradient is a fresh array the caller may mutate.
     """
     loss_phi = surrogate.fs.loss_phi
-    block = GRAD_BLOCK  # a closure variable, as the per-iteration check reads it
-    buf = {"pos": block}
+    block = GRAD_BLOCK
+    pos = block
+    rows = state_rows = neg_grads = state_terms = occ = res = None
 
     def refill(rng):
+        nonlocal pos, rows, state_rows, neg_grads, state_terms, occ, res
         pairs, states = draw(sp, rng, block)
-        buf["q_pair"], buf["rows"] = surrogate.gather(sp, pairs, dense=True)
-        buf["q_state"], buf["drift"] = surrogate.gather(sp, states, states=True)
-        buf["occ0"], buf["res0"] = surrogate.occ_base[pairs], surrogate.res_base[states]
-        buf["pos"] = 0
+        q_pair, rows = surrogate.gather(sp, pairs, dense=True)
+        q_state, state_rows = surrogate.gather(sp, states, states=True)
+        neg_grads = loss_phi - (penalty / q_pair)[:, None] * rows
+        state_terms = (penalty / q_state)[:, None] * state_rows
+        occ = surrogate.occ_base[pairs].tolist()
+        res = surrogate.res_base[states].tolist()
+        pos = 0
 
     def grad(theta, rng, m):
-        if buf["pos"] >= block:
+        nonlocal pos
+        if pos >= block:
             refill(rng)
-        i = buf["pos"]
-        buf["pos"] = i + 1
-        row = buf["rows"][i]
-        drift = buf["drift"][i]
-        g = loss_phi.copy()
-        if buf["occ0"][i] + row @ theta < 0.0:
-            g -= (penalty / buf["q_pair"][i]) * row
-        resid = drift @ theta + buf["res0"][i]
+        i = pos
+        pos = i + 1
+        base = neg_grads[i] if occ[i] + rows[i].dot(theta) < 0.0 else loss_phi
+        resid = state_rows[i].dot(theta) + res[i]
         if resid > 0.0:
-            g += (penalty / buf["q_state"][i]) * drift
-        elif resid < 0.0:
-            g -= (penalty / buf["q_state"][i]) * drift
-        return g
+            return base + state_terms[i]
+        if resid < 0.0:
+            return base - state_terms[i]
+        return base.copy()
 
     return grad
 
@@ -268,6 +288,7 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
         raise ParameterError("iterations must be >= 1")
     if minibatch < 1:
         raise ParameterError("minibatch must be >= 1")
+    check_halving_period(lr_halving_period)
     ss_grad, ss_trace = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(ss_grad)
     rng_trace = np.random.default_rng(ss_trace)
@@ -275,6 +296,7 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
     theta = np.zeros(problem.dim)
     theta_sum = np.zeros(problem.dim)
     rec_t, rec_obj, rec_vhat, rec_cost = [], [], [], []
+    grad_batch, project = problem.grad_batch, problem.project
     for t in range(1, iterations + 1):
         if iterate_hook is not None:
             iterate_hook(t, theta)
@@ -295,8 +317,8 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
             rate = learning_rate * 2.0 ** (-((t - 1) // lr_halving_period))
         else:
             rate = learning_rate
-        grad = problem.grad_batch(theta, rng, minibatch)
-        theta = problem.project(theta - rate * grad)
+        grad = grad_batch(theta, rng, minibatch)
+        theta = project(theta - rate * grad)
     theta_hat = theta_sum / iterations
     return RunTrace(iterations=np.asarray(rec_t, dtype=np.int64),
                     objective=np.asarray(rec_obj),

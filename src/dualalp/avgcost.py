@@ -106,7 +106,7 @@ def project_theta_avg(theta: np.ndarray, radius: float,
     in_plane_sq = _in_plane_radius_sq(radius, sum_target, dim)
     center = sum_target / dim
     deviation = theta - (theta.sum() / dim)  # onto the plane, then around its center
-    norm_sq = float(deviation @ deviation)
+    norm_sq = float(deviation.dot(deviation))
     if norm_sq > in_plane_sq:
         deviation *= math.sqrt(in_plane_sq / norm_sq)
     deviation += center

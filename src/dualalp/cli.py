@@ -25,7 +25,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import avgcost, discounted, fixtures, queueing
-from ._sgd import check_radius
+from ._sgd import check_halving_period, check_radius
 from .errors import (CapacityError, ConfigError, ConvergenceError, DualAlpError,
                      InputShapeError, SamplingSupportError)
 from .features import make_norm_proportional_sampling, make_uniform_sampling
@@ -79,7 +79,8 @@ SAMPLING_SCHEMES = {
         model, fs, kappa),
 }
 EVAL_DEFAULTS = {"mode": "none", "horizon": 20000, "burn_in": 2000, "reps": 3}
-META_DEFAULTS = {"violation_bound": 1.0, "selection_weight": 1.0}
+META_DEFAULTS = {"violation_bound": 1.0, "selection_weight": 1.0,
+                 "max_iterations_per_point": None}
 BENCH_DEFAULTS = {
     "penalty": 2.0,
     "minibatch": 1000,
@@ -153,6 +154,20 @@ def _resolve_eval(config: dict) -> dict:
                           f"{section['burn_in']} and horizon {section['horizon']}")
     if section["reps"] < 1:
         raise ConfigError("eval.reps must be >= 1")
+    return section
+
+
+def _resolve_meta(config: dict, mode: str) -> dict:
+    """The meta section, checked before any model is built. Only the
+    discounted meta-algorithm takes a per-point iteration cap."""
+    section = _resolve_section(config, "meta", META_DEFAULTS)
+    cap = section["max_iterations_per_point"]
+    if cap is not None:
+        if type(cap) is not int or cap < 1:
+            raise ConfigError(
+                f"meta.max_iterations_per_point must be null or a positive integer, got {cap!r}")
+        if mode != "meta-disc":
+            raise ConfigError(f"meta.max_iterations_per_point is a meta-disc key, not {mode}")
     return section
 
 
@@ -328,7 +343,8 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
     make_objective, meta_run = SOLVER_MODES[mode]
     solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
     check_radius(solver["radius"], ConfigError)
-    meta = _resolve_section(config, "meta", META_DEFAULTS) if meta_run else None
+    check_halving_period(solver["lr_halving_period"], ConfigError)
+    meta = _resolve_meta(config, mode) if meta_run else None
     eval_cfg = _resolve_eval(config)
     model, spec, problem_cfg = _resolve_problem(config)
     _check_simulated_problem(eval_cfg, spec)
@@ -341,13 +357,15 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
     hook = _make_eval_hook(eval_cfg, model, spec, gamma=objective.gamma, alpha=objective.alpha)
     if meta_run:
         resolved["meta"] = meta
+        cap = meta["max_iterations_per_point"]  # not None only for meta-disc
         result = objective.meta_solve(
             model, fs, sampler, violation_bound=meta["violation_bound"],
             selection_weight=meta["selection_weight"], tolerance=solver["tolerance"],
             failure_prob=solver["failure_prob"], seed=int(solver["seed"]),
             radius=solver["radius"], learning_rate=solver["learning_rate"],
             minibatch=int(solver["minibatch"]), trace_stride=stride, eval_hook=hook,
-            **objective.meta_args)
+            **objective.meta_args,
+            **({} if cap is None else {"max_iterations_per_point": cap}))
         for k, trace in enumerate(result.traces):
             trace.write_csv(out_dir / f"trace_{k:03d}.csv")
         iterations = int(result.iterations_per_point.sum())
@@ -381,6 +399,7 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
     spec, loss_iv, comp_iv = QUEUE_PRESETS[preset]
     bench = _resolve_section(config, "bench", BENCH_DEFAULTS)
     check_radius(bench["radius"], ConfigError)
+    check_halving_period(bench["lr_halving_period"], ConfigError)
     build_sampler = _sampler_builder(bench["sampling"])
     eval_cfg = _resolve_eval(config)
     resolved = {"problem": {"queue_preset": preset}, "bench": bench, "eval": eval_cfg}

@@ -89,10 +89,13 @@ def subgradient_estimate_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPai
 
 
 def project_theta_disc(theta: np.ndarray, radius: float) -> np.ndarray:
-    """Radial shrink onto the ball of the given radius."""
+    """Radial shrink onto the ball of the given radius.
+
+    For a float vector ``np.linalg.norm`` is ``sqrt(theta.dot(theta))``; the
+    same two operations, called directly, give the same bits faster."""
     check_radius(radius)
     theta = np.asarray(theta, dtype=float)
-    norm = float(np.linalg.norm(theta))
+    norm = math.sqrt(theta.dot(theta))
     if norm <= radius:
         return theta
     return theta * (radius / norm)

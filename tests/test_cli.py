@@ -339,6 +339,67 @@ def test_bench_numeric_fields_type_checked(tmp_path, monkeypatch, capsys, bench)
     assert f"config error: bench.{name} must be a number, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode", ["solve-avg", "solve-disc", "meta-disc"])
+@pytest.mark.parametrize("period", [-5, 0, 2.5, True],
+                         ids=["negative", "zero", "fraction", "bool"])
+def test_solver_halving_period_checked_before_model(tmp_path, monkeypatch, capsys, mode,
+                                                    period):
+    # a negative period ran to completion at a rate doubled every period
+    monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    cfg = base_config(tmp_path, lr_halving_period=period)
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert (f"config error: lr_halving_period must be null or a positive integer, "
+            f"got {period!r}") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("period", [-5, 0, 2.5], ids=["negative", "zero", "fraction"])
+def test_bench_halving_period_checked_before_model(tmp_path, monkeypatch, capsys, period):
+    monkeypatch.setattr(cli.queueing, "build_mdp", _no_model)
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"bench": {"lr_halving_period": period}}))
+    assert main(["bench-queue", "--preset", "desk", "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert "config error: lr_halving_period must be null" in capsys.readouterr().err
+
+
+def _meta_config(tmp_path, **meta):
+    cfg = base_config(tmp_path, tolerance=0.8, failure_prob=0.2)
+    doc = json.loads(cfg.read_text())
+    doc["meta"] = {"violation_bound": 1.0, "selection_weight": 1.0, **meta}
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+@pytest.mark.parametrize("cap", [0, -3, 2.5, True, "500"],
+                         ids=["zero", "negative", "fraction", "bool", "string"])
+def test_meta_iteration_cap_checked_before_model(tmp_path, monkeypatch, capsys, cap):
+    monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    cfg = _meta_config(tmp_path, max_iterations_per_point=cap)
+    assert main(["meta-disc", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert ("config error: meta.max_iterations_per_point must be null or a positive "
+            f"integer, got {cap!r}") in capsys.readouterr().err
+
+
+def test_meta_avg_rejects_iteration_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    cfg = _meta_config(tmp_path, max_iterations_per_point=500)
+    assert main(["meta-avg", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert ("config error: meta.max_iterations_per_point is a meta-disc key"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("mode, cap", [("meta-avg", None), ("meta-disc", None),
+                                       ("meta-disc", 500)])
+def test_meta_summary_echoes_iteration_cap(tmp_path, mode, cap):
+    out = tmp_path / "out"
+    cfg = _meta_config(tmp_path, max_iterations_per_point=cap)
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+    summary = read_summary(out)
+    assert summary["config"]["meta"]["max_iterations_per_point"] == cap
+    if cap is not None:
+        assert max(summary["result"]["iterations_per_point"]) == cap
+
+
 def test_numeric_fields_keep_their_named_alternatives():
     # the solver resolves "auto" and treats a null period as no halving
     extra = {"learning_rate": "auto", "lr_halving_period": None, "radius": 3}
@@ -376,6 +437,8 @@ def _library_theta(mode, summary):
                          tolerance=s["tolerance"], failure_prob=s["failure_prob"],
                          seed=s["seed"], radius=s["radius"],
                          learning_rate=s["learning_rate"], minibatch=s["minibatch"])
+        if meta["max_iterations_per_point"] is not None:
+            meta_args["max_iterations_per_point"] = meta["max_iterations_per_point"]
     if mode == "solve-avg":
         cfg = avgcost.AvgSolverConfig(sum_target=s["sum_target"], **run_args)
         return avgcost.sgd_solve_avg(model, fs, make_uniform_sampling(model, fs, 1.0),
@@ -409,16 +472,21 @@ QUARTER_DIST = [0.1, 0.2, 0.3, 0.4]
                   "sum_target": 0.5}),
     ("meta-disc", {"tolerance": 0.8, "failure_prob": 0.2, "discount": 0.5,
                    "initial_dist": QUARTER_DIST, "enforce_sum_constraint": True}),
+    ("meta-disc", {"tolerance": 0.8, "failure_prob": 0.2, "discount": 0.8,
+                   "max_iterations_per_point": 500}),
 ], ids=["solve-avg-mb4", "solve-avg", "solve-disc", "solve-disc-enforce-mb4",
-        "meta-avg-mb4", "meta-disc-enforce"])
+        "meta-avg-mb4", "meta-disc-enforce", "meta-disc-cap"])
 def test_cli_theta_matches_library(tmp_path, mode, solver):
-    """The runner hands every resolved solver key to the library unchanged."""
+    """The runner hands every resolved solver and meta key to the library
+    unchanged."""
+    solver = dict(solver)  # a case's meta key rides in its solver dict
+    meta = {"max_iterations_per_point": solver.pop("max_iterations_per_point", None)}
     doc = {"problem": {"mdp_path": str(DATA / "mdp4.json")},
            "features": {"path": str(DATA / "features3.json")},
            "solver": {"penalty": 2.0, "radius": 1.5, "iterations": 200, "seed": 7,
                       **solver}}
     if mode.startswith("meta"):
-        doc["meta"] = {"violation_bound": 1.0, "selection_weight": 1.0}
+        doc["meta"] = {"violation_bound": 1.0, "selection_weight": 1.0, **meta}
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"

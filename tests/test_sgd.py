@@ -1,0 +1,190 @@
+"""The single-draw SGD step against its straightforward per-step form, and
+the checks on the learning-rate halving period.
+
+``make_buffered_grad`` and ``project_theta_disc`` compute their values from
+per-block precomputed terms and direct ``ndarray.dot`` calls; the reference
+forms below do the same arithmetic one step at a time, and every value must
+agree bit for bit.
+"""
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dualalp._sgd import (GRAD_BLOCK, SgdProblem, Surrogate, draw, make_buffered_grad,
+                          run_projected_sgd)
+from dualalp.avgcost import AvgSolverConfig
+from dualalp.discounted import DiscSolverConfig, project_theta_disc
+from dualalp.errors import ParameterError
+from dualalp.features import make_norm_proportional_sampling, make_uniform_sampling
+from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
+
+from conftest import random_features, random_mdp
+
+DATA = Path(__file__).parent / "data"
+CALLS = 3 * GRAD_BLOCK + 1  # three full blocks and the first step of a fourth
+
+
+def reference_buffered_grad(surrogate, sp, penalty, branches):
+    """The per-step estimator: one dict-buffered closure that evaluates every
+    term at its step. ``branches`` counts the terms each step took."""
+    loss_phi = surrogate.fs.loss_phi
+    block = GRAD_BLOCK
+    buf = {"pos": block}
+
+    def refill(rng):
+        pairs, states = draw(sp, rng, block)
+        buf["q_pair"], buf["rows"] = surrogate.gather(sp, pairs, dense=True)
+        buf["q_state"], buf["drift"] = surrogate.gather(sp, states, states=True)
+        buf["occ0"], buf["res0"] = surrogate.occ_base[pairs], surrogate.res_base[states]
+        buf["pos"] = 0
+
+    def grad(theta, rng, m):
+        if buf["pos"] >= block:
+            refill(rng)
+        i = buf["pos"]
+        buf["pos"] = i + 1
+        row = buf["rows"][i]
+        drift = buf["drift"][i]
+        g = loss_phi.copy()
+        if buf["occ0"][i] + row @ theta < 0.0:
+            branches["negativity"] += 1
+            g -= (penalty / buf["q_pair"][i]) * row
+        else:
+            branches["no negativity"] += 1
+        resid = drift @ theta + buf["res0"][i]
+        if resid > 0.0:
+            branches["residual > 0"] += 1
+            g += (penalty / buf["q_state"][i]) * drift
+        elif resid < 0.0:
+            branches["residual < 0"] += 1
+            g -= (penalty / buf["q_state"][i]) * drift
+        else:
+            branches["residual = 0"] += 1
+        return g
+
+    return grad
+
+
+def reference_project_disc(theta, radius):
+    theta = np.asarray(theta, dtype=float)
+    norm = float(np.linalg.norm(theta))
+    if norm <= radius:
+        return theta
+    return theta * (radius / norm)
+
+
+def same_bits(a, b):
+    """Equal values (np.array_equal) and equal bits, signed zeros included."""
+    return np.array_equal(a, b) and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _fixture_instance():
+    model = load_mdp_fixture(DATA / "mdp4.json")
+    return model, load_feature_fixture(DATA / "features3.json", model)
+
+
+def _dirichlet_instance():
+    rng = np.random.default_rng(2024)
+    model = random_mdp(rng, 6, 2)
+    return model, random_features(rng, model, 3, density=0.7, signed=True, normalize=True)
+
+
+def _surrogates(model, fs):
+    """(name, surrogate, sampler): both objectives, each with another sampler."""
+    gamma = 0.85
+    return [("average cost", Surrogate.average_cost(model, fs),
+             make_uniform_sampling(model, fs, 1.0)),
+            ("discounted", Surrogate.discounted(model, fs, gamma, None),
+             make_norm_proportional_sampling(model, fs, gamma))]
+
+
+@pytest.mark.parametrize("instance", [_fixture_instance, _dirichlet_instance],
+                         ids=["tests-data", "dirichlet-6"])
+def test_buffered_grad_matches_per_step_reference(instance):
+    model, fs = instance()
+    loss_phi = fs.loss_phi.copy()
+    branches = Counter()
+    for name, surrogate, sampler in _surrogates(model, fs):
+        penalty = 1.7
+        grad = make_buffered_grad(surrogate, sampler, penalty)
+        reference = reference_buffered_grad(surrogate, sampler, penalty, branches)
+        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+        thetas = np.random.default_rng(6)
+        for call in range(CALLS):
+            # theta = 0 every fifth call: the average-cost residual is then exactly 0
+            theta = np.zeros(fs.dim) if call % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
+            g, expected = grad(theta, rng, 1), reference(theta, rng_ref, 1)
+            assert same_bits(g, expected), (name, call)
+            assert g.base is None and not np.shares_memory(g, fs.loss_phi)
+            g *= -3.0  # the caller owns the gradient
+            np.testing.assert_array_equal(fs.loss_phi, loss_phi)
+        assert rng.random() == rng_ref.random()  # the same draws were taken
+    assert set(branches) == {"negativity", "no negativity", "residual > 0",
+                             "residual < 0", "residual = 0"}
+
+
+@pytest.mark.parametrize("dim", [1, 3, 170])
+def test_project_disc_matches_norm_form(dim):
+    rng = np.random.default_rng(dim)
+    binds = 0
+    for _ in range(10_000):
+        radius = float(rng.uniform(0.1, 3.0))
+        theta = rng.normal(size=dim) * float(rng.lognormal(0.0, 1.0)) / np.sqrt(dim)
+        projected = project_theta_disc(theta, radius)
+        expected = reference_project_disc(theta, radius)
+        assert same_bits(projected, expected)
+        binds += projected is not theta
+    assert 0 < binds < 10_000
+
+
+@pytest.mark.parametrize("theta, radius", [
+    ([3.0, 4.0], 5.0),        # exactly on the sphere: returned unchanged
+    ([0.0, 0.0, 0.0], 1.0),   # zero
+    ([1e200, -1e200, 1e200], 1.0),  # the dot product overflows to inf
+    ([1e200], 2.0),
+], ids=["on-sphere", "zero", "overflow", "overflow-1d"])
+def test_project_disc_edge_cases_match_norm_form(theta, radius):
+    theta = np.asarray(theta)
+    with np.errstate(over="ignore"):  # both forms warn alike on the overflow
+        projected = project_theta_disc(theta, radius)
+        assert same_bits(projected, reference_project_disc(theta, radius))
+        assert (projected is theta) == (np.linalg.norm(theta) <= radius)
+
+
+# ------------------------------------------------------ learning-rate halving
+
+BAD_PERIODS = [-5, 0, 2.5, True, "50"]
+BAD_PERIOD_IDS = ["negative", "zero", "fraction", "bool", "string"]
+
+
+def _config(config_cls, **kwargs):
+    extra = {"discount": 0.9} if config_cls is DiscSolverConfig else {}
+    return config_cls(penalty=1.0, radius=2.0, iterations=10, **extra, **kwargs)
+
+
+@pytest.mark.parametrize("config_cls", [AvgSolverConfig, DiscSolverConfig])
+@pytest.mark.parametrize("period", BAD_PERIODS, ids=BAD_PERIOD_IDS)
+def test_solver_configs_reject_bad_halving_period(config_cls, period):
+    # a negative period doubled the rate every period instead of halving it
+    with pytest.raises(ParameterError, match="lr_halving_period must be null or a positive"):
+        _config(config_cls, lr_halving_period=period)
+
+
+@pytest.mark.parametrize("config_cls", [AvgSolverConfig, DiscSolverConfig])
+@pytest.mark.parametrize("period", [None, 1, 50])
+def test_solver_configs_accept_halving_period(config_cls, period):
+    assert _config(config_cls, lr_halving_period=period).lr_halving_period == period
+
+
+@pytest.mark.parametrize("period", BAD_PERIODS, ids=BAD_PERIOD_IDS)
+def test_run_projected_sgd_rejects_bad_halving_period(period):
+    problem = SgdProblem(dim=1, loss_phi=np.ones(1), objective_offset=0.0,
+                         grad_batch=lambda theta, rng, m: np.ones(1),
+                         project=lambda theta: theta,
+                         violation_estimate=lambda theta, rng: 0.0,
+                         make_policy=lambda theta: None)
+    with pytest.raises(ParameterError, match="lr_halving_period"):
+        run_projected_sgd(problem, iterations=5, learning_rate=0.1, seed=0,
+                          lr_halving_period=period)
