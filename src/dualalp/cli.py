@@ -54,23 +54,53 @@ EXIT_CODES = (
 
 SEED_ENV_VAR = "DUALALP_SEED"
 
-SOLVER_DEFAULTS = {
-    "penalty": 1.0,
-    "radius": 2.0,
-    "iterations": 1000,
-    "learning_rate": "auto",
-    "lr_halving_period": None,
-    "minibatch": 1,
-    "tolerance": 0.05,
-    "failure_prob": 0.1,
-    "seed": 0,
-    "sum_target": 1.0,
-    "discount": 0.9,
-    "initial_dist": "uniform",
-    "enforce_sum_constraint": False,
-    "trace_violation_samples": 64,
-}
-SAMPLING_DEFAULTS = {"scheme": "uniform"}
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _rule(what: str, ok: Callable, numeric: bool = True) -> Callable:
+    """A table row's check(name, value), which raises ConfigError unless
+    ok(value) holds; a numeric rule first needs a number."""
+    def check(name: str, value) -> None:
+        if numeric and not _is_number(value):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not ok(value):
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return check
+
+
+def _one_of(*choices) -> Callable:
+    return _rule(f"one of {list(choices)}", lambda v: v in choices, numeric=False)
+
+
+_number = _rule("a number", lambda v: True)
+_positive = _rule("positive", lambda v: v > 0)
+_fraction = _rule("in (0, 1)", lambda v: 0 < v < 1)
+_positive_int = _rule("a positive integer", lambda v: type(v) is int and v >= 1)
+_nonnegative_int = _rule("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_cap = _rule("null or a positive integer",
+             lambda v: v is None or (type(v) is int and v >= 1), numeric=False)
+_flag = _rule("true or false", lambda v: type(v) is bool, numeric=False)
+_path = _rule("null or a file path", lambda v: v is None or isinstance(v, str), numeric=False)
+_distribution = _rule('"uniform", null or a list of numbers', lambda v: v in ("uniform", None)
+                      or (isinstance(v, list) and all(map(_is_number, v))), numeric=False)
+
+
+def _rate(name: str, value) -> None:
+    if value != "auto":
+        _positive(name, value)
+
+
+def _radius(name: str, value) -> None:
+    _number(name, value)
+    check_radius(value, ConfigError)  # the solvers' own rule and message
+
+
+def _halving(name: str, value) -> None:
+    check_halving_period(value, ConfigError)  # the solvers' own rule and message
+
+
 # scheme -> sampler builder(model, fs, kappa); the builders are looked up in
 # this module when a run starts, so wrappers installed here see the call
 SAMPLING_SCHEMES = {
@@ -78,23 +108,50 @@ SAMPLING_SCHEMES = {
     "norm-proportional": lambda model, fs, kappa: make_norm_proportional_sampling(
         model, fs, kappa),
 }
-EVAL_DEFAULTS = {"mode": "none", "horizon": 20000, "burn_in": 2000, "reps": 3}
-META_DEFAULTS = {"violation_bound": 1.0, "selection_weight": 1.0,
-                 "max_iterations_per_point": None}
+
+SOLVER_DEFAULTS = {
+    "penalty": (1.0, _positive),
+    "radius": (2.0, _radius),
+    "iterations": (1000, _positive_int),
+    "learning_rate": ("auto", _rate),
+    "lr_halving_period": (None, _halving),
+    "minibatch": (1, _positive_int),
+    "tolerance": (0.05, _positive),
+    "failure_prob": (0.1, _fraction),
+    "seed": (0, _nonnegative_int),
+    "sum_target": (1.0, _number),
+    "discount": (0.9, _fraction),
+    "initial_dist": ("uniform", _distribution),
+    "enforce_sum_constraint": (False, _flag),
+    "trace_violation_samples": (64, _positive_int),
+}
+SAMPLING_DEFAULTS = {"scheme": ("uniform", _one_of(*SAMPLING_SCHEMES))}
+# null: a queue problem builds its preset's features
+_FEATURES_DEFAULTS = {"path": (None, _path)}
+EVAL_DEFAULTS = {
+    "mode": ("none", _one_of("none", "exact", "simulated")),
+    "horizon": (20000, _positive_int),
+    "burn_in": (2000, _nonnegative_int),
+    "reps": (3, _positive_int),
+}
+META_DEFAULTS = {
+    "violation_bound": (1.0, _positive),
+    "selection_weight": (1.0, _positive),
+    "max_iterations_per_point": (None, _cap),  # meta-disc only
+}
 BENCH_DEFAULTS = {
-    "penalty": 2.0,
-    "minibatch": 1000,
-    "learning_rate": 1e-4,
-    "lr_halving_period": 2000,
-    "iterations": 20000,
-    "radius": 2.0,
-    "seed": 0,
-    "trace_stride": None,
-    "sampling": "norm-proportional",
+    "penalty": (2.0, _positive),
+    "minibatch": (1000, _positive_int),
+    "learning_rate": (1e-4, _rate),
+    "lr_halving_period": (2000, _halving),
+    "iterations": (20000, _positive_int),
+    "radius": (2.0, _radius),
+    "seed": (0, _nonnegative_int),
+    "sampling": ("norm-proportional", _one_of(*SAMPLING_SCHEMES)),
     # baseline occupancy: start from the better heuristic and let the solver
     # adjust within zero-sum feature directions ("zero" starts from scratch
     # with the sum-one constraint instead)
-    "mu0": "LBFS",
+    "mu0": ("LBFS", _one_of("LONGER", "LBFS", "zero", None)),
 }
 
 QUEUE_PRESETS = {
@@ -105,28 +162,17 @@ QUEUE_PRESETS = {
 }
 
 
-# the values other than numbers that a key with a numeric default may take
-NON_NUMERIC_VALUES = {"learning_rate": ("auto",), "lr_halving_period": (None,)}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _resolve_section(config: dict, key: str, defaults: dict) -> dict:
-    """The defaults updated by the config's section. A key whose default is a
-    number must get a number; other keys are checked where they are used."""
-    section = dict(defaults)
-    extra = config.get(key) or {}
-    unknown = set(extra) - set(defaults)
+def _resolve_section(config: dict, section: str, table: dict) -> dict:
+    """The table's defaults updated by the config's section; checks every value."""
+    values = config.get(section) or {}
+    unknown = set(values) - set(table)
     if unknown:
-        raise ConfigError(f"unknown keys in config section {key!r}: {sorted(unknown)}")
-    for name, value in extra.items():
-        if (_is_number(defaults[name]) and not _is_number(value)
-                and value not in NON_NUMERIC_VALUES.get(name, ())):
-            raise ConfigError(f"{key}.{name} must be a number, got {value!r}")
-    section.update(extra)
-    return section
+        raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
+    resolved = {}
+    for key, (default, check) in table.items():
+        resolved[key] = values.get(key, default)
+        check(f"{section}.{key}", resolved[key])
+    return resolved
 
 
 def _load_config(path: str | None) -> dict:
@@ -142,32 +188,11 @@ def _load_config(path: str | None) -> dict:
 
 
 def _resolve_eval(config: dict) -> dict:
-    """The eval section, checked before any model is built."""
+    """The eval section, with its one rule across keys."""
     section = _resolve_section(config, "eval", EVAL_DEFAULTS)
-    if section["mode"] not in ("none", "exact", "simulated"):
-        raise ConfigError(f"eval.mode {section['mode']!r} is not none, exact or simulated")
-    for key in ("horizon", "burn_in", "reps"):
-        if type(section[key]) is not int:
-            raise ConfigError(f"eval.{key} must be an integer, got {section[key]!r}")
-    if not 0 <= section["burn_in"] < section["horizon"]:
-        raise ConfigError(f"eval needs 0 <= burn_in < horizon, got burn_in "
+    if not section["burn_in"] < section["horizon"]:
+        raise ConfigError(f"eval needs burn_in < horizon, got burn_in "
                           f"{section['burn_in']} and horizon {section['horizon']}")
-    if section["reps"] < 1:
-        raise ConfigError("eval.reps must be >= 1")
-    return section
-
-
-def _resolve_meta(config: dict, mode: str) -> dict:
-    """The meta section, checked before any model is built. Only the
-    discounted meta-algorithm takes a per-point iteration cap."""
-    section = _resolve_section(config, "meta", META_DEFAULTS)
-    cap = section["max_iterations_per_point"]
-    if cap is not None:
-        if type(cap) is not int or cap < 1:
-            raise ConfigError(
-                f"meta.max_iterations_per_point must be null or a positive integer, got {cap!r}")
-        if mode != "meta-disc":
-            raise ConfigError(f"meta.max_iterations_per_point is a meta-disc key, not {mode}")
     return section
 
 
@@ -192,46 +217,15 @@ def _resolve_problem(config: dict):
     raise ConfigError("config needs problem.mdp_path or problem.queue_preset")
 
 
-def _resolve_features(config: dict, model, spec):
-    features = config.get("features") or {}
-    if "path" in features:
-        return fixtures.load_feature_fixture(features["path"], model), {"path": features["path"]}
-    if spec is not None:
-        builder = features.get("queue_builder") or {}
-        preset = (config.get("problem") or {}).get("queue_preset", "desk")
-        _, loss_iv, comp_iv = QUEUE_PRESETS[preset]
-        loss_iv = [tuple(p) for p in builder.get("loss_intervals", loss_iv)]
-        comp_iv = [tuple(p) for p in builder.get("component_intervals", comp_iv)]
-        heuristics = tuple(builder.get("heuristics", ("LONGER", "LBFS")))
-        fs, dropped = queueing.build_features(
-            spec, model=model, heuristics=heuristics, loss_intervals=loss_iv,
-            component_intervals=comp_iv,
-            normalize=bool(builder.get("normalize", True)))
-        resolved = {"queue_builder": {"loss_intervals": [list(p) for p in loss_iv],
-                                      "component_intervals": [list(p) for p in comp_iv],
-                                      "heuristics": list(heuristics),
-                                      "normalize": bool(builder.get("normalize", True)),
-                                      "dropped_columns": len(dropped)}}
-        return fs, resolved
-    raise ConfigError("config needs features.path (or a queue problem for the builder)")
-
-
-def _sampler_builder(scheme: str):
-    if scheme not in SAMPLING_SCHEMES:
-        raise ConfigError(f"unknown sampling scheme {scheme!r}")
-    return SAMPLING_SCHEMES[scheme]
-
-
-def _resolve_sampling(config: dict, model, fs, kappa: float):
-    sampling = _resolve_section(config, "sampling", SAMPLING_DEFAULTS)
-    return _sampler_builder(sampling["scheme"])(model, fs, kappa), sampling
-
-
-def _resolve_initial_dist(solver: dict):
-    spec = solver.get("initial_dist", "uniform")
-    if spec == "uniform" or spec is None:
-        return None
-    return np.asarray(spec, dtype=float)
+def _build_features(features: dict, model, spec, problem: dict):
+    """The feature fixture at features.path, else the queue preset's features."""
+    if features["path"] is not None:
+        return fixtures.load_feature_fixture(features["path"], model)
+    if spec is None:
+        raise ConfigError("config needs features.path (or a queue problem)")
+    _, loss_iv, comp_iv = QUEUE_PRESETS[problem["queue_preset"]]
+    return queueing.build_features(spec, model=model, loss_intervals=loss_iv,
+                                   component_intervals=comp_iv)[0]
 
 
 def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
@@ -314,10 +308,10 @@ def _avg_objective(model, fs, solver: dict) -> _Objective:
 
 
 def _disc_objective(model, fs, solver: dict) -> _Objective:
-    gamma = float(solver["discount"])
-    alpha = _resolve_initial_dist(solver)
-    enforce = bool(solver["enforce_sum_constraint"])
-    if enforce and 0.0 < gamma < 1.0:  # the solver rejects every other discount
+    gamma, enforce = solver["discount"], solver["enforce_sum_constraint"]
+    alpha = None if solver["initial_dist"] in ("uniform", None) else np.asarray(
+        solver["initial_dist"], dtype=float)
+    if enforce:
         avgcost._in_plane_radius_sq(solver["radius"], 1.0 / (1.0 - gamma), fs.dim, ConfigError)
     return _Objective(
         gamma, gamma, alpha, discounted.DiscSolverConfig,
@@ -325,7 +319,7 @@ def _disc_objective(model, fs, solver: dict) -> _Objective:
         discounted.sgd_solve_disc, discounted.meta_solve_disc,
         {"gamma": gamma, "alpha": alpha, "enforce_sum_constraint": enforce},
         lambda theta: discounted.violations_exact_disc(model, fs, gamma, alpha, theta),
-        {"discount": gamma, "alpha_spec": solver.get("initial_dist", "uniform")})
+        {"discount": gamma, "alpha_spec": solver["initial_dist"]})
 
 
 # mode -> (objective, whether the run is a penalty-grid meta run)
@@ -342,28 +336,34 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
     average-cost (*-avg) or discounted (*-disc) surrogate."""
     make_objective, meta_run = SOLVER_MODES[mode]
     solver = _resolve_section(config, "solver", SOLVER_DEFAULTS)
-    check_radius(solver["radius"], ConfigError)
-    check_halving_period(solver["lr_halving_period"], ConfigError)
-    meta = _resolve_meta(config, mode) if meta_run else None
+    sampling = _resolve_section(config, "sampling", SAMPLING_DEFAULTS)
+    features = _resolve_section(config, "features", _FEATURES_DEFAULTS)
+    stride = config.get("trace_stride")  # a top-level key, which --trace-stride sets
+    _cap("trace_stride", stride)
     eval_cfg = _resolve_eval(config)
-    model, spec, problem_cfg = _resolve_problem(config)
+    resolved = {"features": features, "sampling": sampling, "solver": solver,
+                "trace_stride": stride, "eval": eval_cfg}
+    if meta_run:
+        meta = resolved["meta"] = _resolve_section(config, "meta", META_DEFAULTS)
+        cap = meta["max_iterations_per_point"]
+        if cap is not None and mode != "meta-disc":
+            raise ConfigError(f"meta.max_iterations_per_point is a meta-disc key, not {mode}")
+        # meta summaries do not echo the solver keys that only solve-* runs read
+        resolved["solver"] = {key: value for key, value in solver.items() if key not in (
+            "penalty", "iterations", "lr_halving_period", "trace_violation_samples")}
+    model, spec, resolved["problem"] = _resolve_problem(config)
     _check_simulated_problem(eval_cfg, spec)
-    fs, features_cfg = _resolve_features(config, model, spec)
+    fs = _build_features(features, model, spec, resolved["problem"])
     objective = make_objective(model, fs, solver)
-    sampler, sampling_cfg = _resolve_sampling(config, model, fs, kappa=objective.kappa)
-    stride = config.get("trace_stride")
-    resolved = {"problem": problem_cfg, "features": features_cfg, "sampling": sampling_cfg,
-                "solver": solver, "trace_stride": stride, "eval": eval_cfg}
+    sampler = SAMPLING_SCHEMES[sampling["scheme"]](model, fs, objective.kappa)
     hook = _make_eval_hook(eval_cfg, model, spec, gamma=objective.gamma, alpha=objective.alpha)
     if meta_run:
-        resolved["meta"] = meta
-        cap = meta["max_iterations_per_point"]  # not None only for meta-disc
         result = objective.meta_solve(
             model, fs, sampler, violation_bound=meta["violation_bound"],
             selection_weight=meta["selection_weight"], tolerance=solver["tolerance"],
-            failure_prob=solver["failure_prob"], seed=int(solver["seed"]),
+            failure_prob=solver["failure_prob"], seed=solver["seed"],
             radius=solver["radius"], learning_rate=solver["learning_rate"],
-            minibatch=int(solver["minibatch"]), trace_stride=stride, eval_hook=hook,
+            minibatch=solver["minibatch"], trace_stride=stride, eval_hook=hook,
             **objective.meta_args,
             **({} if cap is None else {"max_iterations_per_point": cap}))
         for k, trace in enumerate(result.traces):
@@ -373,11 +373,11 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
     else:
         cfg = objective.config_cls(
             penalty=solver["penalty"], radius=solver["radius"],
-            iterations=int(solver["iterations"]), learning_rate=solver["learning_rate"],
-            lr_halving_period=solver["lr_halving_period"], minibatch=int(solver["minibatch"]),
+            iterations=solver["iterations"], learning_rate=solver["learning_rate"],
+            lr_halving_period=solver["lr_halving_period"], minibatch=solver["minibatch"],
             tolerance=solver["tolerance"], failure_prob=solver["failure_prob"],
-            seed=int(solver["seed"]), trace_stride=stride,
-            trace_violation_samples=int(solver["trace_violation_samples"]),
+            seed=solver["seed"], trace_stride=stride,
+            trace_violation_samples=solver["trace_violation_samples"],
             **objective.config_args)
         trace = objective.sgd_solve(model, fs, sampler, cfg, eval_hook=hook)
         trace.write_csv(out_dir / "trace.csv")
@@ -398,18 +398,18 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
         raise ConfigError(f"unknown queue preset {preset!r}")
     spec, loss_iv, comp_iv = QUEUE_PRESETS[preset]
     bench = _resolve_section(config, "bench", BENCH_DEFAULTS)
-    check_radius(bench["radius"], ConfigError)
-    check_halving_period(bench["lr_halving_period"], ConfigError)
-    build_sampler = _sampler_builder(bench["sampling"])
+    stride = config.get("trace_stride")  # a top-level key, which --trace-stride sets
+    _cap("trace_stride", stride)
     eval_cfg = _resolve_eval(config)
-    resolved = {"problem": {"queue_preset": preset}, "bench": bench, "eval": eval_cfg}
+    resolved = {"problem": {"queue_preset": preset}, "bench": bench, "trace_stride": stride,
+                "eval": eval_cfg}
     if preset == "paper":
         results = {}
         for kind in ("LONGER", "LBFS"):
             policy = queueing.heuristic_policy(spec, kind)
             mean, std = queueing.evaluate_policy_simulated(
                 spec, policy, eval_cfg["horizon"], eval_cfg["burn_in"],
-                eval_cfg["reps"], seed=int(bench["seed"]))
+                eval_cfg["reps"], seed=bench["seed"])
             results[kind] = {"simulated_loss": mean, "std": std}
         return _write_summary(out_dir, "bench-queue", resolved, bench["seed"], 0,
                               {"baselines": results, "solved": None})
@@ -417,20 +417,17 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
     if bench["mu0"] in ("LONGER", "LBFS"):
         mu0 = stationary_state_action(model, queueing.heuristic_policy(spec, bench["mu0"]))
         sum_target = 0.0  # mu0 already carries the unit mass
-    elif bench["mu0"] in ("zero", None):
+    else:  # "zero" or null
         mu0, sum_target = None, 1.0
-    else:
-        raise ConfigError(f"unknown bench mu0 {bench['mu0']!r}")
     fs, dropped = queueing.build_features(spec, model=model, loss_intervals=loss_iv,
                                           component_intervals=comp_iv, mu0=mu0)
     avgcost._in_plane_radius_sq(bench["radius"], sum_target, fs.dim, ConfigError)
-    sampler = build_sampler(model, fs, 1.0)
+    sampler = SAMPLING_SCHEMES[bench["sampling"]](model, fs, 1.0)
     cfg = avgcost.AvgSolverConfig(
         penalty=bench["penalty"], radius=bench["radius"],
-        iterations=int(bench["iterations"]), learning_rate=bench["learning_rate"],
-        lr_halving_period=bench["lr_halving_period"], minibatch=int(bench["minibatch"]),
-        seed=int(bench["seed"]), sum_target=sum_target,
-        trace_stride=bench["trace_stride"])
+        iterations=bench["iterations"], learning_rate=bench["learning_rate"],
+        lr_halving_period=bench["lr_halving_period"], minibatch=bench["minibatch"],
+        seed=bench["seed"], sum_target=sum_target, trace_stride=stride)
     trace = avgcost.sgd_solve_avg(model, fs, sampler, cfg)
     trace.write_csv(out_dir / "trace.csv")
     baselines = {}
@@ -456,7 +453,8 @@ def run_eval_policy(config: dict, out_dir: Path) -> dict:
         policy = queueing.heuristic_policy(spec, policy_cfg["heuristic"])
         label = policy_cfg["heuristic"]
     elif "theta" in policy_cfg:
-        fs, _ = _resolve_features(config, model, spec)
+        features = _resolve_section(config, "features", _FEATURES_DEFAULTS)
+        fs = _build_features(features, model, spec, problem_cfg)
         theta = np.asarray(policy_cfg["theta"], dtype=float)
         policy = policy_from_occupancy(fs.occupancy_vector(theta), model.num_actions)
         label = "theta"

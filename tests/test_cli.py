@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -493,3 +494,150 @@ def test_cli_theta_matches_library(tmp_path, mode, solver):
     assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
     summary = read_summary(out)
     assert summary["result"]["theta"] == [float(v) for v in _library_theta(mode, summary)]
+
+
+# every key table of the CLI, by config section; None is the top level
+CONFIG_TABLES = {
+    "solver": cli.SOLVER_DEFAULTS,
+    "sampling": cli.SAMPLING_DEFAULTS,
+    "features": cli._FEATURES_DEFAULTS,
+    "eval": cli.EVAL_DEFAULTS,
+    "meta": cli.META_DEFAULTS,
+    "bench": cli.BENCH_DEFAULTS,
+    None: {"trace_stride": None},
+}
+
+# (mode, section, key, bad value); section None is the top level
+BAD_VALUES = [
+    ("solve-avg", "solver", "penalty", 0),
+    ("solve-avg", "solver", "radius", 0.0),
+    ("solve-avg", "solver", "iterations", 2.5),
+    ("solve-avg", "solver", "learning_rate", -0.1),
+    ("solve-avg", "solver", "lr_halving_period", "50"),
+    ("solve-avg", "solver", "minibatch", 2.5),  # ran at 2 and echoed 2.5
+    ("solve-avg", "solver", "tolerance", 0),
+    ("solve-avg", "solver", "failure_prob", 1.0),
+    ("solve-avg", "solver", "seed", -1),  # a traceback from numpy
+    ("solve-avg", "solver", "seed", 1.5),
+    ("solve-avg", "solver", "sum_target", "1"),
+    ("solve-disc", "solver", "discount", 1.5),
+    ("solve-disc", "solver", "initial_dist", "unifrom"),  # a traceback
+    ("solve-disc", "solver", "initial_dist", [0.25, "0.25", 0.25, 0.25]),
+    ("solve-disc", "solver", "enforce_sum_constraint", "false"),  # turned the constraint on
+    ("solve-avg", "solver", "trace_violation_samples", 0.5),
+    ("solve-avg", "sampling", "scheme", "norm"),
+    ("solve-avg", "features", "path", 3),
+    ("solve-avg", "features", "queue_builder", {}),  # a removed key
+    ("meta-disc", "meta", "violation_bound", -1.0),
+    ("meta-disc", "meta", "selection_weight", None),
+    ("meta-disc", "meta", "max_iterations_per_point", 2.5),
+    ("eval-policy", "eval", "mode", "exactly"),
+    ("eval-policy", "eval", "horizon", 0),
+    ("eval-policy", "eval", "burn_in", -1),
+    ("eval-policy", "eval", "reps", 1.5),
+    ("bench-queue", "bench", "penalty", -2.0),
+    ("bench-queue", "bench", "minibatch", 0),
+    ("bench-queue", "bench", "learning_rate", 0),
+    ("bench-queue", "bench", "lr_halving_period", 0),
+    ("bench-queue", "bench", "iterations", 1e4),
+    ("bench-queue", "bench", "radius", "2"),
+    ("bench-queue", "bench", "seed", -1),
+    ("bench-queue", "bench", "sampling", "uniforn"),
+    ("bench-queue", "bench", "mu0", "LONGEST"),  # failed only after the model was built
+    ("bench-queue", "bench", "trace_stride", 100),  # a removed key
+    ("solve-avg", None, "trace_stride", "10"),  # a traceback
+    ("meta-disc", None, "trace_stride", True),  # recorded every iteration
+    ("bench-queue", None, "trace_stride", 0),
+]
+
+
+def _mode_config(tmp_path, mode):
+    """A valid config document for the mode."""
+    if mode == "bench-queue":
+        return {}
+    if mode == "eval-policy":
+        return {"problem": {"queue_preset": "desk"}, "policy": {"heuristic": "LBFS"}}
+    doc = json.loads(base_config(tmp_path).read_text())
+    if mode.startswith("meta"):
+        doc["meta"] = {"violation_bound": 1.0, "selection_weight": 1.0}
+    return doc
+
+
+@pytest.mark.parametrize("mode, section, key, value", BAD_VALUES,
+                         ids=[f"{s or 'top'}.{k}={v!r}" for _, s, k, v in BAD_VALUES])
+def test_every_key_checked_before_model(tmp_path, monkeypatch, capsys, mode, section, key,
+                                        value):
+    monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    monkeypatch.setattr(cli.queueing, "build_mdp", _no_model)
+    doc = _mode_config(tmp_path, mode)
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not (out / "summary.json").exists()
+
+
+def test_bad_values_cover_every_table_key():
+    keys = {(section, key) for section, table in CONFIG_TABLES.items() for key in table}
+    assert keys <= {(section, key) for _, section, key, _ in BAD_VALUES}
+
+
+@pytest.mark.parametrize("mode", ["solve-avg", "bench-queue"])
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_negative_seed_override_checked_before_model(tmp_path, monkeypatch, capsys, mode,
+                                                     via):
+    # --seed -1 died with a traceback from numpy
+    monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    monkeypatch.setattr(cli.queueing, "build_mdp", _no_model)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_mode_config(tmp_path, mode)))
+    args = [mode, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if via == "flag":
+        args += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    assert main(args) == EXIT_CONFIG
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
+def test_bench_queue_reads_trace_stride_flag(tmp_path):
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"bench": {"iterations": 400, "minibatch": 16}}))
+    out = tmp_path / "o"
+    assert main(["bench-queue", "--preset", "desk", "--config", str(cfg), "--out", str(out),
+                 "--trace-stride", "100"]) == 0
+    assert read_trace_csv(out / "trace.csv")["t"].tolist() == [100, 200, 300, 400]
+    assert read_summary(out)["config"]["trace_stride"] == 100
+
+
+RUN_ONLY_SOLVER_KEYS = {"penalty": 2.0, "iterations": 200, "lr_halving_period": 50,
+                        "trace_violation_samples": 8}
+
+
+@pytest.mark.parametrize("mode", ["solve-avg", "meta-avg", "meta-disc"])
+def test_meta_summary_omits_run_only_solver_keys(tmp_path, mode):
+    """Meta runs accept and check the solver keys that only solve-* runs
+    read, but their summaries do not echo them."""
+    cfg = _meta_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["solver"].update(RUN_ONLY_SOLVER_KEYS)
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == 0
+    echoed = read_summary(out)["config"]["solver"]
+    if mode.startswith("meta"):
+        assert not set(RUN_ONLY_SOLVER_KEYS) & set(echoed)
+        assert echoed["seed"] == 7 and echoed["radius"] == 1.5
+    else:
+        assert {key: echoed[key] for key in RUN_ONLY_SOLVER_KEYS} == RUN_ONLY_SOLVER_KEYS
+
+
+def test_readme_config_table_lists_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `?([\w ()]+?)`? \| `(\w+)` \|", readme, flags=re.MULTILINE)
+    listed = {(None if section == "(top level)" else section, key) for section, key in rows}
+    assert listed == {(section, key) for section, table in CONFIG_TABLES.items()
+                      for key in table}
