@@ -1,6 +1,9 @@
 """Layer micro-benchmarks of the minibatch and single-draw estimators on the
-desk queue preset (4900 states, 19600 pairs, d = 170), and of one single-draw
-discounted SGD step at d = 3, where a step is almost all interpreter overhead.
+desk queue preset (4900 states, 19600 pairs, d = 170), of one single-draw
+discounted SGD step at d = 3, where a step is almost all interpreter overhead,
+and of a two-point discounted meta run on the 4-state fixture, in one process
+and in forked workers, which shows what starting the worker pool costs a tiny
+grid.
 
 Run from the repository root with
 
@@ -9,15 +12,18 @@ Run from the repository root with
 The directory is outside the test paths of ``pyproject.toml``, so the tier-1
 suite does not collect it. pytest-benchmark reports the time per call.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualalp import features, mdp, queueing
+from dualalp import _sgd, features, fixtures, mdp, queueing
 from dualalp._sgd import GRAD_BLOCK, Surrogate, make_buffered_grad
-from dualalp.discounted import project_theta_disc
+from dualalp.discounted import meta_solve_disc, project_theta_disc
 
 DRAWS = 1000
+DATA = Path(__file__).parents[1] / "tests" / "data"
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +96,20 @@ def test_project_theta_disc_d3(benchmark, norm):
     """The ball projection alone, with the point inside and outside the ball."""
     theta = np.array([0.6, -0.48, 0.64]) * norm  # unit direction times norm
     assert benchmark(project_theta_disc, theta, 1.3).shape == (3,)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["sequential", "pooled"])
+def test_meta_disc_two_points(benchmark, monkeypatch, cpus):
+    """A two-point discounted meta run with 300 single-draw iterations per
+    point, recording the last one only, on the 4-state, d = 3 fixture: with
+    one CPU the points run in this process, with two each runs in its own
+    forked worker."""
+    monkeypatch.setattr(_sgd, "_cpu_count", lambda: cpus)
+    model = fixtures.load_mdp_fixture(DATA / "mdp4.json")
+    fs = fixtures.load_feature_fixture(DATA / "features3.json", model)
+    sampler = features.make_norm_proportional_sampling(model, fs, kappa=0.9)
+    result = benchmark(meta_solve_disc, model, fs, sampler, gamma=0.9, alpha=None,
+                       tolerance=1.5, failure_prob=0.2, seed=0, radius=1.5,
+                       violation_bound=1.0, selection_weight=1.0,
+                       max_iterations_per_point=300, trace_stride=300)
+    assert result.iterations_per_point.tolist() == [300, 300]

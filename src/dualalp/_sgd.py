@@ -20,6 +20,8 @@ so changing the recording stride never perturbs the iterate path.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -359,6 +361,47 @@ def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
                eval_hook=eval_hook, iterate_hook=iterate_hook)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on; ``taskset`` narrows them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+_worker_point = None  # the per-point function a forked worker inherits
+
+
+def _init_worker(point) -> None:
+    global _worker_point
+    _worker_point = point
+
+
+def _run_worker_point(k: int):
+    return k, _worker_point(k)
+
+
+def _map_points(point, order: list[int]) -> dict:
+    """``{k: point(k)}`` for every index of ``order``.
+
+    With one usable CPU, without the fork start method, inside a daemonic
+    process (a pool worker cannot have children) or beside other Python
+    threads (a lock one of them holds would stay held in the forked copy) the
+    points run in a plain loop in index order. Otherwise they run in a forked
+    pool of up to one worker per CPU, which takes them in the given order: the
+    workers inherit ``point`` instead of unpickling it, so only indices go out
+    and only results, or a raised exception, come back.
+    """
+    import multiprocessing  # here, so that runs without a meta loop never load it
+
+    workers = min(len(order), _cpu_count())
+    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+        return {k: point(k) for k in sorted(order)}
+    context = multiprocessing.get_context("fork")
+    with context.Pool(workers, initializer=_init_worker, initargs=(point,)) as pool:
+        return dict(pool.imap_unordered(_run_worker_point, order))
+
+
 def meta_loop(grid, seed, loss_phi: np.ndarray, n_violation: int, run_count, solve,
               estimate, horizon: float = 0.0, scale: float = 1.0,
               discount: float | None = None) -> MetaResult:
@@ -369,25 +412,30 @@ def meta_loop(grid, seed, loss_phi: np.ndarray, n_violation: int, run_count, sol
     ``run_count(H)`` gives the iterations of a point, ``solve(H, iterations,
     seed)`` runs it and ``estimate(theta, n, rng)`` estimates its violation
     from n draws. Per-point seeds derive deterministically from the master
-    seed; ties in the selection go to the lowest grid index.
+    seed, so every point is independent of the others and is dispatched to
+    worker processes (see :func:`_map_points`), longest run first; the result
+    does not depend on the number of workers. Ties in the selection go to the
+    lowest grid index.
     """
     seeds = as_seed_sequence(seed).spawn(len(grid))
-    traces, lin_objs, v_hats, run_counts = [], [], [], []
-    for k, penalty in enumerate(grid.points):
-        penalty = float(penalty)
-        iterations = run_count(penalty)
+    penalties = [float(penalty) for penalty in grid.points]
+    run_counts = [run_count(penalty) for penalty in penalties]
+
+    def solve_point(k):
         run_ss, est_ss = seeds[k].spawn(2)
-        trace = solve(penalty, iterations, run_ss)
-        traces.append(trace)
-        run_counts.append(iterations)
-        lin_objs.append(float(loss_phi @ trace.theta))
-        v_hats.append(estimate(trace.theta, n_violation, np.random.default_rng(est_ss)))
+        trace = solve(penalties[k], run_counts[k], run_ss)
+        return (trace, float(loss_phi @ trace.theta),
+                estimate(trace.theta, n_violation, np.random.default_rng(est_ss)))
+
+    longest_first = sorted(range(len(penalties)), key=lambda k: -run_counts[k])
+    by_index = _map_points(solve_point, longest_first)
+    traces, lin_objs, v_hats = zip(*(by_index[k] for k in range(len(penalties))))
     points = np.asarray(grid.points, dtype=float)
     lin_objs = np.asarray(lin_objs)
     v_hats = np.asarray(v_hats)
     selection = lin_objs + (points + horizon) * v_hats + grid.weight / (points * scale)
     chosen = int(np.argmin(selection))
-    return MetaResult(grid_points=points, selection_weight=grid.weight, traces=traces,
+    return MetaResult(grid_points=points, selection_weight=grid.weight, traces=list(traces),
                       linear_objectives=lin_objs, violation_estimates=v_hats,
                       selection_values=selection, chosen_index=chosen,
                       theta=traces[chosen].theta, policy=traces[chosen].policy,

@@ -14,7 +14,8 @@ average-cost parameterization of the shared core in :mod:`dualalp._sgd`.
 
 A single SGD run is strictly sequential in its iterate; grid points of the
 meta-algorithm are independent with deterministically derived per-point seeds,
-so they may be dispatched in parallel without changing any result.
+so they are dispatched to parallel worker processes without changing any
+result.
 """
 from __future__ import annotations
 

@@ -162,9 +162,19 @@ QUEUE_PRESETS = {
 }
 
 
+def _section(config: dict, section: str) -> dict:
+    """The config's section, which must be a JSON object; absent or null is empty."""
+    values = config.get(section)
+    if values is None:
+        return {}
+    if not isinstance(values, dict):
+        raise ConfigError(f"config section {section!r} must be a JSON object, got {values!r}")
+    return values
+
+
 def _resolve_section(config: dict, section: str, table: dict) -> dict:
     """The table's defaults updated by the config's section; checks every value."""
-    values = config.get(section) or {}
+    values = _section(config, section)
     unknown = set(values) - set(table)
     if unknown:
         raise ConfigError(f"unknown keys in config section {section!r}: {sorted(unknown)}")
@@ -180,11 +190,14 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path) as handle:
-            return json.load(handle)
+            config = json.load(handle)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config file must hold a JSON object, got {config!r}")
+    return config
 
 
 def _resolve_eval(config: dict) -> dict:
@@ -203,7 +216,7 @@ def _check_simulated_problem(eval_cfg: dict, spec) -> None:
 
 def _resolve_problem(config: dict):
     """Returns (model, queue_spec_or_None, problem_section)."""
-    problem = config.get("problem") or {}
+    problem = _section(config, "problem")
     if "mdp_path" in problem:
         model = fixtures.load_mdp_fixture(problem["mdp_path"])
         return model, None, {"mdp_path": problem["mdp_path"]}
@@ -247,6 +260,11 @@ def _write_json(doc: dict, path: Path) -> None:
     with open(path, "w") as handle:
         json.dump(doc, handle, sort_keys=True, indent=2)
         handle.write("\n")
+
+
+def _write_trace(trace, path: Path) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    trace.write_csv(path)
 
 
 def _write_summary(out_dir: Path, mode: str, resolved_config: dict, seed,
@@ -367,7 +385,7 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
             **objective.meta_args,
             **({} if cap is None else {"max_iterations_per_point": cap}))
         for k, trace in enumerate(result.traces):
-            trace.write_csv(out_dir / f"trace_{k:03d}.csv")
+            _write_trace(trace, out_dir / f"trace_{k:03d}.csv")
         iterations = int(result.iterations_per_point.sum())
         fields = _meta_summary(result)
     else:
@@ -380,7 +398,7 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
             trace_violation_samples=solver["trace_violation_samples"],
             **objective.config_args)
         trace = objective.sgd_solve(model, fs, sampler, cfg, eval_hook=hook)
-        trace.write_csv(out_dir / "trace.csv")
+        _write_trace(trace, out_dir / "trace.csv")
         iterations = cfg.iterations
         fields = {"penalty": solver["penalty"], **_trace_summary(trace)}
         if model.num_pairs <= DENSE_GUARD:
@@ -429,7 +447,7 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
         lr_halving_period=bench["lr_halving_period"], minibatch=bench["minibatch"],
         seed=bench["seed"], sum_target=sum_target, trace_stride=stride)
     trace = avgcost.sgd_solve_avg(model, fs, sampler, cfg)
-    trace.write_csv(out_dir / "trace.csv")
+    _write_trace(trace, out_dir / "trace.csv")
     baselines = {}
     for kind in ("LONGER", "LBFS"):
         policy = queueing.heuristic_policy(spec, kind)
@@ -446,7 +464,7 @@ def run_eval_policy(config: dict, out_dir: Path) -> dict:
     eval_cfg = _resolve_eval(config)
     model, spec, problem_cfg = _resolve_problem(config)
     _check_simulated_problem(eval_cfg, spec)
-    policy_cfg = config.get("policy") or {}
+    policy_cfg = _section(config, "policy")
     if "heuristic" in policy_cfg:
         if spec is None:
             raise ConfigError("heuristic policies need a queue problem")
@@ -505,8 +523,8 @@ def _apply_seed_override(config: dict, cli_seed: int | None) -> None:
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR} must be an integer") from exc
     if seed is not None:
-        config.setdefault("solver", {})["seed"] = seed
-        config.setdefault("bench", {})["seed"] = seed
+        for section in ("solver", "bench"):
+            config[section] = {**_section(config, section), "seed": seed}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,8 +558,7 @@ def run(args) -> int:
     _apply_seed_override(config, args.seed)
     if args.trace_stride is not None:
         config["trace_stride"] = args.trace_stride
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)  # made by the first write, once the config has passed
     started = time.perf_counter()
     RUNNERS[args.mode](args, config, out_dir)
     elapsed = time.perf_counter() - started

@@ -641,3 +641,60 @@ def test_readme_config_table_lists_every_key():
     listed = {(None if section == "(top level)" else section, key) for section, key in rows}
     assert listed == {(section, key) for section, table in CONFIG_TABLES.items()
                       for key in table}
+
+
+@pytest.mark.parametrize("mode, section", [
+    ("solve-avg", "solver"), ("meta-disc", "meta"), ("solve-disc", "problem"),
+    ("bench-queue", "bench"), ("eval-policy", "policy"), ("eval-policy", "eval")])
+@pytest.mark.parametrize("value", [5, [1], "solver"])
+def test_non_object_section_is_config_error(tmp_path, capsys, mode, section, value):
+    # "solver": 5 died with a TypeError traceback (exit 1)
+    doc = _mode_config(tmp_path, mode)
+    doc[section] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config section {section!r} must be a JSON object")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["solve-avg", "bench-queue"])
+def test_seed_override_into_non_object_section_is_config_error(tmp_path, capsys, mode):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"solver": 5}))
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--seed", "3"]) == EXIT_CONFIG
+    assert "config section 'solver' must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("document", [[1], 5, "solver", None])
+def test_non_object_config_document_is_config_error(tmp_path, capsys, document):
+    # [1] died with an AttributeError traceback (exit 1)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(document))
+    out = tmp_path / "o"
+    assert main(["solve-avg", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: config file must hold a JSON object")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, section, key, value", [
+    ("solve-avg", "solver", "radius", -1.0), ("meta-avg", "meta", "violation_bound", 0),
+    ("bench-queue", "bench", "mu0", "LONGEST"), ("eval-policy", "eval", "mode", "exactly")])
+def test_rejected_config_leaves_no_out_dir(tmp_path, mode, section, key, value):
+    doc = _mode_config(tmp_path, mode)
+    doc.setdefault(section, {})[key] = value
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "nested" / "o"
+    assert main([mode, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert not (tmp_path / "nested").exists()
+
+
+def test_out_dir_made_on_first_write(tmp_path):
+    out = tmp_path / "a" / "b"
+    assert main(["meta-avg", "--config", str(_meta_config(tmp_path)), "--out", str(out)]) == 0
+    assert (out / "summary.json").is_file() and (out / "trace_000.csv").is_file()
