@@ -1,9 +1,10 @@
 """Layer micro-benchmarks of the minibatch and single-draw estimators on the
 desk queue preset (4900 states, 19600 pairs, d = 170), of one single-draw
 discounted SGD step at d = 3, where a step is almost all interpreter overhead,
-and of a two-point discounted meta run on the 4-state fixture, in one process
-and in forked workers, which shows what starting the worker pool costs a tiny
-grid.
+of the violation estimator at two extremes (a meta point's 534,552 draws over
+20 pairs, and a 64-draw trace row over the 19,600 desk pairs), and of a
+two-point discounted meta run on the 4-state fixture, in one process and in
+forked workers, which shows what starting the worker pool costs a tiny grid.
 
 Run from the repository root with
 
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualalp import _sgd, features, fixtures, mdp, queueing
+from dualalp import _sgd, avgcost, features, fixtures, mdp, queueing
 from dualalp._sgd import GRAD_BLOCK, Surrogate, make_buffered_grad
 from dualalp.discounted import meta_solve_disc, project_theta_disc
 
@@ -63,6 +64,32 @@ def test_buffered_step(benchmark, desk):
     grad(theta, rng, 1)  # the first block's dense gathers happen outside the timing
     assert benchmark.pedantic(grad, args=(theta, rng, 1), rounds=20,
                               iterations=GRAD_BLOCK).shape == theta.shape
+
+
+def test_estimate_violations_desk_trace_row(benchmark, desk):
+    """One trace-row estimate on the desk preset, as the solver makes it: 64
+    draws, almost all of them distinct, from 19,600 pairs and 4900 states."""
+    surrogate, sampler, theta = desk
+    rng = np.random.default_rng(6)
+    assert benchmark(avgcost.estimate_violations, surrogate.model, surrogate.fs, sampler,
+                     theta, 64, rng) >= 0.0
+
+
+def test_estimate_violations_meta_point(benchmark):
+    """One meta-point estimate at the average-cost meta size: 534,552 draws
+    over 20 pairs and 10 states (a 10-state, 2-action Dirichlet MDP with d = 4
+    stationary-distribution features and norm-proportional sampling)."""
+    rng = np.random.default_rng(200)
+    model = mdp.MdpModel.from_dense(rng.dirichlet(np.ones(10), size=(10, 2)),
+                                    rng.random((10, 2)))
+    cols = [mdp.stationary_state_action(model, mdp.Policy(rng.dirichlet(np.ones(2), size=10)))
+            for _ in range(4)]
+    fs = features.FeatureSpace(model, sp.csr_matrix(np.column_stack(cols)))
+    sampler = features.make_norm_proportional_sampling(model, fs, kappa=1.0)
+    theta = np.array([0.9, -0.5, 0.4, 0.2])
+    rng = np.random.default_rng(7)
+    assert benchmark(avgcost.estimate_violations, model, fs, sampler, theta, 534_552,
+                     rng) > 0.0
 
 
 @pytest.fixture(scope="module")

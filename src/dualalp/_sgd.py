@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import CapacityError, ConvergenceError, ParameterError
 from .features import FeatureSpace, SamplingPair, importance_weight_guard
-from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution,
+from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution, fixed_dot,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
 
@@ -54,6 +54,13 @@ def check_halving_period(period, error: type = ParameterError) -> None:
     and a fraction would halve at uneven steps."""
     if period is not None and (type(period) is not int or period < 1):
         raise error(f"lr_halving_period must be null or a positive integer, got {period!r}")
+
+
+def check_positive_int(name: str, value) -> None:
+    """A draw count is a positive integer (numpy integers count, bools do
+    not): a fraction or a nonpositive count has no meaning."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
 class SolverConfigChecks:
@@ -106,7 +113,7 @@ class Surrogate:
                    state_rows=lambda states: fs.drift_rows(states, 1.0),
                    state_matrix=lambda: fs.drift_matrix(1.0),
                    res_base=np.zeros(model.num_states),
-                   offset=float(model.loss @ fs.mu0))
+                   offset=fs.loss_mu0)
 
     @classmethod
     def discounted(cls, model: MdpModel, fs: FeatureSpace, gamma: float,
@@ -176,22 +183,43 @@ class Surrogate:
         return (self.fs.loss_phi - (penalty / m) * (w_neg @ rows)
                 + (penalty / m) * (w_res @ state_rows))
 
-    def violation_summands(self, sp: SamplingPair, theta: np.ndarray,
-                           pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
+    def violation_terms(self, sp: SamplingPair, theta: np.ndarray, pair_idx: np.ndarray,
+                        state_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Importance-weighted violation terms: |min(occ_base + Phi theta, 0)| /
+        q_pair at each pair index and |S theta + res_base| / q_state at each
+        state index. The two index arrays need not have the same length."""
         q_pair, rows = self.gather(sp, pair_idx)
         neg = np.abs(np.minimum(self.occ_base[pair_idx] + rows @ theta, 0.0)) / q_pair
-        del q_pair, rows  # free the pair side first: holding it doubled the page faults
         q_state, state_rows = self.gather(sp, state_idx, states=True)
-        return neg + np.abs(state_rows @ theta + self.res_base[state_idx]) / q_state
+        return neg, np.abs(state_rows @ theta + self.res_base[state_idx]) / q_state
+
+    def violation_summands(self, sp: SamplingPair, theta: np.ndarray,
+                           pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
+        """One summand of the violation estimator per draw (pair_idx[i],
+        state_idx[i]); its mean over the draws is :meth:`estimate_violations`."""
+        neg, res = self.violation_terms(sp, theta, pair_idx, state_idx)
+        return neg + res
 
     def estimate_violations(self, sp: SamplingPair, theta: np.ndarray, n: int,
                             rng: np.random.Generator, batch: int) -> float:
-        if n < 1:
-            raise ParameterError("n must be >= 1")
+        """Unbiased importance-sampling estimate of the total violation: the
+        mean of :meth:`violation_summands` over n draws of each distribution,
+        drawn ``batch`` at a time.
+
+        A batch evaluates the terms once per distinct drawn pair and state and
+        weights each by how often it was drawn (:func:`distinct_counts`), so
+        its cost follows the number of distinct indices, not the number of
+        draws. The draws are those of the per-draw form; only the order of
+        the summation differs."""
+        check_positive_int("n", n)
+        check_positive_int("batch", batch)
         total = 0.0
         for start in range(0, n, batch):
             pair_idx, state_idx = draw(sp, rng, min(batch, n - start))
-            total += float(self.violation_summands(sp, theta, pair_idx, state_idx).sum())
+            pairs, pair_counts = distinct_counts(pair_idx)
+            states, state_counts = distinct_counts(state_idx)
+            neg, res = self.violation_terms(sp, theta, pairs, states)
+            total += fixed_dot(pair_counts, neg) + fixed_dot(state_counts, res)
         return total / n
 
 
@@ -206,6 +234,18 @@ class SgdProblem:
     project: Callable[[np.ndarray], np.ndarray]
     violation_estimate: Callable[[np.ndarray, np.random.Generator], float]
     make_policy: Callable[[np.ndarray], Policy]
+
+
+def distinct_counts(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a nonempty 1-D integer array and how often
+    each occurs: ``np.unique(idx, return_counts=True)`` in fewer numpy calls,
+    which a 64-draw trace-row estimate notices."""
+    idx = np.sort(idx)
+    bounds = np.empty(idx.size + 1, dtype=bool)  # where a run of equal values starts or ends
+    bounds[0] = bounds[-1] = True
+    np.not_equal(idx[1:], idx[:-1], out=bounds[1:-1])
+    edges = bounds.nonzero()[0]
+    return idx[edges[:-1]], edges[1:] - edges[:-1]
 
 
 def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:

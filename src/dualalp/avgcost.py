@@ -124,7 +124,8 @@ def estimate_violations(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
                         theta: np.ndarray, n: int, rng: np.random.Generator,
                         batch: int = 1 << 16) -> float:
     """Unbiased importance-sampling estimate of the total violation from n
-    draws of each sampling distribution."""
+    draws of each sampling distribution, taken ``batch`` at a time (both
+    positive integers)."""
     return Surrogate.average_cost(model, fs).estimate_violations(sp, theta, n, rng, batch)
 
 

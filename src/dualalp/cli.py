@@ -30,7 +30,7 @@ from .errors import (CapacityError, ConfigError, ConvergenceError, DualAlpError,
                      InputShapeError, SamplingSupportError)
 from .features import make_norm_proportional_sampling, make_uniform_sampling
 from .grid import build_penalty_grid
-from .mdp import (DENSE_GUARD, average_cost, policy_from_occupancy,
+from .mdp import (DENSE_GUARD, average_cost, fixed_dot, policy_from_occupancy,
                   stationary_state_action, value_function)
 from .trace import MetaResult, RunTrace
 
@@ -250,7 +250,7 @@ def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
             return lambda theta, policy: average_cost(model, policy)
         weights = alpha if alpha is not None else np.full(model.num_states,
                                                           1.0 / model.num_states)
-        return lambda theta, policy: float(weights @ value_function(model, policy, gamma))
+        return lambda theta, policy: fixed_dot(weights, value_function(model, policy, gamma))
     return lambda theta, policy: queueing.evaluate_policy_simulated(
         spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"], mode_cfg["reps"], seed=0)[0]
 

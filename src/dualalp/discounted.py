@@ -112,7 +112,9 @@ def estimate_violations_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair
                              gamma: float, alpha: np.ndarray | None,
                              theta: np.ndarray, n: int, rng: np.random.Generator,
                              batch: int = 1 << 16) -> float:
-    """Unbiased estimate of the discounted total violation from n draws."""
+    """Unbiased estimate of the discounted total violation from n draws of
+    each sampling distribution, taken ``batch`` at a time (both positive
+    integers)."""
     return Surrogate.discounted(model, fs, gamma, alpha).estimate_violations(
         sp, theta, n, rng, batch)
 

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import CapacityError, InputShapeError, ParameterError, SamplingSupportError
-from .mdp import MdpModel, _aggregation_matrix
+from .mdp import MdpModel, _aggregation_matrix, fixed_dot
 
 ENUMERATION_GUARD = 10**6  # largest X*A for exhaustive constant computation
 DENSE_CACHE_LIMIT = 2 * 10**7  # operators with at most this many entries are gathered densely
@@ -86,6 +86,7 @@ class FeatureSpace:
                 raise InputShapeError(f"mu0 must have length {model.num_pairs}")
         self.mu0 = mu0
         self.loss_phi = model.loss @ phi
+        self.loss_mu0 = fixed_dot(model.loss, mu0)
         self.column_norm_bound = float(np.asarray(abs(phi).sum(axis=0)).max()) if phi.nnz else 0.0
         self._operators: dict = {}  # coefficient pair -> CSR one-step operator
         self._dense: dict = {}  # coefficient pair (None for Phi) -> dense copy

@@ -21,6 +21,16 @@ PROB_ATOL = 1e-12  # row-stochasticity tolerance
 _BICGSTAB_ITERS_PER_STATE = 2  # iteration cap of the stationary start, per state
 
 
+def fixed_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two 1-D arrays by numpy's pairwise sum of the products.
+
+    ``a @ b`` calls the BLAS dot product, which OpenBLAS splits across threads
+    above 10,000 entries, so its last bits depend on how many CPUs the process
+    may use; this sum does not. The exact oracles and the violation estimator
+    use it for sums whose length grows with the model."""
+    return float((a * b).sum())
+
+
 def _aggregation_matrix(num_states: int, num_actions: int) -> sp.csr_matrix:
     """(X, X*A) 0/1 matrix summing a pair vector over actions (the transpose
     of the marginalization operator)."""
@@ -266,7 +276,7 @@ def average_cost(model: MdpModel, pi: Policy, tol: float = 1e-10,
                  max_iters: int = 10**6) -> float:
     """Long-run average loss of ``pi`` (requires a unique stationary distribution)."""
     mu_sa = stationary_state_action(model, pi, tol=tol, max_iters=max_iters)
-    return float(mu_sa @ model.loss)
+    return fixed_dot(mu_sa, model.loss)
 
 
 def _policy_loss(model: MdpModel, pi: Policy) -> np.ndarray:

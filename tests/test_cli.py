@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -698,3 +700,25 @@ def test_out_dir_made_on_first_write(tmp_path):
     out = tmp_path / "a" / "b"
     assert main(["meta-avg", "--config", str(_meta_config(tmp_path)), "--out", str(out)]) == 0
     assert (out / "summary.json").is_file() and (out / "trace_000.csv").is_file()
+
+
+def test_bench_queue_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a dot product of more than 10,000 entries across its
+    # threads; the exact average cost over the 19,600 desk pairs read
+    # ...233 with one thread and ...235 with two
+    cfg = tmp_path / "bench.json"
+    cfg.write_text(json.dumps({"bench": {"iterations": 400, "minibatch": 16, "seed": 5}}))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "dualalp.cli", "bench-queue", "--preset", "desk",
+                        "--config", str(cfg), "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outs.append(out)
+    names = sorted(path.name for path in outs[0].iterdir())
+    assert names == ["summary.json", "trace.csv"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

@@ -1,0 +1,118 @@
+"""The count-weighted violation estimator against the mean of its per-draw
+summands, and the checks on its draw counts.
+
+``Surrogate.estimate_violations`` evaluates each batch's terms once per
+distinct drawn pair and state and weights them by their counts. The reference
+below takes the same draws and averages ``violation_summands``, one summand
+per draw; only the summation order differs, so the two must agree to a few
+units in the last place and leave the generator in the same state.
+"""
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dualalp._sgd import Surrogate, distinct_counts, draw
+from dualalp.avgcost import estimate_violations
+from dualalp.discounted import estimate_violations_disc
+from dualalp.errors import ParameterError
+from dualalp.features import make_norm_proportional_sampling, make_uniform_sampling
+from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
+
+from conftest import random_features, random_mdp
+
+DATA = Path(__file__).parent / "data"
+RTOL = 1e-14  # nonnegative summands: a reordered sum stays within a few ulps
+
+
+def reference_estimate(surrogate, sp, theta, n, rng, batch):
+    """The mean of the per-draw summands over the estimator's own draws."""
+    total = 0.0
+    for start in range(0, n, batch):
+        pair_idx, state_idx = draw(sp, rng, min(batch, n - start))
+        total += float(surrogate.violation_summands(sp, theta, pair_idx, state_idx).sum())
+    return total / n
+
+
+@pytest.mark.parametrize("idx", [[4], [3, 3, 3], [9, 2, 7, 0], [5, 1, 5, 5, 0, 1, 9, 0],
+                                 np.random.default_rng(3).integers(0, 40, size=5000)],
+                         ids=["one", "all equal", "all distinct", "mixed", "5000 draws"])
+def test_distinct_counts_matches_unique(idx):
+    idx = np.asarray(idx, dtype=np.intp)
+    values, counts = distinct_counts(idx)
+    expected_values, expected_counts = np.unique(idx, return_counts=True)
+    np.testing.assert_array_equal(values, expected_values)
+    np.testing.assert_array_equal(counts, expected_counts)
+
+
+def _instances():
+    """(name, surrogate, sampler, theta) on two models, both objectives and
+    both sampling schemes."""
+    model = load_mdp_fixture(DATA / "mdp4.json")
+    fixture = load_feature_fixture(DATA / "features3.json", model)
+    rng = np.random.default_rng(61)
+    dirichlet = random_mdp(rng, 12, 3)
+    signed = random_features(rng, dirichlet, 4, density=0.7, signed=True, normalize=True)
+    gamma = 0.85
+    return [
+        ("fixture avg uniform", Surrogate.average_cost(model, fixture),
+         make_uniform_sampling(model, fixture, 1.0), np.array([0.7, -0.4, 0.9])),
+        ("fixture disc norm", Surrogate.discounted(model, fixture, gamma, None),
+         make_norm_proportional_sampling(model, fixture, gamma), np.array([0.5, 0.3, -1.1])),
+        ("dirichlet avg norm", Surrogate.average_cost(dirichlet, signed),
+         make_norm_proportional_sampling(dirichlet, signed, 1.0), rng.normal(size=4)),
+        ("dirichlet disc uniform", Surrogate.discounted(dirichlet, signed, gamma, None),
+         make_uniform_sampling(dirichlet, signed, gamma), rng.normal(size=4)),
+    ]
+
+
+INSTANCES = _instances()
+
+
+@pytest.mark.parametrize("instance", INSTANCES, ids=[case[0] for case in INSTANCES])
+@pytest.mark.parametrize("n, batch", [(5000, 1 << 16), (4000, 512), (1000, 96), (37, 1),
+                                      (1, 1 << 16), (1, 1)],
+                         ids=["one batch", "whole batches", "partial last batch",
+                              "batch 1", "n 1", "n 1 batch 1"])
+def test_estimate_matches_mean_of_summands(instance, n, batch):
+    _, surrogate, sampler, theta = instance
+    rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+    estimate = surrogate.estimate_violations(sampler, theta, n, rng, batch)
+    expected = reference_estimate(surrogate, sampler, theta, n, rng_ref, batch)
+    assert expected > 0.0  # theta violates, so the comparison is not 0 == 0
+    np.testing.assert_allclose(estimate, expected, rtol=RTOL, atol=0.0)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state  # the same draws
+
+
+BAD_COUNTS = [0, -5, 2.5, 3.0, True, "8", None]
+BAD_COUNT_IDS = ["zero", "negative", "fraction", "float", "bool", "string", "none"]
+
+
+@pytest.mark.parametrize("value", BAD_COUNTS, ids=BAD_COUNT_IDS)
+def test_bad_draw_counts_raise_parameter_error(value):
+    _, avg, sampler, theta = INSTANCES[0]
+    _, _, disc_sampler, _ = INSTANCES[1]
+    model, fs = avg.model, avg.fs
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    # a negative batch used to return 0.0; zero and fractions raised untyped errors
+    with pytest.raises(ParameterError, match="batch must be a positive integer"):
+        estimate_violations(model, fs, sampler, theta, 100, rng, batch=value)
+    with pytest.raises(ParameterError, match="n must be a positive integer"):
+        estimate_violations(model, fs, sampler, theta, value, rng)
+    with pytest.raises(ParameterError, match="batch must be a positive integer"):
+        estimate_violations_disc(model, fs, disc_sampler, 0.85, None, theta, 100, rng,
+                                 batch=value)
+    with pytest.raises(ParameterError, match="n must be a positive integer"):
+        estimate_violations_disc(model, fs, disc_sampler, 0.85, None, theta, value, rng)
+    assert rng.bit_generator.state == state  # rejected before any draw
+
+
+def test_numpy_integer_draw_counts_accepted():
+    _, avg, sampler, theta = INSTANCES[0]
+    model, fs = avg.model, avg.fs
+    plain = estimate_violations(model, fs, sampler, theta, 300, np.random.default_rng(2),
+                                batch=64)
+    numpy_ints = estimate_violations(model, fs, sampler, theta, np.int64(300),
+                                     np.random.default_rng(2), batch=np.int32(64))
+    assert numpy_ints == plain

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualalp import features
+from dualalp import _sgd, features
 from dualalp._sgd import Surrogate
 from dualalp.avgcost import AvgSolverConfig, sgd_solve_avg
 from dualalp.discounted import DiscSolverConfig, sgd_solve_disc
@@ -518,3 +518,8 @@ def test_support_guard_fires_before_narrow_gather(monkeypatch):
                                        state_idx=states)
     with pytest.raises(SamplingSupportError):
         surrogate.violation_summands(sample, np.zeros(fs.dim), pairs, states)
+    # the sampler never draws pair 7, so the estimator is handed these draws
+    monkeypatch.setattr(_sgd, "draw", lambda sp, rng, m: (pairs[:m], states[:m]))
+    with pytest.raises(SamplingSupportError):
+        surrogate.estimate_violations(sample, np.zeros(fs.dim), 3, np.random.default_rng(0),
+                                      batch=3)
