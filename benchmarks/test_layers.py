@@ -1,5 +1,6 @@
 """Layer micro-benchmarks of the minibatch and single-draw estimators on the
-desk queue preset (4900 states, 19600 pairs, d = 170), of one single-draw
+desk queue preset (4900 states, 19600 pairs, d = 170), per call and per step
+of the block-presampled SGD estimators, of one single-draw
 discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
 20 pairs, and a 64-draw trace row over the 19,600 desk pairs), and of a
@@ -20,7 +21,8 @@ import pytest
 import scipy.sparse as sp
 
 from dualalp import _sgd, avgcost, features, fixtures, mdp, queueing
-from dualalp._sgd import GRAD_BLOCK, Surrogate, make_buffered_grad
+from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, Surrogate, make_buffered_grad,
+                          make_minibatch_grad)
 from dualalp.discounted import meta_solve_disc, project_theta_disc
 
 DRAWS = 1000
@@ -54,6 +56,19 @@ def test_subgradient_estimate_minibatch(benchmark, desk):
     rng = np.random.default_rng(3)
     grad = benchmark(surrogate.subgradient_estimate, sampler, 2.0, theta, rng, m=DRAWS)
     assert grad.shape == theta.shape
+
+
+def test_minibatch_block_step(benchmark, desk):
+    """One m = 1000 step of the SGD minibatch estimator, with the block refill
+    amortized over its MINIBATCH_BLOCK // 1000 steps."""
+    surrogate, sampler, theta = desk
+    steps = MINIBATCH_BLOCK // DRAWS
+    grad = make_minibatch_grad(surrogate, sampler, 2.0, DRAWS, 10**6)
+    rng = np.random.default_rng(3)
+    for _ in range(steps):  # the first block, and its dense copies, outside the timing
+        grad(theta, rng, DRAWS)
+    assert benchmark.pedantic(grad, args=(theta, rng, DRAWS), rounds=100,
+                              iterations=steps).shape == theta.shape
 
 
 def test_buffered_step(benchmark, desk):

@@ -15,7 +15,13 @@ loop are written once against it.
 
 The loop is strictly sequential in the iterate; randomness is split into one
 stream for the gradient draws and one for the trace-time violation estimates,
-so changing the recording stride never perturbs the iterate path.
+so changing the recording stride never perturbs the iterate path. Both SGD
+gradient estimators draw ahead in blocks from the gradient stream:
+:func:`make_buffered_grad` the next ``GRAD_BLOCK`` single draws,
+:func:`make_minibatch_grad` the draws of the next ``MINIBATCH_BLOCK // m``
+steps of m draws. A block holds exactly the draws the steps would have taken
+one at a time, and each block pays once for the work that does not depend on
+the iterate, so the iterate path is bit for bit that of a per-step estimator.
 """
 from __future__ import annotations
 
@@ -34,6 +40,7 @@ from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution, fixe
 from .trace import MetaResult, RunTrace
 
 GRAD_BLOCK = 512  # single-draw iterations served by one presampled block
+MINIBATCH_BLOCK = 16384  # draws per side presampled by one minibatch refill
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -145,8 +152,10 @@ class Surrogate:
         active = (self.occupancy(theta) < 0.0).astype(float)
         matrix = self.state_matrix()
         signs = np.sign(matrix @ theta + self.res_base)
+        # einsum never calls BLAS, whose matrix-vector product over X rows
+        # rounds differently with the number of threads it splits them over
         return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
-                + penalty * (matrix.T @ signs))
+                + penalty * np.einsum("xd,x->d", matrix, signs))
 
     def gather(self, sp: SamplingPair, idx: np.ndarray, states: bool = False,
                dense: bool = False):
@@ -176,10 +185,23 @@ class Surrogate:
             raise ParameterError("either an rng or both pair_idx and state_idx are required")
         pair_idx, state_idx = np.atleast_1d(pair_idx), np.atleast_1d(state_idx)
         q_pair, rows = self.gather(sp, pair_idx)
-        w_neg = np.where(self.occ_base[pair_idx] + rows @ theta < 0.0, 1.0 / q_pair, 0.0)
         q_state, state_rows = self.gather(sp, state_idx, states=True)
-        w_res = np.sign(state_rows @ theta + self.res_base[state_idx]) / q_state
-        m = len(pair_idx)
+        return self.weighted_subgradient(penalty, theta, rows, self.occ_base[pair_idx],
+                                         1.0 / q_pair, state_rows, self.res_base[state_idx],
+                                         q_state)
+
+    def weighted_subgradient(self, penalty: float, theta: np.ndarray, rows,
+                             occ: np.ndarray, inv_q_pair: np.ndarray,
+                             state_rows: np.ndarray, res: np.ndarray,
+                             q_state: np.ndarray) -> np.ndarray:
+        """The theta-dependent part of a subgradient estimate over m gathered
+        draws: pair ``rows`` (dense or ELL) with their occ_base and 1 / q_pair,
+        and ``state_rows`` with their res_base and q_state.
+        :meth:`subgradient_estimate` and :func:`make_minibatch_grad` both end
+        here, so they round alike."""
+        w_neg = np.where(occ + rows @ theta < 0.0, inv_q_pair, 0.0)
+        w_res = np.sign(state_rows @ theta + res) / q_state
+        m = len(occ)
         return (self.fs.loss_phi - (penalty / m) * (w_neg @ rows)
                 + (penalty / m) * (w_res @ state_rows))
 
@@ -254,7 +276,8 @@ def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray
 
 
 def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
-    """Single-draw gradient estimator with block-presampled draws.
+    """Single-draw gradient estimator with block-presampled draws, for
+    minibatch 1 (:func:`make_minibatch_grad` serves larger minibatches).
 
     Each refill draws ``GRAD_BLOCK`` pairs and states in one :func:`draw`, so
     the draw stream is still fully determined by the rng, and gathers their
@@ -297,6 +320,61 @@ def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
         if resid < 0.0:
             return base - state_terms[i]
         return base.copy()
+
+    return grad
+
+
+def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, m: int,
+                        iterations: int):
+    """Gradient estimator over m draws per step, with block-presampled draws,
+    for a run of ``iterations`` steps.
+
+    Each refill draws the indices of k = max(1, MINIBATCH_BLOCK // m) steps,
+    at most the steps the run has left, in one
+    :meth:`SamplingPair.sample_steps`: the draws of k successive :func:`draw`
+    calls. It computes what does not depend on theta, vectorised over the
+    block: the sampling probabilities and their support check, 1 / q_pair,
+    occ_base and res_base at the draws, and the pair rows when Phi's rows are
+    narrow (ELL). The state rows, and the pair rows of a wide Phi, are dense
+    and gathered per step: a block of them would hold k * m * d floats. A
+    step then runs :meth:`Surrogate.weighted_subgradient`, as
+    :meth:`Surrogate.subgradient_estimate` does, so on the same draws the two
+    give the same bits. A draw of probability zero raises
+    SamplingSupportError at the refill that draws it, as in
+    :func:`make_buffered_grad`, before the steps that precede it in its block.
+    Every gradient is a fresh array; the ``m`` of a call is not read.
+    """
+    fs = surrogate.fs
+    steps = max(1, MINIBATCH_BLOCK // m)
+    left = iterations
+    pos = count = 0
+    pairs = states = inv_q_pair = q_state = occ = res = pair_rows = None
+
+    def refill(rng):
+        nonlocal left, pos, count, pairs, states, inv_q_pair, q_state, occ, res, pair_rows
+        count = min(steps, max(left, 1))
+        left -= count
+        pairs, states = sp.sample_steps(rng, count, m)
+        q_pair = sp.pair_prob(pairs)
+        importance_weight_guard(q_pair)
+        q_state = sp.state_prob(states)
+        importance_weight_guard(q_state)
+        inv_q_pair = 1.0 / q_pair
+        occ = surrogate.occ_base[pairs]
+        res = surrogate.res_base[states]
+        pair_rows = fs._row_steps(pairs)
+        pos = 0
+
+    def grad(theta, rng, _m):
+        nonlocal pos
+        if pos >= count:
+            refill(rng)
+        i = pos
+        pos = i + 1
+        rows = fs.rows(pairs[i]) if pair_rows is None else pair_rows[i]
+        return surrogate.weighted_subgradient(penalty, theta, rows, occ[i], inv_q_pair[i],
+                                              surrogate.state_rows(states[i]), res[i],
+                                              q_state[i])
 
     return grad
 
@@ -374,8 +452,10 @@ def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
               violation_estimate, eval_hook=None, iterate_hook=None) -> RunTrace:
     """One projected SGD run of ``cfg`` on the surrogate from theta_1 = 0.
 
-    The buffered single-draw estimator serves minibatch 1, the vectorized
-    estimator every larger minibatch. ``run`` is :func:`run_projected_sgd`,
+    The gradients come from :func:`make_buffered_grad` at minibatch 1 and
+    from :func:`make_minibatch_grad` at every larger minibatch; both
+    presample their draws in blocks, and both give the iterates of a
+    per-step estimator bit for bit. ``run`` is :func:`run_projected_sgd`,
     and ``project`` and ``violation_estimate`` call the projection and the
     violation estimator, as the calling solver module looks them up, so
     wrappers installed on that module see every call.
@@ -384,8 +464,8 @@ def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
     if cfg.minibatch == 1:
         grad_batch = make_buffered_grad(surrogate, sp, cfg.penalty)
     else:
-        def grad_batch(theta, rng, m):
-            return surrogate.subgradient_estimate(sp, cfg.penalty, theta, rng, m=m)
+        grad_batch = make_minibatch_grad(surrogate, sp, cfg.penalty, cfg.minibatch,
+                                         cfg.iterations)
 
     def make_policy(theta):
         return policy_from_occupancy(surrogate.occupancy(theta), surrogate.model.num_actions)

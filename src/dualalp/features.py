@@ -113,6 +113,15 @@ class FeatureSpace:
             return self.rows(pair_idx)
         return self._narrow[pair_idx]
 
+    def _row_steps(self, pair_idx: np.ndarray) -> list[_EllRows] | None:
+        """One ELL block per row of a 2-D array of pair indices, each a view
+        into one gather of them all, when Phi's rows are narrow; else None,
+        since dense rows are gathered as each step needs them."""
+        if self._narrow is None:
+            return None
+        block = self._narrow[pair_idx]
+        return [_EllRows(cols, vals, self.dim) for cols, vals in zip(block.cols, block.vals)]
+
     def row_norms(self) -> np.ndarray:
         """Euclidean norm of every feature row (length X*A)."""
         if self._row_norms is None:
@@ -240,6 +249,29 @@ class SamplingPair:
         return _sample(self._cum_state_probs, self._guide_state_probs, self.num_states,
                        rng, size)
 
+    def sample_steps(self, rng: np.random.Generator, steps: int,
+                     size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(steps, size) pair draws and state draws: row i is the i-th of
+        ``steps`` successive ``sample_pairs(rng, size)``,
+        ``sample_states(rng, size)`` calls, and the generator ends in the state
+        those calls leave it in. When both sides search a table, one
+        ``rng.random((steps, 2, size))`` gives the uniforms of every call in
+        order and each side's table is searched once; otherwise the generator
+        is called per step as those calls would, and a searched side maps its
+        uniforms at the end."""
+        sides = ((self._cum_pair_probs, self._guide_pair_probs, self.num_pairs),
+                 (self._cum_state_probs, self._guide_state_probs, self.num_states))
+        if all(cum is not None for cum, _, _ in sides):
+            u = rng.random((steps, 2, size))
+            return tuple(_search(cum, guide, u[:, j]) for j, (cum, guide, _) in enumerate(sides))
+        raw = [np.empty((steps, size), dtype=np.int64 if cum is None else float)
+               for cum, _, _ in sides]
+        for i in range(steps):
+            for out, (cum, _, n) in zip(raw, sides):
+                out[i] = rng.integers(0, n, size=size) if cum is None else rng.random(size)
+        return tuple(out if cum is None else _search(cum, guide, out)
+                     for out, (cum, guide, _) in zip(raw, sides))
+
 
 _WALK_STEPS = 8  # forward steps before the draws left in a crowded bucket are bisected
 
@@ -261,7 +293,12 @@ def _sample(cum: np.ndarray | None, guide: np.ndarray | None, n: int,
     exactly ``searchsorted(cum, u, side="right")`` for u = rng.random(size)."""
     if cum is None:
         return rng.integers(0, n, size=size)
-    u = rng.random(size)
+    return _search(cum, guide, rng.random(size))
+
+
+def _search(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cum, u, side="right")`` for an array of uniforms in
+    [0, 1) of any shape, through the guide table of ``cum``."""
     buckets = len(guide)
     idx = guide[np.minimum((u * float(buckets)).astype(np.intp), buckets - 1)]
     for _ in range(_WALK_STEPS):

@@ -33,6 +33,17 @@ def random_features(rng, model, dim, density=0.5, signed=True, normalize=False,
     return FeatureSpace(model, sp.csr_matrix(phi), mu0=mu0, normalize=normalize)
 
 
+def narrow_random_space(rng, num_states=30, num_actions=3, dim=48):
+    """Random MDP with sparse features of 1-6 nonzeros per row, narrow at
+    d = 48 (the estimators take their pair rows as an ELL block)."""
+    model = random_mdp(rng, num_states, num_actions)
+    phi = np.zeros((model.num_pairs, dim))
+    for i in range(model.num_pairs):
+        cols = rng.choice(dim, size=rng.integers(1, 7), replace=False)
+        phi[i, cols] = rng.standard_normal(len(cols))
+    return model, FeatureSpace(model, sp.csr_matrix(phi), mu0=rng.random(model.num_pairs) * 0.1)
+
+
 def stationary_features(rng, model, dim, tol=1e-12):
     """Columns are exact stationary state-action distributions of random policies."""
     from dualalp.mdp import stationary_state_action

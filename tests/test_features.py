@@ -15,7 +15,8 @@ from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
 from dualalp.mdp import MdpModel, stationary_state_action
 from dualalp.queueing import DESK_SPEC, build_features, build_mdp
 
-from conftest import random_features, random_mdp, random_policy, stationary_features
+from conftest import (narrow_random_space, random_features, random_mdp, random_policy,
+                      stationary_features)
 
 
 def single_state_mdp(num_actions=2, gamma_loss=0.5):
@@ -441,16 +442,6 @@ def test_desk_draw_stream_pinned(desk_space):
 
 # ------------------------------------------------------------- narrow rows
 
-def _narrow_random_space(rng, num_states=30, num_actions=3, dim=48):
-    """Random sparse features with 1-6 nonzeros per row: narrow at d = 48."""
-    model = random_mdp(rng, num_states, num_actions)
-    phi = np.zeros((model.num_pairs, dim))
-    for i in range(model.num_pairs):
-        cols = rng.choice(dim, size=rng.integers(1, 7), replace=False)
-        phi[i, cols] = rng.standard_normal(len(cols))
-    return model, FeatureSpace(model, sp.csr_matrix(phi), mu0=rng.random(model.num_pairs) * 0.1)
-
-
 def _assert_narrow_matches_dense(model, fs, sample, seed):
     assert fs._narrow is not None
     rng = np.random.default_rng(seed)
@@ -481,7 +472,7 @@ def test_narrow_rows_match_dense_rows_desk(desk_space):
 
 def test_narrow_rows_match_dense_rows_random():
     rng = np.random.default_rng(42)
-    model, fs = _narrow_random_space(rng)
+    model, fs = narrow_random_space(rng)
     _assert_narrow_matches_dense(model, fs, make_uniform_sampling(model, fs, 0.9), 43)
     pairs = np.array([0, 5, 5, 89])
     block = fs._row_block(pairs)
@@ -501,7 +492,7 @@ def test_dense_path_kept_for_wide_rows(desk_fixture):
 
 def test_support_guard_fires_before_narrow_gather(monkeypatch):
     rng = np.random.default_rng(44)
-    model, fs = _narrow_random_space(rng)
+    model, fs = narrow_random_space(rng)
     probs = np.full(model.num_pairs, 1.0 / (model.num_pairs - 1))
     probs[7] = 0.0
     sample = features.SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,

@@ -1,26 +1,32 @@
-"""The single-draw SGD step against its straightforward per-step form, and
-the checks on the learning-rate halving period.
+"""The block-presampled SGD steps against their straightforward per-step
+forms, and the checks on the learning-rate halving period.
 
-``make_buffered_grad`` and ``project_theta_disc`` compute their values from
-per-block precomputed terms and direct ``ndarray.dot`` calls; the reference
-forms below do the same arithmetic one step at a time, and every value must
-agree bit for bit.
+``make_buffered_grad`` (one draw per step), ``make_minibatch_grad`` (m draws
+per step, through ``SamplingPair.sample_steps``) and ``project_theta_disc``
+compute their values from per-block precomputed terms; the reference forms
+do the same arithmetic one step at a time, and every value must agree bit for
+bit.
 """
+import dataclasses
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dualalp._sgd import (GRAD_BLOCK, SgdProblem, Surrogate, draw, make_buffered_grad,
-                          run_projected_sgd)
+from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, SgdProblem, Surrogate, draw,
+                          make_buffered_grad, make_minibatch_grad, run_projected_sgd)
 from dualalp.avgcost import AvgSolverConfig
 from dualalp.discounted import DiscSolverConfig, project_theta_disc
-from dualalp.errors import ParameterError
-from dualalp.features import make_norm_proportional_sampling, make_uniform_sampling
+from dualalp.errors import ParameterError, SamplingSupportError
+from dualalp.features import (SamplingPair, make_norm_proportional_sampling,
+                              make_uniform_sampling)
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
 
-from conftest import random_features, random_mdp
+from conftest import narrow_random_space, random_features, random_mdp
 
 DATA = Path(__file__).parent / "data"
 CALLS = 3 * GRAD_BLOCK + 1  # three full blocks and the first step of a fourth
@@ -65,6 +71,18 @@ def reference_buffered_grad(surrogate, sp, penalty, branches):
         return g
 
     return grad
+
+
+def reference_subgradient(surrogate, sp, penalty, theta, rng, m):
+    """The m-draw estimate with every term written out in place, on the draws
+    of one :func:`draw`."""
+    pair_idx, state_idx = draw(sp, rng, m)
+    q_pair, rows = surrogate.gather(sp, pair_idx)
+    w_neg = np.where(surrogate.occ_base[pair_idx] + rows @ theta < 0.0, 1.0 / q_pair, 0.0)
+    q_state, state_rows = surrogate.gather(sp, state_idx, states=True)
+    w_res = np.sign(state_rows @ theta + surrogate.res_base[state_idx]) / q_state
+    return (surrogate.fs.loss_phi - (penalty / m) * (w_neg @ rows)
+            + (penalty / m) * (w_res @ state_rows))
 
 
 def reference_project_disc(theta, radius):
@@ -125,6 +143,85 @@ def test_buffered_grad_matches_per_step_reference(instance):
                              "residual < 0", "residual = 0"}
 
 
+# ------------------------------------------------------- minibatch estimator
+
+def _samplers(model, fs):
+    """(name, sampler): both sides uniform, both searched in a table, and
+    each side uniform with the other searched."""
+    searched = make_norm_proportional_sampling(model, fs, 1.0)
+    return [("uniform", make_uniform_sampling(model, fs, 1.0)),
+            ("searched", searched),
+            ("uniform pairs", dataclasses.replace(searched, pair_probs=None)),
+            ("uniform states", dataclasses.replace(searched, state_probs=None))]
+
+
+@pytest.mark.parametrize("m", [1, 3, 1000])
+def test_sample_steps_matches_successive_draws(m):
+    model, fs = narrow_random_space(np.random.default_rng(3))
+    for name, sampler in _samplers(model, fs):
+        rng, rng_ref = np.random.default_rng(11), np.random.default_rng(11)
+        for steps in (4, 1, 3):
+            pairs, states = sampler.sample_steps(rng, steps, m)
+            assert pairs.shape == states.shape == (steps, m), name
+            for i in range(steps):
+                ref_pairs, ref_states = draw(sampler, rng_ref, m)
+                assert np.array_equal(pairs[i], ref_pairs), (name, steps, i)
+                assert np.array_equal(states[i], ref_states), (name, steps, i)
+        # the generator ends where the successive calls leave it
+        assert rng.bit_generator.state == rng_ref.bit_generator.state, name
+
+
+@pytest.mark.parametrize("m", [16, 1000])
+@pytest.mark.parametrize("instance", [lambda: narrow_random_space(np.random.default_rng(8)),
+                                      _dirichlet_instance], ids=["narrow-ell", "wide-dense"])
+def test_minibatch_grad_matches_subgradient_estimate(instance, m):
+    model, fs = instance()
+    loss_phi = fs.loss_phi.copy()
+    steps = max(1, MINIBATCH_BLOCK // m)
+    iterations = 2 * steps + 3  # two full refills and a third cut short by the run's end
+    for name, surrogate, sampler in _surrogates(model, fs):
+        penalty = 1.7
+        grad = make_minibatch_grad(surrogate, sampler, penalty, m, iterations)
+        rng, rng_ref, rng_written = (np.random.default_rng(5) for _ in range(3))
+        thetas = np.random.default_rng(6)
+        for t in range(iterations):
+            # theta = 0 every fifth step: the average-cost residual is then exactly 0
+            theta = np.zeros(fs.dim) if t % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
+            g = grad(theta, rng, m)
+            expected = surrogate.subgradient_estimate(sampler, penalty, theta, rng_ref, m=m)
+            assert same_bits(g, expected), (name, t)
+            written = reference_subgradient(surrogate, sampler, penalty, theta, rng_written, m)
+            assert same_bits(expected, written), (name, t)
+            assert g.base is None and not np.shares_memory(g, fs.loss_phi)
+            g *= -3.0  # the caller owns the gradient
+            np.testing.assert_array_equal(fs.loss_phi, loss_phi)
+        # the last refill drew only the steps left, as many as the reference took
+        assert rng.bit_generator.state == rng_ref.bit_generator.state, name
+
+
+@pytest.mark.parametrize("side", ["pairs", "states"])
+def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
+    model, fs = _dirichlet_instance()
+    size = model.num_pairs if side == "pairs" else model.num_states
+    probs = np.full(size, 1.0 / (size - 1))
+    probs[2] = 0.0
+    sampler = SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
+                           c_pair=1.0, c_state=1.0, kappa=1.0,
+                           **{("pair_probs" if side == "pairs" else "state_probs"): probs})
+    sample_steps = SamplingPair.sample_steps
+
+    def last_draw_unsupported(self, rng, steps, m):
+        drawn = dict(zip(["pairs", "states"], sample_steps(self, rng, steps, m)))
+        drawn[side][-1, -1] = 2  # the sampler never draws it, so plant it
+        return drawn["pairs"], drawn["states"]
+
+    monkeypatch.setattr(SamplingPair, "sample_steps", last_draw_unsupported)
+    grad = make_minibatch_grad(Surrogate.average_cost(model, fs), sampler, 2.0, 4, 10)
+    # the draw is the last of the block, and the first step already raises
+    with pytest.raises(SamplingSupportError):
+        grad(np.zeros(fs.dim), np.random.default_rng(0), 4)
+
+
 @pytest.mark.parametrize("dim", [1, 3, 170])
 def test_project_disc_matches_norm_form(dim):
     rng = np.random.default_rng(dim)
@@ -151,6 +248,37 @@ def test_project_disc_edge_cases_match_norm_form(theta, radius):
         projected = project_theta_disc(theta, radius)
         assert same_bits(projected, reference_project_disc(theta, radius))
         assert (projected is theta) == (np.linalg.norm(theta) <= radius)
+
+
+EXACT_SUBGRADIENT_BYTES = """
+import numpy as np
+from dualalp import queueing
+from dualalp._sgd import Surrogate
+from dualalp.mdp import stationary_state_action
+spec = queueing.DESK_SPEC
+model = queueing.build_mdp(spec)
+mu0 = stationary_state_action(model, queueing.heuristic_policy(spec, "LBFS"))
+fs, _ = queueing.build_features(spec, model=model, mu0=mu0)
+surrogate = Surrogate.average_cost(model, fs)
+for seed in range(5):
+    theta = np.random.default_rng(seed).standard_normal(fs.dim) * 0.05
+    print(surrogate.exact_subgradient(2.0, theta).tobytes().hex())
+"""
+
+
+def test_exact_subgradient_does_not_depend_on_blas_threads():
+    # the BLAS product S^T signs over the 4900 desk drift rows gave other bytes
+    # at seeds 2 and 3 with two OpenBLAS threads than with one
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", EXACT_SUBGRADIENT_BYTES], env=env,
+                             check=True, capture_output=True, text=True)
+        outputs.append(run.stdout)
+    assert len(outputs[0].split()) == 5
+    assert outputs[0] == outputs[1]
 
 
 # ------------------------------------------------------ learning-rate halving
