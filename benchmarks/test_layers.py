@@ -5,7 +5,10 @@ discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
 20 pairs, and a 64-draw trace row over the 19,600 desk pairs), and of a
 two-point discounted meta run on the 4-state fixture, in one process and in
-forked workers, which shows what starting the worker pool costs a tiny grid.
+forked workers, which shows what starting the worker pool costs a tiny grid,
+and of the paper preset (1,028,196 states): one heuristic policy table, and a
+simulated evaluation of 3 replications of 20000 steps, in one process and in
+forked workers.
 
 Run from the repository root with
 
@@ -155,3 +158,25 @@ def test_meta_disc_two_points(benchmark, monkeypatch, cpus):
                        violation_bound=1.0, selection_weight=1.0,
                        max_iterations_per_point=300, trace_stride=300)
     assert result.iterations_per_point.tolist() == [300, 300]
+
+
+@pytest.mark.parametrize("kind", ["LONGER", "LBFS"])
+def test_heuristic_policy_paper(benchmark, kind):
+    policy = benchmark(queueing.heuristic_policy, queueing.PAPER_SPEC, kind)
+    assert policy.probs.shape == (queueing.PAPER_SPEC.num_states, queueing.NUM_ACTIONS)
+
+
+@pytest.fixture(scope="module")
+def paper_lbfs():
+    return queueing.heuristic_policy(queueing.PAPER_SPEC, "LBFS")
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["sequential", "pooled"])
+def test_simulated_eval_paper(benchmark, monkeypatch, paper_lbfs, cpus):
+    """LBFS on the paper preset at the CLI's eval defaults: 3 replications of
+    20000 steps after a 2000-step burn-in. With one CPU the replications run in
+    this process, with two in forked workers that inherit the policy table."""
+    monkeypatch.setattr(_sgd, "_cpu_count", lambda: cpus)
+    mean, std = benchmark(queueing.evaluate_policy_simulated, queueing.PAPER_SPEC, paper_lbfs,
+                          20000, 2000, 3, seed=0)
+    assert np.isfinite(mean) and std > 0.0

@@ -25,6 +25,7 @@ the iterate, so the iterate path is bit for bit that of a per-step estimator.
 """
 from __future__ import annotations
 
+import gc
 import math
 import os
 import threading
@@ -494,6 +495,9 @@ _worker_point = None  # the per-point function a forked worker inherits
 def _init_worker(point) -> None:
     global _worker_point
     _worker_point = point
+    # the objects inherited from the parent stay out of the worker's collections,
+    # which would otherwise write to, and so copy, every page that holds them
+    gc.freeze()
 
 
 def _run_worker_point(k: int):
@@ -501,7 +505,9 @@ def _run_worker_point(k: int):
 
 
 def _map_points(point, order: list[int]) -> dict:
-    """``{k: point(k)}`` for every index of ``order``.
+    """``{k: point(k)}`` for every index of ``order``: the grid points of
+    :func:`meta_loop` and the replications of
+    :func:`dualalp.queueing.evaluate_policy_simulated`.
 
     With one usable CPU, without the fork start method, inside a daemonic
     process (a pool worker cannot have children) or beside other Python

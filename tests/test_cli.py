@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualalp import avgcost, cli, discounted, features
+from dualalp import _sgd, avgcost, cli, discounted, features
 from dualalp.cli import (EXIT_CAPACITY, EXIT_CONFIG, EXIT_INPUT_SHAPE, EXIT_SAMPLING,
                          SEED_ENV_VAR, main)
 from dualalp.errors import SamplingSupportError
@@ -188,6 +188,21 @@ def test_capacity_error_exit_code(tmp_path):
     # the paper preset cannot be solved exactly: meta-avg on it must refuse
     assert main(["meta-avg", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == EXIT_CAPACITY
+
+
+def test_bench_queue_paper_does_not_depend_on_worker_count(tmp_path, monkeypatch):
+    # the simulated replications run in the calling process with one CPU and in
+    # forked workers with two
+    cfg = tmp_path / "paper_eval.json"
+    cfg.write_text(json.dumps({"eval": {"horizon": 3000, "burn_in": 300, "reps": 3}}))
+    summaries = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(_sgd, "_cpu_count", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["bench-queue", "--preset", "paper", "--config", str(cfg), "--seed", "3",
+                     "--out", str(out)]) == 0
+        summaries.append((out / "summary.json").read_bytes())
+    assert summaries[0] == summaries[1]
 
 
 def test_input_shape_error_exit_code(tmp_path):

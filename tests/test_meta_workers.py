@@ -1,6 +1,7 @@
 """The meta loop's grid points run in forked worker processes: results must
 not depend on the number of workers, and a worker's exception must reach the
-caller with its type and fields intact."""
+caller with its type and fields intact. The fallback to a plain loop is shared
+with the replications of the queue simulator."""
 import multiprocessing
 import os
 import pickle
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dualalp import _sgd, errors
+from dualalp import _sgd, errors, queueing
 from dualalp.avgcost import meta_solve_avg
 from dualalp.discounted import meta_solve_disc
 from dualalp.errors import ConvergenceError
@@ -80,7 +81,8 @@ def test_failing_point_reaches_caller_with_residual(monkeypatch, cpus):
 def test_plain_loop_where_forking_is_unsafe(monkeypatch, setting):
     """A daemonic process cannot have children, some platforms cannot fork,
     and a fork beside other Python threads may copy a held lock: each runs the
-    points in the calling process, in grid order."""
+    points in the calling process, in grid order, and so the replications of a
+    simulated evaluation."""
     _pool(monkeypatch, 2)
     release, waiters = threading.Event(), []
     if setting == "daemon":
@@ -91,14 +93,22 @@ def test_plain_loop_where_forking_is_unsafe(monkeypatch, setting):
     else:
         waiters.append(threading.Thread(target=release.wait, args=(30,)))
         waiters[0].start()
-    seen = []
+    seen, simulated = [], []
+    visited_pairs = queueing._visited_pairs
 
     def solve(penalty, iterations, seed):
         seen.append((penalty, os.getpid()))
         return _toy_trace(iterations)
 
+    def trajectory(*args):
+        simulated.append(os.getpid())
+        return visited_pairs(*args)
+
+    monkeypatch.setattr(queueing, "_visited_pairs", trajectory)
+    policy = queueing.heuristic_policy(queueing.DESK_SPEC, "LBFS")
     try:
         result = _toy_meta(solve)
+        queueing.evaluate_policy_simulated(queueing.DESK_SPEC, policy, 2000, 200, 3)
     finally:
         release.set()
         for waiter in waiters:
@@ -106,6 +116,7 @@ def test_plain_loop_where_forking_is_unsafe(monkeypatch, setting):
             assert not waiter.is_alive()
     assert seen == [(float(penalty), os.getpid()) for penalty in GRID.points]
     assert len(result.traces) == len(GRID)
+    assert simulated == [os.getpid()] * 3
 
 
 def _assert_same_meta(seq, par):

@@ -1,17 +1,20 @@
 import hashlib
+import multiprocessing.pool
+import os
 
 import numpy as np
 import pytest
 
+from dualalp import _sgd, queueing
 from dualalp.errors import CapacityError, InputShapeError, ParameterError
 from dualalp.mdp import average_cost, stationary_state_action
-from dualalp.queueing import (DESK_SPEC, NUM_ACTIONS, QueueNetSpec, build_features,
-                              build_mdp, decode_state, encode_state,
+from dualalp.queueing import (DESK_SPEC, NUM_ACTIONS, PAPER_SPEC, QueueNetSpec,
+                              build_features, build_mdp, decode_state, encode_state,
                               evaluate_policy_simulated, heuristic_policy,
                               served_queues, step)
 from dualalp.queueing import heuristic_stationary_trajectory
 from dualalp.mdp import Policy
-from dualalp.queueing import _visited_pairs
+from dualalp.queueing import _all_states, _visited_pairs
 
 SMALL_SPEC = QueueNetSpec(buffers=(3, 2, 2, 3), arrival_probs=(0.08, 0.08),
                           service_probs=(0.12, 0.12, 0.28, 0.28))
@@ -296,12 +299,26 @@ def test_evaluate_simulated_deterministic():
 
 # --------------------------------------------------------------- simulator inputs
 
+@pytest.fixture
+def no_pool(monkeypatch):
+    """Two usable CPUs, so that more than one replication would fork workers,
+    and a failure if a worker pool is created: bad input must be rejected in
+    the calling process, before any replication starts."""
+    monkeypatch.setattr(_sgd, "_cpu_count", lambda: 2)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a worker pool was started before the input check")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+
+
+@pytest.mark.usefixtures("no_pool")
 def test_simulators_reject_burn_in_outside_horizon():
     policy = heuristic_policy(DESK_SPEC, "LBFS")
     with pytest.raises(ParameterError):  # would average over horizon - burn_in = 4000 steps
-        evaluate_policy_simulated(DESK_SPEC, policy, 2000, -2000, 1)
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000, -2000, 2)
     with pytest.raises(ParameterError, match="horizon must exceed burn_in"):
-        evaluate_policy_simulated(DESK_SPEC, policy, 200, 200, 1)
+        evaluate_policy_simulated(DESK_SPEC, policy, 200, 200, 2)
     with pytest.raises(ParameterError):
         heuristic_stationary_trajectory(DESK_SPEC, policy, length=100, burn_in=-1)
 
@@ -312,6 +329,7 @@ def test_stationary_trajectory_rejects_empty_length():
         heuristic_stationary_trajectory(SMALL_SPEC, policy, length=0, burn_in=10)
 
 
+@pytest.mark.usefixtures("no_pool")
 def test_evaluate_simulated_rejects_no_reps():
     with pytest.raises(ParameterError, match="reps must be >= 1"):
         evaluate_policy_simulated(SMALL_SPEC, heuristic_policy(SMALL_SPEC, "LBFS"), 200, 20, 0)
@@ -319,10 +337,11 @@ def test_evaluate_simulated_rejects_no_reps():
 
 @pytest.mark.parametrize("spec, other", [(SMALL_SPEC, DESK_SPEC), (DESK_SPEC, SMALL_SPEC)],
                          ids=["larger-policy", "smaller-policy"])
+@pytest.mark.usefixtures("no_pool")
 def test_simulators_reject_policy_of_another_network(spec, other):
     policy = heuristic_policy(other, "LONGER")
     with pytest.raises(InputShapeError):
-        evaluate_policy_simulated(spec, policy, 200, 20, 1)
+        evaluate_policy_simulated(spec, policy, 200, 20, 2)
     with pytest.raises(InputShapeError):
         heuristic_stationary_trajectory(spec, policy, length=200, burn_in=20)
 
@@ -357,6 +376,70 @@ def test_simulator_draw_stream_golden(kind):
 # Saturating probabilities: queue 2 always receives and is never served, queue 0
 # is always served when chosen, so buffers fill and servers sit at empty queues.
 SATURATING_SPEC = QueueNetSpec((1, 2, 1, 2), (0.5, 1.0), (1.0, 0.3, 0.0, 0.7))
+
+
+# Four different buffers: the presets are symmetric, so they cannot show two
+# queue axes swapped in the table.
+UNEVEN_SPEC = QueueNetSpec((2, 3, 4, 5), (0.08, 0.08), (0.12, 0.12, 0.28, 0.28))
+
+
+def reference_heuristic_policy(spec, kind):
+    """The heuristic table from the decoded (X, 4) queue lengths of every state."""
+    states = _all_states(spec)
+    if kind == "LONGER":
+        p1_first = np.where(states[:, 0] > states[:, 3], 1.0,
+                            np.where(states[:, 0] < states[:, 3], 0.0, 0.5))
+        p2_first = np.where(states[:, 1] > states[:, 2], 1.0,
+                            np.where(states[:, 1] < states[:, 2], 0.0, 0.5))
+    else:
+        p1_first = np.where(states[:, 3] == 0, 1.0, 0.0)
+        p2_first = np.where(states[:, 1] == 0, 0.0, 1.0)
+    probs = np.empty((spec.num_states, NUM_ACTIONS))
+    for action in range(NUM_ACTIONS):
+        i, j = action // 2, action % 2
+        p_i = p1_first if i == 0 else 1.0 - p1_first
+        p_j = p2_first if j == 0 else 1.0 - p2_first
+        probs[:, action] = p_i * p_j
+    return probs
+
+
+@pytest.mark.parametrize("spec", [DESK_SPEC, SMALL_SPEC, SATURATING_SPEC, PAPER_SPEC,
+                                  UNEVEN_SPEC],
+                         ids=["desk", "small", "saturating", "paper", "uneven"])
+@pytest.mark.parametrize("kind", ["LONGER", "LBFS"])
+def test_heuristic_table_matches_decoded_states(spec, kind):
+    got = heuristic_policy(spec, kind).probs
+    want = reference_heuristic_policy(spec, kind)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [DESK_SPEC, SATURATING_SPEC], ids=["desk", "saturating"])
+def test_simulated_eval_does_not_depend_on_worker_count(monkeypatch, tmp_path, spec):
+    """The replications run in forked workers unless there is one CPU or one
+    replication; a spy logs the pid of every trajectory to a file, so the
+    pooled runs are seen to simulate outside this process."""
+    policy = heuristic_policy(spec, "LONGER")
+    pids = tmp_path / "pids"
+    visited_pairs = queueing._visited_pairs
+
+    def spy(*args):
+        with open(pids, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return visited_pairs(*args)
+
+    monkeypatch.setattr(queueing, "_visited_pairs", spy)
+    for reps in (1, 2, 3, 5):
+        outputs = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(_sgd, "_cpu_count", lambda: cpus)
+            pids.write_text("")
+            outputs.add(np.array(evaluate_policy_simulated(spec, policy, 3000, 300, reps,
+                                                           seed=8)).tobytes())
+            callers = pids.read_text().split()
+            assert len(callers) == reps
+            assert (str(os.getpid()) in callers) == (cpus == 1 or reps == 1)
+        assert len(outputs) == 1, reps
 
 
 def reference_visited_pairs(spec, policy, steps, burn_in, rng):
@@ -459,10 +542,11 @@ def test_simulator_saturating_golden(kind):
 
 # --------------------------------------------------------------- integer lengths
 
+@pytest.mark.usefixtures("no_pool")
 def test_simulators_reject_non_integer_horizon():
     policy = heuristic_policy(DESK_SPEC, "LBFS")
     with pytest.raises(ParameterError, match="horizon must be an integer"):
-        evaluate_policy_simulated(DESK_SPEC, policy, 2000.0, 200, 1)
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000.0, 200, 2)
     with pytest.raises(ParameterError, match="horizon must be an integer"):
         heuristic_stationary_trajectory(DESK_SPEC, policy, length=2000.0, burn_in=200)
 
@@ -472,16 +556,18 @@ class NoDraws:
         pytest.fail("the trajectory was simulated before the input check")
 
 
+@pytest.mark.usefixtures("no_pool")
 def test_simulators_reject_non_integer_burn_in(monkeypatch):
     # checked before the trajectory is simulated, not at the final slice
     monkeypatch.setattr(np.random, "default_rng", lambda seed: NoDraws())
     policy = heuristic_policy(DESK_SPEC, "LBFS")
     with pytest.raises(ParameterError, match="burn_in must be an integer"):
-        evaluate_policy_simulated(DESK_SPEC, policy, 2000, 200.0, 1)
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000, 200.0, 2)
     with pytest.raises(ParameterError, match="burn_in must be an integer"):
-        evaluate_policy_simulated(DESK_SPEC, policy, 2000, True, 1)
+        evaluate_policy_simulated(DESK_SPEC, policy, 2000, True, 2)
 
 
+@pytest.mark.usefixtures("no_pool")
 def test_evaluate_simulated_rejects_non_integer_reps():
     policy = heuristic_policy(DESK_SPEC, "LBFS")
     with pytest.raises(ParameterError, match="reps must be an integer"):
