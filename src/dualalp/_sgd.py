@@ -71,8 +71,26 @@ def check_positive_int(name: str, value) -> None:
         raise ParameterError(f"{name} must be a positive integer, got {value!r}")
 
 
-class SolverConfigChecks:
-    """Validation shared by the two SGD run configurations."""
+@dataclass(frozen=True, kw_only=True)
+class SolverConfig:
+    """Knobs of one projected SGD run, shared by both surrogates.
+
+    penalty is the violation gain H and radius bounds ||theta||_2.
+    ``learning_rate`` may be a float or "auto"; with ``lr_halving_period``
+    set, the rate is halved every that many iterations. ``trace_stride`` of
+    None records about 1000 rows, each with a violation estimate from
+    ``trace_violation_samples`` draws.
+    """
+
+    penalty: float
+    radius: float
+    iterations: int
+    learning_rate: float | str = "auto"
+    lr_halving_period: int | None = None
+    minibatch: int = 1
+    seed: int = 0
+    trace_stride: int | None = None
+    trace_violation_samples: int = 64
 
     def __post_init__(self):
         check_radius(self.radius)
@@ -84,8 +102,6 @@ class SolverConfigChecks:
             raise ParameterError("iterations must be >= 1")
         if self.minibatch < 1:
             raise ParameterError("minibatch must be >= 1")
-        if not 0.0 < self.failure_prob < 1.0:
-            raise ParameterError("failure_prob must lie in (0, 1)")
         check_halving_period(self.lr_halving_period)
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sgd import SolverConfigChecks, Surrogate, meta_loop, run_projected_sgd, sgd_solve
+from ._sgd import SolverConfig, Surrogate, meta_loop, run_projected_sgd, sgd_solve
 from .errors import ParameterError
 from .features import FeatureSpace, SamplingPair
 from .grid import build_penalty_grid
@@ -32,28 +32,11 @@ from .mdp import MdpModel
 from .trace import MetaResult, RunTrace
 
 
-@dataclass(frozen=True)
-class AvgSolverConfig(SolverConfigChecks):
-    """Knobs of one average-cost SGD run.
+@dataclass(frozen=True, kw_only=True)
+class AvgSolverConfig(SolverConfig):
+    """Knobs of one average-cost SGD run; radius must be >= |sum_target|/sqrt(d)."""
 
-    penalty >= 1 is the violation gain; radius bounds ||theta||_2 and must be
-    at least |sum_target|/sqrt(d) so the constraint set is nonempty.
-    ``learning_rate`` may be a float or "auto"; with ``lr_halving_period`` set,
-    the rate is halved every that many iterations.
-    """
-
-    penalty: float
-    radius: float
-    iterations: int
-    learning_rate: float | str = "auto"
-    lr_halving_period: int | None = None
-    minibatch: int = 1
-    tolerance: float = 0.05
-    failure_prob: float = 0.1
-    seed: int = 0
     sum_target: float = 1.0
-    trace_stride: int | None = None
-    trace_violation_samples: int = 64
 
 
 def violations_exact(model: MdpModel, fs: FeatureSpace, theta: np.ndarray) -> tuple[float, float]:
@@ -114,12 +97,6 @@ def project_theta_avg(theta: np.ndarray, radius: float,
     return deviation
 
 
-def _violation_summands_avg(fs: FeatureSpace, sp: SamplingPair, theta: np.ndarray,
-                            pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
-    return Surrogate.average_cost(fs.model, fs).violation_summands(sp, theta, pair_idx,
-                                                                   state_idx)
-
-
 def estimate_violations(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
                         theta: np.ndarray, n: int, rng: np.random.Generator,
                         batch: int = 1 << 16) -> float:
@@ -171,6 +148,8 @@ def meta_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     Per-point seeds derive deterministically from the master seed; ties in the
     selection go to the lowest grid index.
     """
+    if not 0.0 < failure_prob < 1.0:
+        raise ParameterError("failure_prob must lie in (0, 1)")
     grid = build_penalty_grid(violation_bound, selection_weight, tolerance)
     num_points = len(grid)
     n_violation = violation_sample_count_avg(radius, sp.c_pair, sp.c_state,
@@ -179,7 +158,6 @@ def meta_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     def solve(penalty, iterations, run_seed):
         cfg = AvgSolverConfig(penalty=penalty, radius=radius, iterations=iterations,
                               learning_rate=learning_rate, minibatch=minibatch,
-                              tolerance=tolerance, failure_prob=failure_prob,
                               seed=run_seed, sum_target=sum_target,
                               trace_stride=trace_stride)
         return sgd_solve_avg(model, fs, sp, cfg, eval_hook=eval_hook)

@@ -305,8 +305,7 @@ def _meta_summary(result: MetaResult) -> dict:
 class _Objective(NamedTuple):
     """What separates an average-cost solver run from a discounted one."""
 
-    kappa: float                # rate of the sampling distributions
-    gamma: float | None         # discount of the exact evaluation (None: average cost)
+    gamma: float | None         # discount and sampler rate (None: average cost, rate 1)
     alpha: np.ndarray | None    # initial state distribution (None: uniform)
     config_cls: type            # SGD run configuration
     config_args: dict           # its fields that only this objective has
@@ -320,7 +319,7 @@ class _Objective(NamedTuple):
 def _avg_objective(model, fs, solver: dict) -> _Objective:
     avgcost._in_plane_radius_sq(solver["radius"], solver["sum_target"], fs.dim, ConfigError)
     sum_target = {"sum_target": solver["sum_target"]}
-    return _Objective(1.0, None, None, avgcost.AvgSolverConfig, sum_target,
+    return _Objective(None, None, avgcost.AvgSolverConfig, sum_target,
                       avgcost.sgd_solve_avg, avgcost.meta_solve_avg, sum_target,
                       lambda theta: avgcost.violations_exact(model, fs, theta), {})
 
@@ -332,7 +331,7 @@ def _disc_objective(model, fs, solver: dict) -> _Objective:
     if enforce:
         avgcost._in_plane_radius_sq(solver["radius"], 1.0 / (1.0 - gamma), fs.dim, ConfigError)
     return _Objective(
-        gamma, gamma, alpha, discounted.DiscSolverConfig,
+        gamma, alpha, discounted.DiscSolverConfig,
         {"discount": gamma, "initial_dist": alpha, "enforce_sum_constraint": enforce},
         discounted.sgd_solve_disc, discounted.meta_solve_disc,
         {"gamma": gamma, "alpha": alpha, "enforce_sum_constraint": enforce},
@@ -373,7 +372,7 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
     _check_simulated_problem(eval_cfg, spec)
     fs = _build_features(features, model, spec, resolved["problem"])
     objective = make_objective(model, fs, solver)
-    sampler = SAMPLING_SCHEMES[sampling["scheme"]](model, fs, objective.kappa)
+    sampler = SAMPLING_SCHEMES[sampling["scheme"]](model, fs, objective.gamma or 1.0)
     hook = _make_eval_hook(eval_cfg, model, spec, gamma=objective.gamma, alpha=objective.alpha)
     if meta_run:
         result = objective.meta_solve(
@@ -393,7 +392,6 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
             penalty=solver["penalty"], radius=solver["radius"],
             iterations=solver["iterations"], learning_rate=solver["learning_rate"],
             lr_halving_period=solver["lr_halving_period"], minibatch=solver["minibatch"],
-            tolerance=solver["tolerance"], failure_prob=solver["failure_prob"],
             seed=solver["seed"], trace_stride=stride,
             trace_violation_samples=solver["trace_violation_samples"],
             **objective.config_args)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sgd import (SolverConfigChecks, Surrogate, check_radius, meta_loop, run_projected_sgd,
+from ._sgd import (SolverConfig, Surrogate, check_radius, meta_loop, run_projected_sgd,
                    sgd_solve)
 from .avgcost import project_theta_avg
 from .errors import ParameterError
@@ -30,24 +30,13 @@ from .mdp import MdpModel, _check_state_distribution
 from .trace import MetaResult, RunTrace
 
 
-@dataclass(frozen=True)
-class DiscSolverConfig(SolverConfigChecks):
+@dataclass(frozen=True, kw_only=True)
+class DiscSolverConfig(SolverConfig):
     """Knobs of one discounted-cost SGD run. ``initial_dist`` of None means the
     uniform distribution over states."""
 
     discount: float
-    penalty: float
-    radius: float
-    iterations: int
     initial_dist: np.ndarray | None = None
-    learning_rate: float | str = "auto"
-    lr_halving_period: int | None = None
-    minibatch: int = 1
-    tolerance: float = 0.05
-    failure_prob: float = 0.1
-    seed: int = 0
-    trace_stride: int | None = None
-    trace_violation_samples: int = 64
     enforce_sum_constraint: bool = False
 
     def __post_init__(self):
@@ -99,13 +88,6 @@ def project_theta_disc(theta: np.ndarray, radius: float) -> np.ndarray:
     if norm <= radius:
         return theta
     return theta * (radius / norm)
-
-
-def _violation_summands_disc(fs: FeatureSpace, sp: SamplingPair, gamma: float,
-                             alpha: np.ndarray, theta: np.ndarray,
-                             pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
-    return Surrogate.discounted(fs.model, fs, gamma, alpha).violation_summands(
-        sp, theta, pair_idx, state_idx)
 
 
 def estimate_violations_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
@@ -178,6 +160,8 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError("gamma must lie in (0, 1)")
+    if not 0.0 < failure_prob < 1.0:
+        raise ParameterError("failure_prob must lie in (0, 1)")
     alpha = _check_state_distribution(model, alpha)
     scale = math.sqrt(fs.dim) * fs.column_norm_bound * radius
     if violation_bound is None:
@@ -199,7 +183,6 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
         cfg = DiscSolverConfig(discount=gamma, penalty=penalty, radius=radius,
                                iterations=iterations, initial_dist=alpha,
                                learning_rate=learning_rate, minibatch=minibatch,
-                               tolerance=tolerance, failure_prob=failure_prob,
                                seed=run_seed, trace_stride=trace_stride,
                                enforce_sum_constraint=enforce_sum_constraint)
         return sgd_solve_disc(model, fs, sp, cfg, eval_hook=eval_hook)

@@ -209,14 +209,13 @@ class SamplingPair:
 
     ``pair_probs`` / ``state_probs`` of None mean the uniform distribution.
     ``c_pair`` bounds max ||Phi_{(x,a),:}|| / q(x,a); ``c_state`` bounds
-    max ||(P - kappa B)^T_{:,x} Phi|| / q(x) for this pair's kappa.
+    max ||(P - kappa B)^T_{:,x} Phi|| / q(x) for the kappa it was built for.
     """
 
     num_pairs: int
     num_states: int
     c_pair: float
     c_state: float
-    kappa: float
     pair_probs: np.ndarray | None = None
     state_probs: np.ndarray | None = None
 
@@ -392,7 +391,7 @@ def make_uniform_sampling(model: MdpModel, fs: FeatureSpace, kappa: float,
         if c_state is None:
             c_state = float(_drift_norms(fs, kappa).max(initial=0.0) * model.num_states)
     return SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
-                        c_pair=float(c_pair), c_state=float(c_state), kappa=float(kappa))
+                        c_pair=float(c_pair), c_state=float(c_state))
 
 
 def make_norm_proportional_sampling(model: MdpModel, fs: FeatureSpace,
@@ -422,5 +421,5 @@ def make_norm_proportional_sampling(model: MdpModel, fs: FeatureSpace,
         ratios = np.where(covered, drift_norms / state_probs, 0.0)
     c_state = float(ratios.max(initial=0.0))
     return SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
-                        c_pair=c_pair, c_state=c_state, kappa=float(kappa),
-                        pair_probs=pair_probs, state_probs=state_probs)
+                        c_pair=c_pair, c_state=c_state, pair_probs=pair_probs,
+                        state_probs=state_probs)

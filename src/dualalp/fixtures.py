@@ -85,7 +85,7 @@ def features_from_dict(doc: dict, model: MdpModel,
                         normalize=bool(doc.get("normalize", False)), names=names)
 
 
-def save_feature_fixture(fs: FeatureSpace, path, normalize_flag: bool = False) -> None:
+def save_feature_fixture(fs: FeatureSpace, path) -> None:
     """Write a feature space's columns back out (entries as stored, i.e. after
     any construction-time normalization)."""
     csc = fs.phi.tocsc()
@@ -98,7 +98,7 @@ def save_feature_fixture(fs: FeatureSpace, path, normalize_flag: bool = False) -
         name = fs.names[j] if fs.names else f"f{j}"
         columns.append({"name": name, "entries": entries})
     mu0 = None if not fs.mu0.any() else [float(v) for v in fs.mu0]
-    doc = {"normalize": normalize_flag, "mu0": mu0, "columns": columns}
+    doc = {"normalize": False, "mu0": mu0, "columns": columns}
     with open(path, "w") as handle:
         json.dump(doc, handle, sort_keys=True, indent=2)
         handle.write("\n")

@@ -64,7 +64,7 @@ class MdpModel:
 
     @staticmethod
     def create(num_states: int, num_actions: int, transitions, loss,
-               validate: bool = True, check_loss_range: bool = True) -> "MdpModel":
+               check_loss_range: bool = True) -> "MdpModel":
         """Build a model; ``transitions`` may be any scipy-sparse/dense (X*A, X)
         matrix. The reverse kernel is derived, so transpose-consistency holds by
         construction. ``check_loss_range=False`` admits losses outside [0, 1]
@@ -76,24 +76,21 @@ class MdpModel:
         loss = np.asarray(loss, dtype=float)
         if loss.shape != (n_pairs,):
             raise InputShapeError(f"loss must have length {n_pairs}, got shape {loss.shape}")
-        if validate:
-            row_sums = np.asarray(trans.sum(axis=1)).ravel()
-            bad = np.abs(row_sums - 1.0) > PROB_ATOL
-            if bad.any():
-                i = int(np.flatnonzero(bad)[0])
-                raise ParameterError(
-                    f"transition row {i} sums to {row_sums[i]!r}, expected 1")
-            if trans.nnz and trans.data.min() < 0:
-                raise ParameterError("transition probabilities must be nonnegative")
-            if check_loss_range and loss.size and (loss.min() < 0 or loss.max() > 1):
-                raise ParameterError("loss entries must lie in [0, 1]")
+        row_sums = np.asarray(trans.sum(axis=1)).ravel()
+        bad = np.abs(row_sums - 1.0) > PROB_ATOL
+        if bad.any():
+            i = int(np.flatnonzero(bad)[0])
+            raise ParameterError(f"transition row {i} sums to {row_sums[i]!r}, expected 1")
+        if trans.nnz and trans.data.min() < 0:
+            raise ParameterError("transition probabilities must be nonnegative")
+        if check_loss_range and loss.size and (loss.min() < 0 or loss.max() > 1):
+            raise ParameterError("loss entries must lie in [0, 1]")
         rev = trans.T.tocsr()
         rev.sort_indices()
         return MdpModel(num_states, num_actions, trans, rev, loss)
 
     @staticmethod
-    def from_records(num_states: int, num_actions: int, records, loss,
-                     validate: bool = True) -> "MdpModel":
+    def from_records(num_states: int, num_actions: int, records, loss) -> "MdpModel":
         """Build from an iterable of (x, a, next_state, prob) tuples."""
         rows, cols, data = [], [], []
         for x, a, nxt, p in records:
@@ -102,16 +99,15 @@ class MdpModel:
             data.append(p)
         trans = sp.coo_matrix((data, (rows, cols)),
                               shape=(num_states * num_actions, num_states))
-        return MdpModel.create(num_states, num_actions, trans, loss, validate=validate)
+        return MdpModel.create(num_states, num_actions, trans, loss)
 
     @staticmethod
-    def from_dense(kernel: np.ndarray, loss: np.ndarray, validate: bool = True) -> "MdpModel":
+    def from_dense(kernel: np.ndarray, loss: np.ndarray) -> "MdpModel":
         """Build from a dense (X, A, X) kernel and (X, A) loss."""
         num_states, num_actions, _ = kernel.shape
         return MdpModel.create(num_states, num_actions,
                                kernel.reshape(num_states * num_actions, num_states),
-                               np.asarray(loss, dtype=float).reshape(-1),
-                               validate=validate)
+                               np.asarray(loss, dtype=float).reshape(-1))
 
     def pair_index(self, x: int, a: int) -> int:
         return x * self.num_actions + a
@@ -265,17 +261,15 @@ def stationary_distribution(model: MdpModel, pi: Policy, tol: float = 1e-10,
         f"(residual {residual:g})", residual=residual)
 
 
-def stationary_state_action(model: MdpModel, pi: Policy, tol: float = 1e-10,
-                            max_iters: int = 10**6) -> np.ndarray:
+def stationary_state_action(model: MdpModel, pi: Policy, tol: float = 1e-10) -> np.ndarray:
     """Stationary state-action distribution mu(x,a) = mu(x) pi(a|x)."""
-    mu = stationary_distribution(model, pi, tol=tol, max_iters=max_iters)
+    mu = stationary_distribution(model, pi, tol=tol)
     return (mu[:, None] * pi.probs).reshape(-1)
 
 
-def average_cost(model: MdpModel, pi: Policy, tol: float = 1e-10,
-                 max_iters: int = 10**6) -> float:
+def average_cost(model: MdpModel, pi: Policy, tol: float = 1e-10) -> float:
     """Long-run average loss of ``pi`` (requires a unique stationary distribution)."""
-    mu_sa = stationary_state_action(model, pi, tol=tol, max_iters=max_iters)
+    mu_sa = stationary_state_action(model, pi, tol=tol)
     return fixed_dot(mu_sa, model.loss)
 
 
@@ -394,6 +388,13 @@ def solve_optimal(model: MdpModel, mode: str = "average", gamma: float | None = 
     raise ParameterError(f"unknown mode {mode!r}")
 
 
+def _greedy_policy(q: np.ndarray) -> Policy:
+    """The deterministic policy of each row's first argmin in the (X, A) array q."""
+    probs = np.zeros(q.shape)
+    probs[np.arange(q.shape[0]), q.argmin(axis=1)] = 1.0
+    return Policy(probs)
+
+
 def _solve_average(model: MdpModel, tol: float, max_iters: int) -> OptimalSolution:
     num_states, num_actions = model.num_states, model.num_actions
     trans = model.transitions
@@ -408,10 +409,7 @@ def _solve_average(model: MdpModel, tol: float, max_iters: int) -> OptimalSoluti
         lam = image[0]
         residual = float(np.max(np.abs(image - h - lam)))
         if residual <= tol:
-            greedy = q.argmin(axis=1)
-            probs = np.zeros((num_states, num_actions))
-            probs[np.arange(num_states), greedy] = 1.0
-            return OptimalSolution(Policy(probs), values=0.5 * h,
+            return OptimalSolution(_greedy_policy(q), values=0.5 * h,
                                    average_loss=float(lam), iterations=it)
         h = image - lam
     raise ConvergenceError(
@@ -430,10 +428,7 @@ def _solve_discounted(model: MdpModel, gamma: float, tol: float,
         residual = float(np.max(np.abs(image - values)))
         values = image
         if residual <= tol:
-            greedy = q.argmin(axis=1)
-            probs = np.zeros((num_states, num_actions))
-            probs[np.arange(num_states), greedy] = 1.0
-            return OptimalSolution(Policy(probs), values=values, iterations=it)
+            return OptimalSolution(_greedy_policy(q), values=values, iterations=it)
     raise ConvergenceError(
         f"value iteration did not reach tol={tol:g} in {max_iters} sweeps "
         f"(residual {residual:g})", residual=residual)

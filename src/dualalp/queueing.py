@@ -332,10 +332,9 @@ def build_features(spec: QueueNetSpec, model: MdpModel | None = None,
                    heuristics: tuple[str, ...] = ("LONGER", "LBFS"),
                    loss_intervals=DESK_LOSS_INTERVALS,
                    component_intervals=DESK_COMPONENT_INTERVALS,
-                   stationary_mode: str = "exact", normalize: bool = True,
-                   mu0: np.ndarray | None = None, sim_length: int = 10**6,
-                   sim_burn_in: int = 10**4, seed: int = 0,
-                   tol: float = 1e-10) -> tuple[FeatureSpace, list[str]]:
+                   stationary_mode: str = "exact", mu0: np.ndarray | None = None,
+                   sim_length: int = 10**6, sim_burn_in: int = 10**4,
+                   seed: int = 0) -> tuple[FeatureSpace, list[str]]:
     """Indicator features over total-length buckets and per-queue bucket
     4-tuples (both crossed with the action), plus one stationary state-action
     distribution column per heuristic. Empty indicator columns are dropped;
@@ -375,7 +374,7 @@ def build_features(spec: QueueNetSpec, model: MdpModel | None = None,
     for kind in heuristics:
         policy = heuristic_policy(spec, kind)
         if stationary_mode == "exact":
-            col = stationary_state_action(model, policy, tol=tol)
+            col = stationary_state_action(model, policy)
         elif stationary_mode == "trajectory":
             col = heuristic_stationary_trajectory(spec, policy, length=sim_length,
                                                   burn_in=sim_burn_in, seed=seed)
@@ -387,7 +386,7 @@ def build_features(spec: QueueNetSpec, model: MdpModel | None = None,
         logger.warning("dropped %d empty feature columns: %s", len(dropped),
                        ", ".join(dropped[:8]) + ("..." if len(dropped) > 8 else ""))
     phi = sp.hstack(columns, format="csr")
-    fs = FeatureSpace(model, phi, mu0=mu0, normalize=normalize, names=names)
+    fs = FeatureSpace(model, phi, mu0=mu0, normalize=True, names=names)
     return fs, dropped
 
 

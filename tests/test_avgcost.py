@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from dualalp.avgcost import (AvgSolverConfig, estimate_violations, exact_subgradient,
                              meta_solve_avg, project_theta_avg, sgd_solve_avg,
                              subgradient_estimate, surrogate_cost_exact,
-                             violations_exact, _violation_summands_avg)
-from dualalp._sgd import SgdProblem, run_projected_sgd
+                             violations_exact)
+from dualalp._sgd import SgdProblem, Surrogate, run_projected_sgd
 from dualalp.errors import ConvergenceError, ParameterError
 from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
@@ -366,6 +366,7 @@ def test_estimate_violations_enumerated_expectation():
     model = random_mdp(rng, 4, 2)
     fs = random_features(rng, model, 3, normalize=True)
     theta = rng.normal(size=3)
+    surrogate = Surrogate.average_cost(fs.model, fs)
     for maker in (make_uniform_sampling, make_norm_proportional_sampling):
         sample = maker(model, fs, 1.0)
         expectation = 0.0
@@ -375,8 +376,8 @@ def test_estimate_violations_enumerated_expectation():
                 qj = float(sample.state_prob(np.array([j]))[0])
                 if qi == 0.0 or qj == 0.0:
                     continue
-                summand = _violation_summands_avg(fs, sample, theta,
-                                                  np.array([i]), np.array([j]))[0]
+                summand = surrogate.violation_summands(sample, theta,
+                                                       np.array([i]), np.array([j]))[0]
                 expectation += qi * qj * summand
         v1, v2 = violations_exact(model, fs, theta)
         assert expectation == pytest.approx(v1 + v2, abs=1e-12)
@@ -390,12 +391,13 @@ def test_violation_summand_bound_every_draw():
     sample = make_uniform_sampling(model, fs, 1.0)
     radius = 1.5
     bound = radius * (sample.c_pair + 1.0) + radius * sample.c_state
+    surrogate = Surrogate.average_cost(fs.model, fs)
     gen = np.random.default_rng(3)
     for _ in range(200):
         theta = project_theta_avg(gen.normal(size=3), radius, 1.0)
         pair_idx = sample.sample_pairs(gen, 16)
         state_idx = sample.sample_states(gen, 16)
-        summands = _violation_summands_avg(fs, sample, theta, pair_idx, state_idx)
+        summands = surrogate.violation_summands(sample, theta, pair_idx, state_idx)
         assert summands.max() <= bound + 1e-9
 
 

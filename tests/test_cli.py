@@ -445,7 +445,6 @@ def _library_theta(mode, summary):
         run_args = dict(penalty=s["penalty"], radius=s["radius"],
                         iterations=s["iterations"], learning_rate=s["learning_rate"],
                         lr_halving_period=s["lr_halving_period"], minibatch=s["minibatch"],
-                        tolerance=s["tolerance"], failure_prob=s["failure_prob"],
                         seed=s["seed"],
                         trace_violation_samples=s["trace_violation_samples"])
     else:

@@ -9,7 +9,8 @@ from dualalp.discounted import (DiscSolverConfig, estimate_violations_disc,
                                 project_theta_disc, sgd_solve_disc,
                                 subgradient_estimate_disc,
                                 surrogate_cost_exact_disc, violations_exact_disc,
-                                _violation_summands_disc, run_count_disc)
+                                run_count_disc)
+from dualalp._sgd import Surrogate
 from dualalp.errors import ParameterError
 from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
@@ -308,6 +309,7 @@ def test_estimate_violations_enumerated_expectation():
     gamma = 0.9
     alpha = rng.dirichlet(np.ones(4))
     theta = rng.normal(size=3)
+    surrogate = Surrogate.discounted(fs.model, fs, gamma, alpha)
     for maker in (make_uniform_sampling, make_norm_proportional_sampling):
         sample = maker(model, fs, gamma)
         expectation = 0.0
@@ -317,8 +319,8 @@ def test_estimate_violations_enumerated_expectation():
                 qj = float(sample.state_prob(np.array([j]))[0])
                 if qi == 0.0 or qj == 0.0:
                     continue
-                summand = _violation_summands_disc(fs, sample, gamma, alpha, theta,
-                                                   np.array([i]), np.array([j]))[0]
+                summand = surrogate.violation_summands(sample, theta,
+                                                       np.array([i]), np.array([j]))[0]
                 expectation += qi * qj * summand
         v3, v4 = violations_exact_disc(model, fs, gamma, alpha, theta)
         assert expectation == pytest.approx(v3 + v4, abs=1e-12)
@@ -335,13 +337,13 @@ def test_violation_summand_bound():
     # the stated bound needs alpha(y)/q(y) <= S*C4; verify the fixture grants it
     assert 1.0 <= radius * sample.c_state
     bound = radius * (sample.c_pair + 2.0 * sample.c_state)
+    surrogate = Surrogate.discounted(fs.model, fs, gamma, alpha)
     gen = np.random.default_rng(6)
     for _ in range(200):
         theta = project_theta_disc(gen.normal(size=3), radius)
         pair_idx = sample.sample_pairs(gen, 16)
         state_idx = sample.sample_states(gen, 16)
-        summands = _violation_summands_disc(fs, sample, gamma, alpha, theta,
-                                            pair_idx, state_idx)
+        summands = surrogate.violation_summands(sample, theta, pair_idx, state_idx)
         assert summands.max() <= bound + 1e-9
 
 

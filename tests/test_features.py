@@ -364,7 +364,7 @@ def desk_space():
 def _pair_tables(probs):
     """The cumulative and guide tables a sampler builds for ``probs``."""
     sample = features.SamplingPair(num_pairs=len(probs), num_states=1, c_pair=1.0,
-                                   c_state=1.0, kappa=1.0, pair_probs=np.asarray(probs))
+                                   c_state=1.0, pair_probs=np.asarray(probs))
     return sample._cum_pair_probs, sample._guide_pair_probs
 
 
@@ -496,7 +496,7 @@ def test_support_guard_fires_before_narrow_gather(monkeypatch):
     probs = np.full(model.num_pairs, 1.0 / (model.num_pairs - 1))
     probs[7] = 0.0
     sample = features.SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
-                                   c_pair=1.0, c_state=1.0, kappa=1.0, pair_probs=probs)
+                                   c_pair=1.0, c_state=1.0, pair_probs=probs)
 
     def no_gather(self, idx):
         pytest.fail("rows were gathered for a zero-probability draw")

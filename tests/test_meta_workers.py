@@ -3,6 +3,7 @@ not depend on the number of workers, and a worker's exception must reach the
 caller with its type and fields intact. The fallback to a plain loop is shared
 with the replications of the queue simulator."""
 import multiprocessing
+import multiprocessing.pool
 import os
 import pickle
 import threading
@@ -181,3 +182,30 @@ def test_meta_disc_does_not_depend_on_worker_count(monkeypatch, tmp_path, desk_f
         lambda policy: float(value_function(model, policy, gamma).mean()))
     assert len(seq.grid_points) > 2
     _assert_same_meta(seq, par)
+
+
+META_SOLVERS = {
+    "avg": lambda model, fs, delta: meta_solve_avg(
+        model, fs, make_norm_proportional_sampling(model, fs, 1.0), violation_bound=0.5,
+        selection_weight=0.5, tolerance=0.4, failure_prob=delta, seed=0, radius=1.5),
+    "disc": lambda model, fs, delta: meta_solve_disc(
+        model, fs, make_norm_proportional_sampling(model, fs, 0.8), gamma=0.8, alpha=None,
+        tolerance=0.5, failure_prob=delta, seed=0, radius=1.3, violation_bound=0.5,
+        selection_weight=0.5, max_iterations_per_point=10),
+}
+
+
+@pytest.mark.parametrize("delta", [0.0, -0.5, 1.0, 1.5])
+@pytest.mark.parametrize("kind", sorted(META_SOLVERS))
+def test_meta_rejects_failure_prob_outside_unit_interval(monkeypatch, desk_fixture, kind,
+                                                         delta):
+    # 0 and -0.5 raised ZeroDivisionError and a math domain error from the
+    # sample budget; avg rejected 1 and 1.5 only in a grid point's run config
+    _pool(monkeypatch, 2)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a worker pool was started before the failure_prob check")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+    with pytest.raises(errors.ParameterError, match="failure_prob must lie in"):
+        META_SOLVERS[kind](*desk_fixture, delta)

@@ -1,5 +1,6 @@
 """The block-presampled SGD steps against their straightforward per-step
-forms, and the checks on the learning-rate halving period.
+forms, and the checks on the run configurations and the learning-rate
+halving period.
 
 ``make_buffered_grad`` (one draw per step), ``make_minibatch_grad`` (m draws
 per step, through ``SamplingPair.sample_steps``) and ``project_theta_disc``
@@ -25,6 +26,7 @@ from dualalp.errors import ParameterError, SamplingSupportError
 from dualalp.features import (SamplingPair, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
+from dualalp.mdp import MdpModel
 
 from conftest import narrow_random_space, random_features, random_mdp
 
@@ -206,7 +208,7 @@ def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
     probs = np.full(size, 1.0 / (size - 1))
     probs[2] = 0.0
     sampler = SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
-                           c_pair=1.0, c_state=1.0, kappa=1.0,
+                           c_pair=1.0, c_state=1.0,
                            **{("pair_probs" if side == "pairs" else "state_probs"): probs})
     sample_steps = SamplingPair.sample_steps
 
@@ -281,15 +283,68 @@ def test_exact_subgradient_does_not_depend_on_blas_threads():
     assert outputs[0] == outputs[1]
 
 
+# -------------------------------------------------------- run configurations
+
+def _config(config_cls, **kwargs):
+    """A run config of valid base values, overridden by ``kwargs``."""
+    extra = {"discount": 0.9} if config_cls is DiscSolverConfig else {}
+    return config_cls(**{"penalty": 1.0, "radius": 2.0, "iterations": 10, **extra, **kwargs})
+
+
+RUN_RULES = [  # (field, bad value, message) for the fields both configs share
+    ("radius", 0.0, "radius must be positive"),
+    ("radius", -1.5, "radius must be positive"),
+    ("penalty", 0.0, "penalty must be positive"),
+    ("penalty", -2.0, "penalty must be positive"),
+    ("iterations", 0, "iterations must be >= 1"),
+    ("minibatch", 0, "minibatch must be >= 1"),
+    ("lr_halving_period", -5, "lr_halving_period must be null or a positive integer"),
+]
+DISC_RULES = [("discount", value, "discount must lie in") for value in (0.0, 1.0, 1.5)]
+
+
+@pytest.mark.parametrize("config_cls, field, value, message", [
+    *[(cls, *rule) for cls in (AvgSolverConfig, DiscSolverConfig) for rule in RUN_RULES],
+    *[(DiscSolverConfig, *rule) for rule in DISC_RULES],
+])
+def test_run_config_rules(config_cls, field, value, message):
+    _config(config_cls)  # the base values pass
+    with pytest.raises(ParameterError, match=message):
+        _config(config_cls, **{field: value})
+
+
+_KERNEL = np.array([[[0.5, 0.5]], [[1.0, 0.0]]])
+_LOSS = np.zeros((2, 1))
+
+# constructions that must raise TypeError: positional run-config fields, and
+# the options that nothing read or set
+REJECTED_CALLS = {
+    "avg-positional": lambda: AvgSolverConfig(1.0, 2.0, 10),
+    "disc-positional": lambda: DiscSolverConfig(0.9, 1.0, 2.0, 10),
+    "avg-tolerance": lambda: _config(AvgSolverConfig, tolerance=0.05),
+    "disc-tolerance": lambda: _config(DiscSolverConfig, tolerance=0.05),
+    "avg-failure_prob": lambda: _config(AvgSolverConfig, failure_prob=0.1),
+    "disc-failure_prob": lambda: _config(DiscSolverConfig, failure_prob=0.1),
+    "sampling-kappa": lambda: SamplingPair(num_pairs=2, num_states=2, c_pair=1.0,
+                                           c_state=1.0, kappa=1.0),
+    "create-validate": lambda: MdpModel.create(2, 1, _KERNEL.reshape(2, 2), _LOSS.ravel(),
+                                               validate=False),
+    "records-validate": lambda: MdpModel.from_records(2, 1, [(0, 0, 0, 1.0), (1, 0, 1, 1.0)],
+                                                      _LOSS.ravel(), validate=False),
+    "dense-validate": lambda: MdpModel.from_dense(_KERNEL, _LOSS, validate=False),
+}
+
+
+@pytest.mark.parametrize("call", REJECTED_CALLS.values(), ids=REJECTED_CALLS)
+def test_removed_options_and_positional_configs_raise_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 # ------------------------------------------------------ learning-rate halving
 
 BAD_PERIODS = [-5, 0, 2.5, True, "50"]
 BAD_PERIOD_IDS = ["negative", "zero", "fraction", "bool", "string"]
-
-
-def _config(config_cls, **kwargs):
-    extra = {"discount": 0.9} if config_cls is DiscSolverConfig else {}
-    return config_cls(penalty=1.0, radius=2.0, iterations=10, **extra, **kwargs)
 
 
 @pytest.mark.parametrize("config_cls", [AvgSolverConfig, DiscSolverConfig])

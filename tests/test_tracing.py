@@ -1,0 +1,52 @@
+"""perfbench's span tracer wraps the package's entry points by name, so a
+refactor that moves or renames one would silently drop its spans from
+``--trace 1`` runs. These tests hold the names and the wrapping in place."""
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from dualalp import avgcost
+from dualalp.features import make_uniform_sampling
+
+_SPEC = importlib.util.spec_from_file_location(
+    "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(tracing)
+
+
+@pytest.mark.parametrize("owner, attr", [(owner, attr) for owner, attr, *_ in
+                                         tracing.ENTRY_POINTS],
+                         ids=[f"{owner.__name__}.{attr}" for owner, attr, *_ in
+                              tracing.ENTRY_POINTS])
+def test_entry_point_exists(owner, attr):
+    assert callable(owner.__dict__[attr])
+
+
+def test_installed_wraps_then_restores():
+    originals = [owner.__dict__[attr] for owner, attr, *_ in tracing.ENTRY_POINTS]
+    with tracing.Tracer().installed():
+        for (owner, attr, *_), original in zip(tracing.ENTRY_POINTS, originals):
+            wrapped = owner.__dict__[attr]
+            assert wrapped is not original and wrapped.__wrapped__ is original
+    for (owner, attr, *_), original in zip(tracing.ENTRY_POINTS, originals):
+        assert owner.__dict__[attr] is original
+
+
+def test_traced_sgd_run_records_its_iterations(desk_fixture):
+    model, fs = desk_fixture
+    sampler = make_uniform_sampling(model, fs, 1.0)
+    cfg = avgcost.AvgSolverConfig(penalty=1.0, radius=1.5, iterations=40, minibatch=2, seed=3)
+    tracer = tracing.Tracer()
+    tracer.begin_run("sgd")
+    with tracer.installed():
+        traced = avgcost.sgd_solve_avg(model, fs, sampler, cfg)  # looked up as callers do
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("sgd.run") == 1 and names.count("avgcost.sgd_solve") == 1
+    metrics = tracing.layer_metrics(tracer, 0)
+    assert metrics["sgd.iterations"] == 40
+    assert metrics["avgcost.project_calls"] == 40
+    assert metrics["sgd.errors"] == 0
+    untraced = avgcost.sgd_solve_avg(model, fs, sampler, cfg)
+    np.testing.assert_array_equal(traced.theta, untraced.theta)
