@@ -240,7 +240,7 @@ class Surrogate:
         return neg + res
 
     def estimate_violations(self, sp: SamplingPair, theta: np.ndarray, n: int,
-                            rng: np.random.Generator, batch: int) -> float:
+                            rng: np.random.Generator, batch: int = 1 << 16) -> float:
         """Unbiased importance-sampling estimate of the total violation: the
         mean of :meth:`violation_summands` over n draws of each distribution,
         drawn ``batch`` at a time.
@@ -266,7 +266,6 @@ class Surrogate:
 class SgdProblem:
     """Everything the generic loop needs to know about one surrogate."""
 
-    dim: int
     loss_phi: np.ndarray
     objective_offset: float
     grad_batch: Callable[[np.ndarray, np.random.Generator, int], np.ndarray]
@@ -411,13 +410,11 @@ def resolve_learning_rate(learning_rate, radius: float, penalty: float,
 
 def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float,
                       seed, minibatch: int = 1, lr_halving_period: int | None = None,
-                      trace_stride: int | None = None, eval_hook=None,
-                      iterate_hook=None) -> RunTrace:
+                      trace_stride: int | None = None, eval_hook=None) -> RunTrace:
     """Run theta_{t+1} = project(theta_t - eta_t * mean-of-minibatch gradient)
     from theta_1 = 0 and return the trace of the running average.
 
-    ``eval_hook(theta_bar, policy) -> float`` is called at recorded rows only;
-    ``iterate_hook(t, theta_t)`` sees every raw iterate (testing aid).
+    ``eval_hook(theta_bar, policy) -> float`` is called at recorded rows only.
     Raises ConvergenceError, naming t, when the running average is non-finite
     at a recorded row.
     """
@@ -430,13 +427,11 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
     rng = np.random.default_rng(ss_grad)
     rng_trace = np.random.default_rng(ss_trace)
     stride = trace_stride if trace_stride else max(1, iterations // 1000)
-    theta = np.zeros(problem.dim)
-    theta_sum = np.zeros(problem.dim)
+    theta = np.zeros(problem.loss_phi.size)
+    theta_sum = np.zeros(problem.loss_phi.size)
     rec_t, rec_obj, rec_vhat, rec_cost = [], [], [], []
     grad_batch, project = problem.grad_batch, problem.project
     for t in range(1, iterations + 1):
-        if iterate_hook is not None:
-            iterate_hook(t, theta)
         theta_sum += theta
         if t % stride == 0 or t == iterations:
             theta_bar = theta_sum / t
@@ -466,7 +461,7 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
 
 
 def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
-              violation_estimate, eval_hook=None, iterate_hook=None) -> RunTrace:
+              violation_estimate, eval_hook=None) -> RunTrace:
     """One projected SGD run of ``cfg`` on the surrogate from theta_1 = 0.
 
     The gradients come from :func:`make_buffered_grad` at minibatch 1 and
@@ -487,7 +482,7 @@ def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
     def make_policy(theta):
         return policy_from_occupancy(surrogate.occupancy(theta), surrogate.model.num_actions)
 
-    problem = SgdProblem(dim=fs.dim, loss_phi=fs.loss_phi,
+    problem = SgdProblem(loss_phi=fs.loss_phi,
                          objective_offset=surrogate.offset, grad_batch=grad_batch,
                          project=project, violation_estimate=violation_estimate,
                          make_policy=make_policy)
@@ -495,7 +490,7 @@ def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
                                  sp.c_pair, sp.c_state, fs.dim, cfg.iterations)
     return run(problem, cfg.iterations, rate, cfg.seed, minibatch=cfg.minibatch,
                lr_halving_period=cfg.lr_halving_period, trace_stride=cfg.trace_stride,
-               eval_hook=eval_hook, iterate_hook=iterate_hook)
+               eval_hook=eval_hook)
 
 
 def _cpu_count() -> int:
@@ -545,8 +540,7 @@ def _map_points(point, order: list[int]) -> dict:
 
 
 def meta_loop(grid, seed, loss_phi: np.ndarray, n_violation: int, run_count, solve,
-              estimate, horizon: float = 0.0, scale: float = 1.0,
-              discount: float | None = None) -> MetaResult:
+              estimate, horizon: float = 0.0, scale: float = 1.0) -> MetaResult:
     """Solve at every penalty H of the grid and select the point minimizing
 
         linear objective + (H + horizon) * estimated violation + weight / (H * scale).
@@ -582,4 +576,4 @@ def meta_loop(grid, seed, loss_phi: np.ndarray, n_violation: int, run_count, sol
                       selection_values=selection, chosen_index=chosen,
                       theta=traces[chosen].theta, policy=traces[chosen].policy,
                       iterations_per_point=np.asarray(run_counts, dtype=np.int64),
-                      violation_samples=n_violation, discount=discount)
+                      violation_samples=n_violation)

@@ -98,16 +98,14 @@ def project_theta_avg(theta: np.ndarray, radius: float,
 
 
 def estimate_violations(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
-                        theta: np.ndarray, n: int, rng: np.random.Generator,
-                        batch: int = 1 << 16) -> float:
+                        theta: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """Unbiased importance-sampling estimate of the total violation from n
-    draws of each sampling distribution, taken ``batch`` at a time (both
-    positive integers)."""
-    return Surrogate.average_cost(model, fs).estimate_violations(sp, theta, n, rng, batch)
+    draws of each sampling distribution (a positive integer)."""
+    return Surrogate.average_cost(model, fs).estimate_violations(sp, theta, n, rng)
 
 
 def sgd_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
-                  cfg: AvgSolverConfig, eval_hook=None, iterate_hook=None) -> RunTrace:
+                  cfg: AvgSolverConfig, eval_hook=None) -> RunTrace:
     """Projected SGD on the average-cost surrogate from theta_1 = 0; returns the
     trace of the running average and the policy of the averaged parameters."""
     return sgd_solve(
@@ -115,7 +113,7 @@ def sgd_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
         project=lambda theta: project_theta_avg(theta, cfg.radius, cfg.sum_target),
         violation_estimate=lambda theta, rng: estimate_violations(
             model, fs, sp, theta, cfg.trace_violation_samples, rng),
-        eval_hook=eval_hook, iterate_hook=iterate_hook)
+        eval_hook=eval_hook)
 
 
 def run_count_avg(penalty: float, radius: float, tolerance: float,

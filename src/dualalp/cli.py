@@ -251,8 +251,13 @@ def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
         weights = alpha if alpha is not None else np.full(model.num_states,
                                                           1.0 / model.num_states)
         return lambda theta, policy: fixed_dot(weights, value_function(model, policy, gamma))
+    if gamma is not None:  # a trajectory's mean queue length is no discounted cost
+        raise ConfigError("simulated evaluation measures average cost; use eval.mode "
+                          "exact or none with a discounted solver")
+    # per unit of capacity, the unit of the model's loss and of the exact evaluation
     return lambda theta, policy: queueing.evaluate_policy_simulated(
-        spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"], mode_cfg["reps"], seed=0)[0]
+        spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"], mode_cfg["reps"],
+        seed=0)[0] / spec.total_capacity
 
 
 def _write_json(doc: dict, path: Path) -> None:

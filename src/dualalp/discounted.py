@@ -92,17 +92,15 @@ def project_theta_disc(theta: np.ndarray, radius: float) -> np.ndarray:
 
 def estimate_violations_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
                              gamma: float, alpha: np.ndarray | None,
-                             theta: np.ndarray, n: int, rng: np.random.Generator,
-                             batch: int = 1 << 16) -> float:
+                             theta: np.ndarray, n: int, rng: np.random.Generator) -> float:
     """Unbiased estimate of the discounted total violation from n draws of
-    each sampling distribution, taken ``batch`` at a time (both positive
-    integers)."""
+    each sampling distribution (a positive integer)."""
     return Surrogate.discounted(model, fs, gamma, alpha).estimate_violations(
-        sp, theta, n, rng, batch)
+        sp, theta, n, rng)
 
 
 def sgd_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
-                   cfg: DiscSolverConfig, eval_hook=None, iterate_hook=None) -> RunTrace:
+                   cfg: DiscSolverConfig, eval_hook=None) -> RunTrace:
     """Projected SGD on the discounted surrogate from theta_1 = 0."""
     if cfg.enforce_sum_constraint:
         target = 1.0 / (1.0 - cfg.discount)
@@ -115,7 +113,7 @@ def sgd_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair,
         violation_estimate=lambda theta, rng: estimate_violations_disc(
             model, fs, sp, cfg.discount, cfg.initial_dist, theta,
             cfg.trace_violation_samples, rng),
-        eval_hook=eval_hook, iterate_hook=iterate_hook)
+        eval_hook=eval_hook)
 
 
 def run_count_disc(penalty: float, radius: float, c_pair: float, c_state: float,
@@ -191,4 +189,4 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
         grid, seed, fs.loss_phi, n_violation, run_count=run_count, solve=solve,
         estimate=lambda theta, n, rng: estimate_violations_disc(
             model, fs, sp, gamma, alpha, theta, n, rng),
-        horizon=1.0 / (1.0 - gamma), scale=1.0 - gamma, discount=gamma)
+        horizon=1.0 / (1.0 - gamma), scale=1.0 - gamma)

@@ -20,6 +20,8 @@ PROB_ATOL = 1e-12  # row-stochasticity tolerance
 
 _BICGSTAB_ITERS_PER_STATE = 2  # iteration cap of the stationary start, per state
 
+_MAX_SWEEPS = 10**6  # cap of the stationary power iteration and of value iteration
+
 
 def fixed_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Inner product of two 1-D arrays by numpy's pairwise sum of the products.
@@ -63,12 +65,10 @@ class MdpModel:
         return self.num_states * self.num_actions
 
     @staticmethod
-    def create(num_states: int, num_actions: int, transitions, loss,
-               check_loss_range: bool = True) -> "MdpModel":
+    def create(num_states: int, num_actions: int, transitions, loss) -> "MdpModel":
         """Build a model; ``transitions`` may be any scipy-sparse/dense (X*A, X)
-        matrix. The reverse kernel is derived, so transpose-consistency holds by
-        construction. ``check_loss_range=False`` admits losses outside [0, 1]
-        (raw-loss evaluation models; the solvers assume the unit range)."""
+        matrix and ``loss`` must lie in [0, 1]. The reverse kernel is derived,
+        so transpose-consistency holds by construction."""
         n_pairs = num_states * num_actions
         trans = sp.csr_matrix(transitions, shape=(n_pairs, num_states), dtype=float)
         trans.eliminate_zeros()
@@ -83,7 +83,7 @@ class MdpModel:
             raise ParameterError(f"transition row {i} sums to {row_sums[i]!r}, expected 1")
         if trans.nnz and trans.data.min() < 0:
             raise ParameterError("transition probabilities must be nonnegative")
-        if check_loss_range and loss.size and (loss.min() < 0 or loss.max() > 1):
+        if loss.size and (loss.min() < 0 or loss.max() > 1):
             raise ParameterError("loss entries must lie in [0, 1]")
         rev = trans.T.tocsr()
         rev.sort_indices()
@@ -142,29 +142,22 @@ class Policy:
         return self.probs.reshape(-1)
 
 
-def policy_from_occupancy(u: np.ndarray, num_actions: int | None = None) -> Policy:
-    """Conditional policy of a (possibly signed) state-action vector.
+def policy_from_occupancy(u: np.ndarray, num_actions: int) -> Policy:
+    """Conditional policy of a (possibly signed) flat pair vector.
 
     Negative entries are clipped to zero before row-normalizing; a row whose
     positive part vanishes entirely falls back to the uniform distribution.
-    Accepts either an (X, A) array or a flat pair vector plus ``num_actions``.
     """
     u = np.asarray(u, dtype=float)
-    if u.ndim == 1:
-        if num_actions is None:
-            raise InputShapeError("flat occupancy vectors need num_actions")
-        if u.size % num_actions != 0:
-            raise InputShapeError(
-                f"occupancy length {u.size} is not a multiple of num_actions={num_actions}")
-        u = u.reshape(-1, num_actions)
-    elif num_actions is not None and u.shape[1] != num_actions:
-        raise InputShapeError(f"occupancy has {u.shape[1]} action columns, expected {num_actions}")
-    pos = np.maximum(u, 0.0)
+    if u.ndim != 1 or u.size % num_actions != 0:
+        raise InputShapeError(f"occupancy must be a flat vector whose length is a multiple "
+                              f"of num_actions={num_actions}, got shape {u.shape}")
+    pos = np.maximum(u.reshape(-1, num_actions), 0.0)
     totals = pos.sum(axis=1, keepdims=True)
     empty = (totals <= 0.0).ravel()
     probs = np.empty_like(pos)
     np.divide(pos, totals, out=probs, where=totals > 0)
-    probs[empty] = 1.0 / u.shape[1]
+    probs[empty] = 1.0 / num_actions
     return Policy(probs)
 
 
@@ -233,8 +226,7 @@ def _bicgstab_start(chain_t: sp.csr_matrix, tol: float) -> np.ndarray:
     return x / total
 
 
-def stationary_distribution(model: MdpModel, pi: Policy, tol: float = 1e-10,
-                            max_iters: int = 10**6) -> np.ndarray:
+def stationary_distribution(model: MdpModel, pi: Policy, tol: float = 1e-10) -> np.ndarray:
     """Stationary state distribution of the induced chain.
 
     Starts from the BiCGSTAB solution of (I - P^pi^T) mu = 0 (see
@@ -244,12 +236,12 @@ def stationary_distribution(model: MdpModel, pi: Policy, tol: float = 1e-10,
     that already meets ``tol`` is returned at once; reducible or periodic
     chains and BiCGSTAB breakdowns are left to the lazy iteration. Raises
     ConvergenceError (carrying the final residual) if the tolerance is not met
-    within ``max_iters``.
+    within ``_MAX_SWEEPS`` lazy steps.
     """
     chain_t = induced_chain(model, pi).T.tocsr()
     mu = _bicgstab_start(chain_t, tol)
     residual = math.inf
-    for _ in range(max_iters):
+    for _ in range(_MAX_SWEEPS):
         stepped = chain_t @ mu
         residual = float(np.abs(stepped - mu).sum())
         if residual <= tol:
@@ -257,7 +249,7 @@ def stationary_distribution(model: MdpModel, pi: Policy, tol: float = 1e-10,
         mu = 0.5 * (mu + stepped)
         mu /= mu.sum()
     raise ConvergenceError(
-        f"power iteration did not reach tol={tol:g} in {max_iters} iterations "
+        f"power iteration did not reach tol={tol:g} in {_MAX_SWEEPS} iterations "
         f"(residual {residual:g})", residual=residual)
 
 
@@ -308,7 +300,6 @@ def discounted_visits(model: MdpModel, pi: Policy, gamma: float,
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
     alpha = _check_state_distribution(model, alpha)
     steps = max(1, math.ceil(math.log(tol * (1.0 - gamma) / 2.0) / math.log(gamma)))
-    trans_t = model.transitions.T.tocsr()
     pi_flat = pi.probs
     state_law = alpha
     visits = np.zeros(model.num_pairs)
@@ -316,7 +307,7 @@ def discounted_visits(model: MdpModel, pi: Policy, gamma: float,
     for _ in range(steps):
         pair_law = (state_law[:, None] * pi_flat).reshape(-1)
         visits += discount * pair_law
-        state_law = trans_t @ pair_law
+        state_law = model.reverse_transitions @ pair_law
         discount *= gamma
     return visits
 
@@ -366,7 +357,7 @@ class OptimalSolution:
 
 
 def solve_optimal(model: MdpModel, mode: str = "average", gamma: float | None = None,
-                  tol: float = 1e-10, max_iters: int = 10**6) -> OptimalSolution:
+                  tol: float = 1e-10) -> OptimalSolution:
     """Small-scale optimal-policy oracle.
 
     mode="average": relative value iteration on the lazy kernel (aperiodicity
@@ -378,13 +369,13 @@ def solve_optimal(model: MdpModel, mode: str = "average", gamma: float | None = 
         raise CapacityError(
             f"solve_optimal is limited to num_states*num_actions <= {DENSE_GUARD}")
     if mode == "average":
-        return _solve_average(model, tol, max_iters)
+        return _solve_average(model, tol)
     if mode == "discounted":
         if gamma is None:
             raise ParameterError("discounted mode needs gamma")
         if not 0.0 < gamma < 1.0:
             raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
-        return _solve_discounted(model, gamma, tol, max_iters)
+        return _solve_discounted(model, gamma, tol)
     raise ParameterError(f"unknown mode {mode!r}")
 
 
@@ -395,13 +386,13 @@ def _greedy_policy(q: np.ndarray) -> Policy:
     return Policy(probs)
 
 
-def _solve_average(model: MdpModel, tol: float, max_iters: int) -> OptimalSolution:
+def _solve_average(model: MdpModel, tol: float) -> OptimalSolution:
     num_states, num_actions = model.num_states, model.num_actions
     trans = model.transitions
     loss2d = model.loss.reshape(num_states, num_actions)
     h = np.zeros(num_states)
     residual = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         # Lazy-kernel Bellman image: min_a [loss + (h(x) + P h) / 2]. Its
         # residual at h equals the original model's residual at h/2.
         q = loss2d + 0.5 * (h[:, None] + (trans @ h).reshape(num_states, num_actions))
@@ -413,16 +404,15 @@ def _solve_average(model: MdpModel, tol: float, max_iters: int) -> OptimalSoluti
                                    average_loss=float(lam), iterations=it)
         h = image - lam
     raise ConvergenceError(
-        f"relative value iteration did not reach tol={tol:g} in {max_iters} sweeps "
+        f"relative value iteration did not reach tol={tol:g} in {_MAX_SWEEPS} sweeps "
         f"(residual {residual:g})", residual=residual)
 
 
-def _solve_discounted(model: MdpModel, gamma: float, tol: float,
-                      max_iters: int) -> OptimalSolution:
+def _solve_discounted(model: MdpModel, gamma: float, tol: float) -> OptimalSolution:
     num_states, num_actions = model.num_states, model.num_actions
     values = np.zeros(num_states)
     residual = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         q = (model.loss + gamma * (model.transitions @ values)).reshape(num_states, num_actions)
         image = q.min(axis=1)
         residual = float(np.max(np.abs(image - values)))
@@ -430,7 +420,7 @@ def _solve_discounted(model: MdpModel, gamma: float, tol: float,
         if residual <= tol:
             return OptimalSolution(_greedy_policy(q), values=values, iterations=it)
     raise ConvergenceError(
-        f"value iteration did not reach tol={tol:g} in {max_iters} sweeps "
+        f"value iteration did not reach tol={tol:g} in {_MAX_SWEEPS} sweeps "
         f"(residual {residual:g})", residual=residual)
 
 

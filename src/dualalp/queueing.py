@@ -144,13 +144,10 @@ def _outcome_probs(spec: QueueNetSpec, action: int):
             yield prob, (arr1, arr3, dep1, dep2)
 
 
-def build_mdp(spec: QueueNetSpec, loss_mode: str = "normalized") -> MdpModel:
-    """Exact MDP of the network. Loss is the total queue length, divided by the
-    total capacity when loss_mode="normalized" (so it lies in [0, 1]); "raw"
-    keeps the unnormalized count (such models are for exact evaluation, not for
-    the solvers, whose losses must lie in [0, 1])."""
-    if loss_mode not in ("normalized", "raw"):
-        raise ParameterError(f"unknown loss_mode {loss_mode!r}")
+def build_mdp(spec: QueueNetSpec) -> MdpModel:
+    """Exact MDP of the network. Loss is the total queue length divided by the
+    total capacity, so it lies in [0, 1]; multiply an exact cost by
+    ``spec.total_capacity`` for queue lengths."""
     num_states = spec.num_states
     if num_states * NUM_ACTIONS > DENSE_GUARD:
         raise CapacityError(
@@ -183,12 +180,8 @@ def build_mdp(spec: QueueNetSpec, loss_mode: str = "normalized") -> MdpModel:
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(num_states * NUM_ACTIONS, num_states))
     totals = states.sum(axis=1).astype(float)
-    loss = np.repeat(totals, NUM_ACTIONS)
-    loss_bounded = loss_mode == "normalized"
-    if loss_bounded:
-        loss = loss / spec.total_capacity
-    return MdpModel.create(num_states, NUM_ACTIONS, trans, loss,
-                           check_loss_range=loss_bounded)
+    loss = np.repeat(totals, NUM_ACTIONS) / spec.total_capacity
+    return MdpModel.create(num_states, NUM_ACTIONS, trans, loss)
 
 
 def step(spec: QueueNetSpec, lengths, action: int,

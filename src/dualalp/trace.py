@@ -70,7 +70,6 @@ class MetaResult:
     policy: Policy = None
     iterations_per_point: np.ndarray = None
     violation_samples: int = 0
-    discount: float | None = None
 
     @property
     def chosen_penalty(self) -> float:

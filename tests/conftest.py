@@ -33,6 +33,21 @@ def random_features(rng, model, dim, density=0.5, signed=True, normalize=False,
     return FeatureSpace(model, sp.csr_matrix(phi), mu0=mu0, normalize=normalize)
 
 
+def record_projections(monkeypatch, module):
+    """Record every point the solver's projection returns, theta_2 ..
+    theta_{T+1} of a T-iteration run (theta_1 = 0 is never projected); the
+    solver looks ``project_theta_avg`` up in ``module`` at each call."""
+    seen = []
+    project = module.project_theta_avg
+
+    def recording(*args):
+        seen.append(project(*args).copy())
+        return seen[-1]
+
+    monkeypatch.setattr(module, "project_theta_avg", recording)
+    return seen
+
+
 def narrow_random_space(rng, num_states=30, num_actions=3, dim=48):
     """Random MDP with sparse features of 1-6 nonzeros per row, narrow at
     d = 48 (the estimators take their pair rows as an ELL block)."""

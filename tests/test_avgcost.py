@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualalp import avgcost
 from dualalp.avgcost import (AvgSolverConfig, estimate_violations, exact_subgradient,
                              meta_solve_avg, project_theta_avg, sgd_solve_avg,
                              subgradient_estimate, surrogate_cost_exact,
@@ -14,7 +15,8 @@ from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.mdp import average_cost, policy_from_occupancy, stationary_state_action
 
-from conftest import random_features, random_mdp, random_policy, stationary_features
+from conftest import (random_features, random_mdp, random_policy, record_projections,
+                      stationary_features)
 
 
 def dense_b_matrix(model):
@@ -269,27 +271,26 @@ def test_sgd_deterministic_under_seed(desk_fixture):
     np.testing.assert_array_equal(t1.v_hat, t2.v_hat)
 
 
-def test_sgd_iterates_stay_in_constraint_set(desk_fixture):
+def test_sgd_iterates_stay_in_constraint_set(desk_fixture, monkeypatch):
     model, fs = desk_fixture
     sample = make_uniform_sampling(model, fs, 1.0)
     cfg = AvgSolverConfig(penalty=1.5, radius=1.8, iterations=60, seed=5)
-    seen = []
-    sgd_solve_avg(model, fs, sample, cfg, iterate_hook=lambda t, th: seen.append((t, th.copy())))
-    for t, theta in seen:
-        if t == 1:
-            continue  # the initial point is the origin by construction
+    seen = record_projections(monkeypatch, avgcost)
+    sgd_solve_avg(model, fs, sample, cfg)
+    assert len(seen) == 60
+    for theta in seen:
         assert abs(theta.sum() - 1.0) <= 1e-12
         assert np.linalg.norm(theta) <= 1.8 + 1e-12
 
 
-def test_sgd_theta_hat_is_mean_of_iterates(desk_fixture):
+def test_sgd_theta_hat_is_mean_of_iterates(desk_fixture, monkeypatch):
     model, fs = desk_fixture
     sample = make_uniform_sampling(model, fs, 1.0)
     cfg = AvgSolverConfig(penalty=1.0, radius=2.0, iterations=40, seed=9)
-    seen = []
-    trace = sgd_solve_avg(model, fs, sample, cfg,
-                          iterate_hook=lambda t, th: seen.append(th.copy()))
-    np.testing.assert_allclose(trace.theta, np.mean(seen, axis=0), atol=1e-12)
+    seen = record_projections(monkeypatch, avgcost)
+    trace = sgd_solve_avg(model, fs, sample, cfg)
+    iterates = [np.zeros(fs.dim)] + seen[:-1]  # theta_1 .. theta_40
+    np.testing.assert_allclose(trace.theta, np.mean(iterates, axis=0), atol=1e-12)
 
 
 def test_sgd_learning_rate_halving_schedule(desk_fixture):
@@ -314,7 +315,7 @@ def test_sgd_non_finite_iterate_raises_with_t():
         estimated_at.append(theta_bar.copy())
         return 0.0
 
-    problem = SgdProblem(dim=2, loss_phi=np.ones(2), objective_offset=0.0,
+    problem = SgdProblem(loss_phi=np.ones(2), objective_offset=0.0,
                          grad_batch=grad_batch, project=lambda th: th,
                          violation_estimate=violation_estimate,
                          make_policy=lambda th: None)

@@ -332,6 +332,35 @@ def test_simulated_eval_needs_queue_before_features(tmp_path, monkeypatch, capsy
     assert not (out / "summary.json").exists()
 
 
+def _desk_solver_config(tmp_path, eval_mode: str) -> Path:
+    cfg = tmp_path / f"desk-{eval_mode}.json"
+    cfg.write_text(json.dumps({"problem": {"queue_preset": "desk"},
+                               "solver": {"iterations": 10}, "trace_stride": 10,
+                               "eval": {"mode": eval_mode}}))
+    return cfg
+
+
+def test_simulated_eval_cost_has_the_unit_of_exact(tmp_path):
+    # the simulated eval_cost was a raw queue length, total_capacity (30) times
+    # the exact one at the same policy
+    costs = {}
+    for mode in ("exact", "simulated"):
+        out = tmp_path / mode
+        assert main(["solve-avg", "--config", str(_desk_solver_config(tmp_path, mode)),
+                     "--out", str(out)]) == 0
+        costs[mode] = read_summary(out)["result"]["final_eval_cost"]
+    assert costs["simulated"] == pytest.approx(costs["exact"], rel=0.05)
+
+
+@pytest.mark.parametrize("mode", ["solve-disc", "meta-disc"])
+def test_simulated_eval_rejected_for_discounted_runs(tmp_path, capsys, mode):
+    out = tmp_path / "o"
+    assert main([mode, "--config", str(_desk_solver_config(tmp_path, "simulated")),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: simulated evaluation measures average cost" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("solver", [{"radius": "2"}, {"iterations": True},
                                     {"penalty": None}, {"seed": [7]}],
                          ids=["str-radius", "bool-iterations", "null-penalty", "list-seed"])

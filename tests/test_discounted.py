@@ -4,6 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualalp import discounted
 from dualalp.discounted import (DiscSolverConfig, estimate_violations_disc,
                                 exact_subgradient_disc, meta_solve_disc,
                                 project_theta_disc, sgd_solve_disc,
@@ -17,7 +18,7 @@ from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
 from dualalp.mdp import (Policy, discounted_visits, policy_from_occupancy,
                          solve_optimal, value_function)
 
-from conftest import random_features, random_mdp, random_policy
+from conftest import random_features, random_mdp, random_policy, record_projections
 
 
 def visit_features(rng, model, dim, gamma, alpha, include_optimal=True, tol=1e-12):
@@ -271,19 +272,17 @@ def test_sgd_recovers_representable_optimum():
     assert float(alpha @ j_hat) == pytest.approx(float(nu_hat @ model.loss), abs=1e-7)
 
 
-def test_sgd_sum_constraint_flag():
+def test_sgd_sum_constraint_flag(monkeypatch):
     rng = np.random.default_rng(81)
     model = random_mdp(rng, 4, 2)
     fs = random_features(rng, model, 3)
     sample = make_uniform_sampling(model, fs, 0.5)
     cfg = DiscSolverConfig(discount=0.5, penalty=2.0, radius=3.0, iterations=50,
                            seed=2, enforce_sum_constraint=True)
-    seen = []
-    sgd_solve_disc(model, fs, sample, cfg,
-                   iterate_hook=lambda t, th: seen.append((t, th.copy())))
-    for t, theta in seen:
-        if t == 1:
-            continue
+    seen = record_projections(monkeypatch, discounted)
+    sgd_solve_disc(model, fs, sample, cfg)
+    assert len(seen) == 50
+    for theta in seen:
         assert abs(theta.sum() - 2.0) <= 1e-12  # 1/(1-gamma) = 2
         assert np.linalg.norm(theta) <= 3.0 + 1e-12
 

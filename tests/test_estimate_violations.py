@@ -91,18 +91,17 @@ BAD_COUNT_IDS = ["zero", "negative", "fraction", "float", "bool", "string", "non
 @pytest.mark.parametrize("value", BAD_COUNTS, ids=BAD_COUNT_IDS)
 def test_bad_draw_counts_raise_parameter_error(value):
     _, avg, sampler, theta = INSTANCES[0]
-    _, _, disc_sampler, _ = INSTANCES[1]
+    _, disc, disc_sampler, _ = INSTANCES[1]
     model, fs = avg.model, avg.fs
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     # a negative batch used to return 0.0; zero and fractions raised untyped errors
     with pytest.raises(ParameterError, match="batch must be a positive integer"):
-        estimate_violations(model, fs, sampler, theta, 100, rng, batch=value)
+        avg.estimate_violations(sampler, theta, 100, rng, value)
     with pytest.raises(ParameterError, match="n must be a positive integer"):
         estimate_violations(model, fs, sampler, theta, value, rng)
     with pytest.raises(ParameterError, match="batch must be a positive integer"):
-        estimate_violations_disc(model, fs, disc_sampler, 0.85, None, theta, 100, rng,
-                                 batch=value)
+        disc.estimate_violations(disc_sampler, theta, 100, rng, value)
     with pytest.raises(ParameterError, match="n must be a positive integer"):
         estimate_violations_disc(model, fs, disc_sampler, 0.85, None, theta, value, rng)
     assert rng.bit_generator.state == state  # rejected before any draw
@@ -111,8 +110,10 @@ def test_bad_draw_counts_raise_parameter_error(value):
 def test_numpy_integer_draw_counts_accepted():
     _, avg, sampler, theta = INSTANCES[0]
     model, fs = avg.model, avg.fs
-    plain = estimate_violations(model, fs, sampler, theta, 300, np.random.default_rng(2),
-                                batch=64)
-    numpy_ints = estimate_violations(model, fs, sampler, theta, np.int64(300),
-                                     np.random.default_rng(2), batch=np.int32(64))
+    plain = avg.estimate_violations(sampler, theta, 300, np.random.default_rng(2), 64)
+    numpy_ints = avg.estimate_violations(sampler, theta, np.int64(300),
+                                         np.random.default_rng(2), np.int32(64))
     assert numpy_ints == plain
+    assert (estimate_violations(model, fs, sampler, theta, np.int64(300),
+                                np.random.default_rng(2))
+            == estimate_violations(model, fs, sampler, theta, 300, np.random.default_rng(2)))

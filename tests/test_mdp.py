@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dualalp import mdp
 from dualalp.errors import (CapacityError, ConvergenceError, InputShapeError,
                             ParameterError)
 from dualalp.mdp import (MdpModel, Policy, average_cost, bellman_average,
@@ -90,13 +91,13 @@ def test_policy_from_occupancy_shape_errors():
     with pytest.raises(InputShapeError):
         policy_from_occupancy(np.zeros(5), 2)
     with pytest.raises(InputShapeError):
-        policy_from_occupancy(np.zeros(4))
+        policy_from_occupancy(np.zeros((2, 2)), 2)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-5, 5, allow_nan=False), min_size=2, max_size=6))
 def test_policy_from_occupancy_rows_always_valid(row):
-    pi = policy_from_occupancy(np.asarray(row)[None, :])
+    pi = policy_from_occupancy(np.asarray(row), len(row))
     assert pi.probs.min() >= 0
     assert abs(pi.probs.sum() - 1.0) < 1e-12
 
@@ -173,7 +174,7 @@ def test_stationary_handles_periodic_chain():
     np.testing.assert_allclose(mu, [0.5, 0.5], atol=1e-10)
 
 
-def test_stationary_nonconvergence_error_carries_residual():
+def test_stationary_nonconvergence_error_carries_residual(monkeypatch):
     # two disconnected states: the residual stalls at 0 only if started in a
     # stationary point; a lopsided restart cannot fix the residual below tol
     kernel = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
@@ -185,9 +186,20 @@ def test_stationary_nonconvergence_error_carries_residual():
     rng = np.random.default_rng(3)
     busy = random_mdp(rng, 5, 2)
     pi = random_policy(rng, 5, 2)
-    with pytest.raises(ConvergenceError) as err:
-        stationary_distribution(busy, pi, tol=1e-300, max_iters=5)
+    monkeypatch.setattr(mdp, "_MAX_SWEEPS", 5)
+    with pytest.raises(ConvergenceError, match="in 5 iterations") as err:
+        stationary_distribution(busy, pi, tol=1e-300)
     assert err.value.residual is not None and err.value.residual > 0
+
+
+@pytest.mark.parametrize("mode, gamma, what", [("average", None, "relative value iteration"),
+                                               ("discounted", 0.9, "value iteration")])
+def test_solve_optimal_sweep_cap_raises_with_residual(monkeypatch, mode, gamma, what):
+    model = random_mdp(np.random.default_rng(4), 5, 2)
+    monkeypatch.setattr(mdp, "_MAX_SWEEPS", 3)
+    with pytest.raises(ConvergenceError, match=f"^{what} did not reach .* in 3 sweeps") as err:
+        solve_optimal(model, mode, gamma=gamma, tol=1e-300)
+    assert err.value.residual > 0
 
 
 def stationary_residual(model, pi, mu):

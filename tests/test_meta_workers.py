@@ -123,7 +123,7 @@ def test_plain_loop_where_forking_is_unsafe(monkeypatch, setting):
 def _assert_same_meta(seq, par):
     for name in ("grid_points", "selection_weight", "linear_objectives",
                  "violation_estimates", "selection_values", "chosen_index", "theta",
-                 "iterations_per_point", "violation_samples", "discount"):
+                 "iterations_per_point", "violation_samples"):
         assert np.array_equal(getattr(seq, name), getattr(par, name)), name
     assert np.array_equal(seq.policy.probs, par.policy.probs)
     assert len(seq.traces) == len(par.traces) == len(seq.grid_points)

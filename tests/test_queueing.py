@@ -127,17 +127,13 @@ def test_build_mdp_matches_brute_force_enumeration():
             assert got[key] == pytest.approx(p, abs=1e-14)
 
 
-def test_build_mdp_loss_modes():
-    model_norm = build_mdp(SMALL_SPEC, loss_mode="normalized")
-    model_raw = build_mdp(SMALL_SPEC, loss_mode="raw")
+def test_build_mdp_loss_is_normalized_queue_length():
+    model = build_mdp(SMALL_SPEC)
     totals = np.array([sum(decode_state(SMALL_SPEC, i))
                        for i in range(SMALL_SPEC.num_states)], dtype=float)
-    np.testing.assert_allclose(model_raw.loss, np.repeat(totals, NUM_ACTIONS))
-    np.testing.assert_allclose(model_norm.loss,
-                               np.repeat(totals, NUM_ACTIONS) / 10.0)
-    assert model_norm.loss.max() <= 1.0
-    with pytest.raises(ParameterError):
-        build_mdp(SMALL_SPEC, loss_mode="bogus")
+    assert SMALL_SPEC.total_capacity == 10
+    np.testing.assert_allclose(model.loss * 10.0, np.repeat(totals, NUM_ACTIONS))
+    assert model.loss.max() == 1.0  # the full state
 
 
 def test_build_mdp_capacity_guard():
@@ -280,9 +276,8 @@ def test_evaluate_simulated_zero_arrivals():
 
 def test_evaluate_simulated_matches_exact_average_cost():
     spec = SMALL_SPEC
-    model = build_mdp(spec, loss_mode="raw")
     policy = heuristic_policy(spec, "LONGER")
-    exact = average_cost(model, policy, tol=1e-12)
+    exact = average_cost(build_mdp(spec), policy, tol=1e-12) * spec.total_capacity
     mean, std = evaluate_policy_simulated(spec, policy, horizon=120000,
                                           burn_in=5000, reps=6, seed=5)
     stderr = std / np.sqrt(6)

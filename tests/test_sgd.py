@@ -20,13 +20,17 @@ import pytest
 
 from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, SgdProblem, Surrogate, draw,
                           make_buffered_grad, make_minibatch_grad, run_projected_sgd)
-from dualalp.avgcost import AvgSolverConfig
-from dualalp.discounted import DiscSolverConfig, project_theta_disc
+from dualalp.avgcost import AvgSolverConfig, estimate_violations, sgd_solve_avg
+from dualalp.discounted import (DiscSolverConfig, estimate_violations_disc,
+                                project_theta_disc, sgd_solve_disc)
 from dualalp.errors import ParameterError, SamplingSupportError
 from dualalp.features import (SamplingPair, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
-from dualalp.mdp import MdpModel
+from dualalp.mdp import (MdpModel, Policy, policy_from_occupancy, solve_optimal,
+                         stationary_distribution)
+from dualalp.queueing import DESK_SPEC, build_mdp
+from dualalp.trace import MetaResult
 
 from conftest import narrow_random_space, random_features, random_mdp
 
@@ -316,8 +320,27 @@ def test_run_config_rules(config_cls, field, value, message):
 _KERNEL = np.array([[[0.5, 0.5]], [[1.0, 0.0]]])
 _LOSS = np.zeros((2, 1))
 
-# constructions that must raise TypeError: positional run-config fields, and
-# the options that nothing read or set
+
+def _fixture_run():
+    """(model, features, uniform sampler, theta) of the 4-state fixture."""
+    model = load_mdp_fixture(DATA / "mdp4.json")
+    fs = load_feature_fixture(DATA / "features3.json", model)
+    return model, fs, make_uniform_sampling(model, fs, 0.9), np.array([0.5, 0.3, -1.1])
+
+
+def _solve_with_iterate_hook(solve, config_cls):
+    model, fs, sampler, _ = _fixture_run()
+    solve(model, fs, sampler, _config(config_cls), iterate_hook=lambda t, theta: None)
+
+
+def _estimate_with_batch(estimate, *objective):
+    model, fs, sampler, theta = _fixture_run()
+    estimate(model, fs, sampler, *objective, theta, 100, np.random.default_rng(0), batch=8)
+
+
+# constructions and calls that must raise TypeError: positional run-config
+# fields, the options that nothing read or set, and the options that only
+# tests set
 REJECTED_CALLS = {
     "avg-positional": lambda: AvgSolverConfig(1.0, 2.0, 10),
     "disc-positional": lambda: DiscSolverConfig(0.9, 1.0, 2.0, 10),
@@ -332,6 +355,24 @@ REJECTED_CALLS = {
     "records-validate": lambda: MdpModel.from_records(2, 1, [(0, 0, 0, 1.0), (1, 0, 1, 1.0)],
                                                       _LOSS.ravel(), validate=False),
     "dense-validate": lambda: MdpModel.from_dense(_KERNEL, _LOSS, validate=False),
+    "avg-iterate_hook": lambda: _solve_with_iterate_hook(sgd_solve_avg, AvgSolverConfig),
+    "disc-iterate_hook": lambda: _solve_with_iterate_hook(sgd_solve_disc, DiscSolverConfig),
+    "build_mdp-loss_mode": lambda: build_mdp(DESK_SPEC, loss_mode="raw"),
+    "create-check_loss_range": lambda: MdpModel.create(
+        2, 1, _KERNEL.reshape(2, 2), _LOSS.ravel(), check_loss_range=True),
+    "stationary-max_iters": lambda: stationary_distribution(
+        MdpModel.from_dense(_KERNEL, _LOSS), Policy(np.ones((2, 1))), max_iters=10),
+    "solve_optimal-max_iters": lambda: solve_optimal(MdpModel.from_dense(_KERNEL, _LOSS),
+                                                     max_iters=10),
+    "avg-batch": lambda: _estimate_with_batch(estimate_violations),
+    "disc-batch": lambda: _estimate_with_batch(estimate_violations_disc, 0.9, None),
+    "occupancy-no-num_actions": lambda: policy_from_occupancy(np.ones((2, 2))),
+    "meta_result-discount": lambda: MetaResult(grid_points=np.ones(1), selection_weight=1.0,
+                                               discount=0.9),
+    "sgd_problem-dim": lambda: SgdProblem(
+        dim=1, loss_phi=np.ones(1), objective_offset=0.0,
+        grad_batch=lambda theta, rng, m: np.ones(1), project=lambda theta: theta,
+        violation_estimate=lambda theta, rng: 0.0, make_policy=lambda theta: None),
 }
 
 
@@ -363,7 +404,7 @@ def test_solver_configs_accept_halving_period(config_cls, period):
 
 @pytest.mark.parametrize("period", BAD_PERIODS, ids=BAD_PERIOD_IDS)
 def test_run_projected_sgd_rejects_bad_halving_period(period):
-    problem = SgdProblem(dim=1, loss_phi=np.ones(1), objective_offset=0.0,
+    problem = SgdProblem(loss_phi=np.ones(1), objective_offset=0.0,
                          grad_batch=lambda theta, rng, m: np.ones(1),
                          project=lambda theta: theta,
                          violation_estimate=lambda theta, rng: 0.0,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualalp import avgcost
+from dualalp import avgcost, discounted
 from dualalp.features import make_uniform_sampling
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -49,4 +49,24 @@ def test_traced_sgd_run_records_its_iterations(desk_fixture):
     assert metrics["avgcost.project_calls"] == 40
     assert metrics["sgd.errors"] == 0
     untraced = avgcost.sgd_solve_avg(model, fs, sampler, cfg)
+    np.testing.assert_array_equal(traced.theta, untraced.theta)
+
+
+def test_traced_disc_sgd_run_records_its_iterations(desk_fixture):
+    model, fs = desk_fixture
+    sampler = make_uniform_sampling(model, fs, 0.9)
+    cfg = discounted.DiscSolverConfig(discount=0.9, penalty=1.0, radius=1.5, iterations=30,
+                                      seed=3)
+    tracer = tracing.Tracer()
+    tracer.begin_run("sgd")
+    with tracer.installed():
+        traced = discounted.sgd_solve_disc(model, fs, sampler, cfg)
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("sgd.run") == 1 and names.count("discounted.sgd_solve") == 1
+    metrics = tracing.layer_metrics(tracer, 0)
+    assert metrics["sgd.iterations"] == 30
+    assert metrics["discounted.project_calls"] == 30
+    assert metrics["avgcost.project_calls"] == 0
+    assert metrics["sgd.errors"] == 0
+    untraced = discounted.sgd_solve_disc(model, fs, sampler, cfg)
     np.testing.assert_array_equal(traced.theta, untraced.theta)
