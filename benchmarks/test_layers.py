@@ -69,8 +69,8 @@ def test_minibatch_block_step(benchmark, desk):
     grad = make_minibatch_grad(surrogate, sampler, 2.0, DRAWS, 10**6)
     rng = np.random.default_rng(3)
     for _ in range(steps):  # the first block, and its dense copies, outside the timing
-        grad(theta, rng, DRAWS)
-    assert benchmark.pedantic(grad, args=(theta, rng, DRAWS), rounds=100,
+        grad(theta, rng)
+    assert benchmark.pedantic(grad, args=(theta, rng), rounds=100,
                               iterations=steps).shape == theta.shape
 
 
@@ -79,8 +79,8 @@ def test_buffered_step(benchmark, desk):
     surrogate, sampler, theta = desk
     grad = make_buffered_grad(surrogate, sampler, 2.0)
     rng = np.random.default_rng(4)
-    grad(theta, rng, 1)  # the first block's dense gathers happen outside the timing
-    assert benchmark.pedantic(grad, args=(theta, rng, 1), rounds=20,
+    grad(theta, rng)  # the first block's dense gathers happen outside the timing
+    assert benchmark.pedantic(grad, args=(theta, rng), rounds=20,
                               iterations=GRAD_BLOCK).shape == theta.shape
 
 
@@ -130,7 +130,7 @@ def test_single_draw_step_d3(benchmark, small_disc):
     theta = np.array([0.4, -0.2, 0.3])
 
     def step():
-        return project_theta_disc(theta - 0.01 * grad(theta, rng, 1), 1.3)
+        return project_theta_disc(theta - 0.01 * grad(theta, rng), 1.3)
 
     step()
     assert benchmark.pedantic(step, rounds=50, iterations=GRAD_BLOCK).shape == (3,)

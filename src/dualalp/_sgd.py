@@ -268,7 +268,7 @@ class SgdProblem:
 
     loss_phi: np.ndarray
     objective_offset: float
-    grad_batch: Callable[[np.ndarray, np.random.Generator, int], np.ndarray]
+    grad_batch: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
     violation_estimate: Callable[[np.ndarray, np.random.Generator], float]
     make_policy: Callable[[np.ndarray], Policy]
@@ -323,7 +323,7 @@ def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
         res = surrogate.res_base[states].tolist()
         pos = 0
 
-    def grad(theta, rng, m):
+    def grad(theta, rng):
         nonlocal pos
         if pos >= block:
             refill(rng)
@@ -358,7 +358,7 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     give the same bits. A draw of probability zero raises
     SamplingSupportError at the refill that draws it, as in
     :func:`make_buffered_grad`, before the steps that precede it in its block.
-    Every gradient is a fresh array; the ``m`` of a call is not read.
+    Every gradient is a fresh array.
     """
     fs = surrogate.fs
     steps = max(1, MINIBATCH_BLOCK // m)
@@ -381,7 +381,7 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
         pair_rows = fs._row_steps(pairs)
         pos = 0
 
-    def grad(theta, rng, _m):
+    def grad(theta, rng):
         nonlocal pos
         if pos >= count:
             refill(rng)
@@ -414,7 +414,10 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
     """Run theta_{t+1} = project(theta_t - eta_t * mean-of-minibatch gradient)
     from theta_1 = 0 and return the trace of the running average.
 
-    ``eval_hook(theta_bar, policy) -> float`` is called at recorded rows only.
+    ``problem.grad_batch(theta, rng)`` averages the ``minibatch`` draws per
+    step that it was built for; ``minibatch`` itself is only checked here.
+    ``eval_hook(policy) -> float`` is called at recorded rows only, with the
+    policy of the running average.
     Raises ConvergenceError, naming t, when the running average is non-finite
     at a recorded row.
     """
@@ -442,14 +445,14 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
             rec_obj.append(problem.objective_offset + float(problem.loss_phi @ theta_bar))
             rec_vhat.append(problem.violation_estimate(theta_bar, rng_trace))
             if eval_hook is not None:
-                rec_cost.append(float(eval_hook(theta_bar, problem.make_policy(theta_bar))))
+                rec_cost.append(float(eval_hook(problem.make_policy(theta_bar))))
             else:
                 rec_cost.append(math.nan)
         if lr_halving_period:
             rate = learning_rate * 2.0 ** (-((t - 1) // lr_halving_period))
         else:
             rate = learning_rate
-        grad = grad_batch(theta, rng, minibatch)
+        grad = grad_batch(theta, rng)
         theta = project(theta - rate * grad)
     theta_hat = theta_sum / iterations
     return RunTrace(iterations=np.asarray(rec_t, dtype=np.int64),

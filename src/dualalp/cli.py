@@ -30,8 +30,8 @@ from .errors import (CapacityError, ConfigError, ConvergenceError, DualAlpError,
                      InputShapeError, SamplingSupportError)
 from .features import make_norm_proportional_sampling, make_uniform_sampling
 from .grid import build_penalty_grid
-from .mdp import (DENSE_GUARD, average_cost, fixed_dot, policy_from_occupancy,
-                  stationary_state_action, value_function)
+from .mdp import (DENSE_GUARD, _check_state_distribution, average_cost, fixed_dot,
+                  policy_from_occupancy, stationary_state_action, value_function)
 from .trace import MetaResult, RunTrace
 
 EXIT_OK = 0
@@ -241,23 +241,27 @@ def _build_features(features: dict, model, spec, problem: dict):
                                    component_intervals=comp_iv)[0]
 
 
+def _simulated_cost(mode_cfg: dict, spec, policy) -> tuple[float, float]:
+    """Mean and standard deviation of the simulated queue length per unit of
+    capacity, the unit of the model's loss and of the exact evaluation."""
+    mean, std = queueing.evaluate_policy_simulated(
+        spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"], mode_cfg["reps"], seed=0)
+    return mean / spec.total_capacity, std / spec.total_capacity
+
+
 def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
     mode = mode_cfg["mode"]
     if mode == "none":
         return None
     if mode == "exact":
         if gamma is None:
-            return lambda theta, policy: average_cost(model, policy)
-        weights = alpha if alpha is not None else np.full(model.num_states,
-                                                          1.0 / model.num_states)
-        return lambda theta, policy: fixed_dot(weights, value_function(model, policy, gamma))
+            return lambda policy: average_cost(model, policy)
+        weights = _check_state_distribution(model, alpha)
+        return lambda policy: fixed_dot(weights, value_function(model, policy, gamma))
     if gamma is not None:  # a trajectory's mean queue length is no discounted cost
         raise ConfigError("simulated evaluation measures average cost; use eval.mode "
                           "exact or none with a discounted solver")
-    # per unit of capacity, the unit of the model's loss and of the exact evaluation
-    return lambda theta, policy: queueing.evaluate_policy_simulated(
-        spec, policy, mode_cfg["horizon"], mode_cfg["burn_in"], mode_cfg["reps"],
-        seed=0)[0] / spec.total_capacity
+    return lambda policy: _simulated_cost(mode_cfg, spec, policy)[0]
 
 
 def _write_json(doc: dict, path: Path) -> None:
@@ -485,11 +489,7 @@ def run_eval_policy(config: dict, out_dir: Path) -> dict:
     if eval_cfg["mode"] != "simulated":  # "none" evaluates exactly too
         result["average_loss"] = average_cost(model, policy)
     else:
-        mean, std = queueing.evaluate_policy_simulated(
-            spec, policy, eval_cfg["horizon"], eval_cfg["burn_in"], eval_cfg["reps"],
-            seed=0)
-        result["simulated_loss"] = mean
-        result["std"] = std
+        result["simulated_loss"], result["std"] = _simulated_cost(eval_cfg, spec, policy)
     resolved = {"problem": problem_cfg, "policy": policy_cfg, "eval": eval_cfg}
     return _write_summary(out_dir, "eval-policy", resolved, 0, 0, result)
 

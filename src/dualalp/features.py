@@ -95,12 +95,6 @@ class FeatureSpace:
 
     # -- row access ---------------------------------------------------------
 
-    def row(self, x: int, a: int) -> np.ndarray:
-        """Dense copy of the feature row for pair (x, a)."""
-        if not (0 <= x < self.model.num_states and 0 <= a < self.model.num_actions):
-            raise InputShapeError(f"state-action ({x}, {a}) out of range")
-        return self.rows(np.array([self.model.pair_index(x, a)]))[0]
-
     def rows(self, pair_idx: np.ndarray) -> np.ndarray:
         """(n, d) dense block of feature rows for the given pair indices."""
         return self._gather(None, pair_idx)
@@ -157,11 +151,6 @@ class FeatureSpace:
             return self._dense_copy(coefs)[idx]
         return operator[idx].toarray()
 
-    def _state_row(self, coefs: tuple[float, float], x: int) -> np.ndarray:
-        if not 0 <= x < self.model.num_states:
-            raise InputShapeError(f"state {x} out of range")
-        return self._gather(coefs, [x])[0]
-
     def drift_matrix(self, kappa: float) -> np.ndarray:
         """Dense (X, d) matrix whose row x' is (P - kappa*B)^T_{:,x'} Phi."""
         return self._dense_copy((1.0, -kappa))
@@ -175,14 +164,6 @@ class FeatureSpace:
         discounted residual)."""
         return self._dense_copy((-kappa, 1.0))
 
-    def drift_column(self, x: int, kappa: float) -> np.ndarray:
-        """(P - kappa*B)^T_{:,x} Phi as a dense d-vector."""
-        return self._state_row((1.0, -kappa), x)
-
-    def feasibility_column(self, x: int, kappa: float) -> np.ndarray:
-        """(B - kappa*P)^T_{:,x} Phi as a dense d-vector."""
-        return self._state_row((-kappa, 1.0), x)
-
     def drift_rows(self, states: np.ndarray, kappa: float) -> np.ndarray:
         """(n, d) dense block of drift vectors for the given states."""
         return self._gather((1.0, -kappa), states)
@@ -192,11 +173,6 @@ class FeatureSpace:
         return self._gather((-kappa, 1.0), states)
 
     # -- pointwise products -------------------------------------------------
-
-    def occupancy_value(self, theta: np.ndarray, x: int, a: int) -> float:
-        """mu0(x,a) + Phi_{(x,a),:} theta."""
-        i = self.model.pair_index(x, a)
-        return float(self.mu0[i] + self.row(x, a) @ theta)
 
     def occupancy_vector(self, theta: np.ndarray) -> np.ndarray:
         """Full mu0 + Phi theta over all pairs (dense, length X*A)."""

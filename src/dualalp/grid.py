@@ -16,9 +16,7 @@ from .errors import ParameterError
 
 @dataclass(frozen=True)
 class PenaltyGrid:
-    violation_bound: float
     weight: float
-    tolerance: float
     points: np.ndarray
 
     def __len__(self) -> int:
@@ -46,5 +44,4 @@ def build_penalty_grid(violation_bound: float, weight: float,
     while h < cap:
         h = h + tolerance / (violation_bound + weight / (h * h))
         append(h)
-    return PenaltyGrid(violation_bound=float(violation_bound), weight=float(weight),
-                       tolerance=float(tolerance), points=np.asarray(points))
+    return PenaltyGrid(weight=float(weight), points=np.asarray(points))

@@ -7,7 +7,7 @@ Vectors over pairs (occupancies, losses) are plain 1-D numpy arrays of length
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -128,14 +128,6 @@ class Policy:
         if not np.all(np.abs(row_sums - 1.0) <= PROB_ATOL) or (probs.size and probs.min() < 0):
             raise ParameterError("policy rows must be finite, nonnegative and sum to 1")
         object.__setattr__(self, "probs", probs)
-
-    @property
-    def num_states(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.probs.shape[1]
 
     def flat(self) -> np.ndarray:
         """Pair-indexed view pi(a|x) of length X*A."""
@@ -353,7 +345,6 @@ class OptimalSolution:
     policy: Policy
     values: np.ndarray
     average_loss: float | None = None
-    iterations: int = field(default=0)
 
 
 def solve_optimal(model: MdpModel, mode: str = "average", gamma: float | None = None,
@@ -392,7 +383,7 @@ def _solve_average(model: MdpModel, tol: float) -> OptimalSolution:
     loss2d = model.loss.reshape(num_states, num_actions)
     h = np.zeros(num_states)
     residual = math.inf
-    for it in range(1, _MAX_SWEEPS + 1):
+    for _ in range(_MAX_SWEEPS):
         # Lazy-kernel Bellman image: min_a [loss + (h(x) + P h) / 2]. Its
         # residual at h equals the original model's residual at h/2.
         q = loss2d + 0.5 * (h[:, None] + (trans @ h).reshape(num_states, num_actions))
@@ -401,7 +392,7 @@ def _solve_average(model: MdpModel, tol: float) -> OptimalSolution:
         residual = float(np.max(np.abs(image - h - lam)))
         if residual <= tol:
             return OptimalSolution(_greedy_policy(q), values=0.5 * h,
-                                   average_loss=float(lam), iterations=it)
+                                   average_loss=float(lam))
         h = image - lam
     raise ConvergenceError(
         f"relative value iteration did not reach tol={tol:g} in {_MAX_SWEEPS} sweeps "
@@ -412,13 +403,13 @@ def _solve_discounted(model: MdpModel, gamma: float, tol: float) -> OptimalSolut
     num_states, num_actions = model.num_states, model.num_actions
     values = np.zeros(num_states)
     residual = math.inf
-    for it in range(1, _MAX_SWEEPS + 1):
+    for _ in range(_MAX_SWEEPS):
         q = (model.loss + gamma * (model.transitions @ values)).reshape(num_states, num_actions)
         image = q.min(axis=1)
         residual = float(np.max(np.abs(image - values)))
         values = image
         if residual <= tol:
-            return OptimalSolution(_greedy_policy(q), values=values, iterations=it)
+            return OptimalSolution(_greedy_policy(q), values=values)
     raise ConvergenceError(
         f"value iteration did not reach tol={tol:g} in {_MAX_SWEEPS} sweeps "
         f"(residual {residual:g})", residual=residual)

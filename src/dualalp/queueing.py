@@ -322,15 +322,14 @@ def heuristic_stationary_trajectory(spec: QueueNetSpec, policy: Policy,
 
 
 def build_features(spec: QueueNetSpec, model: MdpModel | None = None,
-                   heuristics: tuple[str, ...] = ("LONGER", "LBFS"),
                    loss_intervals=DESK_LOSS_INTERVALS,
                    component_intervals=DESK_COMPONENT_INTERVALS,
                    stationary_mode: str = "exact", mu0: np.ndarray | None = None,
                    sim_length: int = 10**6, sim_burn_in: int = 10**4,
                    seed: int = 0) -> tuple[FeatureSpace, list[str]]:
     """Indicator features over total-length buckets and per-queue bucket
-    4-tuples (both crossed with the action), plus one stationary state-action
-    distribution column per heuristic. Empty indicator columns are dropped;
+    4-tuples (both crossed with the action), plus the stationary state-action
+    distribution columns of LONGER and LBFS. Empty indicator columns are dropped;
     their names are returned alongside the feature space.
 
     Intervals are inclusive integer (lo, hi) pairs; the defaults fit the desk
@@ -364,7 +363,7 @@ def build_features(spec: QueueNetSpec, model: MdpModel | None = None,
         label = ",".join(str(b) for b in combo)
         for action in range(NUM_ACTIONS):
             add_indicator(mask, action, f"tuple[{label}]/a{action}")
-    for kind in heuristics:
+    for kind in ("LONGER", "LBFS"):
         policy = heuristic_policy(spec, kind)
         if stationary_mode == "exact":
             col = stationary_state_action(model, policy)

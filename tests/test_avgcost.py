@@ -307,7 +307,7 @@ def test_sgd_non_finite_iterate_raises_with_t():
     calls = []
     estimated_at = []
 
-    def grad_batch(theta, rng, m):
+    def grad_batch(theta, rng):
         calls.append(1)
         return np.full(2, np.nan if len(calls) >= 7 else 0.5)
 

@@ -161,6 +161,22 @@ def test_eval_policy_heuristic(tmp_path):
     assert summary["result"]["simulated_loss"] > 0
 
 
+def test_eval_policy_exact_and_simulated_costs_share_their_unit(tmp_path):
+    """Both modes report a cost per unit of capacity: on desk LBFS they read
+    0.2716 (exact) and 0.2794 (simulated, default eval keys)."""
+    results = {}
+    for mode in ("exact", "simulated"):
+        cfg = tmp_path / f"{mode}.json"
+        cfg.write_text(json.dumps({"problem": {"queue_preset": "desk"},
+                                   "policy": {"heuristic": "LBFS"}, "eval": {"mode": mode}}))
+        out = tmp_path / mode
+        assert main(["eval-policy", "--config", str(cfg), "--out", str(out)]) == 0
+        results[mode] = read_summary(out)["result"]
+    exact, simulated = results["exact"]["average_loss"], results["simulated"]["simulated_loss"]
+    assert simulated == pytest.approx(exact, rel=0.05)
+    assert 0 < results["simulated"]["std"] < simulated
+
+
 def test_config_errors_exit_code(tmp_path):
     missing = tmp_path / "nope.json"
     assert main(["solve-avg", "--config", str(missing)]) == EXIT_CONFIG

@@ -8,8 +8,7 @@ from dualalp import _sgd, features
 from dualalp._sgd import Surrogate
 from dualalp.avgcost import AvgSolverConfig, sgd_solve_avg
 from dualalp.discounted import DiscSolverConfig, sgd_solve_disc
-from dualalp.errors import (CapacityError, InputShapeError, ParameterError,
-                            SamplingSupportError)
+from dualalp.errors import CapacityError, ParameterError, SamplingSupportError
 from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.mdp import MdpModel, stationary_state_action
@@ -30,10 +29,8 @@ def test_row_one_hot_and_zero():
     col = np.zeros(6)
     col[model.pair_index(1, 0)] = 1.0
     fs = FeatureSpace(model, sp.csr_matrix(col.reshape(-1, 1)))
-    np.testing.assert_array_equal(fs.row(1, 0), [1.0])
-    np.testing.assert_array_equal(fs.row(0, 1), [0.0])
-    with pytest.raises(InputShapeError):
-        fs.row(3, 0)
+    np.testing.assert_array_equal(fs.rows([model.pair_index(1, 0)]), [[1.0]])
+    np.testing.assert_array_equal(fs.rows([model.pair_index(0, 1)]), [[0.0]])
 
 
 def test_rows_match_dense_reconstruction():
@@ -89,8 +86,8 @@ def test_drift_of_stationary_column_vanishes():
     rng = np.random.default_rng(26)
     model = random_mdp(rng, 5, 2)
     fs = stationary_features(rng, model, 3)
-    for x in range(model.num_states):
-        np.testing.assert_allclose(fs.drift_column(x, 1.0), 0.0, atol=1e-10)
+    np.testing.assert_allclose(fs.drift_rows(np.arange(model.num_states), 1.0), 0.0,
+                               atol=1e-10)
 
 
 def test_drift_single_state_discounted():
@@ -98,7 +95,7 @@ def test_drift_single_state_discounted():
     phi = np.array([[0.3], [0.4]])
     fs = FeatureSpace(model, sp.csr_matrix(phi))
     gamma = 0.8
-    np.testing.assert_allclose(fs.drift_column(0, gamma),
+    np.testing.assert_allclose(fs.drift_rows([0], gamma)[0],
                                (1.0 - gamma) * phi.sum(axis=0), atol=1e-14)
 
 
@@ -115,9 +112,8 @@ def test_drift_matches_dense_product():
             for a in range(model.num_actions):
                 b[x * model.num_actions + a, x] = 1.0
         expected = (dense_p - kappa * b).T @ dense_phi
-        for x in range(model.num_states):
-            np.testing.assert_allclose(fs.drift_column(x, kappa), expected[x],
-                                       atol=1e-12)
+        np.testing.assert_allclose(fs.drift_rows(np.arange(model.num_states), kappa),
+                                   expected, atol=1e-12)
         np.testing.assert_allclose(fs.drift_matrix(kappa), expected, atol=1e-12)
 
 
@@ -137,16 +133,12 @@ def test_occupancy_value_cases():
     mu0 = rng.random(6)
     mu0 /= mu0.sum()
     fs = random_features(rng, model, 3, mu0=mu0)
-    assert fs.occupancy_value(np.zeros(3), 1, 1) == pytest.approx(mu0[3])
+    assert fs.occupancy_vector(np.zeros(3))[3] == pytest.approx(mu0[3])
     fs0 = random_features(rng, model, 3)
     e1 = np.array([0.0, 1.0, 0.0])
-    assert fs0.occupancy_value(e1, 2, 0) == pytest.approx(fs0.phi.toarray()[4, 1])
+    assert fs0.occupancy_vector(e1)[4] == pytest.approx(fs0.phi.toarray()[4, 1])
     theta = rng.normal(size=3)
-    dense = fs.phi.toarray()
-    for x in range(3):
-        for a in range(2):
-            expected = mu0[x * 2 + a] + dense[x * 2 + a] @ theta
-            assert fs.occupancy_value(theta, x, a) == pytest.approx(expected)
+    np.testing.assert_allclose(fs.occupancy_vector(theta), mu0 + fs.phi.toarray() @ theta)
 
 
 def test_occupancy_value_affine_in_theta():
@@ -156,11 +148,10 @@ def test_occupancy_value_affine_in_theta():
     mu0 /= mu0.sum()
     fs = random_features(rng, model, 3, mu0=mu0)
     t1, t2 = rng.normal(size=3), rng.normal(size=3)
-    for x, a in [(0, 0), (2, 1), (3, 0)]:
-        lhs = fs.occupancy_value(t1 + t2, x, a)
-        rhs = (fs.occupancy_value(t1, x, a) + fs.occupancy_value(t2, x, a)
-               - fs.occupancy_value(np.zeros(3), x, a))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+    lhs = fs.occupancy_vector(t1 + t2)
+    rhs = (fs.occupancy_vector(t1) + fs.occupancy_vector(t2)
+           - fs.occupancy_vector(np.zeros(3)))
+    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- sampling
@@ -185,19 +176,15 @@ def test_uniform_sampling_constants_match_enumeration():
         assert sample.c_pair == pytest.approx(row_norm_max * 8)
         # the state constant covers the drift rows and (for kappa < 1) the
         # feasibility rows, which are a genuinely different combination
-        per_state = [max(np.linalg.norm(fs.drift_column(x, kappa)),
-                         np.linalg.norm(fs.feasibility_column(x, kappa))
-                         if kappa != 1.0 else 0.0)
-                     for x in range(4)]
-        assert sample.c_state == pytest.approx(max(per_state) * 4)
+        drift_norms = np.linalg.norm(fs.drift_rows(np.arange(4), kappa), axis=1)
+        feas_norms = np.linalg.norm(fs.feasibility_rows(np.arange(4), kappa), axis=1)
+        per_state = np.maximum(drift_norms, feas_norms if kappa != 1.0 else 0.0)
+        assert sample.c_state == pytest.approx(per_state.max() * 4)
         # constants dominate every importance ratio of both operators
         for i in range(8):
             assert np.linalg.norm(dense[i]) / 0.125 <= sample.c_pair + 1e-12
-        for x in range(4):
-            assert np.linalg.norm(fs.drift_column(x, kappa)) / 0.25 \
-                <= sample.c_state + 1e-12
-            assert np.linalg.norm(fs.feasibility_column(x, kappa)) / 0.25 \
-                <= sample.c_state + 1e-12
+        assert np.all(drift_norms / 0.25 <= sample.c_state + 1e-12)
+        assert np.all(feas_norms / 0.25 <= sample.c_state + 1e-12)
 
 
 def test_feasibility_matches_dense_product():
@@ -213,9 +200,8 @@ def test_feasibility_matches_dense_product():
     for kappa in (1.0, 0.8):
         expected = (b - kappa * dense_p).T @ dense_phi
         np.testing.assert_allclose(fs.feasibility_matrix(kappa), expected, atol=1e-12)
-        for x in range(model.num_states):
-            np.testing.assert_allclose(fs.feasibility_column(x, kappa), expected[x],
-                                       atol=1e-12)
+        np.testing.assert_allclose(fs.feasibility_rows(np.arange(model.num_states), kappa),
+                                   expected, atol=1e-12)
     # at kappa = 1 feasibility is exactly the negated drift
     np.testing.assert_allclose(fs.feasibility_matrix(1.0), -fs.drift_matrix(1.0),
                                atol=1e-14)
@@ -276,9 +262,10 @@ def test_norm_proportional_probabilities_and_constants():
     for i in range(8):
         if sample.pair_probs[i] > 0:
             assert norms[i] / sample.pair_probs[i] == pytest.approx(sample.c_pair)
+    drift_norms = np.linalg.norm(fs.drift_rows(np.arange(4), 1.0), axis=1)
     for x in range(4):
         if sample.state_probs[x] > 0:
-            ratio = np.linalg.norm(fs.drift_column(x, 1.0)) / sample.state_probs[x]
+            ratio = drift_norms[x] / sample.state_probs[x]
             assert ratio <= sample.c_state + 1e-9
 
 
@@ -306,8 +293,8 @@ def test_csr_gather_branch_matches_dense_bit_for_bit(monkeypatch):
         out = [fs.rows(pairs)]
         for kappa in (1.0, 0.7):
             out += [fs.drift_rows(states, kappa), fs.feasibility_rows(states, kappa)]
-            out += [fs.drift_column(x, kappa) for x in range(model.num_states)]
-            out += [fs.feasibility_column(x, kappa) for x in range(model.num_states)]
+            out += [fs.drift_rows([x], kappa) for x in range(model.num_states)]
+            out += [fs.feasibility_rows([x], kappa) for x in range(model.num_states)]
         return out
 
     dense = gathers()
@@ -316,8 +303,6 @@ def test_csr_gather_branch_matches_dense_bit_for_bit(monkeypatch):
     assert len(dense) == len(sparse)
     for a, b in zip(dense, sparse):
         np.testing.assert_array_equal(a, b)
-    with pytest.raises(InputShapeError):
-        fs.drift_column(model.num_states, 1.0)
 
 
 def test_csr_gather_branch_gives_identical_sgd_runs(monkeypatch):

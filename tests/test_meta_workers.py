@@ -138,7 +138,7 @@ def _run_both(monkeypatch, tmp_path, run, evaluate):
     every call, so the pooled run is seen to evaluate outside this process."""
     pids = tmp_path / "pids"
 
-    def hook(theta, policy):
+    def hook(policy):
         with open(pids, "a") as handle:
             handle.write(f"{os.getpid()}\n")
         return evaluate(policy)

@@ -227,9 +227,7 @@ def test_build_features_column_count_and_activation():
     # a state with total length 3 activates exactly one loss-interval feature
     # for its action
     idx = encode_state(spec, (1, 1, 1, 0))
-    names = [n for n in fs.names if n.startswith("loss[")]
-    row = fs.row(idx // 1, 2) if False else fs.rows(
-        np.array([idx * NUM_ACTIONS + 2]))[0]
+    row = fs.rows(np.array([idx * NUM_ACTIONS + 2]))[0]
     active = [fs.names[j] for j in np.flatnonzero(row) if fs.names[j].startswith("loss[")]
     assert len(active) == 1 and active[0] == "loss[3-4]/a2"
 

@@ -24,12 +24,13 @@ from dualalp.avgcost import AvgSolverConfig, estimate_violations, sgd_solve_avg
 from dualalp.discounted import (DiscSolverConfig, estimate_violations_disc,
                                 project_theta_disc, sgd_solve_disc)
 from dualalp.errors import ParameterError, SamplingSupportError
-from dualalp.features import (SamplingPair, make_norm_proportional_sampling,
+from dualalp.features import (FeatureSpace, SamplingPair, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
-from dualalp.mdp import (MdpModel, Policy, policy_from_occupancy, solve_optimal,
-                         stationary_distribution)
-from dualalp.queueing import DESK_SPEC, build_mdp
+from dualalp.grid import PenaltyGrid
+from dualalp.mdp import (MdpModel, OptimalSolution, Policy, policy_from_occupancy,
+                         solve_optimal, stationary_distribution)
+from dualalp.queueing import DESK_SPEC, build_features, build_mdp
 from dualalp.trace import MetaResult
 
 from conftest import narrow_random_space, random_features, random_mdp
@@ -52,7 +53,7 @@ def reference_buffered_grad(surrogate, sp, penalty, branches):
         buf["occ0"], buf["res0"] = surrogate.occ_base[pairs], surrogate.res_base[states]
         buf["pos"] = 0
 
-    def grad(theta, rng, m):
+    def grad(theta, rng):
         if buf["pos"] >= block:
             refill(rng)
         i = buf["pos"]
@@ -139,7 +140,7 @@ def test_buffered_grad_matches_per_step_reference(instance):
         for call in range(CALLS):
             # theta = 0 every fifth call: the average-cost residual is then exactly 0
             theta = np.zeros(fs.dim) if call % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
-            g, expected = grad(theta, rng, 1), reference(theta, rng_ref, 1)
+            g, expected = grad(theta, rng), reference(theta, rng_ref)
             assert same_bits(g, expected), (name, call)
             assert g.base is None and not np.shares_memory(g, fs.loss_phi)
             g *= -3.0  # the caller owns the gradient
@@ -193,7 +194,7 @@ def test_minibatch_grad_matches_subgradient_estimate(instance, m):
         for t in range(iterations):
             # theta = 0 every fifth step: the average-cost residual is then exactly 0
             theta = np.zeros(fs.dim) if t % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
-            g = grad(theta, rng, m)
+            g = grad(theta, rng)
             expected = surrogate.subgradient_estimate(sampler, penalty, theta, rng_ref, m=m)
             assert same_bits(g, expected), (name, t)
             written = reference_subgradient(surrogate, sampler, penalty, theta, rng_written, m)
@@ -225,7 +226,7 @@ def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
     grad = make_minibatch_grad(Surrogate.average_cost(model, fs), sampler, 2.0, 4, 10)
     # the draw is the last of the block, and the first step already raises
     with pytest.raises(SamplingSupportError):
-        grad(np.zeros(fs.dim), np.random.default_rng(0), 4)
+        grad(np.zeros(fs.dim), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("dim", [1, 3, 170])
@@ -371,8 +372,13 @@ REJECTED_CALLS = {
                                                discount=0.9),
     "sgd_problem-dim": lambda: SgdProblem(
         dim=1, loss_phi=np.ones(1), objective_offset=0.0,
-        grad_batch=lambda theta, rng, m: np.ones(1), project=lambda theta: theta,
+        grad_batch=lambda theta, rng: np.ones(1), project=lambda theta: theta,
         violation_estimate=lambda theta, rng: 0.0, make_policy=lambda theta: None),
+    "build_features-heuristics": lambda: build_features(DESK_SPEC, heuristics=("LBFS",)),
+    "penalty_grid-violation_bound-tolerance": lambda: PenaltyGrid(
+        violation_bound=1.0, weight=1.0, tolerance=0.5, points=np.ones(1)),
+    "optimal_solution-iterations": lambda: OptimalSolution(Policy(np.ones((2, 1))),
+                                                           np.zeros(2), iterations=3),
 }
 
 
@@ -380,6 +386,30 @@ REJECTED_CALLS = {
 def test_removed_options_and_positional_configs_raise_type_error(call):
     with pytest.raises(TypeError):
         call()
+
+
+@pytest.mark.parametrize("owner, name", [
+    (FeatureSpace, "row"), (FeatureSpace, "occupancy_value"), (FeatureSpace, "drift_column"),
+    (FeatureSpace, "feasibility_column"), (FeatureSpace, "_state_row"),
+    (Policy, "num_states"), (Policy, "num_actions")])
+def test_removed_accessors_are_gone(owner, name):
+    assert not hasattr(owner, name)
+
+
+@pytest.mark.parametrize("solve, config_cls", [(sgd_solve_avg, AvgSolverConfig),
+                                               (sgd_solve_disc, DiscSolverConfig)])
+def test_eval_hook_takes_the_policy_of_each_recorded_row(solve, config_cls):
+    model, fs, sampler, _ = _fixture_run()
+    seen = []
+
+    def hook(policy):
+        seen.append(policy)
+        return float(len(seen))
+
+    trace = solve(model, fs, sampler, _config(config_cls, trace_stride=4), eval_hook=hook)
+    assert len(seen) == len(trace.iterations) == 3  # t = 4, 8 and the last, 10
+    np.testing.assert_array_equal(trace.eval_cost, [1.0, 2.0, 3.0])
+    assert seen[-1].probs.tobytes() == trace.policy.probs.tobytes()
 
 
 # ------------------------------------------------------ learning-rate halving
@@ -405,7 +435,7 @@ def test_solver_configs_accept_halving_period(config_cls, period):
 @pytest.mark.parametrize("period", BAD_PERIODS, ids=BAD_PERIOD_IDS)
 def test_run_projected_sgd_rejects_bad_halving_period(period):
     problem = SgdProblem(loss_phi=np.ones(1), objective_offset=0.0,
-                         grad_batch=lambda theta, rng, m: np.ones(1),
+                         grad_batch=lambda theta, rng: np.ones(1),
                          project=lambda theta: theta,
                          violation_estimate=lambda theta, rng: 0.0,
                          make_policy=lambda theta: None)
