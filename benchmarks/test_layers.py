@@ -1,7 +1,7 @@
-"""Layer micro-benchmarks of the minibatch and single-draw estimators on the
-desk queue preset (4900 states, 19600 pairs, d = 170), per call and per step
-of the block-presampled SGD estimators, of one single-draw
-discounted SGD step at d = 3, where a step is almost all interpreter overhead,
+"""Layer micro-benchmarks on the desk queue preset (4900 states, 19600 pairs,
+d = 170) of the feature build and of the minibatch and single-draw
+estimators, per call and per step of the block-presampled SGD estimators,
+of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
 20 pairs, and a 64-draw trace row over the 19,600 desk pairs), and of a
 two-point discounted meta run on the 4-state fixture, in one process and in
@@ -33,12 +33,26 @@ DATA = Path(__file__).parents[1] / "tests" / "data"
 
 
 @pytest.fixture(scope="module")
-def desk():
-    model = queueing.build_mdp(queueing.DESK_SPEC)
-    fs, _ = queueing.build_features(queueing.DESK_SPEC, model=model)
-    sampler = features.make_norm_proportional_sampling(model, fs, kappa=1.0)
+def desk_model():
+    return queueing.build_mdp(queueing.DESK_SPEC)
+
+
+@pytest.fixture(scope="module")
+def desk(desk_model):
+    fs, _ = queueing.build_features(queueing.DESK_SPEC, model=desk_model)
+    sampler = features.make_norm_proportional_sampling(desk_model, fs, kappa=1.0)
     theta = np.random.default_rng(0).standard_normal(fs.dim) * 0.05
-    return Surrogate.average_cost(model, fs), sampler, theta
+    return Surrogate.average_cost(desk_model, fs), sampler, theta
+
+
+def test_build_features_desk(benchmark, desk_model):
+    """The desk features with the LBFS mu0 of ``bench-queue``, from a model built
+    outside the timing: the indicator block, the two exact stationary columns
+    of LONGER and LBFS, and the normalised feature space."""
+    spec = queueing.DESK_SPEC
+    mu0 = mdp.stationary_state_action(desk_model, queueing.heuristic_policy(spec, "LBFS"))
+    fs, dropped = benchmark(queueing.build_features, spec, model=desk_model, mu0=mu0)
+    assert fs.dim == 170 and len(dropped) == 180
 
 
 def test_sample_pairs(benchmark, desk):

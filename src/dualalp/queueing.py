@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 import numpy as np
 import scipy.sparse as sp
@@ -321,7 +321,31 @@ def heuristic_stationary_trajectory(spec: QueueNetSpec, policy: Policy,
     return np.bincount(visited, minlength=spec.num_states * NUM_ACTIONS) / length
 
 
-def build_features(spec: QueueNetSpec, model: MdpModel | None = None,
+def _indicator_block(spec: QueueNetSpec, loss_intervals, component_intervals):
+    """The indicator columns of :func:`build_features`, their names and the names of
+    the dropped ones, built without a model: a boolean bucket-by-state membership
+    matrix (the loss intervals, then the 4-tuples in ``product`` order; intervals
+    may overlap, so a state can sit in several buckets), transposed and crossed with
+    the actions by a Kronecker product that puts bucket k, action a in column k*A + a."""
+    def member(values, intervals):  # (len(intervals), X); states last keeps the broadcasts fast
+        lo, hi = np.reshape(intervals, (len(intervals), 2)).T
+        return (lo[:, None] <= values) & (values <= hi[:, None])
+
+    states = _all_states(spec)
+    q0, q1, q2, q3 = (member(states[:, queue], component_intervals) for queue in range(4))
+    buckets = np.vstack([member(states.sum(axis=1), loss_intervals),
+                         (q0[:, None, None, None] & q1[:, None, None] & q2[:, None] & q3
+                          ).reshape(-1, len(states))])
+    labels = [f"loss[{lo}-{hi}]" for lo, hi in loss_intervals] + [
+        "tuple[%d,%d,%d,%d]" % c for c in product(range(len(component_intervals)), repeat=4)]
+    used = buckets.any(axis=1)
+    names = [f"{label}/a{a}" for label in compress(labels, used) for a in range(NUM_ACTIONS)]
+    dropped = [f"{label}/a{a}" for label in compress(labels, ~used) for a in range(NUM_ACTIONS)]
+    block = sp.kron(sp.csr_matrix(buckets[used].T), sp.identity(NUM_ACTIONS), format="csr")
+    return block, names, dropped
+
+
+def build_features(spec: QueueNetSpec, model: MdpModel,
                    loss_intervals=DESK_LOSS_INTERVALS,
                    component_intervals=DESK_COMPONENT_INTERVALS,
                    stationary_mode: str = "exact", mu0: np.ndarray | None = None,
@@ -335,34 +359,8 @@ def build_features(spec: QueueNetSpec, model: MdpModel | None = None,
     Intervals are inclusive integer (lo, hi) pairs; the defaults fit the desk
     preset and should be overridden for other buffer sizes.
     """
-    if model is None:
-        model = build_mdp(spec)
-    states = _all_states(spec)
-    totals = states.sum(axis=1)
-    num_pairs = spec.num_states * NUM_ACTIONS
-    columns, names, dropped = [], [], []
-
-    def add_indicator(state_mask: np.ndarray, action: int, name: str):
-        col = np.zeros(num_pairs)
-        col[np.flatnonzero(state_mask) * NUM_ACTIONS + action] = 1.0
-        if col.sum() == 0.0:
-            dropped.append(name)
-            return
-        columns.append(sp.csr_matrix(col.reshape(-1, 1)))
-        names.append(name)
-
-    for lo, hi in loss_intervals:
-        mask = (totals >= lo) & (totals <= hi)
-        for action in range(NUM_ACTIONS):
-            add_indicator(mask, action, f"loss[{lo}-{hi}]/a{action}")
-    for combo in product(range(len(component_intervals)), repeat=4):
-        mask = np.ones(spec.num_states, dtype=bool)
-        for queue, bucket in enumerate(combo):
-            lo, hi = component_intervals[bucket]
-            mask &= (states[:, queue] >= lo) & (states[:, queue] <= hi)
-        label = ",".join(str(b) for b in combo)
-        for action in range(NUM_ACTIONS):
-            add_indicator(mask, action, f"tuple[{label}]/a{action}")
+    block, names, dropped = _indicator_block(spec, loss_intervals, component_intervals)
+    columns = [block]
     for kind in ("LONGER", "LBFS"):
         policy = heuristic_policy(spec, kind)
         if stationary_mode == "exact":

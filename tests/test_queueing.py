@@ -1,17 +1,21 @@
 import hashlib
 import multiprocessing.pool
 import os
+from itertools import product
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualalp import _sgd, queueing
 from dualalp.errors import CapacityError, InputShapeError, ParameterError
+from dualalp.features import FeatureSpace
 from dualalp.mdp import average_cost, stationary_state_action
-from dualalp.queueing import (DESK_SPEC, NUM_ACTIONS, PAPER_SPEC, QueueNetSpec,
-                              build_features, build_mdp, decode_state, encode_state,
-                              evaluate_policy_simulated, heuristic_policy,
-                              served_queues, step)
+from dualalp.queueing import (DESK_COMPONENT_INTERVALS, DESK_LOSS_INTERVALS, DESK_SPEC,
+                              NUM_ACTIONS, PAPER_COMPONENT_INTERVALS, PAPER_LOSS_INTERVALS,
+                              PAPER_SPEC, QueueNetSpec, build_features, build_mdp,
+                              decode_state, encode_state, evaluate_policy_simulated,
+                              heuristic_policy, served_queues, step)
 from dualalp.queueing import heuristic_stationary_trajectory
 from dualalp.mdp import Policy
 from dualalp.queueing import _all_states, _visited_pairs
@@ -259,6 +263,107 @@ def test_build_features_trajectory_mode_close_to_exact():
     exact = stationary_state_action(model, heuristic_policy(spec, "LONGER"),
                                     tol=1e-12)
     assert np.abs(traj_col - exact).sum() <= 0.08  # sampling noise only
+
+
+def _per_column_features(spec, model, loss_intervals, component_intervals, mu0=None):
+    """The indicator features built one column at a time, as a dense vector
+    per (bucket, action) turned into a one-column CSR matrix and stacked: the
+    reference that the membership-matrix build must match byte for byte."""
+    states = _all_states(spec)
+    totals = states.sum(axis=1)
+    columns, names, dropped = [], [], []
+
+    def add_indicator(state_mask, action, name):
+        col = np.zeros(spec.num_states * NUM_ACTIONS)
+        col[np.flatnonzero(state_mask) * NUM_ACTIONS + action] = 1.0
+        if col.sum() == 0.0:
+            dropped.append(name)
+            return
+        columns.append(sp.csr_matrix(col.reshape(-1, 1)))
+        names.append(name)
+
+    for lo, hi in loss_intervals:
+        mask = (totals >= lo) & (totals <= hi)
+        for action in range(NUM_ACTIONS):
+            add_indicator(mask, action, f"loss[{lo}-{hi}]/a{action}")
+    for combo in product(range(len(component_intervals)), repeat=4):
+        mask = np.ones(spec.num_states, dtype=bool)
+        for queue, bucket in enumerate(combo):
+            lo, hi = component_intervals[bucket]
+            mask &= (states[:, queue] >= lo) & (states[:, queue] <= hi)
+        label = ",".join(str(b) for b in combo)
+        for action in range(NUM_ACTIONS):
+            add_indicator(mask, action, f"tuple[{label}]/a{action}")
+    for kind in ("LONGER", "LBFS"):
+        col = stationary_state_action(model, heuristic_policy(spec, kind))
+        columns.append(sp.csr_matrix(col.reshape(-1, 1)))
+        names.append(f"stationary/{kind}")
+    phi = sp.hstack(columns, format="csr")
+    return FeatureSpace(model, phi, mu0=mu0, normalize=True, names=names), dropped
+
+
+SPEC_3333 = QueueNetSpec(buffers=(3, 3, 3, 3), arrival_probs=(0.08, 0.08),
+                         service_probs=(0.12, 0.12, 0.28, 0.28))
+INTERVAL_CASES = {
+    "desk-lbfs-mu0": (DESK_SPEC, DESK_LOSS_INTERVALS, DESK_COMPONENT_INTERVALS, "LBFS"),
+    "3333": (SPEC_3333, ((1, 3), (4, 12)), ((0, 1), (2, 3)), None),
+    "overlapping": (SMALL_SPEC, ((1, 4), (3, 6), (2, 2)), ((0, 2), (1, 3)), None),
+    "uncovered-states": (SMALL_SPEC, ((2, 3),), ((1, 1), (3, 3)), None),
+    "all-buckets-empty": (SMALL_SPEC, ((50, 60),), ((7, 9),), None),
+    "no-loss-intervals": (SMALL_SPEC, (), ((0, 1), (2, 3)), None),
+    "no-component-intervals": (SMALL_SPEC, ((1, 3),), (), None),
+    "no-intervals": (SMALL_SPEC, (), (), None),
+}
+
+
+@pytest.mark.parametrize("spec, loss_iv, comp_iv, mu0_kind", INTERVAL_CASES.values(),
+                         ids=INTERVAL_CASES)
+def test_build_features_matches_per_column_construction(spec, loss_iv, comp_iv, mu0_kind):
+    model = build_mdp(spec)
+    mu0 = (None if mu0_kind is None
+           else stationary_state_action(model, heuristic_policy(spec, mu0_kind)))
+    fs, dropped = build_features(spec, model=model, loss_intervals=loss_iv,
+                                 component_intervals=comp_iv, mu0=mu0)
+    ref, ref_dropped = _per_column_features(spec, model, loss_iv, comp_iv, mu0=mu0)
+    for part in ("indptr", "indices", "data"):
+        got, want = getattr(fs.phi, part), getattr(ref.phi, part)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
+    assert fs.loss_phi.tobytes() == ref.loss_phi.tobytes()
+    assert fs.names == ref.names
+    assert dropped == ref_dropped
+
+
+@pytest.mark.parametrize("loss_iv, comp_iv, dim", [
+    ((), (), 2), ((), ((0, 1), (2, 3)), 2 ** 4 * NUM_ACTIONS + 2),
+    (((1, 3),), (), NUM_ACTIONS + 2)], ids=["both-empty", "no-loss", "no-component"])
+def test_build_features_with_empty_interval_tuples(loss_iv, comp_iv, dim):
+    fs, dropped = build_features(SMALL_SPEC, model=build_mdp(SMALL_SPEC),
+                                 loss_intervals=loss_iv, component_intervals=comp_iv)
+    assert fs.dim == dim and dropped == []
+    assert fs.names[-2:] == ["stationary/LONGER", "stationary/LBFS"]
+
+
+def test_build_features_with_every_bucket_empty(caplog):
+    with caplog.at_level("WARNING", logger="dualalp.queueing"):
+        fs, dropped = build_features(SMALL_SPEC, model=build_mdp(SMALL_SPEC),
+                                     loss_intervals=((50, 60),), component_intervals=((7, 9),))
+    assert fs.names == ["stationary/LONGER", "stationary/LBFS"]
+    assert dropped == ([f"loss[50-60]/a{a}" for a in range(NUM_ACTIONS)]
+                       + [f"tuple[0,0,0,0]/a{a}" for a in range(NUM_ACTIONS)])
+    assert ("dropped 8 empty feature columns: " + ", ".join(dropped)) in caplog.text
+
+
+def test_paper_indicator_block_builds_without_a_model():
+    # 51.84 % of the paper states lie outside every bucket: totals stop at 50
+    # (the largest is 126) and the per-queue buckets at 25 (queues 0 and 3 hold 38)
+    block, names, dropped = queueing._indicator_block(
+        PAPER_SPEC, PAPER_LOSS_INTERVALS, PAPER_COMPONENT_INTERVALS)
+    assert block.shape == (4_112_784, 364) and block.nnz == 2_918_184
+    assert np.all(block.data == 1.0)
+    per_row = np.diff(block.indptr)
+    assert per_row.max() == 2
+    assert np.count_nonzero(per_row.reshape(-1, NUM_ACTIONS).sum(axis=1) == 0) == 533_000
+    assert len(names) == 364 and dropped == []
 
 
 # --------------------------------------------------------------- evaluation

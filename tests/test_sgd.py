@@ -340,8 +340,8 @@ def _estimate_with_batch(estimate, *objective):
 
 
 # constructions and calls that must raise TypeError: positional run-config
-# fields, the options that nothing read or set, and the options that only
-# tests set
+# fields, the options that nothing read or set, the options that only tests
+# set, and build_features without the model that every caller passes
 REJECTED_CALLS = {
     "avg-positional": lambda: AvgSolverConfig(1.0, 2.0, 10),
     "disc-positional": lambda: DiscSolverConfig(0.9, 1.0, 2.0, 10),
@@ -374,7 +374,9 @@ REJECTED_CALLS = {
         dim=1, loss_phi=np.ones(1), objective_offset=0.0,
         grad_batch=lambda theta, rng: np.ones(1), project=lambda theta: theta,
         violation_estimate=lambda theta, rng: 0.0, make_policy=lambda theta: None),
-    "build_features-heuristics": lambda: build_features(DESK_SPEC, heuristics=("LBFS",)),
+    "build_features-heuristics": lambda: build_features(DESK_SPEC, build_mdp(DESK_SPEC),
+                                                        heuristics=("LBFS",)),
+    "build_features-no-model": lambda: build_features(DESK_SPEC),
     "penalty_grid-violation_bound-tolerance": lambda: PenaltyGrid(
         violation_bound=1.0, weight=1.0, tolerance=0.5, points=np.ones(1)),
     "optimal_solution-iterations": lambda: OptimalSolution(Policy(np.ones((2, 1))),
