@@ -1,5 +1,5 @@
 """Layer micro-benchmarks on the desk queue preset (4900 states, 19600 pairs,
-d = 170) of the feature build and of the minibatch and single-draw
+d = 170) of the feature and sampler builds and of the minibatch and single-draw
 estimators, per call and per step of the block-presampled SGD estimators,
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
@@ -68,11 +68,31 @@ def test_sample_states(benchmark, desk):
 
 
 def test_subgradient_estimate_minibatch(benchmark, desk):
-    """One m = 1000 estimate: draws, gathers and the importance-weighted sums."""
+    """One m = 1000 estimate on draws made outside the timing: gathers and the
+    importance-weighted sums (test_sample_pairs and test_sample_states time
+    the draws)."""
     surrogate, sampler, theta = desk
-    rng = np.random.default_rng(3)
-    grad = benchmark(surrogate.subgradient_estimate, sampler, 2.0, theta, rng, m=DRAWS)
+    pairs, states = _sgd.draw(sampler, np.random.default_rng(3), DRAWS)
+    grad = benchmark(surrogate.subgradient_estimate, sampler, 2.0, theta, pair_idx=pairs,
+                     state_idx=states)
     assert grad.shape == theta.shape
+
+
+def test_sampler_build_desk(benchmark, desk_model):
+    """The desk norm-proportional sampler at kappa = 1 and 0.9, on a fresh
+    feature space per round, so that each round forms its one-step operators
+    from the forward kernel."""
+    fs, _ = queueing.build_features(queueing.DESK_SPEC, model=desk_model)
+
+    def fresh_space():
+        return (features.FeatureSpace(desk_model, fs.phi),), {}
+
+    def build(space):
+        return [features.make_norm_proportional_sampling(desk_model, space, kappa=kappa)
+                for kappa in (1.0, 0.9)]
+
+    samplers = benchmark.pedantic(build, setup=fresh_space, rounds=10)
+    assert len(samplers) == 2 and all(s.c_state > 0 for s in samplers)
 
 
 def test_minibatch_block_step(benchmark, desk):

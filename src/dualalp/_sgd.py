@@ -193,11 +193,12 @@ class Surrogate:
 
     def subgradient_estimate(self, sp: SamplingPair, penalty: float, theta: np.ndarray,
                              rng: np.random.Generator | None = None,
-                             pair_idx=None, state_idx=None, m: int = 1) -> np.ndarray:
-        """Importance-weighted subgradient estimate averaged over m draws from
-        the rng, or over the given indices (both or neither)."""
+                             pair_idx=None, state_idx=None) -> np.ndarray:
+        """Importance-weighted subgradient estimate on one pair and one state
+        drawn from the rng, or averaged over the given indices (both or
+        neither)."""
         if pair_idx is None and state_idx is None and rng is not None:
-            pair_idx, state_idx = draw(sp, rng, m)
+            pair_idx, state_idx = draw(sp, rng, 1)
         elif pair_idx is None or state_idx is None:
             raise ParameterError("either an rng or both pair_idx and state_idx are required")
         pair_idx, state_idx = np.atleast_1d(pair_idx), np.atleast_1d(state_idx)

@@ -40,10 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import CapacityError, InputShapeError, ParameterError, SamplingSupportError
+from .errors import InputShapeError, ParameterError, SamplingSupportError
 from .mdp import MdpModel, _aggregation_matrix, fixed_dot
 
-ENUMERATION_GUARD = 10**6  # largest X*A for exhaustive constant computation
 DENSE_CACHE_LIMIT = 2 * 10**7  # operators with at most this many entries are gathered densely
 
 
@@ -91,7 +90,6 @@ class FeatureSpace:
         self._operators: dict = {}  # coefficient pair -> CSR one-step operator
         self._dense: dict = {}  # coefficient pair (None for Phi) -> dense copy
         self._narrow = _narrow_rows(phi)  # ELL copy of Phi, None unless its rows are narrow
-        self._row_norms: np.ndarray | None = None
 
     # -- row access ---------------------------------------------------------
 
@@ -116,12 +114,6 @@ class FeatureSpace:
         block = self._narrow[pair_idx]
         return [_EllRows(cols, vals, self.dim) for cols, vals in zip(block.cols, block.vals)]
 
-    def row_norms(self) -> np.ndarray:
-        """Euclidean norm of every feature row (length X*A)."""
-        if self._row_norms is None:
-            self._row_norms = _row_norms_sparse(self.phi)
-        return self._row_norms
-
     # -- operator rows ------------------------------------------------------
 
     def _operator(self, coefs: tuple[float, float] | None) -> sp.csr_matrix:
@@ -133,7 +125,7 @@ class FeatureSpace:
         if cached is None:
             in_coef, marg_coef = coefs
             agg = _aggregation_matrix(self.model.num_states, self.model.num_actions)
-            cached = (in_coef * (self.model.reverse_transitions @ self.phi).tocsr()
+            cached = (in_coef * (self.model.transitions.T.tocsr() @ self.phi).tocsr()
                       + marg_coef * (agg @ self.phi).tocsr()).tocsr()
             self._operators[coefs] = cached
         return cached
@@ -183,7 +175,8 @@ class FeatureSpace:
 class SamplingPair:
     """Constraint-sampling distributions over pairs and states.
 
-    ``pair_probs`` / ``state_probs`` of None mean the uniform distribution.
+    ``pair_probs`` / ``state_probs`` of None mean the uniform distribution;
+    a table has one entry per pair / state, nonnegative and summing to 1.
     ``c_pair`` bounds max ||Phi_{(x,a),:}|| / q(x,a); ``c_state`` bounds
     max ||(P - kappa B)^T_{:,x} Phi|| / q(x) for the kappa it was built for.
     """
@@ -196,10 +189,17 @@ class SamplingPair:
     state_probs: np.ndarray | None = None
 
     def __post_init__(self):
-        for name in ("pair_probs", "state_probs"):
+        for name, size in (("pair_probs", self.num_pairs), ("state_probs", self.num_states)):
             cum = guide = None
             probs = getattr(self, name)
             if probs is not None:
+                probs = np.asarray(probs, dtype=float)
+                if probs.shape != (size,):
+                    raise InputShapeError(f"{name} must have length {size}, got {probs.shape}")
+                # a non-finite entry makes the minimum or the sum non-finite, and NaN fails both
+                if not (probs.min() >= 0.0 and abs(probs.sum() - 1.0) <= 1e-9):
+                    raise ParameterError(f"{name} must be finite, nonnegative and sum to 1")
+                object.__setattr__(self, name, probs)
                 cum = np.cumsum(probs)
                 cum[-1] = 1.0
                 guide = _guide_table(cum)
@@ -351,23 +351,13 @@ def _drift_norms(fs: FeatureSpace, kappa: float) -> np.ndarray:
     return norms
 
 
-def make_uniform_sampling(model: MdpModel, fs: FeatureSpace, kappa: float,
-                          c_pair: float | None = None,
-                          c_state: float | None = None) -> SamplingPair:
-    """Uniform q over pairs and states. Coverage constants are computed by full
-    enumeration when X*A is small enough, otherwise caller-supplied bounds are
-    required."""
-    if model.num_pairs > ENUMERATION_GUARD:
-        if c_pair is None or c_state is None:
-            raise CapacityError(
-                "model too large to enumerate coverage constants; pass c_pair and c_state")
-    else:
-        if c_pair is None:
-            c_pair = float(fs.row_norms().max(initial=0.0) * model.num_pairs)
-        if c_state is None:
-            c_state = float(_drift_norms(fs, kappa).max(initial=0.0) * model.num_states)
+def make_uniform_sampling(model: MdpModel, fs: FeatureSpace, kappa: float) -> SamplingPair:
+    """Uniform q over pairs and states. The coverage constants are one pass
+    over the nonzeros of Phi and of the one-step operators."""
+    c_pair = float(_row_norms_sparse(fs.phi).max(initial=0.0) * model.num_pairs)
+    c_state = float(_drift_norms(fs, kappa).max(initial=0.0) * model.num_states)
     return SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
-                        c_pair=float(c_pair), c_state=float(c_state))
+                        c_pair=c_pair, c_state=c_state)
 
 
 def make_norm_proportional_sampling(model: MdpModel, fs: FeatureSpace,
@@ -376,9 +366,7 @@ def make_norm_proportional_sampling(model: MdpModel, fs: FeatureSpace,
     proportional to the norm of the action-marginal of Phi at the state
     (one-step look-ahead choice). Requires positive normalizers and full
     coverage of the drift support."""
-    if model.num_pairs > ENUMERATION_GUARD:
-        raise CapacityError("norm-proportional sampling needs full enumeration")
-    row_norms = fs.row_norms()
+    row_norms = _row_norms_sparse(fs.phi)
     z_pair = row_norms.sum()
     marg_norms = _row_norms_sparse(
         _aggregation_matrix(model.num_states, model.num_actions) @ fs.phi)

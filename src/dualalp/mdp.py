@@ -44,20 +44,18 @@ def _aggregation_matrix(num_states: int, num_actions: int) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class MdpModel:
-    """Finite MDP with a sparse forward kernel and its exact transpose.
+    """Finite MDP with a sparse forward kernel.
 
     Attributes
     ----------
     num_states, num_actions : int
     transitions : (X*A, X) csr matrix; row (x,a) is the next-state distribution.
-    reverse_transitions : (X, X*A) csr matrix; exact transpose of ``transitions``.
     loss : (X*A,) array with entries in [0, 1].
     """
 
     num_states: int
     num_actions: int
     transitions: sp.csr_matrix
-    reverse_transitions: sp.csr_matrix
     loss: np.ndarray
 
     @property
@@ -67,8 +65,7 @@ class MdpModel:
     @staticmethod
     def create(num_states: int, num_actions: int, transitions, loss) -> "MdpModel":
         """Build a model; ``transitions`` may be any scipy-sparse/dense (X*A, X)
-        matrix and ``loss`` must lie in [0, 1]. The reverse kernel is derived,
-        so transpose-consistency holds by construction."""
+        matrix and ``loss`` must lie in [0, 1]."""
         n_pairs = num_states * num_actions
         trans = sp.csr_matrix(transitions, shape=(n_pairs, num_states), dtype=float)
         trans.eliminate_zeros()
@@ -85,9 +82,7 @@ class MdpModel:
             raise ParameterError("transition probabilities must be nonnegative")
         if loss.size and (loss.min() < 0 or loss.max() > 1):
             raise ParameterError("loss entries must lie in [0, 1]")
-        rev = trans.T.tocsr()
-        rev.sort_indices()
-        return MdpModel(num_states, num_actions, trans, rev, loss)
+        return MdpModel(num_states, num_actions, trans, loss)
 
     @staticmethod
     def from_records(num_states: int, num_actions: int, records, loss) -> "MdpModel":
@@ -296,10 +291,11 @@ def discounted_visits(model: MdpModel, pi: Policy, gamma: float,
     state_law = alpha
     visits = np.zeros(model.num_pairs)
     discount = 1.0
+    inflow = model.transitions.T
     for _ in range(steps):
         pair_law = (state_law[:, None] * pi_flat).reshape(-1)
         visits += discount * pair_law
-        state_law = model.reverse_transitions @ pair_law
+        state_law = inflow @ pair_law
         discount *= gamma
     return visits
 

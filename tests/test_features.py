@@ -1,4 +1,5 @@
 import hashlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,14 +9,17 @@ from dualalp import _sgd, features
 from dualalp._sgd import Surrogate
 from dualalp.avgcost import AvgSolverConfig, sgd_solve_avg
 from dualalp.discounted import DiscSolverConfig, sgd_solve_disc
-from dualalp.errors import CapacityError, ParameterError, SamplingSupportError
+from dualalp.errors import InputShapeError, ParameterError, SamplingSupportError
 from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
-from dualalp.mdp import MdpModel, stationary_state_action
+from dualalp.fixtures import load_mdp_fixture
+from dualalp.mdp import MdpModel, Policy, discounted_visits, stationary_state_action
 from dualalp.queueing import DESK_SPEC, build_features, build_mdp
 
 from conftest import (narrow_random_space, random_features, random_mdp, random_policy,
                       stationary_features)
+
+DATA = Path(__file__).parent / "data"
 
 
 def single_state_mdp(num_actions=2, gamma_loss=0.5):
@@ -269,15 +273,75 @@ def test_norm_proportional_probabilities_and_constants():
             assert ratio <= sample.c_state + 1e-9
 
 
-def test_capacity_guard_requires_supplied_bounds():
-    rng = np.random.default_rng(36)
-    model = random_mdp(rng, 3, 2)
-    fs = random_features(rng, model, 2)
-    object.__setattr__(model, "num_states", 10**6)
-    with pytest.raises(CapacityError):
-        make_uniform_sampling(model, fs, 1.0)
-    sample = make_uniform_sampling(model, fs, 1.0, c_pair=5.0, c_state=7.0)
-    assert sample.c_pair == 5.0 and sample.c_state == 7.0
+def test_samplers_build_above_a_million_pairs():
+    """A ring of X = 500,001 states where action a moves x to x + 1 + a mod X,
+    so N = 1,000,002 pairs, with normalized Phi = [ones, indicator of the K
+    pairs i = 0 mod 3]. Since 2X = 0 mod 3, a state x' with 2x' = 1 mod 3 has no
+    indicator pair among its two inflow and two own pairs, and every other
+    state has one of each. At kappa the drift and feasibility rows are then
+    ((2 - 2 kappa) / N, (1 - kappa) / K) or ((2 - 2 kappa) / N, 0), and the
+    marginal rows (2 / N, 1 / K) or (2 / N, 0)."""
+    num_states, num_actions = 500_001, 2
+    n = num_states * num_actions
+    pairs = np.arange(n)
+    nxt = (pairs // 2 + 1 + pairs % 2) % num_states
+    model = MdpModel.create(num_states, num_actions,
+                            sp.csr_matrix((np.ones(n), (pairs, nxt)), shape=(n, num_states)),
+                            np.zeros(n))
+    k = n // 3
+    phi = sp.csr_matrix(np.column_stack([np.ones(n), pairs % 3 == 0]))
+    fs = FeatureSpace(model, phi, normalize=True)
+    third = num_states // 3  # states in each class of 2x' mod 3
+    for kappa in (1.0, 0.9):
+        uniform = make_uniform_sampling(model, fs, kappa)
+        assert uniform.c_pair == pytest.approx(n * np.hypot(1 / n, 1 / k), rel=1e-12)
+        drift = np.hypot((2 - 2 * kappa) / n, (1 - kappa) / k)
+        assert uniform.c_state == pytest.approx(num_states * drift, rel=1e-9, abs=1e-15)
+        norm = make_norm_proportional_sampling(model, fs, kappa)
+        assert norm.c_pair == pytest.approx(k * np.hypot(1 / n, 1 / k) + (n - k) / n, rel=1e-12)
+        z_state = third * (2 * np.hypot(2 / n, 1 / k) + 2 / n)
+        # every ratio of drift to marginal norm is 1 - kappa
+        assert norm.c_state == pytest.approx((1 - kappa) * z_state, rel=1e-9, abs=1e-15)
+        assert norm.pair_probs.shape == (n,) and norm.state_probs.shape == (num_states,)
+        assert norm.state_probs.min() > 0
+
+
+# sha256 of the desk operators and sampler tables, and of the discounted
+# visits on the 4-state fixture; the operators come from the forward kernel
+DESK_OPERATOR_SHA256 = {
+    "drift_matrix(1.0)": "7374c5349f2cb7511152133c4856f6aec2ec9171be230b5c61400c6f162d9910",
+    "feasibility_matrix(0.9)": "3c6e13ef0125e39625f27ee84fff8d2687b9370eec52dd81344b83bc1965dedd",
+    "drift_norms(0.9)": "852f3160c22a890ca47c888bbb0c8973cea817724e8a17dd721cbe842363f633",
+    "pair_probs": "77de6e61c27565f1fbbee314a1aee4d50dc294e596fc775710ceaec71f2b6ce2",
+    "state_probs": "196a5e541fa655b531dd82567b80b6b20df79dd85d3fbf80fef9b12970fa2c4b",
+    "visits": "eb0ff9272bdc50b5c72143c1b6d97d566d872d6197cbdadb08e98ee6ec589f6c",
+}
+# kappa -> (uniform c_pair, uniform c_state, norm-proportional c_pair, c_state)
+DESK_COVERAGE = {1.0: (370.1173956561915, 65.16951024309391,
+                       149.81404028088033, 49.243133204835026),
+                 0.9: (370.1173956561915, 72.85163725279521,
+                       149.81404028088033, 48.06983429719558)}
+
+
+def _sha256(array):
+    return hashlib.sha256(np.ascontiguousarray(array, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_desk_operators_samplers_and_visits_pinned(desk_space):
+    model, fs = desk_space
+    got = {"drift_matrix(1.0)": _sha256(fs.drift_matrix(1.0)),
+           "feasibility_matrix(0.9)": _sha256(fs.feasibility_matrix(0.9)),
+           "drift_norms(0.9)": _sha256(features._drift_norms(fs, 0.9))}
+    for kappa, coverage in DESK_COVERAGE.items():
+        uniform = make_uniform_sampling(model, fs, kappa)
+        norm = make_norm_proportional_sampling(model, fs, kappa)
+        assert (uniform.c_pair, uniform.c_state, norm.c_pair, norm.c_state) == coverage
+        assert uniform.pair_probs is None and uniform.state_probs is None
+        got.update(pair_probs=_sha256(norm.pair_probs), state_probs=_sha256(norm.state_probs))
+    small = load_mdp_fixture(DATA / "mdp4.json")
+    uniform_policy = Policy(np.full((small.num_states, small.num_actions), 0.5))
+    got["visits"] = _sha256(discounted_visits(small, uniform_policy, 0.9))
+    assert got == DESK_OPERATOR_SHA256
 
 
 # ------------------------------------------------------- CSR gather branch
@@ -366,6 +430,31 @@ def _check_guide_search(cum, guide, rng, draws):
     assert np.all(guide[buckets] <= expected)
     got = features._sample(cum, guide, len(cum), _FixedUniforms(u), len(u))
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("side", ["pair_probs", "state_probs"])
+@pytest.mark.parametrize("probs, error", [
+    ([0.25, 0.25, 0.25, 0.25], InputShapeError),  # four entries for five points
+    ([0.1, 0.1, 0.1, 0.2, 0.0], ParameterError),  # sums to 0.5
+    ([0.5, 0.5, 0.2, -0.2, 0.0], ParameterError),
+    ([0.5, 0.5, np.nan, 0.0, 0.0], ParameterError),
+    ([0.5, 0.5, np.inf, 0.0, 0.0], ParameterError),
+    ([0.5, 0.5, np.inf, -np.inf, 0.0], ParameterError),
+    ([0.2] * 5 + [0.0], InputShapeError),
+], ids=["short", "half-mass", "negative", "nan", "inf", "inf-minus-inf", "long"])
+def test_sampling_tables_must_be_distributions_of_the_right_length(side, probs, error):
+    with pytest.raises(error):
+        features.SamplingPair(num_pairs=5, num_states=5, c_pair=1.0, c_state=1.0,
+                              **{side: probs})
+
+
+def test_sampling_tables_stored_as_float_arrays():
+    sample = features.SamplingPair(num_pairs=4, num_states=2, c_pair=1.0, c_state=1.0,
+                                   pair_probs=[0, 1, 0, 0], state_probs=(0.5, 0.5))
+    for table in (sample.pair_probs, sample.state_probs):
+        assert isinstance(table, np.ndarray) and table.dtype == float
+    np.testing.assert_array_equal(sample.pair_prob(np.array([1, 3])), [1.0, 0.0])
+    assert np.all(sample.sample_pairs(np.random.default_rng(0), 100) == 1)
 
 
 @pytest.mark.parametrize("size", [1, 2, 6, 4900, 19600])

@@ -36,16 +36,6 @@ def single_state_mdp(loss_value=0.5, num_actions=1):
 
 # ---------------------------------------------------------------- model type
 
-def test_reverse_is_exact_transpose():
-    rng = np.random.default_rng(0)
-    model = random_mdp(rng, 5, 3)
-    fwd = model.transitions.tocoo()
-    rev = model.reverse_transitions.tocoo()
-    fwd_set = {(int(i), int(j)): float(v) for i, j, v in zip(fwd.row, fwd.col, fwd.data)}
-    rev_set = {(int(j), int(i)): float(v) for i, j, v in zip(rev.row, rev.col, rev.data)}
-    assert fwd_set == rev_set
-
-
 def test_model_validation_rejects_bad_rows():
     kernel = np.array([[[0.5, 0.4]], [[0.2, 0.8]]])  # first row sums to 0.9
     with pytest.raises(ParameterError):

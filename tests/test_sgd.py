@@ -195,7 +195,9 @@ def test_minibatch_grad_matches_subgradient_estimate(instance, m):
             # theta = 0 every fifth step: the average-cost residual is then exactly 0
             theta = np.zeros(fs.dim) if t % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
             g = grad(theta, rng)
-            expected = surrogate.subgradient_estimate(sampler, penalty, theta, rng_ref, m=m)
+            pairs, states = draw(sampler, rng_ref, m)
+            expected = surrogate.subgradient_estimate(sampler, penalty, theta, pair_idx=pairs,
+                                                      state_idx=states)
             assert same_bits(g, expected), (name, t)
             written = reference_subgradient(surrogate, sampler, penalty, theta, rng_written, m)
             assert same_bits(expected, written), (name, t)
@@ -339,6 +341,12 @@ def _estimate_with_batch(estimate, *objective):
     estimate(model, fs, sampler, *objective, theta, 100, np.random.default_rng(0), batch=8)
 
 
+def _estimate_with_m():
+    model, fs, sampler, theta = _fixture_run()
+    Surrogate.average_cost(model, fs).subgradient_estimate(sampler, 2.0, theta,
+                                                           np.random.default_rng(0), m=4)
+
+
 # constructions and calls that must raise TypeError: positional run-config
 # fields, the options that nothing read or set, the options that only tests
 # set, and build_features without the model that every caller passes
@@ -377,6 +385,9 @@ REJECTED_CALLS = {
     "build_features-heuristics": lambda: build_features(DESK_SPEC, build_mdp(DESK_SPEC),
                                                         heuristics=("LBFS",)),
     "build_features-no-model": lambda: build_features(DESK_SPEC),
+    "uniform-c_pair": lambda: make_uniform_sampling(*_fixture_run()[:2], 1.0, c_pair=5.0),
+    "uniform-c_state": lambda: make_uniform_sampling(*_fixture_run()[:2], 1.0, c_state=7.0),
+    "subgradient_estimate-m": _estimate_with_m,
     "penalty_grid-violation_bound-tolerance": lambda: PenaltyGrid(
         violation_bound=1.0, weight=1.0, tolerance=0.5, points=np.ones(1)),
     "optimal_solution-iterations": lambda: OptimalSolution(Policy(np.ones((2, 1))),
@@ -393,9 +404,14 @@ def test_removed_options_and_positional_configs_raise_type_error(call):
 @pytest.mark.parametrize("owner, name", [
     (FeatureSpace, "row"), (FeatureSpace, "occupancy_value"), (FeatureSpace, "drift_column"),
     (FeatureSpace, "feasibility_column"), (FeatureSpace, "_state_row"),
-    (Policy, "num_states"), (Policy, "num_actions")])
+    (FeatureSpace, "row_norms"), (Policy, "num_states"), (Policy, "num_actions")])
 def test_removed_accessors_are_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_model_stores_the_forward_kernel_only():
+    assert [f.name for f in dataclasses.fields(MdpModel)] == [
+        "num_states", "num_actions", "transitions", "loss"]
 
 
 @pytest.mark.parametrize("solve, config_cls", [(sgd_solve_avg, AvgSolverConfig),
