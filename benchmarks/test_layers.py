@@ -1,6 +1,7 @@
 """Layer micro-benchmarks on the desk queue preset (4900 states, 19600 pairs,
-d = 170) of the feature and sampler builds and of the minibatch and single-draw
-estimators, per call and per step of the block-presampled SGD estimators,
+d = 170) of the feature and sampler builds, of the exact subgradient and of the
+minibatch and single-draw estimators, per call and per step of the
+block-presampled SGD estimators,
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
 20 pairs, and a 64-draw trace row over the 19,600 desk pairs), and of a
@@ -78,6 +79,13 @@ def test_subgradient_estimate_minibatch(benchmark, desk):
     assert grad.shape == theta.shape
 
 
+def test_exact_subgradient_desk(benchmark, desk):
+    """The exact subgradient over all 19,600 pairs and 4900 states: two CSR
+    matrix-vector products with the drift operator and two with Phi."""
+    surrogate, _, theta = desk
+    assert benchmark(surrogate.exact_subgradient, 2.0, theta).shape == theta.shape
+
+
 def test_sampler_build_desk(benchmark, desk_model):
     """The desk norm-proportional sampler at kappa = 1 and 0.9, on a fresh
     feature space per round, so that each round forms its one-step operators
@@ -102,7 +110,7 @@ def test_minibatch_block_step(benchmark, desk):
     steps = MINIBATCH_BLOCK // DRAWS
     grad = make_minibatch_grad(surrogate, sampler, 2.0, DRAWS, 10**6)
     rng = np.random.default_rng(3)
-    for _ in range(steps):  # the first block, and its dense copies, outside the timing
+    for _ in range(steps):  # the first block outside the timing
         grad(theta, rng)
     assert benchmark.pedantic(grad, args=(theta, rng), rounds=100,
                               iterations=steps).shape == theta.shape

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import CapacityError, ConvergenceError, ParameterError
 from .features import FeatureSpace, SamplingPair, importance_weight_guard
@@ -116,17 +117,16 @@ class Surrogate:
     """What separates the average-cost and discounted surrogates.
 
     ``occ_base`` is added inside the negativity term (one entry per pair),
-    ``state_rows(states) -> (n, d)`` and ``state_matrix() -> (X, d)`` give the
-    state operator S by rows and densely, ``res_base`` is added inside the
-    residual (one entry per state) and ``offset`` is the constant part of the
-    linear objective.
+    ``state_operator`` is the (X, d) state operator S in CSR form, the
+    feature space's memoized one-step operator, ``res_base`` is added inside
+    the residual (one entry per state) and ``offset`` is the constant part of
+    the linear objective.
     """
 
     model: MdpModel
     fs: FeatureSpace
     occ_base: np.ndarray
-    state_rows: Callable[[np.ndarray], np.ndarray]
-    state_matrix: Callable[[], np.ndarray]
+    state_operator: csr_matrix
     res_base: np.ndarray
     offset: float
 
@@ -134,8 +134,7 @@ class Surrogate:
     def average_cost(cls, model: MdpModel, fs: FeatureSpace) -> Surrogate:
         """Baseline occupancy mu0, drift rows at rate 1, no residual offset."""
         return cls(model, fs, occ_base=fs.mu0,
-                   state_rows=lambda states: fs.drift_rows(states, 1.0),
-                   state_matrix=lambda: fs.drift_matrix(1.0),
+                   state_operator=fs._operator((1.0, -1.0)),
                    res_base=np.zeros(model.num_states),
                    offset=fs.loss_mu0)
 
@@ -146,8 +145,7 @@ class Surrogate:
         offset -alpha (None means the uniform initial distribution)."""
         alpha = _check_state_distribution(model, alpha)
         return cls(model, fs, occ_base=np.zeros(model.num_pairs),
-                   state_rows=lambda states: fs.feasibility_rows(states, gamma),
-                   state_matrix=lambda: fs.feasibility_matrix(gamma),
+                   state_operator=fs._operator((-gamma, 1.0)),
                    res_base=-alpha, offset=0.0)
 
     def occupancy(self, theta: np.ndarray) -> np.ndarray:
@@ -157,7 +155,7 @@ class Surrogate:
     def violations_exact(self, theta: np.ndarray) -> tuple[float, float]:
         _guard_exact(self.model)
         neg_mass = float(np.abs(np.minimum(self.occupancy(theta), 0.0)).sum())
-        residual = float(np.abs(self.state_matrix() @ theta + self.res_base).sum())
+        residual = float(np.abs(self.state_operator @ theta + self.res_base).sum())
         return neg_mass, residual
 
     def cost_exact(self, penalty: float, theta: np.ndarray) -> float:
@@ -167,29 +165,24 @@ class Surrogate:
     def exact_subgradient(self, penalty: float, theta: np.ndarray) -> np.ndarray:
         _guard_exact(self.model)
         active = (self.occupancy(theta) < 0.0).astype(float)
-        matrix = self.state_matrix()
-        signs = np.sign(matrix @ theta + self.res_base)
-        # einsum never calls BLAS, whose matrix-vector product over X rows
-        # rounds differently with the number of threads it splits them over
+        signs = np.sign(self.state_operator @ theta + self.res_base)
         return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
-                + penalty * np.einsum("xd,x->d", matrix, signs))
+                + penalty * (signs @ self.state_operator))
 
     def gather(self, sp: SamplingPair, idx: np.ndarray, states: bool = False,
                dense: bool = False):
         """Sampling probabilities and rows at the draws ``idx``: (q_pair,
-        feature rows) at pair draws, or with ``states`` (q_state, dense state
-        rows). Feature rows are an ELL block when Phi's rows are narrow (see
-        :mod:`dualalp.features`) and ``dense`` is not set; either kind
-        supports ``rows @ theta`` and ``weights @ rows``. Raises
-        SamplingSupportError on a draw of probability zero, before any row is
-        gathered."""
-        if states:
-            prob, rows = sp.state_prob, self.state_rows
-        else:
-            prob, rows = sp.pair_prob, (self.fs.rows if dense else self.fs._row_block)
-        q = prob(idx)
+        feature rows) at pair draws, or with ``states`` (q_state, state rows).
+        State rows are a CSR row slice of S, and feature rows an ELL block
+        when Phi's rows are narrow (see :mod:`dualalp.features`), else a CSR
+        row slice; with ``dense`` both are dense blocks. Every kind supports
+        ``rows @ theta`` and ``weights @ rows``. Raises SamplingSupportError on
+        a draw of probability zero, before any row is gathered."""
+        q = (sp.state_prob if states else sp.pair_prob)(idx)
         importance_weight_guard(q)
-        return q, rows(idx)
+        if states:
+            return q, self.state_operator[idx].toarray() if dense else self.state_operator[idx]
+        return q, self.fs.rows(idx) if dense else self.fs._row_block(idx)
 
     def subgradient_estimate(self, sp: SamplingPair, penalty: float, theta: np.ndarray,
                              rng: np.random.Generator | None = None,
@@ -210,11 +203,11 @@ class Surrogate:
 
     def weighted_subgradient(self, penalty: float, theta: np.ndarray, rows,
                              occ: np.ndarray, inv_q_pair: np.ndarray,
-                             state_rows: np.ndarray, res: np.ndarray,
+                             state_rows: csr_matrix, res: np.ndarray,
                              q_state: np.ndarray) -> np.ndarray:
         """The theta-dependent part of a subgradient estimate over m gathered
-        draws: pair ``rows`` (dense or ELL) with their occ_base and 1 / q_pair,
-        and ``state_rows`` with their res_base and q_state.
+        draws: pair ``rows`` (CSR or ELL) with their occ_base and 1 / q_pair,
+        and CSR ``state_rows`` with their res_base and q_state.
         :meth:`subgradient_estimate` and :func:`make_minibatch_grad` both end
         here, so they round alike."""
         w_neg = np.where(occ + rows @ theta < 0.0, inv_q_pair, 0.0)
@@ -317,7 +310,7 @@ def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
         nonlocal pos, rows, state_rows, neg_grads, state_terms, occ, res
         pairs, states = draw(sp, rng, block)
         q_pair, rows = surrogate.gather(sp, pairs, dense=True)
-        q_state, state_rows = surrogate.gather(sp, states, states=True)
+        q_state, state_rows = surrogate.gather(sp, states, states=True, dense=True)
         neg_grads = loss_phi - (penalty / q_pair)[:, None] * rows
         state_terms = (penalty / q_state)[:, None] * state_rows
         occ = surrogate.occ_base[pairs].tolist()
@@ -352,9 +345,9 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     calls. It computes what does not depend on theta, vectorised over the
     block: the sampling probabilities and their support check, 1 / q_pair,
     occ_base and res_base at the draws, and the pair rows when Phi's rows are
-    narrow (ELL). The state rows, and the pair rows of a wide Phi, are dense
-    and gathered per step: a block of them would hold k * m * d floats. A
-    step then runs :meth:`Surrogate.weighted_subgradient`, as
+    narrow (ELL). The state rows, and the pair rows of a wide Phi, are CSR
+    row slices taken per step. A step then runs
+    :meth:`Surrogate.weighted_subgradient`, as
     :meth:`Surrogate.subgradient_estimate` does, so on the same draws the two
     give the same bits. A draw of probability zero raises
     SamplingSupportError at the refill that draws it, as in
@@ -388,9 +381,9 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
             refill(rng)
         i = pos
         pos = i + 1
-        rows = fs.rows(pairs[i]) if pair_rows is None else pair_rows[i]
+        rows = fs._row_block(pairs[i]) if pair_rows is None else pair_rows[i]
         return surrogate.weighted_subgradient(penalty, theta, rows, occ[i], inv_q_pair[i],
-                                              surrogate.state_rows(states[i]), res[i],
+                                              surrogate.state_operator[states[i]], res[i],
                                               q_state[i])
 
     return grad

@@ -7,17 +7,15 @@ A feature matrix has one row per state-action pair (x-major flattening, as in
 at state x' under rate kappa is the d-vector (P - kappa*B)^T_{:,x'} Phi, i.e.
 the one-step inflow minus kappa times the action-marginal at x'.
 
-Row blocks of Phi and of the drift and feasibility operators all come through
-one gather: from a lazily cached dense copy of the operator while it has at
-most ``DENSE_CACHE_LIMIT`` entries, otherwise straight from its CSR form.
-The minibatch estimators take Phi's rows through a second route when they are
-narrow, that is when 8 times the largest number of nonzeros in a row is at
-most d: a padded fixed-width (ELL) copy of Phi, built once, whose row blocks
-compute inner products and weighted row sums over their nonzeros only. Other
-feature matrices, and every drift and feasibility operator, keep the dense
-gather. The rule sits below the measured crossover: at 1000 draws, ELL rows
-stopped paying at about d/7 nonzeros per row for d = 64 and at about d/4 for
-d = 512.
+Every one-step operator is cached in CSR form only, and the estimators take
+its rows as CSR row slices. They take Phi's rows in one of two forms: when
+they are narrow, that is when 8 times the largest number of nonzeros in a row
+is at most d, a padded fixed-width (ELL) copy of Phi, built once, whose row
+blocks compute inner products and weighted row sums over their nonzeros only;
+otherwise CSR row slices of Phi. The rule sits below the measured crossover:
+at 1000 draws, ELL rows stopped paying against dense rows at about d/7
+nonzeros per row for d = 64 and at about d/4 for d = 512. The public row
+accessors return dense blocks.
 
 Samplers draw an index as ``searchsorted(cum, u, side="right")`` for a uniform
 u in [0, 1) and the cumulative table ``cum`` of the probabilities, through the
@@ -36,14 +34,13 @@ reproducible under per-run seeds.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InputShapeError, ParameterError, SamplingSupportError
 from .mdp import MdpModel, _aggregation_matrix, fixed_dot
-
-DENSE_CACHE_LIMIT = 2 * 10**7  # operators with at most this many entries are gathered densely
 
 
 class FeatureSpace:
@@ -88,27 +85,24 @@ class FeatureSpace:
         self.loss_mu0 = fixed_dot(model.loss, mu0)
         self.column_norm_bound = float(np.asarray(abs(phi).sum(axis=0)).max()) if phi.nnz else 0.0
         self._operators: dict = {}  # coefficient pair -> CSR one-step operator
-        self._dense: dict = {}  # coefficient pair (None for Phi) -> dense copy
         self._narrow = _narrow_rows(phi)  # ELL copy of Phi, None unless its rows are narrow
 
     # -- row access ---------------------------------------------------------
 
     def rows(self, pair_idx: np.ndarray) -> np.ndarray:
         """(n, d) dense block of feature rows for the given pair indices."""
-        return self._gather(None, pair_idx)
+        return self.phi[pair_idx].toarray()
 
     def _row_block(self, pair_idx: np.ndarray):
         """Feature rows for the given pair indices as the minibatch estimators
-        use them: an ELL block when Phi's rows are narrow, else dense rows.
-        Either supports ``rows @ theta`` and ``weights @ rows``."""
-        if self._narrow is None:
-            return self.rows(pair_idx)
-        return self._narrow[pair_idx]
+        use them: an ELL block when Phi's rows are narrow, else a CSR row
+        slice. Either supports ``rows @ theta`` and ``weights @ rows``."""
+        return self.phi[pair_idx] if self._narrow is None else self._narrow[pair_idx]
 
     def _row_steps(self, pair_idx: np.ndarray) -> list[_EllRows] | None:
         """One ELL block per row of a 2-D array of pair indices, each a view
         into one gather of them all, when Phi's rows are narrow; else None,
-        since dense rows are gathered as each step needs them."""
+        since CSR rows are sliced as each step needs them."""
         if self._narrow is None:
             return None
         block = self._narrow[pair_idx]
@@ -116,36 +110,25 @@ class FeatureSpace:
 
     # -- operator rows ------------------------------------------------------
 
-    def _operator(self, coefs: tuple[float, float] | None) -> sp.csr_matrix:
-        """Phi for ``coefs`` None, else the (X, d) one-step operator
-        in_coef * P^T Phi + marg_coef * B^T Phi for ``coefs = (in_coef, marg_coef)``."""
-        if coefs is None:
-            return self.phi
+    @cached_property
+    def _inflow(self) -> sp.csr_matrix:
+        """P^T Phi, formed once for every one-step operator."""
+        return (self.model.transitions.T.tocsr() @ self.phi).tocsr()
+
+    def _operator(self, coefs: tuple[float, float]) -> sp.csr_matrix:
+        """The (X, d) one-step operator in_coef * P^T Phi + marg_coef * B^T Phi
+        for ``coefs = (in_coef, marg_coef)``, memoized per pair."""
         cached = self._operators.get(coefs)
         if cached is None:
             in_coef, marg_coef = coefs
             agg = _aggregation_matrix(self.model.num_states, self.model.num_actions)
-            cached = (in_coef * (self.model.transitions.T.tocsr() @ self.phi).tocsr()
-                      + marg_coef * (agg @ self.phi).tocsr()).tocsr()
+            cached = (in_coef * self._inflow + marg_coef * (agg @ self.phi).tocsr()).tocsr()
             self._operators[coefs] = cached
         return cached
 
-    def _dense_copy(self, coefs: tuple[float, float] | None) -> np.ndarray:
-        cached = self._dense.get(coefs)
-        if cached is None:
-            cached = self._dense[coefs] = self._operator(coefs).toarray()
-        return cached
-
-    def _gather(self, coefs: tuple[float, float] | None, idx) -> np.ndarray:
-        """Dense rows ``idx`` of ``_operator(coefs)``."""
-        operator = self._operator(coefs)
-        if operator.shape[0] * operator.shape[1] <= DENSE_CACHE_LIMIT:
-            return self._dense_copy(coefs)[idx]
-        return operator[idx].toarray()
-
     def drift_matrix(self, kappa: float) -> np.ndarray:
         """Dense (X, d) matrix whose row x' is (P - kappa*B)^T_{:,x'} Phi."""
-        return self._dense_copy((1.0, -kappa))
+        return self._operator((1.0, -kappa)).toarray()
 
     def feasibility_matrix(self, kappa: float) -> np.ndarray:
         """Dense (X, d) matrix whose row x' is (B - kappa*P)^T_{:,x'} Phi.
@@ -154,15 +137,15 @@ class FeatureSpace:
         operators are genuinely different and both are needed (the drift norm
         enters the coverage constants, the feasibility rows enter the
         discounted residual)."""
-        return self._dense_copy((-kappa, 1.0))
+        return self._operator((-kappa, 1.0)).toarray()
 
     def drift_rows(self, states: np.ndarray, kappa: float) -> np.ndarray:
         """(n, d) dense block of drift vectors for the given states."""
-        return self._gather((1.0, -kappa), states)
+        return self._operator((1.0, -kappa))[states].toarray()
 
     def feasibility_rows(self, states: np.ndarray, kappa: float) -> np.ndarray:
         """(n, d) dense block of feasibility vectors for the given states."""
-        return self._gather((-kappa, 1.0), states)
+        return self._operator((-kappa, 1.0))[states].toarray()
 
     # -- pointwise products -------------------------------------------------
 

@@ -125,8 +125,9 @@ def test_drift_memoization_returns_same_object():
     rng = np.random.default_rng(28)
     model = random_mdp(rng, 3, 2)
     fs = random_features(rng, model, 2)
-    first = fs.drift_matrix(1.0)
-    assert fs.drift_matrix(1.0) is first
+    first = fs._operator((1.0, -1.0))
+    assert fs._operator((1.0, -1.0)) is first
+    assert Surrogate.average_cost(model, fs).state_operator is first
 
 
 # --------------------------------------------------------- occupancy values
@@ -344,50 +345,45 @@ def test_desk_operators_samplers_and_visits_pinned(desk_space):
     assert got == DESK_OPERATOR_SHA256
 
 
-# ------------------------------------------------------- CSR gather branch
+# ------------------------------------------------------------ CSR row slices
 
-def test_csr_gather_branch_matches_dense_bit_for_bit(monkeypatch):
+def test_csr_gather_branch_matches_dense_bit_for_bit():
     rng = np.random.default_rng(39)
     model = random_mdp(rng, 6, 3)
     fs = random_features(rng, model, 4)
     pairs = rng.integers(0, model.num_pairs, size=25)
     states = rng.integers(0, model.num_states, size=25)
-
-    def gathers():
-        out = [fs.rows(pairs)]
-        for kappa in (1.0, 0.7):
-            out += [fs.drift_rows(states, kappa), fs.feasibility_rows(states, kappa)]
-            out += [fs.drift_rows([x], kappa) for x in range(model.num_states)]
-            out += [fs.feasibility_rows([x], kappa) for x in range(model.num_states)]
-        return out
-
-    dense = gathers()
-    monkeypatch.setattr(features, "DENSE_CACHE_LIMIT", 0)
-    sparse = gathers()
-    assert len(dense) == len(sparse)
-    for a, b in zip(dense, sparse):
-        np.testing.assert_array_equal(a, b)
+    theta, weights = rng.standard_normal(fs.dim), rng.standard_normal(25)
+    np.testing.assert_array_equal(fs.rows(pairs), fs.phi.toarray()[pairs])
+    for kappa in (1.0, 0.7):
+        for rows, matrix, coefs in ((fs.drift_rows, fs.drift_matrix, (1.0, -kappa)),
+                                    (fs.feasibility_rows, fs.feasibility_matrix, (-kappa, 1.0))):
+            dense = matrix(kappa)
+            np.testing.assert_array_equal(rows(states, kappa), dense[states])
+            for x in range(model.num_states):
+                np.testing.assert_array_equal(rows([x], kappa), dense[[x]])
+            block = fs._operator(coefs)[states]
+            np.testing.assert_allclose(block @ theta, dense[states] @ theta, rtol=1e-15)
+            np.testing.assert_allclose(weights @ block, weights @ dense[states], rtol=1e-15)
 
 
-def test_csr_gather_branch_gives_identical_sgd_runs(monkeypatch):
+# sha256 of the single-draw average-cost and discounted SGD iterates, which
+# the row gathers leave bit for bit as they were with dense operator copies
+SINGLE_DRAW_THETA_SHA256 = (
+    "a5c08f9ac71ff0524bc8dec8e0aa9c00360788ac578cc6dc1737acf79f6dcda0",
+    "a0937ec420280f4fcd03bfe4f8bbf11ac72191ef1da3c4bf9aac0f86b55d9431")
+
+
+def test_csr_gather_branch_gives_identical_sgd_runs():
     rng = np.random.default_rng(40)
     model = random_mdp(rng, 5, 2)
     fs = random_features(rng, model, 3, normalize=True)
-
-    def thetas():
-        avg = sgd_solve_avg(model, fs, make_uniform_sampling(model, fs, 1.0),
-                            AvgSolverConfig(penalty=2.0, radius=1.5, iterations=300,
-                                            minibatch=4, seed=3))
-        disc = sgd_solve_disc(model, fs, make_uniform_sampling(model, fs, 0.8),
-                              DiscSolverConfig(discount=0.8, penalty=2.0, radius=1.5,
-                                               iterations=1200, seed=4))
-        return avg.theta, disc.theta
-
-    dense = thetas()
-    monkeypatch.setattr(features, "DENSE_CACHE_LIMIT", 0)
-    sparse = thetas()
-    for a, b in zip(dense, sparse):
-        np.testing.assert_array_equal(a, b)
+    avg = sgd_solve_avg(model, fs, make_uniform_sampling(model, fs, 1.0),
+                        AvgSolverConfig(penalty=2.0, radius=1.5, iterations=300, seed=3))
+    disc = sgd_solve_disc(model, fs, make_uniform_sampling(model, fs, 0.8),
+                          DiscSolverConfig(discount=0.8, penalty=2.0, radius=1.5,
+                                           iterations=1200, seed=4))
+    assert (_sha256(avg.theta), _sha256(disc.theta)) == SINGLE_DRAW_THETA_SHA256
 
 
 # ------------------------------------------------------ guide-table sampler
@@ -561,7 +557,7 @@ def test_dense_path_kept_for_wide_rows(desk_fixture):
     _, fs = desk_fixture  # d = 3: every nonempty row is wide
     assert fs._narrow is None
     pairs = np.array([0, 3, 7])
-    np.testing.assert_array_equal(fs._row_block(pairs), fs.rows(pairs))
+    np.testing.assert_array_equal(fs._row_block(pairs).toarray(), fs.rows(pairs))
 
 
 def test_support_guard_fires_before_narrow_gather(monkeypatch):

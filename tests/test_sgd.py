@@ -49,7 +49,7 @@ def reference_buffered_grad(surrogate, sp, penalty, branches):
     def refill(rng):
         pairs, states = draw(sp, rng, block)
         buf["q_pair"], buf["rows"] = surrogate.gather(sp, pairs, dense=True)
-        buf["q_state"], buf["drift"] = surrogate.gather(sp, states, states=True)
+        buf["q_state"], buf["drift"] = surrogate.gather(sp, states, states=True, dense=True)
         buf["occ0"], buf["res0"] = surrogate.occ_base[pairs], surrogate.res_base[states]
         buf["pos"] = 0
 
