@@ -1,5 +1,7 @@
 """Layer micro-benchmarks on the desk queue preset (4900 states, 19600 pairs,
-d = 170) of the feature and sampler builds, of the exact subgradient and of the
+d = 170) of the feature and sampler builds, of the exact evaluation layer (the
+LBFS induced chain, and its discounted value function at gamma = 0.9 and
+0.99), of the exact subgradient and of the
 minibatch and single-draw estimators, per call and per step of the
 block-presampled SGD estimators,
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
@@ -54,6 +56,26 @@ def test_build_features_desk(benchmark, desk_model):
     mu0 = mdp.stationary_state_action(desk_model, queueing.heuristic_policy(spec, "LBFS"))
     fs, dropped = benchmark(queueing.build_features, spec, model=desk_model, mu0=mu0)
     assert fs.dim == 170 and len(dropped) == 180
+
+
+@pytest.fixture(scope="module")
+def desk_lbfs():
+    return queueing.heuristic_policy(queueing.DESK_SPEC, "LBFS")
+
+
+def test_induced_chain_desk(benchmark, desk_model, desk_lbfs):
+    """The LBFS state-to-state kernel: one sparse product of the policy
+    weights with the 19,600-row forward kernel."""
+    chain = benchmark(mdp.induced_chain, desk_model, desk_lbfs)
+    assert chain.shape == (desk_model.num_states, desk_model.num_states)
+
+
+@pytest.mark.parametrize("gamma", [0.9, 0.99])
+def test_value_function_desk(benchmark, desk_model, desk_lbfs, gamma):
+    """The exact discounted value of LBFS at the default tol: the induced
+    chain, the BiCGSTAB start and its certified Bellman sweeps."""
+    values = benchmark(mdp.value_function, desk_model, desk_lbfs, gamma)
+    assert values.shape == (desk_model.num_states,) and values.min() > 0.0
 
 
 def test_sample_pairs(benchmark, desk):

@@ -149,20 +149,64 @@ def policy_from_occupancy(u: np.ndarray, num_actions: int) -> Policy:
 
 
 def induced_chain(model: MdpModel, pi: Policy) -> sp.csr_matrix:
-    """State-to-state kernel of following ``pi``: entry (x, x') = sum_a P(x'|x,a) pi(a|x)."""
+    """State-to-state kernel of following ``pi``: entry (x, x') = sum_a P(x'|x,a) pi(a|x).
+
+    One sparse product of the (X, X*A) matrix holding pi(a|x) at (x, x*A + a)
+    with the kernel; it sums each entry over the actions in the same order, so
+    it has the same bits as aggregating the pi-weighted kernel rows."""
     if pi.probs.shape != (model.num_states, model.num_actions):
         raise InputShapeError("policy shape does not match the model")
-    weighted = sp.diags(pi.flat()) @ model.transitions
-    agg = _aggregation_matrix(model.num_states, model.num_actions)
-    chain = (agg @ weighted).tocsr()
+    num_states, num_pairs = model.num_states, model.num_pairs
+    weights = sp.csr_matrix((pi.flat(), np.arange(num_pairs),
+                             np.arange(0, num_pairs + 1, model.num_actions)),
+                            shape=(num_states, num_pairs))
+    chain = weights @ model.transitions
     chain.sort_indices()
     return chain
 
 
-def _bicgstab_start(chain_t: sp.csr_matrix, tol: float) -> np.ndarray:
-    """Starting point of the stationary solve: unpreconditioned BiCGSTAB
-    (van der Vorst 1992) on (I - P^T) mu = 0 with one anchor state's mass fixed
-    to 1.
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterError(f"tol must be a positive finite number, got {tol!r}")
+
+
+def _bicgstab(apply, rhs: np.ndarray, done, max_iter: int) -> np.ndarray | None:
+    """Unpreconditioned BiCGSTAB (van der Vorst 1992) for ``apply(x) = rhs``
+    from x = 0.
+
+    Stops before an iteration once ``done(r, x)`` holds for the recursively
+    updated residual r, or after ``max_iter`` iterations, and returns x.
+    Returns None on breakdown (a vanishing rho, omega or denominator)."""
+    n = rhs.size
+    r, r_hat = rhs, rhs.copy()
+    x, p, v = np.zeros(n), np.zeros(n), np.zeros(n)
+    rho = alpha = omega = 1.0
+    for _ in range(max_iter):
+        if done(r, x):
+            break
+        rho_next = float(r_hat @ r)
+        if rho_next == 0.0 or omega == 0.0:
+            return None
+        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
+        rho = rho_next
+        v = apply(p)
+        denom = float(r_hat @ v)
+        if denom == 0.0:
+            return None
+        alpha = rho / denom
+        s = r - alpha * v
+        t = apply(s)
+        t_norm2 = float(t @ t)
+        omega = float(t @ s) / t_norm2 if t_norm2 > 0.0 else 0.0
+        x += alpha * p + omega * s
+        r = s - omega * t
+    return x
+
+
+def _stationary_start(chain_t: sp.csr_matrix, tol: float) -> np.ndarray:
+    """Starting point of the stationary solve: :func:`_bicgstab` on
+    (I - P^T) mu = 0 with one anchor state's mass fixed to 1, capped at
+    ``_BICGSTAB_ITERS_PER_STATE`` iterations per state.
 
     The anchor is the argmax of P^T applied to the uniform vector. Its row and
     column are dropped by holding its coordinate at 0, so the right-hand side is
@@ -178,33 +222,15 @@ def _bicgstab_start(chain_t: sp.csr_matrix, tol: float) -> np.ndarray:
         out[anchor] = 0.0
         return out
 
-    r = chain_t[:, [anchor]].toarray().ravel()
-    r[anchor] = 0.0
-    r_hat = r.copy()
-    x, p, v = np.zeros(n), np.zeros(n), np.zeros(n)
-    rho = alpha = omega = 1.0
+    rhs = chain_t[:, [anchor]].toarray().ravel()
+    rhs[anchor] = 0.0
     # the stationary residual of the normalized result is at most
     # 2 * ||r||_1 / (1 + sum x), so this stop leaves a margin below tol
     stop = max(1e-3 * tol, 8 * np.finfo(float).eps)
-    for _ in range(_BICGSTAB_ITERS_PER_STATE * n):
-        if np.abs(r).sum() <= stop * (1.0 + np.abs(x).sum()):
-            break
-        rho_next = float(r_hat @ r)
-        if rho_next == 0.0 or omega == 0.0:
-            return uniform
-        p = r + (rho_next / rho) * (alpha / omega) * (p - omega * v)
-        rho = rho_next
-        v = apply(p)
-        denom = float(r_hat @ v)
-        if denom == 0.0:
-            return uniform
-        alpha = rho / denom
-        s = r - alpha * v
-        t = apply(s)
-        t_norm2 = float(t @ t)
-        omega = float(t @ s) / t_norm2 if t_norm2 > 0.0 else 0.0
-        x += alpha * p + omega * s
-        r = s - omega * t
+    x = _bicgstab(apply, rhs, lambda r, x: np.abs(r).sum() <= stop * (1.0 + np.abs(x).sum()),
+                  _BICGSTAB_ITERS_PER_STATE * n)
+    if x is None:
+        return uniform
     x[anchor] = 1.0
     np.maximum(x, 0.0, out=x)
     total = x.sum()
@@ -217,16 +243,18 @@ def stationary_distribution(model: MdpModel, pi: Policy, tol: float = 1e-10) -> 
     """Stationary state distribution of the induced chain.
 
     Starts from the BiCGSTAB solution of (I - P^pi^T) mu = 0 (see
-    :func:`_bicgstab_start`), then iterates the lazy kernel (P^pi + I)/2, which
+    :func:`_stationary_start`), then iterates the lazy kernel (P^pi + I)/2, which
     has the same stationary distribution and is aperiodic, until the residual
     ||mu^T P^pi - mu^T||_1 on the original kernel is at most ``tol``. A start
     that already meets ``tol`` is returned at once; reducible or periodic
     chains and BiCGSTAB breakdowns are left to the lazy iteration. Raises
-    ConvergenceError (carrying the final residual) if the tolerance is not met
-    within ``_MAX_SWEEPS`` lazy steps.
+    ParameterError unless ``tol`` is positive and finite, and ConvergenceError
+    (carrying the final residual) if the tolerance is not met within
+    ``_MAX_SWEEPS`` lazy steps.
     """
+    _check_tol(tol)
     chain_t = induced_chain(model, pi).T.tocsr()
-    mu = _bicgstab_start(chain_t, tol)
+    mu = _stationary_start(chain_t, tol)
     residual = math.inf
     for _ in range(_MAX_SWEEPS):
         stepped = chain_t @ mu
@@ -257,10 +285,24 @@ def _policy_loss(model: MdpModel, pi: Policy) -> np.ndarray:
 
 
 def value_function(model: MdpModel, pi: Policy, gamma: float, tol: float = 1e-10) -> np.ndarray:
-    """Discounted value J = loss_pi + gamma P^pi J, iterated until the geometric
-    tail bound gamma^k ||J*||_inf <= tol."""
+    """Discounted value J* = (I - gamma P^pi)^-1 loss_pi to within ``tol`` in
+    the sup norm.
+
+    Starts from the :func:`_bicgstab` solution of (I - gamma P^pi) J = loss_pi,
+    stopped at a residual of sup norm tol (1 - gamma) / gamma and capped at
+    half the sweep cap below. A start that breaks down, is non-finite or has
+    a Bellman residual ||TJ - J||_inf above that of J = 0, ||loss_pi||_inf, is
+    replaced by J = 0. Then sweeps J <- TJ = loss_pi + gamma P^pi J until
+    gamma / (1 - gamma) ||TJ - J||_inf <= tol, which certifies
+    ||J* - TJ||_inf <= tol, for at most
+    ceil(log(tol (1 - gamma) / ||loss_pi||_inf) / log gamma) sweeps, the count
+    that meets tol a priori from J = 0. As in the stationary start, the BLAS
+    dot products of BiCGSTAB make the last bits depend on the number of BLAS
+    threads above 10,000 states. Raises ParameterError unless gamma lies in
+    (0, 1) and ``tol`` is positive and finite."""
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
+    _check_tol(tol)
     loss_pi = _policy_loss(model, pi)
     loss_max = float(np.max(np.abs(loss_pi))) if loss_pi.size else 0.0
     if loss_max == 0.0:
@@ -268,9 +310,17 @@ def value_function(model: MdpModel, pi: Policy, gamma: float, tol: float = 1e-10
     chain = induced_chain(model, pi)
     # J_0 = 0 gives ||J_k - J*|| <= gamma^k * loss_max / (1 - gamma)
     sweeps = max(1, math.ceil(math.log(tol * (1.0 - gamma) / loss_max) / math.log(gamma)))
-    value = np.zeros(model.num_states)
+    stop = tol * (1.0 - gamma) / gamma
+    value = _bicgstab(lambda v: v - gamma * (chain @ v), loss_pi,
+                      lambda r, x: np.abs(r).max() <= stop, sweeps // 2)
+    # NaN fails the comparison, so a non-finite start is dropped too
+    if value is None or not np.abs(loss_pi + gamma * (chain @ value) - value).max() <= loss_max:
+        value = np.zeros(model.num_states)
     for _ in range(sweeps):
-        value = loss_pi + gamma * (chain @ value)
+        stepped = loss_pi + gamma * (chain @ value)
+        if np.abs(stepped - value).max() <= stop:
+            return stepped
+        value = stepped
     return value
 
 
@@ -281,10 +331,11 @@ def discounted_visits(model: MdpModel, pi: Policy, gamma: float,
     Accumulates sum_{t>=1} gamma^(t-1) * (state-action law at step t) starting
     from x_1 ~ alpha, truncated at the first t with gamma^t/(1-gamma) <= tol/2.
     The result sums to 1/(1-gamma) and satisfies (B - gamma P)^T nu = alpha up
-    to ``tol``.
+    to ``tol``, which must be positive and finite.
     """
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
+    _check_tol(tol)
     alpha = _check_state_distribution(model, alpha)
     steps = max(1, math.ceil(math.log(tol * (1.0 - gamma) / 2.0) / math.log(gamma)))
     pi_flat = pi.probs
@@ -351,10 +402,12 @@ def solve_optimal(model: MdpModel, mode: str = "average", gamma: float | None = 
     transform), anchored at state 0, until the Bellman residual of the
     untransformed model drops to ``tol``; also returns the optimal average loss.
     mode="discounted": plain value iteration until ||L^gamma J - J||_inf <= tol.
+    ``tol`` must be positive and finite.
     """
     if model.num_pairs > DENSE_GUARD:
         raise CapacityError(
             f"solve_optimal is limited to num_states*num_actions <= {DENSE_GUARD}")
+    _check_tol(tol)
     if mode == "average":
         return _solve_average(model, tol)
     if mode == "discounted":

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -32,6 +33,11 @@ def single_state_mdp(loss_value=0.5, num_actions=1):
     kernel = np.ones((1, num_actions, 1))
     loss = np.full((1, num_actions), loss_value)
     return MdpModel.from_dense(kernel, loss)
+
+
+@pytest.fixture(scope="module")
+def desk_model():
+    return build_mdp(DESK_SPEC)
 
 
 # ---------------------------------------------------------------- model type
@@ -127,6 +133,43 @@ def test_induced_chain_matches_dense_enumeration():
     got = induced_chain(model, pi).toarray()
     assert np.abs(got - expected).max() <= 1e-14
     assert np.abs(got.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+def _two_product_chain(model, pi):
+    """The aggregation of the pi-weighted kernel rows, in two sparse products."""
+    agg = mdp._aggregation_matrix(model.num_states, model.num_actions)
+    chain = (agg @ (sp.diags(pi.flat()) @ model.transitions)).tocsr()
+    chain.sort_indices()
+    return chain
+
+
+def _assert_same_csr(got, expected):
+    for field in ("data", "indices", "indptr"):
+        assert getattr(got, field).tobytes() == getattr(expected, field).tobytes(), field
+
+
+def sparse_policy(rng, num_states, num_actions):
+    """Random policy with about a third of its entries exactly zero."""
+    probs = rng.dirichlet(np.ones(num_actions), size=num_states)
+    probs[rng.random(probs.shape) < 0.35] = 0.0
+    probs[probs.sum(axis=1) == 0.0, 0] = 1.0
+    return Policy(probs / probs.sum(axis=1, keepdims=True))
+
+
+def test_induced_chain_bit_identical_to_two_products_random():
+    for seed in range(12):
+        rng = np.random.default_rng(300 + seed)
+        n, num_actions = int(rng.integers(2, 12)), int(rng.integers(1, 5))
+        model = random_mdp(rng, n, num_actions, sharpness=[0.1, 1.0][seed % 2])
+        pi = sparse_policy(rng, n, num_actions)
+        _assert_same_csr(induced_chain(model, pi), _two_product_chain(model, pi))
+
+
+@pytest.mark.parametrize("kind", ["LBFS", "LONGER"])
+def test_induced_chain_bit_identical_to_two_products_desk(desk_model, kind):
+    pi = heuristic_policy(DESK_SPEC, kind)
+    assert (pi.probs == 0.0).any()
+    _assert_same_csr(induced_chain(desk_model, pi), _two_product_chain(desk_model, pi))
 
 
 # ------------------------------------------------ stationary distribution
@@ -251,23 +294,34 @@ def test_stationary_transient_anchor_candidate():
     np.testing.assert_allclose(mu, [1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-10)
 
 
-def test_stationary_solve_leaves_sparse_linalg_unimported():
-    # scipy.sparse.linalg loads its own BLAS (about 10 MB of resident memory)
+def _sparse_linalg_loaded_after(call):
+    """Whether ``call`` on a 2-state chain, run in a fresh interpreter,
+    imports scipy.sparse.linalg."""
     import dualalp
     script = (
         "import sys\n"
         "import numpy as np\n"
         "import dualalp\n"
-        "from dualalp.mdp import MdpModel, Policy, stationary_distribution\n"
-        "model = MdpModel.from_dense(np.array([[[0.9, 0.1]], [[0.2, 0.8]]]), np.zeros((2, 1)))\n"
-        "stationary_distribution(model, Policy(np.ones((2, 1))))\n"
+        "from dualalp.mdp import MdpModel, Policy, stationary_distribution, value_function\n"
+        "model = MdpModel.from_dense(np.array([[[0.9, 0.1]], [[0.2, 0.8]]]),\n"
+        "                            np.array([[0.9], [0.0]]))\n"
+        f"{call}\n"
         "print('scipy.sparse.linalg' in sys.modules)\n")
     src = str(Path(dualalp.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_stationary_solve_leaves_sparse_linalg_unimported():
+    # scipy.sparse.linalg loads its own BLAS (about 10 MB of resident memory)
+    assert not _sparse_linalg_loaded_after("stationary_distribution(model, Policy(np.ones((2, 1))))")
+
+
+def test_value_function_leaves_sparse_linalg_unimported():
+    assert not _sparse_linalg_loaded_after("value_function(model, Policy(np.ones((2, 1))), 0.99)")
 
 
 # -------------------------------------------------------------- average cost
@@ -323,6 +377,69 @@ def test_value_function_gamma_range():
     model = single_state_mdp()
     with pytest.raises(ParameterError):
         value_function(model, Policy(np.ones((1, 1))), gamma=1.0)
+
+
+# the sweeps round each value of up to 1/(1 - gamma) by about eps / (1 - gamma)
+# and the discount amplifies that by 1/(1 - gamma): about 2e-10 at 0.999
+@pytest.mark.parametrize("gamma, tol", [(0.5, 1e-10), (0.9, 1e-10), (0.99, 1e-10),
+                                        (0.999, 1e-8)])
+def test_value_function_within_tol_of_dense_solve(gamma, tol):
+    for seed in range(15):
+        rng = np.random.default_rng(400 + seed)
+        n, num_actions = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+        model = random_mdp(rng, n, num_actions, sharpness=[0.2, 1.0, 5.0][seed % 3])
+        pi = sparse_policy(rng, n, num_actions)
+        loss_pi = (pi.probs * model.loss.reshape(n, num_actions)).sum(axis=1)
+        chain = induced_chain(model, pi).toarray()
+        expected = np.linalg.solve(np.eye(n) - gamma * chain, loss_pi)
+        assert np.abs(value_function(model, pi, gamma, tol=tol) - expected).max() <= tol
+
+
+def test_value_function_desk_lbfs_matches_sparse_direct_solve(desk_model):
+    from scipy.sparse.linalg import spsolve
+    pi = heuristic_policy(DESK_SPEC, "LBFS")
+    gamma = 0.99
+    loss_pi = (pi.probs * desk_model.loss.reshape(pi.probs.shape)).sum(axis=1)
+    system = (sp.identity(desk_model.num_states) - gamma * induced_chain(desk_model, pi)).tocsc()
+    expected = spsolve(system, loss_pi)
+    assert np.abs(value_function(desk_model, pi, gamma) - expected).max() <= 1e-10
+
+
+@pytest.mark.parametrize("start", ["nan", "breakdown", "worse than zero"])
+def test_value_function_dropped_start_falls_back_to_zero(monkeypatch, start):
+    rng = np.random.default_rng(8)
+    model = random_mdp(rng, 7, 2)
+    pi = random_policy(rng, 7, 2)
+    gamma, tol = 0.95, 1e-10
+    expected = value_function(model, pi, gamma, tol=tol)
+    bad = {"nan": lambda n: np.full(n, np.nan), "breakdown": lambda n: None,
+           "worse than zero": lambda n: np.full(n, 1e3)}[start]
+    monkeypatch.setattr(mdp, "_bicgstab", lambda apply, rhs, done, max_iter: bad(rhs.size))
+    got = value_function(model, pi, gamma, tol=tol)
+    assert np.abs(got - expected).max() <= 2 * tol
+    # the fallback is value iteration from 0 with the certified stop
+    loss_pi = (pi.probs * model.loss.reshape(7, 2)).sum(axis=1)
+    chain = induced_chain(model, pi)
+    sweep = np.zeros(7)
+    while True:
+        stepped = loss_pi + gamma * (chain @ sweep)
+        done = gamma / (1 - gamma) * np.abs(stepped - sweep).max() <= tol
+        sweep = stepped
+        if done:
+            break
+    assert got.tobytes() == sweep.tobytes()
+
+
+def test_value_function_zero_policy_loss_is_exact_zero():
+    # the losses are positive except on the action the policy takes
+    rng = np.random.default_rng(9)
+    loss = rng.random((5, 2)) + 0.1
+    loss[:, 1] = 0.0
+    model = MdpModel.from_dense(rng.dirichlet(np.ones(5), size=(5, 2)), loss)
+    probs = np.zeros((5, 2))
+    probs[:, 1] = 1.0
+    v = value_function(model, Policy(probs), gamma=0.99)
+    assert v.tobytes() == np.zeros(5).tobytes()
 
 
 # --------------------------------------------------------- discounted visits
@@ -484,6 +601,25 @@ def test_solve_optimal_capacity_guard():
     object.__setattr__(model, "num_states", 10**6)  # fake an oversized model
     with pytest.raises(CapacityError):
         solve_optimal(model, mode="average")
+
+
+# ---------------------------------------------------------------- tolerances
+
+TOL_CALLS = {
+    "value_function": lambda model, pi, tol: value_function(model, pi, 0.9, tol=tol),
+    "discounted_visits": lambda model, pi, tol: discounted_visits(model, pi, 0.9, tol=tol),
+    "stationary_distribution": lambda model, pi, tol: stationary_distribution(model, pi, tol=tol),
+    "solve_optimal_average": lambda model, pi, tol: solve_optimal(model, "average", tol=tol),
+    "solve_optimal_discounted": lambda model, pi, tol: solve_optimal(model, "discounted",
+                                                                     gamma=0.9, tol=tol),
+}
+
+
+@pytest.mark.parametrize("bad_tol", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("call", TOL_CALLS.values(), ids=TOL_CALLS.keys())
+def test_tolerance_must_be_positive_and_finite(call, bad_tol):
+    with pytest.raises(ParameterError, match="tol must be a positive finite number"):
+        call(two_state_chain(), Policy(np.ones((2, 1))), bad_tol)
 
 
 # ------------------------------------------------- contraction diagnostic
