@@ -1,7 +1,7 @@
 """Layer micro-benchmarks on the desk queue preset (4900 states, 19600 pairs,
 d = 170) of the feature and sampler builds, of the exact evaluation layer (the
-LBFS induced chain, and its discounted value function at gamma = 0.9 and
-0.99), of the exact subgradient and of the
+LBFS induced chain, and its discounted value function and discounted visits
+at gamma = 0.9 and 0.99), of the exact subgradient and of the
 minibatch and single-draw estimators, per call and per step of the
 block-presampled SGD estimators,
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
@@ -76,6 +76,15 @@ def test_value_function_desk(benchmark, desk_model, desk_lbfs, gamma):
     chain, the BiCGSTAB start and its certified Bellman sweeps."""
     values = benchmark(mdp.value_function, desk_model, desk_lbfs, gamma)
     assert values.shape == (desk_model.num_states,) and values.min() > 0.0
+
+
+@pytest.mark.parametrize("gamma", [0.9, 0.99])
+def test_discounted_visits_desk(benchmark, desk_model, desk_lbfs, gamma):
+    """The discounted visits of LBFS from the uniform alpha at the default tol:
+    the same solve as the value function, on the transposed chain in L1."""
+    visits = benchmark(mdp.discounted_visits, desk_model, desk_lbfs, gamma)
+    assert visits.shape == (desk_model.num_pairs,)
+    assert abs(visits.sum() * (1.0 - gamma) - 1.0) <= 1e-10
 
 
 def test_sample_pairs(benchmark, desk):

@@ -284,71 +284,69 @@ def _policy_loss(model: MdpModel, pi: Policy) -> np.ndarray:
     return (pi.probs * model.loss.reshape(model.num_states, model.num_actions)).sum(axis=1)
 
 
+def _discounted_solve(chain: sp.csr_matrix, rhs: np.ndarray, gamma: float, tol: float,
+                      norm) -> np.ndarray:
+    """x* = (I - gamma chain)^-1 rhs to within ``tol`` in ``norm``, a norm in
+    which ``chain`` does not expand: the sup norm for P^pi, L1 for P^pi^T.
+
+    Starts from the first sweep x = rhs plus the :func:`_bicgstab` solution of
+    (I - gamma chain) c = gamma chain rhs, stopped at a residual of norm
+    tol (1 - gamma) / gamma and capped at half the sweep cap below. From x = 0
+    the shadow residual would be rhs, and a uniform rhs is a left eigenvector
+    of I - gamma P^pi^T, so one step leaves it orthogonal to the residual and
+    BiCGSTAB diverges (to 1e40 on desk LBFS at gamma = 0.99). A start that
+    breaks down, is non-finite or has ||Tx - x|| above ||rhs||, that of x = 0,
+    is replaced by x = 0. Then sweeps x <- Tx = rhs + gamma chain x until
+    gamma / (1 - gamma) ||Tx - x|| <= tol, which certifies ||x* - Tx|| <= tol,
+    for at most ceil(log(tol (1 - gamma) / ||rhs||) / log gamma) sweeps, the
+    count that meets tol a priori from x = 0. Above 10,000 states the BLAS
+    dot products of BiCGSTAB make the last bits depend on the thread count."""
+    scale = norm(rhs) if rhs.size else 0.0
+    if scale == 0.0:
+        return np.zeros(rhs.size)
+    # x_0 = 0 gives ||x_k - x*|| <= gamma^k * ||rhs|| / (1 - gamma)
+    sweeps = max(1, math.ceil(math.log(tol * (1.0 - gamma) / scale) / math.log(gamma)))
+    stop = tol * (1.0 - gamma) / gamma
+    correction = _bicgstab(lambda v: v - gamma * (chain @ v), gamma * (chain @ rhs),
+                           lambda r, x: norm(r) <= stop, sweeps // 2)
+    x = None if correction is None else rhs + correction
+    # NaN fails the comparison, so a non-finite start is dropped too
+    if x is None or not norm(rhs + gamma * (chain @ x) - x) <= scale:
+        x = np.zeros(rhs.size)
+    for _ in range(sweeps):
+        stepped = rhs + gamma * (chain @ x)
+        if norm(stepped - x) <= stop:
+            return stepped
+        x = stepped
+    return x
+
+
 def value_function(model: MdpModel, pi: Policy, gamma: float, tol: float = 1e-10) -> np.ndarray:
     """Discounted value J* = (I - gamma P^pi)^-1 loss_pi to within ``tol`` in
-    the sup norm.
-
-    Starts from the :func:`_bicgstab` solution of (I - gamma P^pi) J = loss_pi,
-    stopped at a residual of sup norm tol (1 - gamma) / gamma and capped at
-    half the sweep cap below. A start that breaks down, is non-finite or has
-    a Bellman residual ||TJ - J||_inf above that of J = 0, ||loss_pi||_inf, is
-    replaced by J = 0. Then sweeps J <- TJ = loss_pi + gamma P^pi J until
-    gamma / (1 - gamma) ||TJ - J||_inf <= tol, which certifies
-    ||J* - TJ||_inf <= tol, for at most
-    ceil(log(tol (1 - gamma) / ||loss_pi||_inf) / log gamma) sweeps, the count
-    that meets tol a priori from J = 0. As in the stationary start, the BLAS
-    dot products of BiCGSTAB make the last bits depend on the number of BLAS
-    threads above 10,000 states. Raises ParameterError unless gamma lies in
-    (0, 1) and ``tol`` is positive and finite."""
+    the sup norm, by :func:`_discounted_solve`. Raises ParameterError unless
+    gamma lies in (0, 1) and ``tol`` is positive and finite."""
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
     _check_tol(tol)
-    loss_pi = _policy_loss(model, pi)
-    loss_max = float(np.max(np.abs(loss_pi))) if loss_pi.size else 0.0
-    if loss_max == 0.0:
-        return np.zeros(model.num_states)
-    chain = induced_chain(model, pi)
-    # J_0 = 0 gives ||J_k - J*|| <= gamma^k * loss_max / (1 - gamma)
-    sweeps = max(1, math.ceil(math.log(tol * (1.0 - gamma) / loss_max) / math.log(gamma)))
-    stop = tol * (1.0 - gamma) / gamma
-    value = _bicgstab(lambda v: v - gamma * (chain @ v), loss_pi,
-                      lambda r, x: np.abs(r).max() <= stop, sweeps // 2)
-    # NaN fails the comparison, so a non-finite start is dropped too
-    if value is None or not np.abs(loss_pi + gamma * (chain @ value) - value).max() <= loss_max:
-        value = np.zeros(model.num_states)
-    for _ in range(sweeps):
-        stepped = loss_pi + gamma * (chain @ value)
-        if np.abs(stepped - value).max() <= stop:
-            return stepped
-        value = stepped
-    return value
+    # the chain first: it raises InputShapeError for a policy of the wrong shape
+    return _discounted_solve(induced_chain(model, pi), _policy_loss(model, pi), gamma, tol,
+                             lambda v: np.abs(v).max())
 
 
 def discounted_visits(model: MdpModel, pi: Policy, gamma: float,
                       alpha: np.ndarray | None = None, tol: float = 1e-10) -> np.ndarray:
-    """Discounted expected visit counts per state-action pair.
-
-    Accumulates sum_{t>=1} gamma^(t-1) * (state-action law at step t) starting
-    from x_1 ~ alpha, truncated at the first t with gamma^t/(1-gamma) <= tol/2.
-    The result sums to 1/(1-gamma) and satisfies (B - gamma P)^T nu = alpha up
-    to ``tol``, which must be positive and finite.
-    """
+    """Discounted expected visit counts per state-action pair, nu(x, a) =
+    d(x) pi(a|x) with (I - gamma P^pi^T) d = alpha (uniform by default), which
+    :func:`_discounted_solve` solves to within tol/2 in L1. The result sums to
+    1/(1-gamma) and satisfies (B - gamma P)^T nu = alpha up to ``tol``, which
+    must be positive and finite."""
     if not 0.0 < gamma < 1.0:
         raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
     _check_tol(tol)
     alpha = _check_state_distribution(model, alpha)
-    steps = max(1, math.ceil(math.log(tol * (1.0 - gamma) / 2.0) / math.log(gamma)))
-    pi_flat = pi.probs
-    state_law = alpha
-    visits = np.zeros(model.num_pairs)
-    discount = 1.0
-    inflow = model.transitions.T
-    for _ in range(steps):
-        pair_law = (state_law[:, None] * pi_flat).reshape(-1)
-        visits += discount * pair_law
-        state_law = inflow @ pair_law
-        discount *= gamma
-    return visits
+    state_visits = _discounted_solve(induced_chain(model, pi).T.tocsr(), alpha, gamma,
+                                     tol / 2.0, lambda v: np.abs(v).sum())
+    return (state_visits[:, None] * pi.probs).reshape(-1)
 
 
 def _check_state_distribution(model: MdpModel, alpha: np.ndarray | None) -> np.ndarray:
@@ -357,8 +355,9 @@ def _check_state_distribution(model: MdpModel, alpha: np.ndarray | None) -> np.n
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (model.num_states,):
         raise InputShapeError(f"state distribution must have length {model.num_states}")
-    if alpha.min() < 0 or abs(alpha.sum() - 1.0) > PROB_ATOL:
-        raise ParameterError("state distribution must be nonnegative and sum to 1")
+    # a non-finite entry makes the minimum or the sum non-finite, and NaN fails both
+    if not (alpha.min() >= 0 and abs(alpha.sum() - 1.0) <= PROB_ATOL):
+        raise ParameterError("state distribution must be finite, nonnegative and sum to 1")
     return alpha
 
 

@@ -744,7 +744,8 @@ def test_non_object_config_document_is_config_error(tmp_path, capsys, document):
 
 @pytest.mark.parametrize("mode, section, key, value", [
     ("solve-avg", "solver", "radius", -1.0), ("meta-avg", "meta", "violation_bound", 0),
-    ("bench-queue", "bench", "mu0", "LONGEST"), ("eval-policy", "eval", "mode", "exactly")])
+    ("bench-queue", "bench", "mu0", "LONGEST"), ("eval-policy", "eval", "mode", "exactly"),
+    ("solve-disc", "solver", "initial_dist", [float("nan"), 0.5, 0.25, 0.25])])  # wrote NaN
 def test_rejected_config_leaves_no_out_dir(tmp_path, mode, section, key, value):
     doc = _mode_config(tmp_path, mode)
     doc.setdefault(section, {})[key] = value

@@ -185,6 +185,16 @@ def test_estimator_norm_bound_many_draws():
     assert worst <= bound + 1e-9
 
 
+def test_violations_exact_disc_rejects_nan_initial_distribution():
+    # NaN fails both the sign and the sum comparison, so it used to pass both
+    rng = np.random.default_rng(71)
+    model = random_mdp(rng, 4, 2)
+    fs = random_features(rng, model, 3)
+    with pytest.raises(ParameterError, match="state distribution"):
+        violations_exact_disc(model, fs, 0.9, np.array([np.nan, 0.5, 0.25, 0.25]),
+                              np.zeros(3))
+
+
 # --------------------------------------------------------------- projection
 
 def test_projection_ball_cases():

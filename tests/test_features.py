@@ -315,7 +315,7 @@ DESK_OPERATOR_SHA256 = {
     "drift_norms(0.9)": "852f3160c22a890ca47c888bbb0c8973cea817724e8a17dd721cbe842363f633",
     "pair_probs": "77de6e61c27565f1fbbee314a1aee4d50dc294e596fc775710ceaec71f2b6ce2",
     "state_probs": "196a5e541fa655b531dd82567b80b6b20df79dd85d3fbf80fef9b12970fa2c4b",
-    "visits": "eb0ff9272bdc50b5c72143c1b6d97d566d872d6197cbdadb08e98ee6ec589f6c",
+    "visits": "177f0b8df2a9f4bb509384671790ffc5b3ce83865d8c6bbc4bab42962cc41f21",
 }
 # kappa -> (uniform c_pair, uniform c_state, norm-proportional c_pair, c_state)
 DESK_COVERAGE = {1.0: (370.1173956561915, 65.16951024309391,

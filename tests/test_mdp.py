@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -302,7 +303,8 @@ def _sparse_linalg_loaded_after(call):
         "import sys\n"
         "import numpy as np\n"
         "import dualalp\n"
-        "from dualalp.mdp import MdpModel, Policy, stationary_distribution, value_function\n"
+        "from dualalp.mdp import (MdpModel, Policy, discounted_visits,\n"
+        "                         stationary_distribution, value_function)\n"
         "model = MdpModel.from_dense(np.array([[[0.9, 0.1]], [[0.2, 0.8]]]),\n"
         "                            np.array([[0.9], [0.0]]))\n"
         f"{call}\n"
@@ -322,6 +324,11 @@ def test_stationary_solve_leaves_sparse_linalg_unimported():
 
 def test_value_function_leaves_sparse_linalg_unimported():
     assert not _sparse_linalg_loaded_after("value_function(model, Policy(np.ones((2, 1))), 0.99)")
+
+
+def test_discounted_visits_leaves_sparse_linalg_unimported():
+    assert not _sparse_linalg_loaded_after(
+        "discounted_visits(model, Policy(np.ones((2, 1))), 0.99)")
 
 
 # -------------------------------------------------------------- average cost
@@ -405,29 +412,48 @@ def test_value_function_desk_lbfs_matches_sparse_direct_solve(desk_model):
     assert np.abs(value_function(desk_model, pi, gamma) - expected).max() <= 1e-10
 
 
-@pytest.mark.parametrize("start", ["nan", "breakdown", "worse than zero"])
-def test_value_function_dropped_start_falls_back_to_zero(monkeypatch, start):
+def _value_sweeps(model, pi, gamma, tol):
+    """(call, chain, rhs, norm, tol, lift) of the value function: the sweeps
+    on the chain reach the call's result in its sup norm."""
+    loss_pi = (pi.probs * model.loss.reshape(pi.probs.shape)).sum(axis=1)
+    return (lambda: value_function(model, pi, gamma, tol=tol), induced_chain(model, pi),
+            loss_pi, lambda v: np.abs(v).max(), tol, lambda v: v)
+
+
+def _visit_sweeps(model, pi, gamma, tol):
+    """The same for the discounted visits from the uniform alpha: sweeps on
+    the transposed chain in L1 to tol/2, lifted to pairs by the policy."""
+    alpha = np.full(model.num_states, 1.0 / model.num_states)
+    return (lambda: discounted_visits(model, pi, gamma, tol=tol),
+            induced_chain(model, pi).T.tocsr(), alpha, lambda v: np.abs(v).sum(), tol / 2,
+            lambda v: (v[:, None] * pi.probs).reshape(-1))
+
+
+@pytest.mark.parametrize("solve, start", [
+    pytest.param(solve, start, id=start if solve is _value_sweeps else f"visits-{start}")
+    for solve in (_value_sweeps, _visit_sweeps) for start in ("nan", "breakdown",
+                                                              "worse than zero")])
+def test_value_function_dropped_start_falls_back_to_zero(monkeypatch, solve, start):
     rng = np.random.default_rng(8)
     model = random_mdp(rng, 7, 2)
     pi = random_policy(rng, 7, 2)
     gamma, tol = 0.95, 1e-10
-    expected = value_function(model, pi, gamma, tol=tol)
+    call, chain, rhs, norm, sweep_tol, lift = solve(model, pi, gamma, tol)
+    expected = call()
     bad = {"nan": lambda n: np.full(n, np.nan), "breakdown": lambda n: None,
            "worse than zero": lambda n: np.full(n, 1e3)}[start]
     monkeypatch.setattr(mdp, "_bicgstab", lambda apply, rhs, done, max_iter: bad(rhs.size))
-    got = value_function(model, pi, gamma, tol=tol)
+    got = call()
     assert np.abs(got - expected).max() <= 2 * tol
     # the fallback is value iteration from 0 with the certified stop
-    loss_pi = (pi.probs * model.loss.reshape(7, 2)).sum(axis=1)
-    chain = induced_chain(model, pi)
     sweep = np.zeros(7)
     while True:
-        stepped = loss_pi + gamma * (chain @ sweep)
-        done = gamma / (1 - gamma) * np.abs(stepped - sweep).max() <= tol
+        stepped = rhs + gamma * (chain @ sweep)
+        done = gamma / (1 - gamma) * norm(stepped - sweep) <= sweep_tol
         sweep = stepped
         if done:
             break
-    assert got.tobytes() == sweep.tobytes()
+    assert got.tobytes() == lift(sweep).tobytes()
 
 
 def test_value_function_zero_policy_loss_is_exact_zero():
@@ -473,6 +499,58 @@ def test_discounted_visits_identities_and_dense_solve():
     b_t_nu = nu.reshape(4, 2).sum(axis=1)
     p_t_nu = dense_p.T @ nu
     assert np.abs(b_t_nu - gamma * p_t_nu - alpha).sum() < 1e-8
+
+
+@pytest.mark.parametrize("gamma, tol", [(0.5, 1e-10), (0.9, 1e-10), (0.99, 1e-10),
+                                        (0.999, 1e-8)])
+@pytest.mark.parametrize("initial", ["uniform", "dirichlet"])
+def test_discounted_visits_within_tol_of_dense_solve(gamma, tol, initial):
+    for seed in range(15):
+        rng = np.random.default_rng(500 + seed)
+        n, num_actions = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+        model = random_mdp(rng, n, num_actions, sharpness=[0.2, 1.0, 5.0][seed % 3])
+        pi = sparse_policy(rng, n, num_actions)
+        alpha = np.full(n, 1.0 / n) if initial == "uniform" else rng.dirichlet(np.ones(n))
+        chain = induced_chain(model, pi).toarray()
+        state_visits = np.linalg.solve(np.eye(n) - gamma * chain.T, alpha)
+        expected = (state_visits[:, None] * pi.probs).reshape(-1)
+        got = discounted_visits(model, pi, gamma, alpha, tol=tol)
+        assert np.abs(got - expected).sum() <= tol
+
+
+@pytest.mark.parametrize("heuristic", ["LBFS", "LONGER"])
+def test_discounted_visits_desk_matches_sparse_direct_solve(desk_model, heuristic):
+    # the uniform alpha is a left eigenvector of I - gamma P^T, on which
+    # BiCGSTAB from x = 0 overflows
+    from scipy.sparse.linalg import spsolve
+    pi = heuristic_policy(DESK_SPEC, heuristic)
+    gamma, n = 0.99, desk_model.num_states
+    system = (sp.identity(n) - gamma * induced_chain(desk_model, pi).T).tocsc()
+    expected = (spsolve(system, np.full(n, 1.0 / n))[:, None] * pi.probs).reshape(-1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = discounted_visits(desk_model, pi, gamma)
+    assert np.abs(got - expected).sum() <= 1e-10
+
+
+@pytest.mark.parametrize("alpha", [[np.nan, 0.5, 0.25, 0.25], [np.inf, 0.5, 0.25, 0.25],
+                                   [-0.5, 0.5, 0.5, 0.5], [0.5, 0.5, 0.25, 0.25]],
+                         ids=["nan", "inf", "negative", "sum"])
+def test_discounted_visits_rejects_bad_initial_distribution(alpha):
+    rng = np.random.default_rng(10)
+    model = random_mdp(rng, 4, 2)
+    with pytest.raises(ParameterError, match="state distribution"):
+        discounted_visits(model, random_policy(rng, 4, 2), 0.9, np.array(alpha))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (5, 2)], ids=["extra action", "extra state"])
+@pytest.mark.parametrize("call", [lambda model, pi: value_function(model, pi, 0.9),
+                                  lambda model, pi: discounted_visits(model, pi, 0.9)],
+                         ids=["value_function", "discounted_visits"])
+def test_discounted_evaluations_reject_policy_shape(call, shape):
+    model = random_mdp(np.random.default_rng(11), 4, 2)
+    with pytest.raises(InputShapeError, match="policy shape"):
+        call(model, Policy(np.full(shape, 1.0 / shape[1])))
 
 
 # ----------------------------------------------------------------- bellman
