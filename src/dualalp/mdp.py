@@ -280,10 +280,6 @@ def average_cost(model: MdpModel, pi: Policy, tol: float = 1e-10) -> float:
     return fixed_dot(mu_sa, model.loss)
 
 
-def _policy_loss(model: MdpModel, pi: Policy) -> np.ndarray:
-    return (pi.probs * model.loss.reshape(model.num_states, model.num_actions)).sum(axis=1)
-
-
 def _discounted_solve(chain: sp.csr_matrix, rhs: np.ndarray, gamma: float, tol: float,
                       norm) -> np.ndarray:
     """x* = (I - gamma chain)^-1 rhs to within ``tol`` in ``norm``, a norm in
@@ -291,19 +287,28 @@ def _discounted_solve(chain: sp.csr_matrix, rhs: np.ndarray, gamma: float, tol: 
 
     Starts from the first sweep x = rhs plus the :func:`_bicgstab` solution of
     (I - gamma chain) c = gamma chain rhs, stopped at a residual of norm
-    tol (1 - gamma) / gamma and capped at half the sweep cap below. From x = 0
-    the shadow residual would be rhs, and a uniform rhs is a left eigenvector
-    of I - gamma P^pi^T, so one step leaves it orthogonal to the residual and
-    BiCGSTAB diverges (to 1e40 on desk LBFS at gamma = 0.99). A start that
-    breaks down, is non-finite or has ||Tx - x|| above ||rhs||, that of x = 0,
-    is replaced by x = 0. Then sweeps x <- Tx = rhs + gamma chain x until
-    gamma / (1 - gamma) ||Tx - x|| <= tol, which certifies ||x* - Tx|| <= tol,
-    for at most ceil(log(tol (1 - gamma) / ||rhs||) / log gamma) sweeps, the
-    count that meets tol a priori from x = 0. Above 10,000 states the BLAS
-    dot products of BiCGSTAB make the last bits depend on the thread count."""
+    tol (1 - gamma) / gamma and capped at half the sweep cap. From x = 0 its
+    shadow residual would be rhs, a left eigenvector of I - gamma P^pi^T when
+    uniform, and it diverged (to 1e40 on desk LBFS at gamma = 0.99). A start
+    that breaks down, is non-finite or has ||Tx - x|| above ||rhs|| (that of
+    x = 0) is replaced by 0. Then sweeps x <- Tx = rhs + gamma chain x until
+    gamma / (1 - gamma) ||Tx - x|| <= tol certifies ||x* - Tx|| <= tol, at most
+    the a-priori sweep count from 0. That stop cannot see rounding: a sweep
+    rounds x, of norm up to ||rhs|| / (1 - gamma), by eps times that, and the
+    discount amplifies it by 1 / (1 - gamma). A tol below this floor,
+    eps ||rhs|| / (1 - gamma)^2 (2.2e-10 at gamma = 0.999 and ||rhs|| = 1), a
+    gamma outside (0, 1) or a tol that is not positive and finite raises
+    ParameterError. Above 10,000 states BiCGSTAB's BLAS dot products make the
+    last bits depend on the thread count."""
+    if not 0.0 < gamma < 1.0:
+        raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
+    _check_tol(tol)
     scale = norm(rhs) if rhs.size else 0.0
     if scale == 0.0:
         return np.zeros(rhs.size)
+    floor = np.finfo(float).eps * scale / (1.0 - gamma) ** 2
+    if tol < floor:
+        raise ParameterError(f"tol is below the rounding floor {floor:.3g} at gamma {gamma!r}")
     # x_0 = 0 gives ||x_k - x*|| <= gamma^k * ||rhs|| / (1 - gamma)
     sweeps = max(1, math.ceil(math.log(tol * (1.0 - gamma) / scale) / math.log(gamma)))
     stop = tol * (1.0 - gamma) / gamma
@@ -323,26 +328,20 @@ def _discounted_solve(chain: sp.csr_matrix, rhs: np.ndarray, gamma: float, tol: 
 
 def value_function(model: MdpModel, pi: Policy, gamma: float, tol: float = 1e-10) -> np.ndarray:
     """Discounted value J* = (I - gamma P^pi)^-1 loss_pi to within ``tol`` in
-    the sup norm, by :func:`_discounted_solve`. Raises ParameterError unless
-    gamma lies in (0, 1) and ``tol`` is positive and finite."""
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
-    _check_tol(tol)
+    the sup norm, by :func:`_discounted_solve`."""
     # the chain first: it raises InputShapeError for a policy of the wrong shape
-    return _discounted_solve(induced_chain(model, pi), _policy_loss(model, pi), gamma, tol,
-                             lambda v: np.abs(v).max())
+    chain = induced_chain(model, pi)
+    loss = (pi.probs * model.loss.reshape(model.num_states, model.num_actions)).sum(axis=1)
+    return _discounted_solve(chain, loss, gamma, tol, lambda v: np.abs(v).max())
 
 
 def discounted_visits(model: MdpModel, pi: Policy, gamma: float,
                       alpha: np.ndarray | None = None, tol: float = 1e-10) -> np.ndarray:
     """Discounted expected visit counts per state-action pair, nu(x, a) =
     d(x) pi(a|x) with (I - gamma P^pi^T) d = alpha (uniform by default), which
-    :func:`_discounted_solve` solves to within tol/2 in L1. The result sums to
-    1/(1-gamma) and satisfies (B - gamma P)^T nu = alpha up to ``tol``, which
-    must be positive and finite."""
-    if not 0.0 < gamma < 1.0:
-        raise ParameterError(f"gamma must lie in (0, 1), got {gamma!r}")
-    _check_tol(tol)
+    :func:`_discounted_solve` solves to within tol/2 in L1: nu sums to
+    1/(1-gamma) and has (B - gamma P)^T nu = alpha up to ``tol``, at least
+    twice the solve's rounding floor (4.4e-10 at gamma = 0.999, above the default)."""
     alpha = _check_state_distribution(model, alpha)
     state_visits = _discounted_solve(induced_chain(model, pi).T.tocsr(), alpha, gamma,
                                      tol / 2.0, lambda v: np.abs(v).sum())

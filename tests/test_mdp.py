@@ -386,6 +386,22 @@ def test_value_function_gamma_range():
         value_function(model, Policy(np.ones((1, 1))), gamma=1.0)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1.0, float("nan")])
+def test_discounted_visits_gamma_range(gamma):
+    with pytest.raises(ParameterError, match="gamma must lie in"):
+        discounted_visits(single_state_mdp(), Policy(np.ones((1, 1))), gamma)
+
+
+# the floor is eps ||rhs|| / (1 - gamma)^2: 2.2e-10 at 0.999 for a loss of 1
+# and for the uniform alpha, whose visits solve runs at tol / 2
+@pytest.mark.parametrize("call", [value_function, discounted_visits])
+def test_discounted_tol_below_rounding_floor_raises(call):
+    model, pi = single_state_mdp(loss_value=1.0), Policy(np.ones((1, 1)))
+    with pytest.raises(ParameterError, match="below the rounding floor"):
+        call(model, pi, 0.999, tol=1e-10)
+    assert abs(call(model, pi, 0.999, tol=1e-9).sum() - 1000.0) <= 1e-9
+
+
 # the sweeps round each value of up to 1/(1 - gamma) by about eps / (1 - gamma)
 # and the discount amplifies that by 1/(1 - gamma): about 2e-10 at 0.999
 @pytest.mark.parametrize("gamma, tol", [(0.5, 1e-10), (0.9, 1e-10), (0.99, 1e-10),
@@ -464,7 +480,8 @@ def test_value_function_zero_policy_loss_is_exact_zero():
     model = MdpModel.from_dense(rng.dirichlet(np.ones(5), size=(5, 2)), loss)
     probs = np.zeros((5, 2))
     probs[:, 1] = 1.0
-    v = value_function(model, Policy(probs), gamma=0.99)
+    # at 0.999 a policy loss above 0.45 would put the default tol below the rounding floor
+    v = value_function(model, Policy(probs), gamma=0.999)
     assert v.tobytes() == np.zeros(5).tobytes()
 
 
