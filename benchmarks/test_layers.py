@@ -6,7 +6,8 @@ minibatch and single-draw estimators, per call and per step of the
 block-presampled SGD estimators,
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
-20 pairs, and a 64-draw trace row over the 19,600 desk pairs), and of a
+20 pairs, and a 64-draw trace row over the 19,600 desk pairs, for the
+average-cost and for the discounted surrogate at gamma = 0.99), and of a
 two-point discounted meta run on the 4-state fixture, in one process and in
 forked workers, which shows what starting the worker pool costs a tiny grid,
 and of the paper preset (1,028,196 states): one heuristic policy table, and a
@@ -26,7 +27,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from dualalp import _sgd, avgcost, features, fixtures, mdp, queueing
+from dualalp import _sgd, avgcost, discounted, features, fixtures, mdp, queueing
 from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, Surrogate, make_buffered_grad,
                           make_minibatch_grad)
 from dualalp.discounted import meta_solve_disc, project_theta_disc
@@ -163,6 +164,18 @@ def test_estimate_violations_desk_trace_row(benchmark, desk):
     surrogate, sampler, theta = desk
     rng = np.random.default_rng(6)
     assert benchmark(avgcost.estimate_violations, surrogate.model, surrogate.fs, sampler,
+                     theta, 64, rng) >= 0.0
+
+
+def test_estimate_violations_desk_trace_row_disc(benchmark, desk):
+    """The same trace-row estimate for the discounted surrogate at gamma =
+    0.99 (the desk features carry no mu0), from the norm-proportional sampler
+    at that rate: 64 draws over the feasibility rows."""
+    surrogate, _, theta = desk
+    model, fs = surrogate.model, surrogate.fs
+    sampler = features.make_norm_proportional_sampling(model, fs, kappa=0.99)
+    rng = np.random.default_rng(6)
+    assert benchmark(discounted.estimate_violations_disc, model, fs, sampler, 0.99, None,
                      theta, 64, rng) >= 0.0
 
 

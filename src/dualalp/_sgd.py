@@ -3,15 +3,16 @@ dual-ALP solvers.
 
 Both penalized surrogates have the shape
 
-    cost(theta) = offset + loss_phi^T theta
-                  + penalty * (negative mass of occ_base + Phi theta)
+    cost(theta) = loss^T mu0 + loss_phi^T theta
+                  + penalty * (negative mass of mu0 + Phi theta)
                   + penalty * || S theta + res_base ||_1
 
-where the rows of the state operator S are the drift rows (P - B)^T Phi for
-average cost and the feasibility rows (B - gamma P)^T Phi for discounted cost.
-A :class:`Surrogate` holds what differs between the two; the exact oracles,
-the sampled estimators, the violation estimator, the SGD problem and the meta
-loop are written once against it.
+where mu0 is the feature space's baseline occupancy (zero for discounted
+cost) and the rows of the state operator S are the drift rows (P - B)^T Phi
+for average cost and the feasibility rows (B - gamma P)^T Phi for discounted
+cost. A :class:`Surrogate` holds what differs between the two; the exact
+oracles, the sampled estimators, the violation estimator, the SGD problem and
+the meta loop are written once against it.
 
 The loop is strictly sequential in the iterate; randomness is split into one
 stream for the gradient draws and one for the trace-time violation estimates,
@@ -116,55 +117,46 @@ def _guard_exact(model: MdpModel):
 class Surrogate:
     """What separates the average-cost and discounted surrogates.
 
-    ``occ_base`` is added inside the negativity term (one entry per pair),
     ``state_operator`` is the (X, d) state operator S in CSR form, the
-    feature space's memoized one-step operator, ``res_base`` is added inside
-    the residual (one entry per state) and ``offset`` is the constant part of
-    the linear objective.
+    feature space's memoized one-step operator, and ``res_base`` is added
+    inside the residual (one entry per state). The baseline occupancy and
+    its loss are the feature space's ``mu0`` and ``loss_mu0``.
     """
 
     model: MdpModel
     fs: FeatureSpace
-    occ_base: np.ndarray
     state_operator: csr_matrix
     res_base: np.ndarray
-    offset: float
 
     @classmethod
     def average_cost(cls, model: MdpModel, fs: FeatureSpace) -> Surrogate:
-        """Baseline occupancy mu0, drift rows at rate 1, no residual offset."""
-        return cls(model, fs, occ_base=fs.mu0,
-                   state_operator=fs._operator((1.0, -1.0)),
-                   res_base=np.zeros(model.num_states),
-                   offset=fs.loss_mu0)
+        """Drift rows at rate 1, no residual offset."""
+        return cls(model, fs, fs._operator((1.0, -1.0)), np.zeros(model.num_states))
 
     @classmethod
     def discounted(cls, model: MdpModel, fs: FeatureSpace, gamma: float,
                    alpha: np.ndarray | None) -> Surrogate:
-        """No baseline occupancy, feasibility rows at rate gamma, residual
-        offset -alpha (None means the uniform initial distribution)."""
+        """Feasibility rows at rate gamma, residual offset -alpha (None means
+        the uniform initial distribution). The discounted dual has no
+        baseline occupancy: a nonzero ``fs.mu0`` raises ParameterError."""
         alpha = _check_state_distribution(model, alpha)
-        return cls(model, fs, occ_base=np.zeros(model.num_pairs),
-                   state_operator=fs._operator((-gamma, 1.0)),
-                   res_base=-alpha, offset=0.0)
-
-    def occupancy(self, theta: np.ndarray) -> np.ndarray:
-        """occ_base + Phi theta over all pairs (dense, length X*A)."""
-        return self.occ_base + self.fs.phi @ theta
+        if fs.mu0.any():
+            raise ParameterError("the discounted surrogate takes no baseline occupancy mu0")
+        return cls(model, fs, fs._operator((-gamma, 1.0)), -alpha)
 
     def violations_exact(self, theta: np.ndarray) -> tuple[float, float]:
         _guard_exact(self.model)
-        neg_mass = float(np.abs(np.minimum(self.occupancy(theta), 0.0)).sum())
+        neg_mass = float(np.abs(np.minimum(self.fs.occupancy_vector(theta), 0.0)).sum())
         residual = float(np.abs(self.state_operator @ theta + self.res_base).sum())
         return neg_mass, residual
 
     def cost_exact(self, penalty: float, theta: np.ndarray) -> float:
         v_neg, v_res = self.violations_exact(theta)
-        return self.offset + float(self.fs.loss_phi @ theta) + penalty * (v_neg + v_res)
+        return self.fs.loss_mu0 + float(self.fs.loss_phi @ theta) + penalty * (v_neg + v_res)
 
     def exact_subgradient(self, penalty: float, theta: np.ndarray) -> np.ndarray:
         _guard_exact(self.model)
-        active = (self.occupancy(theta) < 0.0).astype(float)
+        active = (self.fs.occupancy_vector(theta) < 0.0).astype(float)
         signs = np.sign(self.state_operator @ theta + self.res_base)
         return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
                 + penalty * (signs @ self.state_operator))
@@ -197,7 +189,7 @@ class Surrogate:
         pair_idx, state_idx = np.atleast_1d(pair_idx), np.atleast_1d(state_idx)
         q_pair, rows = self.gather(sp, pair_idx)
         q_state, state_rows = self.gather(sp, state_idx, states=True)
-        return self.weighted_subgradient(penalty, theta, rows, self.occ_base[pair_idx],
+        return self.weighted_subgradient(penalty, theta, rows, self.fs.mu0[pair_idx],
                                          1.0 / q_pair, state_rows, self.res_base[state_idx],
                                          q_state)
 
@@ -206,7 +198,7 @@ class Surrogate:
                              state_rows: csr_matrix, res: np.ndarray,
                              q_state: np.ndarray) -> np.ndarray:
         """The theta-dependent part of a subgradient estimate over m gathered
-        draws: pair ``rows`` (CSR or ELL) with their occ_base and 1 / q_pair,
+        draws: pair ``rows`` (CSR or ELL) with their mu0 and 1 / q_pair,
         and CSR ``state_rows`` with their res_base and q_state.
         :meth:`subgradient_estimate` and :func:`make_minibatch_grad` both end
         here, so they round alike."""
@@ -218,11 +210,11 @@ class Surrogate:
 
     def violation_terms(self, sp: SamplingPair, theta: np.ndarray, pair_idx: np.ndarray,
                         state_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Importance-weighted violation terms: |min(occ_base + Phi theta, 0)| /
+        """Importance-weighted violation terms: |min(mu0 + Phi theta, 0)| /
         q_pair at each pair index and |S theta + res_base| / q_state at each
         state index. The two index arrays need not have the same length."""
         q_pair, rows = self.gather(sp, pair_idx)
-        neg = np.abs(np.minimum(self.occ_base[pair_idx] + rows @ theta, 0.0)) / q_pair
+        neg = np.abs(np.minimum(self.fs.mu0[pair_idx] + rows @ theta, 0.0)) / q_pair
         q_state, state_rows = self.gather(sp, state_idx, states=True)
         return neg, np.abs(state_rows @ theta + self.res_base[state_idx]) / q_state
 
@@ -313,7 +305,7 @@ def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
         q_state, state_rows = surrogate.gather(sp, states, states=True, dense=True)
         neg_grads = loss_phi - (penalty / q_pair)[:, None] * rows
         state_terms = (penalty / q_state)[:, None] * state_rows
-        occ = surrogate.occ_base[pairs].tolist()
+        occ = surrogate.fs.mu0[pairs].tolist()
         res = surrogate.res_base[states].tolist()
         pos = 0
 
@@ -344,7 +336,7 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     :meth:`SamplingPair.sample_steps`: the draws of k successive :func:`draw`
     calls. It computes what does not depend on theta, vectorised over the
     block: the sampling probabilities and their support check, 1 / q_pair,
-    occ_base and res_base at the draws, and the pair rows when Phi's rows are
+    mu0 and res_base at the draws, and the pair rows when Phi's rows are
     narrow (ELL). The state rows, and the pair rows of a wide Phi, are CSR
     row slices taken per step. A step then runs
     :meth:`Surrogate.weighted_subgradient`, as
@@ -370,7 +362,7 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
         q_state = sp.state_prob(states)
         importance_weight_guard(q_state)
         inv_q_pair = 1.0 / q_pair
-        occ = surrogate.occ_base[pairs]
+        occ = fs.mu0[pairs]
         res = surrogate.res_base[states]
         pair_rows = fs._row_steps(pairs)
         pos = 0
@@ -403,13 +395,13 @@ def resolve_learning_rate(learning_rate, radius: float, penalty: float,
 
 
 def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float,
-                      seed, minibatch: int = 1, lr_halving_period: int | None = None,
+                      seed, lr_halving_period: int | None = None,
                       trace_stride: int | None = None, eval_hook=None) -> RunTrace:
     """Run theta_{t+1} = project(theta_t - eta_t * mean-of-minibatch gradient)
     from theta_1 = 0 and return the trace of the running average.
 
-    ``problem.grad_batch(theta, rng)`` averages the ``minibatch`` draws per
-    step that it was built for; ``minibatch`` itself is only checked here.
+    ``problem.grad_batch(theta, rng)`` is one step's gradient estimate, over
+    the draws per step that it was built for.
     ``eval_hook(policy) -> float`` is called at recorded rows only, with the
     policy of the running average.
     Raises ConvergenceError, naming t, when the running average is non-finite
@@ -417,8 +409,6 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
     """
     if iterations < 1:
         raise ParameterError("iterations must be >= 1")
-    if minibatch < 1:
-        raise ParameterError("minibatch must be >= 1")
     check_halving_period(lr_halving_period)
     ss_grad, ss_trace = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(ss_grad)
@@ -477,15 +467,15 @@ def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
                                          cfg.iterations)
 
     def make_policy(theta):
-        return policy_from_occupancy(surrogate.occupancy(theta), surrogate.model.num_actions)
+        return policy_from_occupancy(fs.occupancy_vector(theta), surrogate.model.num_actions)
 
     problem = SgdProblem(loss_phi=fs.loss_phi,
-                         objective_offset=surrogate.offset, grad_batch=grad_batch,
+                         objective_offset=fs.loss_mu0, grad_batch=grad_batch,
                          project=project, violation_estimate=violation_estimate,
                          make_policy=make_policy)
     rate = resolve_learning_rate(cfg.learning_rate, cfg.radius, cfg.penalty,
                                  sp.c_pair, sp.c_state, fs.dim, cfg.iterations)
-    return run(problem, cfg.iterations, rate, cfg.seed, minibatch=cfg.minibatch,
+    return run(problem, cfg.iterations, rate, cfg.seed,
                lr_halving_period=cfg.lr_halving_period, trace_stride=cfg.trace_stride,
                eval_hook=eval_hook)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -59,6 +60,12 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite_list(value) -> bool:
+    """A list of numbers, none of them NaN or infinite (JSON reads both)."""
+    return isinstance(value, list) and all(_is_number(v) and -math.inf < v < math.inf
+                                           for v in value)
+
+
 def _rule(what: str, ok: Callable, numeric: bool = True) -> Callable:
     """A table row's check(name, value), which raises ConfigError unless
     ok(value) holds; a numeric rule first needs a number."""
@@ -83,8 +90,9 @@ _cap = _rule("null or a positive integer",
              lambda v: v is None or (type(v) is int and v >= 1), numeric=False)
 _flag = _rule("true or false", lambda v: type(v) is bool, numeric=False)
 _path = _rule("null or a file path", lambda v: v is None or isinstance(v, str), numeric=False)
-_distribution = _rule('"uniform", null or a list of numbers', lambda v: v in ("uniform", None)
-                      or (isinstance(v, list) and all(map(_is_number, v))), numeric=False)
+_distribution = _rule('"uniform", null or a list of finite numbers',
+                      lambda v: v in ("uniform", None) or _is_finite_list(v), numeric=False)
+_theta = _rule("a list of finite numbers", _is_finite_list, numeric=False)
 
 
 def _rate(name: str, value) -> None:
@@ -209,9 +217,16 @@ def _resolve_eval(config: dict) -> dict:
     return section
 
 
-def _check_simulated_problem(eval_cfg: dict, spec) -> None:
-    if eval_cfg["mode"] == "simulated" and spec is None:
+def _check_simulated(eval_cfg: dict, config: dict, discounted: bool = False) -> None:
+    """Simulated evaluation runs the queue simulator, so it needs a queue
+    problem and an average-cost run; checked before the model is built."""
+    if eval_cfg["mode"] != "simulated":
+        return
+    if "mdp_path" in _section(config, "problem"):
         raise ConfigError("simulated evaluation needs a queue problem")
+    if discounted:  # a trajectory's mean queue length is no discounted cost
+        raise ConfigError("simulated evaluation measures average cost; use eval.mode "
+                          "exact or none with a discounted solver")
 
 
 def _resolve_problem(config: dict):
@@ -258,9 +273,6 @@ def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
             return lambda policy: average_cost(model, policy)
         weights = _check_state_distribution(model, alpha)
         return lambda policy: fixed_dot(weights, value_function(model, policy, gamma))
-    if gamma is not None:  # a trajectory's mean queue length is no discounted cost
-        raise ConfigError("simulated evaluation measures average cost; use eval.mode "
-                          "exact or none with a discounted solver")
     return lambda policy: _simulated_cost(mode_cfg, spec, policy)[0]
 
 
@@ -377,8 +389,8 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
         # meta summaries do not echo the solver keys that only solve-* runs read
         resolved["solver"] = {key: value for key, value in solver.items() if key not in (
             "penalty", "iterations", "lr_halving_period", "trace_violation_samples")}
+    _check_simulated(eval_cfg, config, discounted=make_objective is _disc_objective)
     model, spec, resolved["problem"] = _resolve_problem(config)
-    _check_simulated_problem(eval_cfg, spec)
     fs = _build_features(features, model, spec, resolved["problem"])
     objective = make_objective(model, fs, solver)
     sampler = SAMPLING_SCHEMES[sampling["scheme"]](model, fs, objective.gamma or 1.0)
@@ -467,24 +479,40 @@ def run_bench_queue(config: dict, out_dir: Path, preset: str = "desk") -> dict:
     })
 
 
+def _resolve_policy(config: dict) -> dict:
+    """The policy section: exactly one of a known heuristic, on a queue
+    problem, and a theta of finite numbers (its length is checked once the
+    features exist)."""
+    policy_cfg = _section(config, "policy")
+    given = [key for key in ("heuristic", "theta") if key in policy_cfg]
+    if len(given) != 1:
+        raise ConfigError(f"config needs exactly one of policy.heuristic and policy.theta, "
+                          f"got {['policy.' + key for key in given]}")
+    key, = given
+    check = _one_of("LONGER", "LBFS") if key == "heuristic" else _theta
+    check(f"policy.{key}", policy_cfg[key])
+    if key == "heuristic" and "mdp_path" in _section(config, "problem"):
+        raise ConfigError("heuristic policies need a queue problem")
+    return policy_cfg
+
+
 def run_eval_policy(config: dict, out_dir: Path) -> dict:
     eval_cfg = _resolve_eval(config)
+    policy_cfg = _resolve_policy(config)
+    _check_simulated(eval_cfg, config)
     model, spec, problem_cfg = _resolve_problem(config)
-    _check_simulated_problem(eval_cfg, spec)
-    policy_cfg = _section(config, "policy")
     if "heuristic" in policy_cfg:
-        if spec is None:
-            raise ConfigError("heuristic policies need a queue problem")
         policy = queueing.heuristic_policy(spec, policy_cfg["heuristic"])
         label = policy_cfg["heuristic"]
-    elif "theta" in policy_cfg:
+    else:
         features = _resolve_section(config, "features", _FEATURES_DEFAULTS)
         fs = _build_features(features, model, spec, problem_cfg)
+        if len(policy_cfg["theta"]) != fs.dim:
+            raise ConfigError(f"policy.theta must have one entry per feature ({fs.dim}), "
+                              f"got {len(policy_cfg['theta'])}")
         theta = np.asarray(policy_cfg["theta"], dtype=float)
         policy = policy_from_occupancy(fs.occupancy_vector(theta), model.num_actions)
         label = "theta"
-    else:
-        raise ConfigError("config needs policy.heuristic or policy.theta")
     result: dict = {"policy": label}
     if eval_cfg["mode"] != "simulated":  # "none" evaluates exactly too
         result["average_loss"] = average_cost(model, policy)

@@ -26,7 +26,7 @@ from .avgcost import project_theta_avg
 from .errors import ParameterError
 from .features import FeatureSpace, SamplingPair
 from .grid import build_penalty_grid
-from .mdp import MdpModel, _check_state_distribution
+from .mdp import MdpModel
 from .trace import MetaResult, RunTrace
 
 
@@ -160,7 +160,7 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
         raise ParameterError("gamma must lie in (0, 1)")
     if not 0.0 < failure_prob < 1.0:
         raise ParameterError("failure_prob must lie in (0, 1)")
-    alpha = _check_state_distribution(model, alpha)
+    Surrogate.discounted(model, fs, gamma, alpha)  # alpha and mu0 fail before the grid runs
     scale = math.sqrt(fs.dim) * fs.column_norm_bound * radius
     if violation_bound is None:
         violation_bound = 4.0 * scale

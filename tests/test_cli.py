@@ -318,6 +318,84 @@ def test_eval_policy_checks_eval_section_before_model(tmp_path, monkeypatch, cap
     assert not (out / "summary.json").exists()
 
 
+# (policy section of an eval-policy run on mdp4.json, what its error names,
+# whether it fails before the model)
+BAD_POLICIES = [
+    ({}, "policy.heuristic", True),  # failed only after the model was built
+    ({"heuristic": "LBFS", "theta": [0.2, 0.3, 0.5]}, "policy.theta", True),  # dropped theta
+    ({"heuristic": "LBSF"}, "policy.heuristic", True),  # failed only after the model
+    ({"heuristic": ["LBFS"]}, "policy.heuristic", True),
+    ({"heuristic": "LBFS"}, "queue problem", True),  # failed only after the model
+    ({"theta": 0.5}, "policy.theta", True),  # a numpy traceback
+    ({"theta": [0.2, "x", 0.5]}, "policy.theta", True),  # a numpy traceback
+    ({"theta": [0.2, float("nan"), 0.5]}, "policy.theta", True),
+    ({"theta": [0.5, 0.5]}, "policy.theta", False),  # d = 3: a numpy traceback
+]
+
+
+@pytest.mark.parametrize("policy, key, before_model", BAD_POLICIES,
+                         ids=[repr(policy) for policy, _, _ in BAD_POLICIES])
+def test_eval_policy_checks_policy_section(tmp_path, monkeypatch, capsys, policy, key,
+                                           before_model):
+    if before_model:
+        monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    cfg = tmp_path / "eval.json"
+    cfg.write_text(json.dumps({"problem": {"mdp_path": str(DATA / "mdp4.json")},
+                               "features": {"path": str(DATA / "features3.json")},
+                               "policy": policy}))
+    out = tmp_path / "o"
+    assert main(["eval-policy", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and key in err
+    assert not out.exists()
+
+
+def _mu0_config(tmp_path, mode) -> Path:
+    """The mode's fixture config on features3.json with a uniform mu0 of 1/8
+    on the 8 pairs of mdp4.json."""
+    features = json.loads((DATA / "features3.json").read_text())
+    features["mu0"] = [0.125] * 8
+    (tmp_path / "features3-mu0.json").write_text(json.dumps(features))
+    cfg = _meta_config(tmp_path) if mode.startswith("meta") else base_config(tmp_path)
+    doc = json.loads(cfg.read_text())
+    doc["features"]["path"] = str(tmp_path / "features3-mu0.json")
+    cfg.write_text(json.dumps(doc))
+    return cfg
+
+
+@pytest.mark.parametrize("mode", ["solve-disc", "meta-disc", "solve-avg"])
+def test_discounted_runs_refuse_mu0(tmp_path, capsys, mode):
+    # solve-disc and meta-disc dropped mu0 and wrote the theta of the run without it
+    out = tmp_path / "o"
+    code = main([mode, "--config", str(_mu0_config(tmp_path, mode)), "--out", str(out)])
+    if mode == "solve-avg":
+        assert code == 0
+    else:
+        assert code == EXIT_CONFIG
+        assert ("error: the discounted surrogate takes no baseline occupancy mu0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+
+def test_eval_policy_of_solved_theta_reproduces_eval_cost(tmp_path):
+    """eval-policy maps the summary's theta to the policy the solver evaluated,
+    mu0 + Phi theta, so their exact costs agree bit for bit."""
+    cfg = _mu0_config(tmp_path, "solve-avg")
+    doc = json.loads(cfg.read_text())
+    doc["eval"] = {"mode": "exact"}
+    cfg.write_text(json.dumps(doc))
+    assert main(["solve-avg", "--config", str(cfg), "--out", str(tmp_path / "solve")]) == 0
+    solved = read_summary(tmp_path / "solve")["result"]
+    policy_cfg = tmp_path / "policy.json"
+    policy_cfg.write_text(json.dumps({"problem": doc["problem"], "features": doc["features"],
+                                      "policy": {"theta": solved["theta"]},
+                                      "eval": {"mode": "exact"}}))
+    assert main(["eval-policy", "--config", str(policy_cfg),
+                 "--out", str(tmp_path / "eval")]) == 0
+    evaluated = read_summary(tmp_path / "eval")["result"]["average_loss"]
+    assert evaluated == solved["final_eval_cost"] == 0.6833948707797046
+
+
 @pytest.mark.parametrize("mode", ["solve-avg", "meta-disc", "bench-queue"])
 def test_solver_and_bench_modes_check_eval_section_before_model(tmp_path, monkeypatch,
                                                                  capsys, mode):
@@ -369,7 +447,8 @@ def test_simulated_eval_cost_has_the_unit_of_exact(tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["solve-disc", "meta-disc"])
-def test_simulated_eval_rejected_for_discounted_runs(tmp_path, capsys, mode):
+def test_simulated_eval_rejected_for_discounted_runs(tmp_path, monkeypatch, capsys, mode):
+    monkeypatch.setattr(cli.queueing, "build_mdp", _no_model)
     out = tmp_path / "o"
     assert main([mode, "--config", str(_desk_solver_config(tmp_path, "simulated")),
                  "--out", str(out)]) == EXIT_CONFIG
@@ -584,6 +663,8 @@ BAD_VALUES = [
     ("solve-disc", "solver", "discount", 1.5),
     ("solve-disc", "solver", "initial_dist", "unifrom"),  # a traceback
     ("solve-disc", "solver", "initial_dist", [0.25, "0.25", 0.25, 0.25]),
+    ("solve-disc", "solver", "initial_dist", [float("nan"), 0.5, 0.25, 0.25]),
+    ("solve-disc", "solver", "initial_dist", [float("inf"), 0.5, 0.25, 0.25]),
     ("solve-disc", "solver", "enforce_sum_constraint", "false"),  # turned the constraint on
     ("solve-avg", "solver", "trace_violation_samples", 0.5),
     ("solve-avg", "sampling", "scheme", "norm"),

@@ -195,6 +195,49 @@ def test_violations_exact_disc_rejects_nan_initial_distribution():
                               np.zeros(3))
 
 
+def _disc_calls(model, fs, gamma, alpha):
+    """Every public discounted entry point that takes a feature space, each
+    as a call on (model, fs) at theta = 0."""
+    sample = make_uniform_sampling(model, fs, gamma)
+    theta, rng = np.zeros(fs.dim), np.random.default_rng(0)
+    cfg = DiscSolverConfig(discount=gamma, penalty=1.0, radius=1.5, iterations=5,
+                           initial_dist=alpha)
+    return {
+        "Surrogate.discounted": lambda: Surrogate.discounted(model, fs, gamma, alpha),
+        "violations_exact": lambda: violations_exact_disc(model, fs, gamma, alpha, theta),
+        "cost_exact": lambda: surrogate_cost_exact_disc(model, fs, 1.0, gamma, alpha, theta),
+        "exact_subgradient": lambda: exact_subgradient_disc(model, fs, 1.0, gamma, alpha,
+                                                            theta),
+        "subgradient_estimate": lambda: subgradient_estimate_disc(
+            model, fs, sample, 1.0, gamma, alpha, theta, rng),
+        "estimate_violations": lambda: estimate_violations_disc(
+            model, fs, sample, gamma, alpha, theta, 8, rng),
+        "sgd_solve": lambda: sgd_solve_disc(model, fs, sample, cfg),
+        "meta_solve": lambda: meta_solve_disc(
+            model, fs, sample, gamma=gamma, alpha=alpha, tolerance=0.5, failure_prob=0.1,
+            seed=0, radius=1.5, violation_bound=0.5, selection_weight=0.5,
+            max_iterations_per_point=5),
+    }
+
+
+@pytest.mark.parametrize("call", ["Surrogate.discounted", "violations_exact", "cost_exact",
+                                  "exact_subgradient", "subgradient_estimate",
+                                  "estimate_violations", "sgd_solve", "meta_solve"])
+def test_discounted_entry_points_refuse_mu0(call):
+    # the discounted dual has no baseline occupancy; every entry point dropped
+    # mu0 and returned the values of the features without it
+    rng = np.random.default_rng(72)
+    model = random_mdp(rng, 4, 2)
+    phi = random_features(rng, model, 3).phi
+    gamma, alpha = 0.9, np.full(4, 0.25)
+    with_mu0 = FeatureSpace(model, phi, mu0=np.full(model.num_pairs, 0.125))
+    with pytest.raises(ParameterError, match="no baseline occupancy"):
+        _disc_calls(model, with_mu0, gamma, alpha)[call]()
+    # an all-zero mu0 is no baseline
+    _disc_calls(model, FeatureSpace(model, phi, mu0=np.zeros(model.num_pairs)), gamma,
+                alpha)[call]()
+
+
 # --------------------------------------------------------------- projection
 
 def test_projection_ball_cases():

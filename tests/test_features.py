@@ -518,18 +518,19 @@ def _assert_narrow_matches_dense(model, fs, sample, seed):
     theta = rng.standard_normal(fs.dim) * 0.3
     pair_idx = sample.sample_pairs(rng, 500)
     state_idx = sample.sample_states(rng, 500)
+    # the discounted surrogate takes no mu0, so it gets the features without it
     for surrogate in (Surrogate.average_cost(model, fs),
-                      Surrogate.discounted(model, fs, 0.9, None)):
+                      Surrogate.discounted(model, FeatureSpace(model, fs.phi), 0.9, None)):
         def outputs():
             return (surrogate.subgradient_estimate(sample, 2.0, theta, pair_idx=pair_idx,
                                                    state_idx=state_idx),
                     surrogate.violation_summands(sample, theta, pair_idx, state_idx))
         narrow = outputs()
-        ell, fs._narrow = fs._narrow, None
+        ell, surrogate.fs._narrow = surrogate.fs._narrow, None
         try:
             dense = outputs()
         finally:
-            fs._narrow = ell
+            surrogate.fs._narrow = ell
         for a, b in zip(narrow, dense):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
 

@@ -50,7 +50,7 @@ def reference_buffered_grad(surrogate, sp, penalty, branches):
         pairs, states = draw(sp, rng, block)
         buf["q_pair"], buf["rows"] = surrogate.gather(sp, pairs, dense=True)
         buf["q_state"], buf["drift"] = surrogate.gather(sp, states, states=True, dense=True)
-        buf["occ0"], buf["res0"] = surrogate.occ_base[pairs], surrogate.res_base[states]
+        buf["occ0"], buf["res0"] = surrogate.fs.mu0[pairs], surrogate.res_base[states]
         buf["pos"] = 0
 
     def grad(theta, rng):
@@ -85,7 +85,7 @@ def reference_subgradient(surrogate, sp, penalty, theta, rng, m):
     of one :func:`draw`."""
     pair_idx, state_idx = draw(sp, rng, m)
     q_pair, rows = surrogate.gather(sp, pair_idx)
-    w_neg = np.where(surrogate.occ_base[pair_idx] + rows @ theta < 0.0, 1.0 / q_pair, 0.0)
+    w_neg = np.where(surrogate.fs.mu0[pair_idx] + rows @ theta < 0.0, 1.0 / q_pair, 0.0)
     q_state, state_rows = surrogate.gather(sp, state_idx, states=True)
     w_res = np.sign(state_rows @ theta + surrogate.res_base[state_idx]) / q_state
     return (surrogate.fs.loss_phi - (penalty / m) * (w_neg @ rows)
@@ -117,12 +117,14 @@ def _dirichlet_instance():
 
 
 def _surrogates(model, fs):
-    """(name, surrogate, sampler): both objectives, each with another sampler."""
+    """(name, surrogate, sampler): both objectives, each with another sampler.
+    The discounted surrogate takes no mu0, so it gets the features without it."""
     gamma = 0.85
+    disc_fs = FeatureSpace(model, fs.phi)
     return [("average cost", Surrogate.average_cost(model, fs),
              make_uniform_sampling(model, fs, 1.0)),
-            ("discounted", Surrogate.discounted(model, fs, gamma, None),
-             make_norm_proportional_sampling(model, fs, gamma))]
+            ("discounted", Surrogate.discounted(model, disc_fs, gamma, None),
+             make_norm_proportional_sampling(model, disc_fs, gamma))]
 
 
 @pytest.mark.parametrize("instance", [_fixture_instance, _dirichlet_instance],
@@ -142,9 +144,9 @@ def test_buffered_grad_matches_per_step_reference(instance):
             theta = np.zeros(fs.dim) if call % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
             g, expected = grad(theta, rng), reference(theta, rng_ref)
             assert same_bits(g, expected), (name, call)
-            assert g.base is None and not np.shares_memory(g, fs.loss_phi)
+            assert g.base is None and not np.shares_memory(g, surrogate.fs.loss_phi)
             g *= -3.0  # the caller owns the gradient
-            np.testing.assert_array_equal(fs.loss_phi, loss_phi)
+            np.testing.assert_array_equal(surrogate.fs.loss_phi, loss_phi)
         assert rng.random() == rng_ref.random()  # the same draws were taken
     assert set(branches) == {"negativity", "no negativity", "residual > 0",
                              "residual < 0", "residual = 0"}
@@ -201,9 +203,9 @@ def test_minibatch_grad_matches_subgradient_estimate(instance, m):
             assert same_bits(g, expected), (name, t)
             written = reference_subgradient(surrogate, sampler, penalty, theta, rng_written, m)
             assert same_bits(expected, written), (name, t)
-            assert g.base is None and not np.shares_memory(g, fs.loss_phi)
+            assert g.base is None and not np.shares_memory(g, surrogate.fs.loss_phi)
             g *= -3.0  # the caller owns the gradient
-            np.testing.assert_array_equal(fs.loss_phi, loss_phi)
+            np.testing.assert_array_equal(surrogate.fs.loss_phi, loss_phi)
         # the last refill drew only the steps left, as many as the reference took
         assert rng.bit_generator.state == rng_ref.bit_generator.state, name
 
