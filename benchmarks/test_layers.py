@@ -10,9 +10,10 @@ of the violation estimator at two extremes (a meta point's 534,552 draws over
 average-cost and for the discounted surrogate at gamma = 0.99), and of a
 two-point discounted meta run on the 4-state fixture, in one process and in
 forked workers, which shows what starting the worker pool costs a tiny grid,
-and of the paper preset (1,028,196 states): one heuristic policy table, and a
-simulated evaluation of 3 replications of 20000 steps, in one process and in
-forked workers.
+and of the paper preset (1,028,196 states): one heuristic policy table, the
+row check of a prebuilt table, the policy of a signed occupancy over its
+4,112,784 pairs, and a simulated evaluation of 3 replications of 20000 steps,
+in one process and in forked workers.
 
 Run from the repository root with
 
@@ -255,6 +256,22 @@ def test_heuristic_policy_paper(benchmark, kind):
 @pytest.fixture(scope="module")
 def paper_lbfs():
     return queueing.heuristic_policy(queueing.PAPER_SPEC, "LBFS")
+
+
+def test_policy_check_paper(benchmark, paper_lbfs):
+    """The row check alone on the prebuilt LBFS paper table: row sums, their
+    distance from 1 and the sign test, in one blocked pass."""
+    policy = benchmark(mdp.Policy, paper_lbfs.probs)
+    assert policy.probs is paper_lbfs.probs
+
+
+def test_policy_from_occupancy_paper(benchmark):
+    """The policy of a signed occupancy over the 4,112,784 paper pairs: clip,
+    row totals, normalisation with the uniform fallback, and the row check."""
+    spec = queueing.PAPER_SPEC
+    occupancy = np.random.default_rng(0).standard_normal(spec.num_states * queueing.NUM_ACTIONS)
+    policy = benchmark(mdp.policy_from_occupancy, occupancy, queueing.NUM_ACTIONS)
+    assert policy.probs.shape == (spec.num_states, queueing.NUM_ACTIONS)
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["sequential", "pooled"])

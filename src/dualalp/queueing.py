@@ -209,26 +209,37 @@ def step(spec: QueueNetSpec, lengths, action: int,
 
 def heuristic_policy(spec: QueueNetSpec, kind: str) -> Policy:
     """LONGER serves the longer eligible queue (ties split 0.5/0.5); LBFS gives
-    the downstream queue priority unless it is empty."""
+    the downstream queue priority unless it is empty.
+
+    Each server's first-choice probability is 1, 0.5 or 0, so a row is one of
+    nine row types, the products p_i * p_j of every pair of those values. The
+    table is gathered from them in one contiguous pass over the state code
+    ``3 * k1 + k2``, with k1 and k2 the servers' indices into (1, 0.5, 0)."""
     # one axis per queue, in the C order (x3, x2, x1, x0) of the flat index
     shape = tuple(b + 1 for b in reversed(spec.buffers))
     x3, x2, x1, x0 = np.ix_(*map(np.arange, shape))
     if kind == "LONGER":
         # server 1 compares queues 0 and 3, server 2 compares queues 1 and 2
-        p1_first = np.where(x0 > x3, 1.0, np.where(x0 < x3, 0.0, 0.5))
-        p2_first = np.where(x1 > x2, 1.0, np.where(x1 < x2, 0.0, 0.5))
+        k1 = 1 + np.sign(x3 - x0)
+        k2 = 1 + np.sign(x2 - x1)
     elif kind == "LBFS":
         # downstream queues are 3 (for server 1) and 1 (for server 2)
-        p1_first = np.where(x3 == 0, 1.0, 0.0)
-        p2_first = np.where(x1 == 0, 0.0, 1.0)
+        k1 = 2 * (x3 != 0)
+        k2 = 2 * (x1 == 0)
     else:
         raise ParameterError(f"unknown heuristic {kind!r}")
-    probs = np.empty(shape + (NUM_ACTIONS,))
+    first = np.array([1.0, 0.5, 0.0])
+    p1_first, p2_first = first[:, None], first[None, :]
+    row_types = np.empty((3, 3, NUM_ACTIONS))
     for action in range(NUM_ACTIONS):
         i, j = action // 2, action % 2
         p_i = p1_first if i == 0 else 1.0 - p1_first
         p_j = p2_first if j == 0 else 1.0 - p2_first
-        np.multiply(p_i, p_j, out=probs[..., action])
+        np.multiply(p_i, p_j, out=row_types[..., action])
+    # out= broadcasts to every state the LBFS codes, which read two queues only
+    code = np.empty(shape, dtype=np.intp)
+    np.add(3 * k1, k2, out=code)
+    probs = row_types.reshape(9, NUM_ACTIONS).take(code, axis=0)
     return Policy(probs.reshape(spec.num_states, NUM_ACTIONS))
 
 

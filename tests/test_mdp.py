@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from dualalp import mdp
 from dualalp.errors import (CapacityError, ConvergenceError, InputShapeError,
                             ParameterError)
-from dualalp.mdp import (MdpModel, Policy, average_cost, bellman_average,
-                         bellman_discounted, contraction_diagnostic,
+from dualalp.mdp import (PROB_ATOL, MdpModel, Policy, average_cost,
+                         bellman_average, bellman_discounted, contraction_diagnostic,
                          discounted_visits, induced_chain, policy_from_occupancy,
                          solve_optimal, stationary_distribution,
                          stationary_state_action, value_function)
@@ -69,6 +69,61 @@ def test_policy_rejects_non_finite_probabilities(bad_row):
         Policy(probs)
     with pytest.raises(ParameterError):
         Policy(np.full((3, 4), np.nan))
+
+
+def test_policy_without_actions_or_states():
+    """A state with no action has no distribution; a table with no state is
+    vacuously row-stochastic."""
+    with pytest.raises(ParameterError):
+        Policy(np.zeros((3, 0)))
+    assert Policy(np.zeros((0, 4))).probs.shape == (0, 4)
+
+
+# 40,000 rows: the off row is the last one, past the first row blocks of the check
+CHECK_ROWS = 40_000
+
+
+@pytest.mark.parametrize("num_actions", [1, 2, 4, 9])
+@pytest.mark.parametrize("off, accepted", [(0.5, True), (-0.5, True), (2.0, False),
+                                           (-2.0, False)])
+def test_policy_row_sum_tolerance(num_actions, off, accepted):
+    probs = np.full((CHECK_ROWS, num_actions), 1.0 / num_actions)
+    probs[-1] = (1.0 + off * PROB_ATOL) / num_actions
+    if accepted:
+        Policy(probs)
+    else:
+        with pytest.raises(ParameterError):
+            Policy(probs)
+
+
+@pytest.mark.parametrize("bad_row", [[np.nan, 0.5, 0.25, 0.25], [np.inf, 0.0, 0.0, 0.0],
+                                     [-np.inf, 0.0, 0.0, 1.0], [-0.5, 0.5, 0.5, 0.5]],
+                         ids=["nan", "inf", "minus-inf", "negative-entry"])
+def test_policy_rejects_bad_last_row(bad_row):
+    probs = np.full((CHECK_ROWS, 4), 0.25)
+    probs[-1] = bad_row
+    with pytest.raises(ParameterError):
+        Policy(probs)
+
+
+@pytest.mark.parametrize("num_actions", range(1, 8))
+def test_policy_verdicts_match_numpy_row_sums(num_actions):
+    """For A <= 7 the check's column-order sums have the bits of numpy's row
+    sums, so rows scaled to within a few tolerances of 1 get the verdicts of
+    ``|probs.sum(axis=1) - 1| <= PROB_ATOL``."""
+    rng = np.random.default_rng(num_actions)
+    rows = rng.random((400, num_actions))
+    rows /= rows.sum(axis=1, keepdims=True)
+    rows *= 1.0 + rng.uniform(-2.0, 2.0, size=(400, 1)) * PROB_ATOL
+    want = np.abs(rows.sum(axis=1) - 1.0) <= PROB_ATOL
+    assert 0 < want.sum() < len(rows)
+    for row, ok in zip(rows, want):
+        try:
+            Policy(row[None, :])
+            got = True
+        except ParameterError:
+            got = False
+        assert got == ok
 
 
 # ---------------------------------------------------- policy_from_occupancy

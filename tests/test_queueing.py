@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing.pool
 import os
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -510,6 +511,26 @@ def test_heuristic_table_matches_decoded_states(spec, kind):
     want = reference_heuristic_policy(spec, kind)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["LONGER", "LBFS"])
+def test_paper_table_and_row_check_allocate_little_beside_the_table(kind):
+    """The table is gathered without an (X, A) temporary and checked without
+    a state-length one: the traced peak of building it, and of checking it
+    again, stays within the table plus 1.5 state-length float arrays (the
+    broadcast-and-row-sum build peaked at the table plus 3.0 of them)."""
+    tracemalloc.start()
+    try:
+        policy = heuristic_policy(PAPER_SPEC, kind)
+        _, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        Policy(policy.probs)
+        _, check_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = policy.probs.nbytes + 1.5 * 8 * PAPER_SPEC.num_states
+    assert build_peak <= bound
+    assert check_peak <= bound
 
 
 @pytest.mark.parametrize("spec", [DESK_SPEC, SATURATING_SPEC], ids=["desk", "saturating"])
