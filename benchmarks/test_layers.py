@@ -3,7 +3,8 @@ d = 170) of the feature and sampler builds, of the exact evaluation layer (the
 LBFS induced chain, and its discounted value function and discounted visits
 at gamma = 0.9 and 0.99), of the exact subgradient and of the
 minibatch and single-draw estimators, per call and per step of the
-block-presampled SGD estimators,
+block-presampled SGD estimators (the minibatch step also for the discounted
+surrogate at gamma = 0.99 and m = 100),
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
 20 pairs, and a 64-draw trace row over the 19,600 desk pairs, for the
@@ -142,6 +143,25 @@ def test_minibatch_block_step(benchmark, desk):
     surrogate, sampler, theta = desk
     steps = MINIBATCH_BLOCK // DRAWS
     grad = make_minibatch_grad(surrogate, sampler, 2.0, DRAWS, 10**6)
+    rng = np.random.default_rng(3)
+    for _ in range(steps):  # the first block outside the timing
+        grad(theta, rng)
+    assert benchmark.pedantic(grad, args=(theta, rng), rounds=100,
+                              iterations=steps).shape == theta.shape
+
+
+def test_minibatch_block_step_disc(benchmark, desk):
+    """One m = 100 step of the discounted minibatch estimator at gamma = 0.99
+    (desk feasibility rows, the features without mu0), with the block refill
+    amortized over its MINIBATCH_BLOCK // 100 steps."""
+    surrogate, _, theta = desk
+    model = surrogate.model
+    fs = features.FeatureSpace(model, surrogate.fs.phi)
+    sampler = features.make_norm_proportional_sampling(model, fs, kappa=0.99)
+    m = 100
+    steps = MINIBATCH_BLOCK // m
+    grad = make_minibatch_grad(Surrogate.discounted(model, fs, 0.99, None), sampler, 2.0, m,
+                               10**6)
     rng = np.random.default_rng(3)
     for _ in range(steps):  # the first block outside the timing
         grad(theta, rng)

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import CapacityError, ConvergenceError, ParameterError
-from .features import FeatureSpace, SamplingPair, importance_weight_guard
+from .features import FeatureSpace, SamplingPair, _csr_steps, importance_weight_guard
 from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution, fixed_dot,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
@@ -195,11 +195,12 @@ class Surrogate:
 
     def weighted_subgradient(self, penalty: float, theta: np.ndarray, rows,
                              occ: np.ndarray, inv_q_pair: np.ndarray,
-                             state_rows: csr_matrix, res: np.ndarray,
+                             state_rows, res: np.ndarray,
                              q_state: np.ndarray) -> np.ndarray:
         """The theta-dependent part of a subgradient estimate over m gathered
         draws: pair ``rows`` (CSR or ELL) with their mu0 and 1 / q_pair,
-        and CSR ``state_rows`` with their res_base and q_state.
+        and CSR ``state_rows`` (a scipy slice or the minibatch estimator's
+        kernel views) with their res_base and q_state.
         :meth:`subgradient_estimate` and :func:`make_minibatch_grad` both end
         here, so they round alike."""
         w_neg = np.where(occ + rows @ theta < 0.0, inv_q_pair, 0.0)
@@ -336,9 +337,11 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     :meth:`SamplingPair.sample_steps`: the draws of k successive :func:`draw`
     calls. It computes what does not depend on theta, vectorised over the
     block: the sampling probabilities and their support check, 1 / q_pair,
-    mu0 and res_base at the draws, and the pair rows when Phi's rows are
-    narrow (ELL). The state rows, and the pair rows of a wide Phi, are CSR
-    row slices taken per step. A step then runs
+    mu0 and res_base at the draws, and the rows. The pair rows are ELL
+    views when Phi's rows are narrow, and the state rows and the pair rows of
+    a wide Phi are CSR views of one bounds-checked row slice per side
+    (:func:`dualalp.features._csr_steps`), whose products call scipy's CSR
+    kernels directly. A step then runs
     :meth:`Surrogate.weighted_subgradient`, as
     :meth:`Surrogate.subgradient_estimate` does, so on the same draws the two
     give the same bits. A draw of probability zero raises
@@ -350,10 +353,10 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     steps = max(1, MINIBATCH_BLOCK // m)
     left = iterations
     pos = count = 0
-    pairs = states = inv_q_pair = q_state = occ = res = pair_rows = None
+    inv_q_pair = q_state = occ = res = pair_rows = state_rows = None
 
     def refill(rng):
-        nonlocal left, pos, count, pairs, states, inv_q_pair, q_state, occ, res, pair_rows
+        nonlocal left, pos, count, inv_q_pair, q_state, occ, res, pair_rows, state_rows
         count = min(steps, max(left, 1))
         left -= count
         pairs, states = sp.sample_steps(rng, count, m)
@@ -365,6 +368,7 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
         occ = fs.mu0[pairs]
         res = surrogate.res_base[states]
         pair_rows = fs._row_steps(pairs)
+        state_rows = _csr_steps(surrogate.state_operator, states)
         pos = 0
 
     def grad(theta, rng):
@@ -373,10 +377,8 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
             refill(rng)
         i = pos
         pos = i + 1
-        rows = fs._row_block(pairs[i]) if pair_rows is None else pair_rows[i]
-        return surrogate.weighted_subgradient(penalty, theta, rows, occ[i], inv_q_pair[i],
-                                              surrogate.state_operator[states[i]], res[i],
-                                              q_state[i])
+        return surrogate.weighted_subgradient(penalty, theta, pair_rows[i], occ[i],
+                                              inv_q_pair[i], state_rows[i], res[i], q_state[i])
 
     return grad
 

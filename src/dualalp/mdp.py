@@ -148,6 +148,8 @@ def policy_from_occupancy(u: np.ndarray, num_actions: int) -> Policy:
 
     Negative entries are clipped to zero before row-normalizing; a row whose
     positive part vanishes entirely falls back to the uniform distribution.
+    The rows are normalized in place in the clipped copy, so the call holds
+    one (X, A) table.
     """
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size % num_actions != 0:
@@ -155,11 +157,9 @@ def policy_from_occupancy(u: np.ndarray, num_actions: int) -> Policy:
                               f"of num_actions={num_actions}, got shape {u.shape}")
     pos = np.maximum(u.reshape(-1, num_actions), 0.0)
     totals = pos.sum(axis=1, keepdims=True)
-    empty = (totals <= 0.0).ravel()
-    probs = np.empty_like(pos)
-    np.divide(pos, totals, out=probs, where=totals > 0)
-    probs[empty] = 1.0 / num_actions
-    return Policy(probs)
+    np.divide(pos, totals, out=pos, where=totals > 0)
+    pos[(totals <= 0.0).ravel()] = 1.0 / num_actions
+    return Policy(pos)
 
 
 def induced_chain(model: MdpModel, pi: Policy) -> sp.csr_matrix:

@@ -386,6 +386,69 @@ def test_csr_gather_branch_gives_identical_sgd_runs():
     assert (_sha256(avg.theta), _sha256(disc.theta)) == SINGLE_DRAW_THETA_SHA256
 
 
+# ------------------------------------------------------- CSR rows per refill
+
+def _assert_steps_match_public(matrix, idx, seed):
+    """Each step of ``_csr_steps(matrix, idx)`` gives the bits of scipy's
+    public ``matrix[idx[i]] @ theta`` and ``weights @ matrix[idx[i]]``."""
+    rng = np.random.default_rng(seed)
+    steps = features._csr_steps(matrix, idx)
+    assert len(steps) == len(idx)
+    for i, rows in enumerate(steps):
+        public = matrix[idx[i]]
+        theta = rng.standard_normal(matrix.shape[1])
+        weights = rng.standard_normal(idx.shape[1])
+        for got, expected in ((rows @ theta, public @ theta), (weights @ rows, weights @ public)):
+            assert got.dtype == expected.dtype and got.shape == expected.shape, i
+            assert got.tobytes() == expected.tobytes(), i
+
+
+def test_csr_steps_match_public_products(desk_space):
+    model, fs = desk_space
+    rng = np.random.default_rng(45)
+    # the desk drift rows of one m = 1000 refill
+    states = rng.integers(0, model.num_states, size=(16, 1000))
+    _assert_steps_match_public(fs._operator((1.0, -1.0)), states, 46)
+    # random feasibility rows at gamma = 0.9, at m = 25 and at m = 1
+    model = random_mdp(rng, 40, 3)
+    feasibility = random_features(rng, model, 12, density=0.3)._operator((-0.9, 1.0))
+    _assert_steps_match_public(feasibility, rng.integers(0, 40, size=(7, 25)), 47)
+    _assert_steps_match_public(feasibility, rng.integers(0, 40, size=(9, 1)), 48)
+    # the kernels convert a strided or integer vector as the public products do
+    idx = rng.integers(0, 40, size=(2, 25))
+    rows, public = features._csr_steps(feasibility, idx)[1], feasibility[idx[1]]
+    strided = rng.standard_normal(24)[::2]
+    assert (rows @ strided).tobytes() == (public @ strided).tobytes()
+    assert (np.arange(25) @ rows).tobytes() == (np.arange(25) @ public).tobytes()
+
+
+def test_csr_steps_empty_and_short_rows():
+    # rows 0 and 2 are empty, and no row reaches the last column
+    matrix = sp.csr_matrix(np.array([[0.0, 0.0, 0.0, 0.0], [1.5, 0.0, -2.0, 0.0],
+                                     [0.0, 0.0, 0.0, 0.0], [0.0, 3.0, 0.5, 0.0],
+                                     [0.25, 0.0, 0.0, 0.0]]))
+    # the block's first, middle and last rows are empty, and so is all of step 1
+    idx = np.array([[0, 1, 3], [2, 0, 2], [4, 3, 0]])
+    _assert_steps_match_public(matrix, idx, 49)
+    rows = features._csr_steps(matrix, idx)
+    np.testing.assert_array_equal(rows[1] @ np.ones(4), np.zeros(3))
+    weighted = np.ones(3) @ rows[0]
+    assert weighted.shape == (4,)
+    np.testing.assert_array_equal(weighted, [1.5, 3.0, -1.5, 0.0])
+
+
+def test_csr_rows_reject_vectors_of_the_wrong_shape():
+    # the compiled kernels check no bounds, so a short vector would be read past its end
+    matrix = sp.csr_matrix(np.arange(12.0).reshape(3, 4))
+    rows = features._csr_steps(matrix, np.array([[0, 2, 1]]))[0]
+    for theta in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(InputShapeError, match="theta"):
+            rows @ theta
+    for weights in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+        with pytest.raises(InputShapeError, match="weights"):
+            weights @ rows
+
+
 # ------------------------------------------------------ guide-table sampler
 
 class _FixedUniforms:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -152,6 +153,45 @@ def test_policy_from_occupancy_rows_always_valid(row):
     pi = policy_from_occupancy(np.asarray(row), len(row))
     assert pi.probs.min() >= 0
     assert abs(pi.probs.sum() - 1.0) < 1e-12
+
+
+def _policy_table_two_tables(u, num_actions):
+    """The policy table as it was formed with a second (X, A) table for the
+    quotients, for the bit comparison."""
+    pos = np.maximum(u.reshape(-1, num_actions), 0.0)
+    totals = pos.sum(axis=1, keepdims=True)
+    probs = np.empty_like(pos)
+    np.divide(pos, totals, out=probs, where=totals > 0)
+    probs[(totals <= 0.0).ravel()] = 1.0 / num_actions
+    return probs
+
+
+@pytest.mark.parametrize("num_actions", [1, 2, 4, 9])
+def test_policy_from_occupancy_in_place_keeps_bits(num_actions):
+    rng = np.random.default_rng(52)
+    u = rng.standard_normal(300 * num_actions)
+    u[:5 * num_actions] = -np.abs(u[:5 * num_actions])  # rows with no positive part
+    u[-num_actions:] = 0.0
+    u[7] = -0.0
+    kept = u.copy()
+    probs = policy_from_occupancy(u, num_actions).probs
+    assert probs.tobytes() == _policy_table_two_tables(u, num_actions).tobytes()
+    assert u.tobytes() == kept.tobytes()  # the caller's vector is left as it was
+
+
+def test_policy_from_occupancy_allocates_one_table():
+    """The quotients go into the clipped copy: the traced peak stays within
+    1.5 tables (200k x 4; with a second table for the quotients it was 2.3)."""
+    num_actions = 4
+    u = np.random.default_rng(53).standard_normal(200_000 * num_actions)
+    tracemalloc.start()
+    try:
+        policy = policy_from_occupancy(u, num_actions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert policy.probs.shape == (200_000, num_actions)
+    assert peak <= 1.5 * 8 * u.size
 
 
 # ----------------------------------------------------------- induced chain

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dualalp import _sgd
 from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, SgdProblem, Surrogate, draw,
                           make_buffered_grad, make_minibatch_grad, run_projected_sgd)
 from dualalp.avgcost import AvgSolverConfig, estimate_violations, sgd_solve_avg
@@ -180,15 +181,36 @@ def test_sample_steps_matches_successive_draws(m):
         assert rng.bit_generator.state == rng_ref.bit_generator.state, name
 
 
-@pytest.mark.parametrize("m", [16, 1000])
-@pytest.mark.parametrize("instance", [lambda: narrow_random_space(np.random.default_rng(8)),
-                                      _dirichlet_instance], ids=["narrow-ell", "wide-dense"])
+def _desk_discounted():
+    """The desk preset's discounted surrogate at gamma = 0.99 (narrow Phi, so
+    ELL pair rows, and CSR feasibility rows) with its norm-proportional
+    sampler."""
+    model = build_mdp(DESK_SPEC)
+    fs = FeatureSpace(model, build_features(DESK_SPEC, model=model)[0].phi)
+    return [("desk discounted", Surrogate.discounted(model, fs, 0.99, None),
+             make_norm_proportional_sampling(model, fs, 0.99))]
+
+
+def _narrow_ell():
+    return _surrogates(*narrow_random_space(np.random.default_rng(8)))
+
+
+def _wide_csr():
+    return _surrogates(*_dirichlet_instance())
+
+
+@pytest.mark.parametrize("instance, m", [
+    pytest.param(_narrow_ell, 16, id="narrow-ell-16"),
+    pytest.param(_narrow_ell, 1000, id="narrow-ell-1000"),
+    pytest.param(_wide_csr, 16, id="wide-dense-16"),
+    pytest.param(_wide_csr, 1000, id="wide-dense-1000"),
+    pytest.param(_desk_discounted, 100, id="desk-disc-100")])
 def test_minibatch_grad_matches_subgradient_estimate(instance, m):
-    model, fs = instance()
-    loss_phi = fs.loss_phi.copy()
     steps = max(1, MINIBATCH_BLOCK // m)
     iterations = 2 * steps + 3  # two full refills and a third cut short by the run's end
-    for name, surrogate, sampler in _surrogates(model, fs):
+    for name, surrogate, sampler in instance():
+        fs = surrogate.fs
+        loss_phi = fs.loss_phi.copy()
         penalty = 1.7
         grad = make_minibatch_grad(surrogate, sampler, penalty, m, iterations)
         rng, rng_ref, rng_written = (np.random.default_rng(5) for _ in range(3))
@@ -226,7 +248,12 @@ def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
         drawn[side][-1, -1] = 2  # the sampler never draws it, so plant it
         return drawn["pairs"], drawn["states"]
 
+    def no_gather(*args):
+        pytest.fail("rows were gathered for a zero-probability draw")
+
     monkeypatch.setattr(SamplingPair, "sample_steps", last_draw_unsupported)
+    monkeypatch.setattr(FeatureSpace, "_row_steps", no_gather)
+    monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
     grad = make_minibatch_grad(Surrogate.average_cost(model, fs), sampler, 2.0, 4, 10)
     # the draw is the last of the block, and the first step already raises
     with pytest.raises(SamplingSupportError):
