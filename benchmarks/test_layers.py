@@ -13,8 +13,9 @@ two-point discounted meta run on the 4-state fixture, in one process and in
 forked workers, which shows what starting the worker pool costs a tiny grid,
 and of the paper preset (1,028,196 states): one heuristic policy table, the
 row check of a prebuilt table, the policy of a signed occupancy over its
-4,112,784 pairs, and a simulated evaluation of 3 replications of 20000 steps,
-in one process and in forked workers.
+4,112,784 pairs, a simulated evaluation of 3 replications of 20000 steps,
+in one process and in forked workers, and one LBFS trajectory of 100,000
+steps in this process, the simulator's loop without the pool.
 
 Run from the repository root with
 
@@ -22,6 +23,11 @@ Run from the repository root with
 
 The directory is outside the test paths of ``pyproject.toml``, so the tier-1
 suite does not collect it. pytest-benchmark reports the time per call.
+
+To compare two commits, run this file from the root of each one's checkout.
+``pyproject.toml`` sets ``pythonpath = ["src"]``, which pytest puts ahead of
+``PYTHONPATH``, so ``PYTHONPATH=<other checkout>/src`` run from this tree
+still measures this tree's source.
 """
 from pathlib import Path
 
@@ -303,3 +309,13 @@ def test_simulated_eval_paper(benchmark, monkeypatch, paper_lbfs, cpus):
     mean, std = benchmark(queueing.evaluate_policy_simulated, queueing.PAPER_SPEC, paper_lbfs,
                           20000, 2000, 3, seed=0)
     assert np.isfinite(mean) and std > 0.0
+
+
+def test_trajectory_paper(benchmark, paper_lbfs):
+    """One LBFS trajectory of 100,000 steps from the empty paper network, in
+    this process and without the pool, so the time per call in seconds times 10
+    is the loop's microseconds per simulated step."""
+    spec = queueing.PAPER_SPEC
+    visited = benchmark(lambda: queueing._visited_pairs(spec, paper_lbfs, 10**5, 0,
+                                                        np.random.default_rng(0)))
+    assert len(visited) == 10**5

@@ -84,6 +84,11 @@ PAPER_COMPONENT_INTERVALS = ((0, 10), (11, 20), (21, 25))
 DESK_COMPONENT_INTERVALS = ((0, 3), (4, 6), (7, 9))
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; bools do not count."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def served_queues(action: int) -> tuple[int, int]:
     """Queue indices attended by (server 1, server 2) under a joint action."""
     if not 0 <= action < NUM_ACTIONS:
@@ -92,19 +97,25 @@ def served_queues(action: int) -> tuple[int, int]:
 
 
 def encode_state(spec: QueueNetSpec, lengths) -> int:
-    """Mixed-radix flat index of four queue lengths (queue 0 least significant)."""
+    """Mixed-radix flat index of four queue lengths (queue 0 least significant).
+    Each length is a Python or numpy integer; a bool or a float is refused."""
+    if len(lengths) != 4:
+        raise InputShapeError(f"four queue lengths required, got {len(lengths)}")
     idx = 0
     for k in (3, 2, 1, 0):
-        length = int(lengths[k])
-        if not 0 <= length <= spec.buffers[k]:
-            raise InputShapeError(f"queue {k} length {length} outside [0, {spec.buffers[k]}]")
-        idx = idx * (spec.buffers[k] + 1) + length
+        length = lengths[k]
+        if not _is_integer(length) or not 0 <= length <= spec.buffers[k]:
+            raise InputShapeError(f"queue {k} length {length!r} is not an integer "
+                                  f"in [0, {spec.buffers[k]}]")
+        idx = idx * (spec.buffers[k] + 1) + int(length)
     return idx
 
 
 def decode_state(spec: QueueNetSpec, idx: int) -> tuple[int, int, int, int]:
-    if not 0 <= idx < spec.num_states:
-        raise InputShapeError(f"state index {idx} out of range")
+    """The four queue lengths of a flat state index, a Python or numpy integer."""
+    if not _is_integer(idx) or not 0 <= idx < spec.num_states:
+        raise InputShapeError(f"state index {idx!r} is not an integer "
+                              f"in [0, {spec.num_states})")
     return tuple(int(v) for v in _decode_array(spec, [idx])[0])
 
 
@@ -244,7 +255,7 @@ def heuristic_policy(spec: QueueNetSpec, kind: str) -> Policy:
 
 
 def _check_integer(name: str, value) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    if not _is_integer(value):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
@@ -264,58 +275,76 @@ def _visited_pairs(spec: QueueNetSpec, policy: Policy, steps: int, burn_in: int,
     """Pair indices x*A + a visited after ``burn_in`` on one ``steps``-step trajectory
     from the empty network: the simulator's one trajectory loop. Per step, one uniform
     picks the action from the policy row, then four drive the transition of
-    :func:`step`, which this loop inlines on the queue lengths and the flat index."""
+    :func:`step`, which this loop inlines on the queue lengths and the flat index.
+
+    The four transition uniforms of a block of steps are compared with the
+    probabilities in one numpy pass, by the strict ``<`` of :func:`step`, into an
+    event code per step: bit 0 an arrival at queue 0, bit 1 one at queue 2, bits 2
+    and 3 a departure drawn for queue 0 or 3 (server 1), bits 4 and 5 one for queue
+    1 or 2 (server 2). A step whose code is 0 leaves the state as it is under
+    every action, so it only picks and records its action (about half the steps
+    of the presets). The policy rows are read through a memoryview of the
+    pair-indexed table, which follows its strides whatever its layout."""
     _check_trajectory(spec, policy, steps, burn_in)
     # uniforms come in bounded blocks of rows of five, the order of rng.random()
     # then rng.random(4) per step
     block = 4096
-    item = policy.probs.item
+    probs = memoryview(policy.flat())
     arrive0, arrive2 = spec.arrival_probs
     serve0, serve1, serve2, serve3 = spec.service_probs
+    # the transition column each event bit reads, and its probability
+    columns = [1, 2, 3, 3, 4, 4]
+    thresholds = np.array([arrive0, arrive2, serve0, serve3, serve1, serve2])
     cap0, cap1, cap2, cap3 = spec.buffers
-    stride1 = cap0 + 1
+    # row = x*A, the pair index of the state's first action, from the queue lengths
+    stride0 = NUM_ACTIONS
+    stride1 = stride0 * (cap0 + 1)
     stride2 = stride1 * (cap1 + 1)
     stride3 = stride2 * (cap2 + 1)
     visited = np.empty(steps, dtype=np.int64)
-    x0 = x1 = x2 = x3 = idx = 0
+    x0 = x1 = x2 = x3 = row = 0
     for start in range(0, steps, block):
+        draws = rng.random((min(block, steps - start), 5))
+        codes = np.packbits(draws[:, columns] < thresholds, axis=1, bitorder="little")
         pairs = []
         append = pairs.append
-        for u, arr0, arr2, dep1, dep2 in rng.random((min(block, steps - start), 5)).tolist():
+        for u, event in zip(draws[:, 0].tolist(), codes[:, 0].tolist()):
             # the additions of np.cumsum over the row; a uniform at or above the
             # row's sum picks the last action
-            c = item(idx, 0)
+            c = probs[row]
             a = u >= c
-            c += item(idx, 1)
+            c += probs[row + 1]
             a += u >= c
-            c += item(idx, 2)
+            c += probs[row + 2]
             a += u >= c
-            append(idx * NUM_ACTIONS + a)
+            append(row + a)
+            if not event:
+                continue
             # DEPARTURE_EFFECTS: 0 -> 1, 2 -> 3, and 1 and 3 leave; a departure
             # needs a job in the served queue before the step, so no length
             # falls below 0 and only the top is clamped
             n0, n1, n2, n3 = x0, x1, x2, x3
-            if arr0 < arrive0:
+            if event & 1:
                 n0 += 1
-            if arr2 < arrive2:
+            if event & 2:
                 n2 += 1
             if a < 2:  # server 1 serves queue 0
-                if dep1 < serve0 and x0:
+                if event & 4 and x0:
                     n0 -= 1
                     n1 += 1
-            elif dep1 < serve3 and x3:
+            elif event & 8 and x3:
                 n3 -= 1
             if not a & 1:  # server 2 serves queue 1
-                if dep2 < serve1 and x1:
+                if event & 16 and x1:
                     n1 -= 1
-            elif dep2 < serve2 and x2:
+            elif event & 32 and x2:
                 n2 -= 1
                 n3 += 1
             x0 = n0 if n0 < cap0 else cap0
             x1 = n1 if n1 < cap1 else cap1
             x2 = n2 if n2 < cap2 else cap2
             x3 = n3 if n3 < cap3 else cap3
-            idx = x0 + stride1 * x1 + stride2 * x2 + stride3 * x3
+            row = stride0 * x0 + stride1 * x1 + stride2 * x2 + stride3 * x3
         visited[start:start + len(pairs)] = pairs
     return visited[burn_in:]
 
@@ -403,8 +432,8 @@ def evaluate_policy_simulated(spec: QueueNetSpec, policy: Policy, horizon: int,
     workers inherit the policy table and send back one per-rep mean each, and
     the reductions run over them in replication order, so the result does not
     depend on the number of workers. On a 2-vCPU host with the paper tables
-    loaded, starting and stopping the pool cost 13-19 ms, against about 1.8 us per
-    simulated step: the pool pays from about 9k steps per replication.
+    loaded, starting and stopping the pool cost 20-50 ms, against 0.5-1.1 us per
+    simulated step: the pool pays from about 40k steps per replication.
     """
     _check_integer("reps", reps)
     if reps < 1:

@@ -44,6 +44,33 @@ def test_encode_decode_roundtrip():
         decode_state(spec, spec.num_states)
 
 
+@pytest.mark.parametrize("lengths", [(1.7, 0, 0, 0), (1.0, 0, 0, 0), (True, 0, 0, 0),
+                                     (0, 0, 0, np.float64(2.0)), (0, np.bool_(True), 0, 0),
+                                     (1, 0, 0), (1, 0, 0, 0, 0)],
+                         ids=["float", "whole-float", "bool", "numpy-float", "numpy-bool",
+                              "three", "five"])
+def test_encode_state_refuses_lengths_that_are_not_four_integers(lengths):
+    # a float or a bool used to be truncated by int() into a valid index
+    with pytest.raises(InputShapeError):
+        encode_state(DESK_SPEC, lengths)
+
+
+@pytest.mark.parametrize("idx", [3.5, 3.0, True, np.float64(3.0), np.bool_(True)],
+                         ids=["float", "whole-float", "bool", "numpy-float", "numpy-bool"])
+def test_decode_state_refuses_non_integer_index(idx):
+    with pytest.raises(InputShapeError):
+        decode_state(DESK_SPEC, idx)
+
+
+def test_encode_decode_accept_numpy_integers():
+    lengths = (np.int64(3), np.uint8(1), np.int32(0), 2)
+    idx = encode_state(DESK_SPEC, lengths)
+    assert idx == encode_state(DESK_SPEC, (3, 1, 0, 2)) == encode_state(DESK_SPEC,
+                                                                        np.array(lengths))
+    assert type(idx) is int
+    assert decode_state(DESK_SPEC, np.int64(idx)) == decode_state(DESK_SPEC, idx) == (3, 1, 0, 2)
+
+
 def test_served_queues_mapping():
     # exactly one queue per server: server 1 in {0, 3}, server 2 in {1, 2}
     seen = set()
@@ -606,11 +633,43 @@ def edge_policy(spec):
     return Policy(rows[np.arange(spec.num_states) % len(rows)])
 
 
+def laid_out(probs, layout):
+    """The same table in a layout other than C order: a Fortran copy, views
+    that skip rows or columns of a larger array, or an interleaved view whose
+    flat reshape is a strided 1-D view rather than a copy."""
+    rows, cols = probs.shape
+    if layout == "fortran":
+        return np.asfortranarray(probs)
+    if layout == "skip-rows":
+        out = np.zeros((2 * rows, cols))
+        out[::2] = probs
+        return out[::2]
+    if layout == "skip-cols":
+        out = np.zeros((rows, 2 * cols))
+        out[:, 1::2] = probs
+        return out[:, 1::2]
+    out = np.zeros((rows, cols, 2))
+    out[:, :, 0] = probs
+    view = out[:, :, 0]
+    assert np.shares_memory(view.reshape(-1), out)
+    return view
+
+
+LAYOUTS = ["fortran", "skip-rows", "skip-cols", "interleaved"]
+
+
 @pytest.mark.parametrize("spec", [DESK_SPEC, SATURATING_SPEC], ids=["desk", "saturating"])
-@pytest.mark.parametrize("kind", ["LONGER", "LBFS", "dirichlet"])
+@pytest.mark.parametrize("kind", ["LONGER", "LBFS", "dirichlet"] + LAYOUTS)
 def test_kernel_matches_step_loop(spec, kind):
-    policy = (dirichlet_policy(spec, 17) if kind == "dirichlet"
-              else heuristic_policy(spec, kind))
+    # a layout kind holds the Dirichlet table outside C order: the flat view
+    # must follow its strides, never index it as if it were contiguous
+    if kind in ("LONGER", "LBFS"):
+        policy = heuristic_policy(spec, kind)
+    else:
+        policy = dirichlet_policy(spec, 17)
+    if kind in LAYOUTS:
+        policy = Policy(laid_out(policy.probs, kind))
+        assert not policy.probs.flags.c_contiguous
     got = _visited_pairs(spec, policy, 3000, 100, np.random.default_rng(23))
     want = reference_visited_pairs(spec, policy, 3000, 100, np.random.default_rng(23))
     assert np.array_equal(got, want)
@@ -630,6 +689,55 @@ def test_kernel_matches_step_loop_on_row_edges(spec):
     assert np.array_equal(got, want)
     # the short row gives action 3 no mass, so only the clamp picks it there
     assert np.any((got // NUM_ACTIONS % 5 == 4) & (got % NUM_ACTIONS == 3))
+
+
+def transition_ties(spec, steps, seed):
+    """Uniforms whose transition draws sit, on every other step, exactly on an
+    arrival or service probability of ``spec`` that their column is compared
+    with, or one ulp below it (toward 0), picked at random per step and column."""
+    rng = np.random.default_rng(seed)
+    values = rng.random((steps, 5))
+    arrive0, arrive2 = spec.arrival_probs
+    serve0, serve1, serve2, serve3 = spec.service_probs
+    for column, probs in ((1, [arrive0]), (2, [arrive2]), (3, [serve0, serve3]),
+                          (4, [serve1, serve2])):
+        ties = [v for p in probs for v in (p, np.nextafter(p, 0.0))]
+        values[::2, column] = rng.choice(ties, len(values[::2]))
+    return values.ravel()
+
+
+@pytest.mark.parametrize("spec", [DESK_SPEC, SATURATING_SPEC, UNEVEN_SPEC],
+                         ids=["desk", "saturating", "uneven"])
+def test_kernel_matches_step_loop_on_transition_ties(spec):
+    # the event code compares in numpy what step compares in Python; both use
+    # a strict "<", so a uniform equal to a probability triggers nothing and
+    # one an ulp below triggers its event
+    steps = 3000
+    values = transition_ties(spec, steps, 41)
+    policy = dirichlet_policy(spec, 43)
+    got = _visited_pairs(spec, policy, steps, 0, ScriptedUniforms(values))
+    want = reference_visited_pairs(spec, policy, steps, 0, ScriptedUniforms(values))
+    assert np.array_equal(got, want)
+    assert len(np.unique(got // NUM_ACTIONS)) > 1
+
+
+@pytest.mark.parametrize("spec", [DESK_SPEC, SATURATING_SPEC, UNEVEN_SPEC],
+                         ids=["desk", "saturating", "uneven"])
+def test_kernel_never_leaves_the_empty_state_without_events(spec):
+    # transition uniforms at or above every probability: no arrival and no
+    # departure, so every step stays in the empty state
+    steps = 2000
+    top = max(spec.arrival_probs + spec.service_probs)
+    values = np.random.default_rng(47).random((steps, 5))
+    values[:, 1:] = top + (1.0 - top) * values[:, 1:]
+    values[::3, 1:] = top
+    values = values.ravel()
+    policy = dirichlet_policy(spec, 53)
+    got = _visited_pairs(spec, policy, steps, 0, ScriptedUniforms(values))
+    want = reference_visited_pairs(spec, policy, steps, 0, ScriptedUniforms(values))
+    assert np.array_equal(got, want)
+    assert np.all(got // NUM_ACTIONS == 0)
+    assert len(np.unique(got % NUM_ACTIONS)) == NUM_ACTIONS
 
 
 def test_kernel_matches_step_loop_across_draw_blocks():
