@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import CapacityError, ConvergenceError, ParameterError
+from .errors import CapacityError, ConvergenceError, InputShapeError, ParameterError
 from .features import FeatureSpace, SamplingPair, _csr_steps, importance_weight_guard
 from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution, fixed_dot,
                   policy_from_occupancy)
@@ -163,30 +163,34 @@ class Surrogate:
 
     def gather(self, sp: SamplingPair, idx: np.ndarray, states: bool = False,
                dense: bool = False):
-        """Sampling probabilities and rows at the draws ``idx``: (q_pair,
-        feature rows) at pair draws, or with ``states`` (q_state, state rows).
-        State rows are a CSR row slice of S, and feature rows an ELL block
-        when Phi's rows are narrow (see :mod:`dualalp.features`), else a CSR
-        row slice; with ``dense`` both are dense blocks. Every kind supports
-        ``rows @ theta`` and ``weights @ rows``. Raises SamplingSupportError on
-        a draw of probability zero, before any row is gathered."""
+        """Sampling probabilities and rows at the 1-D draws ``idx``: (q_pair,
+        rows of Phi), or with ``states`` (q_state, rows of S). The rows are a
+        one-step CSR view (:func:`dualalp.features._csr_steps`), or with
+        ``dense`` a dense block; both support ``rows @ theta`` and
+        ``weights @ rows``. Raises SamplingSupportError on a draw of
+        probability zero, before any row is gathered."""
         q = (sp.state_prob if states else sp.pair_prob)(idx)
         importance_weight_guard(q)
-        if states:
-            return q, self.state_operator[idx].toarray() if dense else self.state_operator[idx]
-        return q, self.fs.rows(idx) if dense else self.fs._row_block(idx)
+        if dense:
+            return q, self.state_operator[idx].toarray() if states else self.fs.rows(idx)
+        return q, _csr_steps(self.state_operator if states else self.fs.phi, idx[None])[0]
 
     def subgradient_estimate(self, sp: SamplingPair, penalty: float, theta: np.ndarray,
                              rng: np.random.Generator | None = None,
                              pair_idx=None, state_idx=None) -> np.ndarray:
         """Importance-weighted subgradient estimate on one pair and one state
-        drawn from the rng, or averaged over the given indices (both or
-        neither)."""
+        drawn from the rng, or averaged over the given draws (both or
+        neither): nonempty 1-D index arrays of one length, the i-th pair and
+        state forming the i-th draw, else InputShapeError."""
         if pair_idx is None and state_idx is None and rng is not None:
             pair_idx, state_idx = draw(sp, rng, 1)
         elif pair_idx is None or state_idx is None:
             raise ParameterError("either an rng or both pair_idx and state_idx are required")
         pair_idx, state_idx = np.atleast_1d(pair_idx), np.atleast_1d(state_idx)
+        _check_draws(pair_idx, state_idx)
+        if len(pair_idx) != len(state_idx):
+            raise InputShapeError(f"pair_idx and state_idx must have one length, got "
+                                  f"{len(pair_idx)} and {len(state_idx)}")
         q_pair, rows = self.gather(sp, pair_idx)
         q_state, state_rows = self.gather(sp, state_idx, states=True)
         return self.weighted_subgradient(penalty, theta, rows, self.fs.mu0[pair_idx],
@@ -198,11 +202,9 @@ class Surrogate:
                              state_rows, res: np.ndarray,
                              q_state: np.ndarray) -> np.ndarray:
         """The theta-dependent part of a subgradient estimate over m gathered
-        draws: pair ``rows`` (CSR or ELL) with their mu0 and 1 / q_pair,
-        and CSR ``state_rows`` (a scipy slice or the minibatch estimator's
-        kernel views) with their res_base and q_state.
-        :meth:`subgradient_estimate` and :func:`make_minibatch_grad` both end
-        here, so they round alike."""
+        draws: pair ``rows`` with their mu0 and 1 / q_pair, and ``state_rows``
+        with their res_base and q_state. Every sampled estimate ends here, so
+        on the same draws they round alike."""
         w_neg = np.where(occ + rows @ theta < 0.0, inv_q_pair, 0.0)
         w_res = np.sign(state_rows @ theta + res) / q_state
         m = len(occ)
@@ -213,7 +215,9 @@ class Surrogate:
                         state_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Importance-weighted violation terms: |min(mu0 + Phi theta, 0)| /
         q_pair at each pair index and |S theta + res_base| / q_state at each
-        state index. The two index arrays need not have the same length."""
+        state index. The two index arrays are nonempty and 1-D, else
+        InputShapeError, and need not have the same length."""
+        _check_draws(pair_idx, state_idx)
         q_pair, rows = self.gather(sp, pair_idx)
         neg = np.abs(np.minimum(self.fs.mu0[pair_idx] + rows @ theta, 0.0)) / q_pair
         q_state, state_rows = self.gather(sp, state_idx, states=True)
@@ -259,6 +263,15 @@ class SgdProblem:
     project: Callable[[np.ndarray], np.ndarray]
     violation_estimate: Callable[[np.ndarray, np.random.Generator], float]
     make_policy: Callable[[np.ndarray], Policy]
+
+
+def _check_draws(*idx_arrays: np.ndarray) -> None:
+    """Explicit draws are nonempty 1-D index arrays: a row gather would fail on
+    an empty one with a bare error, and read a 2-D one as another shape."""
+    for idx in idx_arrays:
+        if np.ndim(idx) != 1 or len(idx) == 0:
+            raise InputShapeError(f"draw indices must be a nonempty 1-D array, "
+                                  f"got shape {np.shape(idx)}")
 
 
 def distinct_counts(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -337,17 +350,13 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     :meth:`SamplingPair.sample_steps`: the draws of k successive :func:`draw`
     calls. It computes what does not depend on theta, vectorised over the
     block: the sampling probabilities and their support check, 1 / q_pair,
-    mu0 and res_base at the draws, and the rows. The pair rows are ELL
-    views when Phi's rows are narrow, and the state rows and the pair rows of
-    a wide Phi are CSR views of one bounds-checked row slice per side
-    (:func:`dualalp.features._csr_steps`), whose products call scipy's CSR
-    kernels directly. A step then runs
+    mu0 and res_base at the draws, and the rows, as CSR views of one row
+    slice per side (:func:`dualalp.features._csr_steps`). A step then runs
     :meth:`Surrogate.weighted_subgradient`, as
     :meth:`Surrogate.subgradient_estimate` does, so on the same draws the two
     give the same bits. A draw of probability zero raises
-    SamplingSupportError at the refill that draws it, as in
-    :func:`make_buffered_grad`, before the steps that precede it in its block.
-    Every gradient is a fresh array.
+    SamplingSupportError at the refill that draws it, before the steps that
+    precede it in its block. Every gradient is a fresh array.
     """
     fs = surrogate.fs
     steps = max(1, MINIBATCH_BLOCK // m)
@@ -367,7 +376,7 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
         inv_q_pair = 1.0 / q_pair
         occ = fs.mu0[pairs]
         res = surrogate.res_base[states]
-        pair_rows = fs._row_steps(pairs)
+        pair_rows = _csr_steps(fs.phi, pairs)
         state_rows = _csr_steps(surrogate.state_operator, states)
         pos = 0
 

@@ -7,29 +7,27 @@ A feature matrix has one row per state-action pair (x-major flattening, as in
 at state x' under rate kappa is the d-vector (P - kappa*B)^T_{:,x'} Phi, i.e.
 the one-step inflow minus kappa times the action-marginal at x'.
 
-Every one-step operator is cached in CSR form only, and the estimators take
-its rows as CSR row slices. They take Phi's rows in one of two forms: when
-they are narrow, that is when 8 times the largest number of nonzeros in a row
-is at most d, a padded fixed-width (ELL) copy of Phi, built once, whose row
-blocks compute inner products and weighted row sums over their nonzeros only;
-otherwise CSR row slices of Phi. The rule sits below the measured crossover:
-at 1000 draws, ELL rows stopped paying against dense rows at about d/7
-nonzeros per row for d = 64 and at about d/4 for d = 512. The public row
-accessors return dense blocks.
-
-The minibatch SGD estimator takes the CSR rows of all the steps of a refill
-in one public, bounds-checked slice, and each step's rows are views of that
-block (:func:`_csr_steps`). A step's two products call the compiled kernels
-that scipy's ``csr @ vector`` and ``vector @ csr`` end in,
-``csr_matvec`` and ``csc_matvec`` from the private
-``scipy.sparse._sparsetools``, on the same arrays in the same order, so they
-give the public products' bits without scipy's per-call index checks and
-constructors. At desk scale (d = 170, about 15 nonzeros per state row, on a
-2-vCPU host) the state side of a step, its rows and both products, went from
-about 170-210 to about 90 µs at m = 1000 and from about 105 to 12-15 µs at
-m = 100.
+Phi and every one-step operator are kept in CSR form only, and every
+estimator reads its sampled rows of either as CSR views of one public,
+bounds-checked row slice (:func:`_csr_steps`): the minibatch SGD estimator
+slices the rows of all the steps of a refill at once, and every other sampled
+gather is a one-step view. A view's two products call the compiled kernels
+that scipy's ``csr @ vector`` and ``vector @ csr`` end in, ``csr_matvec`` and
+``csc_matvec`` from the private ``scipy.sparse._sparsetools``, on the same
+arrays in the same order, so they give the public products' bits without
+scipy's per-call index checks and constructors.
 ``test_csr_steps_match_public_products`` pins the bits to scipy's public
-products.
+products. The public row accessors return dense blocks.
+
+No padded fixed-width (ELL) copy of Phi's rows is kept: at the paper preset
+(4,112,784 rows of width 4) it would take about 263 MB, and it is no faster.
+Full minibatch step on the desk features (d = 170, ELL width 4), µs, median
+[q1, q3] over 10 alternating in-process pairs, 2-vCPU host, one BLAS thread:
+
+    case                            ELL                   CSR views             CSR faster
+    average cost, m = 1000          306.1 [298.4, 310.4]  295.7 [293.4, 297.5]  7 of 10
+    discounted gamma 0.99, m = 100   63.3 [61.1, 64.3]     65.9 [61.9, 70.1]    4 of 10
+    average cost, m = 10             36.3 [34.8, 36.5]     33.9 [33.1, 35.2]    9 of 10
 
 Samplers draw an index as ``searchsorted(cum, u, side="right")`` for a uniform
 u in [0, 1) and the cumulative table ``cum`` of the probabilities, through the
@@ -100,28 +98,12 @@ class FeatureSpace:
         self.loss_mu0 = fixed_dot(model.loss, mu0)
         self.column_norm_bound = float(np.asarray(abs(phi).sum(axis=0)).max()) if phi.nnz else 0.0
         self._operators: dict = {}  # coefficient pair -> CSR one-step operator
-        self._narrow = _narrow_rows(phi)  # ELL copy of Phi, None unless its rows are narrow
 
     # -- row access ---------------------------------------------------------
 
     def rows(self, pair_idx: np.ndarray) -> np.ndarray:
         """(n, d) dense block of feature rows for the given pair indices."""
         return self.phi[pair_idx].toarray()
-
-    def _row_block(self, pair_idx: np.ndarray):
-        """Feature rows for the given pair indices as the minibatch estimators
-        use them: an ELL block when Phi's rows are narrow, else a CSR row
-        slice. Either supports ``rows @ theta`` and ``weights @ rows``."""
-        return self.phi[pair_idx] if self._narrow is None else self._narrow[pair_idx]
-
-    def _row_steps(self, pair_idx: np.ndarray) -> list[_EllRows] | list[_CsrRows]:
-        """The feature rows of each row of a 2-D array of pair indices, each a
-        view into one gather of them all: ELL blocks when Phi's rows are
-        narrow, else CSR rows (:func:`_csr_steps`)."""
-        if self._narrow is None:
-            return _csr_steps(self.phi, pair_idx)
-        block = self._narrow[pair_idx]
-        return [_EllRows(cols, vals, self.dim) for cols, vals in zip(block.cols, block.vals)]
 
     # -- operator rows ------------------------------------------------------
 
@@ -140,19 +122,6 @@ class FeatureSpace:
             cached = (in_coef * self._inflow + marg_coef * (agg @ self.phi).tocsr()).tocsr()
             self._operators[coefs] = cached
         return cached
-
-    def drift_matrix(self, kappa: float) -> np.ndarray:
-        """Dense (X, d) matrix whose row x' is (P - kappa*B)^T_{:,x'} Phi."""
-        return self._operator((1.0, -kappa)).toarray()
-
-    def feasibility_matrix(self, kappa: float) -> np.ndarray:
-        """Dense (X, d) matrix whose row x' is (B - kappa*P)^T_{:,x'} Phi.
-
-        For kappa = 1 this is exactly the negated drift; for kappa < 1 the two
-        operators are genuinely different and both are needed (the drift norm
-        enters the coverage constants, the feasibility rows enter the
-        discounted residual)."""
-        return self._operator((-kappa, 1.0)).toarray()
 
     def drift_rows(self, states: np.ndarray, kappa: float) -> np.ndarray:
         """(n, d) dense block of drift vectors for the given states."""
@@ -284,33 +253,6 @@ def _search(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
-class _EllRows:
-    """Rows of a sparse (n, d) matrix padded to one width w: ``cols`` and
-    ``vals`` are (n, w), and padding slots hold value 0 at column 0.
-
-    ``rows[idx]`` selects rows, ``rows @ theta`` gives their n inner products
-    and ``weights @ rows`` their weighted sum as a d-vector, as for a dense
-    block, at a cost that follows w instead of d.
-    """
-
-    __array_ufunc__ = None  # ``ndarray @ rows`` defers to __rmatmul__
-
-    def __init__(self, cols: np.ndarray, vals: np.ndarray, dim: int):
-        self.cols, self.vals, self.dim = cols, vals, dim
-
-    def __getitem__(self, idx) -> _EllRows:
-        # np.take is several times faster than fancy indexing on narrow 2-D rows
-        return _EllRows(np.take(self.cols, idx, axis=0), np.take(self.vals, idx, axis=0),
-                        self.dim)
-
-    def __matmul__(self, theta: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,ij->i", self.vals, theta[self.cols])
-
-    def __rmatmul__(self, weights: np.ndarray) -> np.ndarray:
-        return np.bincount(self.cols.ravel(), weights=(weights[:, None] * self.vals).ravel(),
-                           minlength=self.dim)
-
-
 class _CsrRows:
     """Rows of a sparse (n, d) matrix in CSR arrays: ``rows @ theta`` gives
     their n inner products and ``weights @ rows`` their weighted sum as a
@@ -354,23 +296,6 @@ def _csr_steps(matrix: sp.csr_matrix, idx: np.ndarray) -> list[_CsrRows]:
     return [_CsrRows(indptr[i * m:(i + 1) * m + 1] - lo, block.indices[lo:hi],
                      block.data[lo:hi], dim)
             for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
-
-
-def _narrow_rows(matrix: sp.csr_matrix) -> _EllRows | None:
-    """ELL copy of a CSR matrix whose rows are narrow (8 x the largest row's
-    nonzeros <= number of columns), else None: wider rows are faster dense."""
-    counts = np.diff(matrix.indptr)
-    width = int(counts.max(initial=0))
-    if 8 * width > matrix.shape[1]:
-        return None
-    num_rows = matrix.shape[0]
-    cols = np.zeros((num_rows, width), dtype=np.intp)
-    vals = np.zeros((num_rows, width))
-    row_of = np.repeat(np.arange(num_rows), counts)
-    slot = np.arange(matrix.nnz) - np.repeat(matrix.indptr[:-1], counts)
-    cols[row_of, slot] = matrix.indices
-    vals[row_of, slot] = matrix.data
-    return _EllRows(cols, vals, matrix.shape[1])
 
 
 def importance_weight_guard(prob: np.ndarray) -> None:

@@ -49,8 +49,7 @@ def record_projections(monkeypatch, module):
 
 
 def narrow_random_space(rng, num_states=30, num_actions=3, dim=48):
-    """Random MDP with sparse features of 1-6 nonzeros per row, narrow at
-    d = 48 (the estimators take their pair rows as an ELL block)."""
+    """Random MDP with sparse features of 1-6 nonzeros per row at d = 48."""
     model = random_mdp(rng, num_states, num_actions)
     phi = np.zeros((model.num_pairs, dim))
     for i in range(model.num_pairs):

@@ -134,9 +134,9 @@ def test_criterion_2_surrogate_correctness():
             u = rng.normal(size=4)
             u /= np.linalg.norm(u)
             occ = fs.occupancy_vector(theta)[live]
-            drift_vals = fs.drift_matrix(1.0) @ theta
+            drift_vals = fs._operator((1.0, -1.0)).toarray() @ theta
             vals = (fs.phi @ theta)[live]
-            resid = fs.feasibility_matrix(gamma) @ theta - alpha
+            resid = fs._operator((-gamma, 1.0)).toarray() @ theta - alpha
             if (np.abs(occ).min() <= 10 * h or np.abs(drift_vals).min() <= 10 * h
                     or np.abs(vals).min() <= 10 * h or np.abs(resid).min() <= 10 * h):
                 continue

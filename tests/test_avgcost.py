@@ -103,11 +103,11 @@ def _theta_away_from_kinks(rng, model, fs, margin):
     # identically-zero feature rows / drift rows contribute constant terms, not
     # kinks, so they are excluded from the margin check
     live_rows = np.asarray(abs(fs.phi).sum(axis=1)).ravel() > 0
-    live_states = np.abs(fs.drift_matrix(1.0)).sum(axis=1) > 0
+    live_states = np.abs(fs._operator((1.0, -1.0)).toarray()).sum(axis=1) > 0
     while True:
         theta = rng.normal(size=fs.dim)
         occ = fs.occupancy_vector(theta)[live_rows]
-        drift_vals = (fs.drift_matrix(1.0) @ theta)[live_states]
+        drift_vals = (fs._operator((1.0, -1.0)).toarray() @ theta)[live_states]
         if np.abs(occ).min() > margin and np.abs(drift_vals).min() > margin:
             return theta
 

@@ -107,7 +107,7 @@ def test_exact_subgradient_directional_derivative():
     while checked < 5:
         theta = rng.normal(size=3)
         values = (fs.phi @ theta)[live_rows]
-        resid = fs.feasibility_matrix(gamma) @ theta - alpha
+        resid = fs._operator((-gamma, 1.0)).toarray() @ theta - alpha
         if np.abs(values).min() <= 10 * h or np.abs(resid).min() <= 10 * h:
             continue
         u = rng.normal(size=3)

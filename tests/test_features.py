@@ -118,7 +118,7 @@ def test_drift_matches_dense_product():
         expected = (dense_p - kappa * b).T @ dense_phi
         np.testing.assert_allclose(fs.drift_rows(np.arange(model.num_states), kappa),
                                    expected, atol=1e-12)
-        np.testing.assert_allclose(fs.drift_matrix(kappa), expected, atol=1e-12)
+        np.testing.assert_allclose(fs._operator((1.0, -kappa)).toarray(), expected, atol=1e-12)
 
 
 def test_drift_memoization_returns_same_object():
@@ -204,12 +204,12 @@ def test_feasibility_matches_dense_product():
             b[x * model.num_actions + a, x] = 1.0
     for kappa in (1.0, 0.8):
         expected = (b - kappa * dense_p).T @ dense_phi
-        np.testing.assert_allclose(fs.feasibility_matrix(kappa), expected, atol=1e-12)
+        np.testing.assert_allclose(fs._operator((-kappa, 1.0)).toarray(), expected, atol=1e-12)
         np.testing.assert_allclose(fs.feasibility_rows(np.arange(model.num_states), kappa),
                                    expected, atol=1e-12)
     # at kappa = 1 feasibility is exactly the negated drift
-    np.testing.assert_allclose(fs.feasibility_matrix(1.0), -fs.drift_matrix(1.0),
-                               atol=1e-14)
+    np.testing.assert_allclose(fs._operator((-1.0, 1.0)).toarray(),
+                               -fs._operator((1.0, -1.0)).toarray(), atol=1e-14)
 
 
 def test_sampling_determinism():
@@ -310,8 +310,8 @@ def test_samplers_build_above_a_million_pairs():
 # sha256 of the desk operators and sampler tables, and of the discounted
 # visits on the 4-state fixture; the operators come from the forward kernel
 DESK_OPERATOR_SHA256 = {
-    "drift_matrix(1.0)": "7374c5349f2cb7511152133c4856f6aec2ec9171be230b5c61400c6f162d9910",
-    "feasibility_matrix(0.9)": "3c6e13ef0125e39625f27ee84fff8d2687b9370eec52dd81344b83bc1965dedd",
+    "drift(1.0)": "7374c5349f2cb7511152133c4856f6aec2ec9171be230b5c61400c6f162d9910",
+    "feasibility(0.9)": "3c6e13ef0125e39625f27ee84fff8d2687b9370eec52dd81344b83bc1965dedd",
     "drift_norms(0.9)": "852f3160c22a890ca47c888bbb0c8973cea817724e8a17dd721cbe842363f633",
     "pair_probs": "77de6e61c27565f1fbbee314a1aee4d50dc294e596fc775710ceaec71f2b6ce2",
     "state_probs": "196a5e541fa655b531dd82567b80b6b20df79dd85d3fbf80fef9b12970fa2c4b",
@@ -330,8 +330,8 @@ def _sha256(array):
 
 def test_desk_operators_samplers_and_visits_pinned(desk_space):
     model, fs = desk_space
-    got = {"drift_matrix(1.0)": _sha256(fs.drift_matrix(1.0)),
-           "feasibility_matrix(0.9)": _sha256(fs.feasibility_matrix(0.9)),
+    got = {"drift(1.0)": _sha256(fs._operator((1.0, -1.0)).toarray()),
+           "feasibility(0.9)": _sha256(fs._operator((-0.9, 1.0)).toarray()),
            "drift_norms(0.9)": _sha256(features._drift_norms(fs, 0.9))}
     for kappa, coverage in DESK_COVERAGE.items():
         uniform = make_uniform_sampling(model, fs, kappa)
@@ -356,9 +356,8 @@ def test_csr_gather_branch_matches_dense_bit_for_bit():
     theta, weights = rng.standard_normal(fs.dim), rng.standard_normal(25)
     np.testing.assert_array_equal(fs.rows(pairs), fs.phi.toarray()[pairs])
     for kappa in (1.0, 0.7):
-        for rows, matrix, coefs in ((fs.drift_rows, fs.drift_matrix, (1.0, -kappa)),
-                                    (fs.feasibility_rows, fs.feasibility_matrix, (-kappa, 1.0))):
-            dense = matrix(kappa)
+        for rows, coefs in ((fs.drift_rows, (1.0, -kappa)), (fs.feasibility_rows, (-kappa, 1.0))):
+            dense = fs._operator(coefs).toarray()
             np.testing.assert_array_equal(rows(states, kappa), dense[states])
             for x in range(model.num_states):
                 np.testing.assert_array_equal(rows([x], kappa), dense[[x]])
@@ -575,53 +574,37 @@ def test_desk_draw_stream_pinned(desk_space):
 
 # ------------------------------------------------------------- narrow rows
 
-def _assert_narrow_matches_dense(model, fs, sample, seed):
-    assert fs._narrow is not None
-    rng = np.random.default_rng(seed)
+def test_narrow_rows_match_dense_rows_random():
+    """On rows with 1-6 nonzeros of 48 columns, the estimates on CSR views
+    equal, to rounding, the same estimates on dense rows."""
+    model, fs = narrow_random_space(np.random.default_rng(42))
+    sample = make_uniform_sampling(model, fs, 0.9)
+    rng = np.random.default_rng(43)
     theta = rng.standard_normal(fs.dim) * 0.3
     pair_idx = sample.sample_pairs(rng, 500)
     state_idx = sample.sample_states(rng, 500)
     # the discounted surrogate takes no mu0, so it gets the features without it
     for surrogate in (Surrogate.average_cost(model, fs),
                       Surrogate.discounted(model, FeatureSpace(model, fs.phi), 0.9, None)):
-        def outputs():
-            return (surrogate.subgradient_estimate(sample, 2.0, theta, pair_idx=pair_idx,
-                                                   state_idx=state_idx),
-                    surrogate.violation_summands(sample, theta, pair_idx, state_idx))
-        narrow = outputs()
-        ell, surrogate.fs._narrow = surrogate.fs._narrow, None
-        try:
-            dense = outputs()
-        finally:
-            surrogate.fs._narrow = ell
-        for a, b in zip(narrow, dense):
+        q_pair, rows = surrogate.gather(sample, pair_idx, dense=True)
+        q_state, state_rows = surrogate.gather(sample, state_idx, states=True, dense=True)
+        occ, res = surrogate.fs.mu0[pair_idx], surrogate.res_base[state_idx]
+        dense = (surrogate.weighted_subgradient(2.0, theta, rows, occ, 1.0 / q_pair,
+                                                state_rows, res, q_state),
+                 np.abs(np.minimum(occ + rows @ theta, 0.0)) / q_pair
+                 + np.abs(state_rows @ theta + res) / q_state)
+        csr = (surrogate.subgradient_estimate(sample, 2.0, theta, pair_idx=pair_idx,
+                                              state_idx=state_idx),
+               surrogate.violation_summands(sample, theta, pair_idx, state_idx))
+        for a, b in zip(csr, dense):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
-
-
-def test_narrow_rows_match_dense_rows_desk(desk_space):
-    model, fs = desk_space
-    assert 8 * fs._narrow.cols.shape[1] <= fs.dim
-    _assert_narrow_matches_dense(model, fs, make_norm_proportional_sampling(model, fs, 1.0), 41)
-
-
-def test_narrow_rows_match_dense_rows_random():
-    rng = np.random.default_rng(42)
-    model, fs = narrow_random_space(rng)
-    _assert_narrow_matches_dense(model, fs, make_uniform_sampling(model, fs, 0.9), 43)
     pairs = np.array([0, 5, 5, 89])
-    block = fs._row_block(pairs)
+    block = features._csr_steps(fs.phi, pairs[None])[0]
     np.testing.assert_array_equal(block @ np.eye(fs.dim)[3], fs.rows(pairs)[:, 3])
     # a weighted sum is a full d-vector even when no row reaches the last column
     short = np.flatnonzero(fs.phi[:, fs.dim - 1].toarray().ravel() == 0)[:3]
-    np.testing.assert_array_equal(np.ones(3) @ fs._row_block(short),
+    np.testing.assert_array_equal(np.ones(3) @ features._csr_steps(fs.phi, short[None])[0],
                                   fs.rows(short).sum(axis=0))
-
-
-def test_dense_path_kept_for_wide_rows(desk_fixture):
-    _, fs = desk_fixture  # d = 3: every nonempty row is wide
-    assert fs._narrow is None
-    pairs = np.array([0, 3, 7])
-    np.testing.assert_array_equal(fs._row_block(pairs).toarray(), fs.rows(pairs))
 
 
 def test_support_guard_fires_before_narrow_gather(monkeypatch):
@@ -632,10 +615,10 @@ def test_support_guard_fires_before_narrow_gather(monkeypatch):
     sample = features.SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
                                    c_pair=1.0, c_state=1.0, pair_probs=probs)
 
-    def no_gather(self, idx):
+    def no_gather(*args):
         pytest.fail("rows were gathered for a zero-probability draw")
 
-    monkeypatch.setattr(features.FeatureSpace, "_row_block", no_gather)
+    monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
     surrogate = Surrogate.average_cost(model, fs)
     pairs, states = np.array([3, 7, 9]), np.array([0, 1, 2])
     with pytest.raises(SamplingSupportError):

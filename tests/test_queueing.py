@@ -273,7 +273,7 @@ def test_build_features_normalization_and_drift():
     np.testing.assert_allclose(sums, 1.0, atol=1e-10)
     assert np.asarray(fs.phi.min(axis=0).todense()).min() >= 0.0
     # stationary heuristic columns have vanishing drift under kappa = 1
-    drift = fs.drift_matrix(1.0)
+    drift = fs._operator((1.0, -1.0)).toarray()
     for kind in ("LONGER", "LBFS"):
         j = fs.names.index(f"stationary/{kind}")
         assert np.abs(drift[:, j]).max() <= 1e-9

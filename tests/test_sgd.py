@@ -9,6 +9,7 @@ do the same arithmetic one step at a time, and every value must agree bit for
 bit.
 """
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,13 +19,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualalp import _sgd
+from dualalp import _sgd, features
 from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, SgdProblem, Surrogate, draw,
                           make_buffered_grad, make_minibatch_grad, run_projected_sgd)
-from dualalp.avgcost import AvgSolverConfig, estimate_violations, sgd_solve_avg
+from dualalp.avgcost import (AvgSolverConfig, estimate_violations, sgd_solve_avg,
+                             subgradient_estimate)
+from dualalp.cli import run_bench_queue
 from dualalp.discounted import (DiscSolverConfig, estimate_violations_disc,
-                                project_theta_disc, sgd_solve_disc)
-from dualalp.errors import ParameterError, SamplingSupportError
+                                project_theta_disc, sgd_solve_disc, subgradient_estimate_disc)
+from dualalp.errors import InputShapeError, ParameterError, SamplingSupportError
 from dualalp.features import (FeatureSpace, SamplingPair, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
@@ -83,11 +86,11 @@ def reference_buffered_grad(surrogate, sp, penalty, branches):
 
 def reference_subgradient(surrogate, sp, penalty, theta, rng, m):
     """The m-draw estimate with every term written out in place, on the draws
-    of one :func:`draw`."""
+    of one :func:`draw`, with scipy's public row slices and products."""
     pair_idx, state_idx = draw(sp, rng, m)
-    q_pair, rows = surrogate.gather(sp, pair_idx)
+    q_pair, rows = sp.pair_prob(pair_idx), surrogate.fs.phi[pair_idx]
     w_neg = np.where(surrogate.fs.mu0[pair_idx] + rows @ theta < 0.0, 1.0 / q_pair, 0.0)
-    q_state, state_rows = surrogate.gather(sp, state_idx, states=True)
+    q_state, state_rows = sp.state_prob(state_idx), surrogate.state_operator[state_idx]
     w_res = np.sign(state_rows @ theta + surrogate.res_base[state_idx]) / q_state
     return (surrogate.fs.loss_phi - (penalty / m) * (w_neg @ rows)
             + (penalty / m) * (w_res @ state_rows))
@@ -182,16 +185,15 @@ def test_sample_steps_matches_successive_draws(m):
 
 
 def _desk_discounted():
-    """The desk preset's discounted surrogate at gamma = 0.99 (narrow Phi, so
-    ELL pair rows, and CSR feasibility rows) with its norm-proportional
-    sampler."""
+    """The desk preset's discounted surrogate at gamma = 0.99 (narrow Phi:
+    about 4 of 170 columns per row) with its norm-proportional sampler."""
     model = build_mdp(DESK_SPEC)
     fs = FeatureSpace(model, build_features(DESK_SPEC, model=model)[0].phi)
     return [("desk discounted", Surrogate.discounted(model, fs, 0.99, None),
              make_norm_proportional_sampling(model, fs, 0.99))]
 
 
-def _narrow_ell():
+def _narrow():
     return _surrogates(*narrow_random_space(np.random.default_rng(8)))
 
 
@@ -200,8 +202,8 @@ def _wide_csr():
 
 
 @pytest.mark.parametrize("instance, m", [
-    pytest.param(_narrow_ell, 16, id="narrow-ell-16"),
-    pytest.param(_narrow_ell, 1000, id="narrow-ell-1000"),
+    pytest.param(_narrow, 16, id="narrow-16"),
+    pytest.param(_narrow, 1000, id="narrow-1000"),
     pytest.param(_wide_csr, 16, id="wide-dense-16"),
     pytest.param(_wide_csr, 1000, id="wide-dense-1000"),
     pytest.param(_desk_discounted, 100, id="desk-disc-100")])
@@ -232,6 +234,17 @@ def test_minibatch_grad_matches_subgradient_estimate(instance, m):
         assert rng.bit_generator.state == rng_ref.bit_generator.state, name
 
 
+# sha256 of theta from bench-queue on the desk preset with its defaults (m = 1000,
+# seed 0) cut to 300 steps, recorded before the pair rows moved to CSR views
+DESK_MINIBATCH_THETA_SHA256 = "dc62e13f4ae917bd8a48809c65ca3924f5910b6cbad73f55e1a085232b8033d3"
+
+
+def test_desk_minibatch_theta_pinned(tmp_path):
+    summary = run_bench_queue({"bench": {"iterations": 300}}, tmp_path, preset="desk")
+    theta = np.asarray(summary["result"]["solved"]["theta"], dtype="<f8")
+    assert hashlib.sha256(theta.tobytes()).hexdigest() == DESK_MINIBATCH_THETA_SHA256
+
+
 @pytest.mark.parametrize("side", ["pairs", "states"])
 def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
     model, fs = _dirichlet_instance()
@@ -252,12 +265,33 @@ def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
         pytest.fail("rows were gathered for a zero-probability draw")
 
     monkeypatch.setattr(SamplingPair, "sample_steps", last_draw_unsupported)
-    monkeypatch.setattr(FeatureSpace, "_row_steps", no_gather)
     monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
     grad = make_minibatch_grad(Surrogate.average_cost(model, fs), sampler, 2.0, 4, 10)
     # the draw is the last of the block, and the first step already raises
     with pytest.raises(SamplingSupportError):
         grad(np.zeros(fs.dim), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("pair_idx, state_idx", [([1], [2, 2, 2]), ([], []), ([[1]], [[2]])],
+                         ids=["different-lengths", "empty", "2-d"])
+@pytest.mark.parametrize("objective", ["average cost", "discounted"])
+def test_explicit_draws_of_the_wrong_shape_raise(monkeypatch, objective, pair_idx, state_idx):
+    # one pair against three states used to divide both terms by 1 and triple the residual
+    model, fs = _fixture_instance()
+    (_, surrogate, sampler), = [s for s in _surrogates(model, fs) if s[0] == objective]
+    draws = {"pair_idx": np.array(pair_idx, dtype=np.int64),
+             "state_idx": np.array(state_idx, dtype=np.int64)}
+
+    def no_gather(*args):
+        pytest.fail("rows were gathered for draws of the wrong shape")
+
+    monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
+    with pytest.raises(InputShapeError):
+        if objective == "average cost":
+            subgradient_estimate(model, fs, sampler, 1.7, np.zeros(fs.dim), **draws)
+        else:
+            subgradient_estimate_disc(model, surrogate.fs, sampler, 1.7, 0.85, None,
+                                      np.zeros(fs.dim), **draws)
 
 
 @pytest.mark.parametrize("dim", [1, 3, 170])
@@ -433,7 +467,10 @@ def test_removed_options_and_positional_configs_raise_type_error(call):
 @pytest.mark.parametrize("owner, name", [
     (FeatureSpace, "row"), (FeatureSpace, "occupancy_value"), (FeatureSpace, "drift_column"),
     (FeatureSpace, "feasibility_column"), (FeatureSpace, "_state_row"),
-    (FeatureSpace, "row_norms"), (Policy, "num_states"), (Policy, "num_actions")])
+    (FeatureSpace, "row_norms"), (FeatureSpace, "drift_matrix"),
+    (FeatureSpace, "feasibility_matrix"), (FeatureSpace, "_row_block"),
+    (FeatureSpace, "_row_steps"), (features, "_EllRows"), (features, "_narrow_rows"),
+    (Policy, "num_states"), (Policy, "num_actions")])
 def test_removed_accessors_are_gone(owner, name):
     assert not hasattr(owner, name)
 
