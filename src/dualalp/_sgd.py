@@ -11,23 +11,22 @@ where mu0 is the feature space's baseline occupancy (zero for discounted
 cost) and the rows of the state operator S are the drift rows (P - B)^T Phi
 for average cost and the feasibility rows (B - gamma P)^T Phi for discounted
 cost. A :class:`Surrogate` holds what differs between the two; the exact
-oracles, the sampled estimators, the violation estimator, the SGD problem and
-the meta loop are written once against it.
+oracles, the estimators, the SGD problem and the meta loop are written once
+against it, and every sampled estimator reads its draws through
+:meth:`Surrogate.gather`.
 
 The loop is strictly sequential in the iterate; randomness is split into one
 stream for the gradient draws and one for the trace-time violation estimates,
 so changing the recording stride never perturbs the iterate path. Both SGD
-gradient estimators draw ahead in blocks from the gradient stream:
-:func:`make_buffered_grad` the next ``GRAD_BLOCK`` single draws,
-:func:`make_minibatch_grad` the draws of the next ``MINIBATCH_BLOCK // m``
-steps of m draws. A block holds exactly the draws the steps would have taken
-one at a time, and each block pays once for the work that does not depend on
-the iterate, so the iterate path is bit for bit that of a per-step estimator.
+gradient estimators draw ahead in blocks that hold exactly the draws the steps
+would have taken one at a time, so the iterate path is bit for bit that of a
+per-step estimator.
 """
 from __future__ import annotations
 
 import gc
 import math
+import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -67,10 +66,10 @@ def check_halving_period(period, error: type = ParameterError) -> None:
 
 
 def check_positive_int(name: str, value) -> None:
-    """A draw count is a positive integer (numpy integers count, bools do
-    not): a fraction or a nonpositive count has no meaning."""
+    """A count is a positive integer (numpy integers count, bools do not): a
+    fraction or a nonpositive count has no meaning."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ParameterError(f"{name} must be a positive integer, got {value!r}")
+        raise ParameterError(f"{name} must be >= 1 (a positive integer), got {value!r}")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -98,12 +97,17 @@ class SolverConfig:
         check_radius(self.radius)
         # The excess-loss analysis assumes penalty >= 1, but meta grids may
         # legitimately start below 1, so only positivity is enforced here.
-        if self.penalty <= 0.0:
-            raise ParameterError("penalty must be positive")
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
-        if self.minibatch < 1:
-            raise ParameterError("minibatch must be >= 1")
+        if not 0.0 < self.penalty < math.inf:
+            raise ParameterError(f"penalty must be positive and finite, got {self.penalty!r}")
+        for name in ("iterations", "minibatch", "trace_violation_samples"):
+            check_positive_int(name, getattr(self, name))
+        if self.trace_stride is not None:
+            check_positive_int("trace_stride", self.trace_stride)
+        rate = self.learning_rate
+        if rate != "auto" and (isinstance(rate, bool) or not isinstance(rate, numbers.Real)
+                               or not 0.0 <= rate < math.inf):
+            raise ParameterError(f'learning_rate must be "auto" or a finite number >= 0, '
+                                 f"got {rate!r}")
         check_halving_period(self.lr_halving_period)
 
 
@@ -161,19 +165,24 @@ class Surrogate:
         return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
                 + penalty * (signs @ self.state_operator))
 
-    def gather(self, sp: SamplingPair, idx: np.ndarray, states: bool = False,
+    def gather(self, sp: SamplingPair, pair_idx: np.ndarray, state_idx: np.ndarray,
                dense: bool = False):
-        """Sampling probabilities and rows at the 1-D draws ``idx``: (q_pair,
-        rows of Phi), or with ``states`` (q_state, rows of S). The rows are a
-        one-step CSR view (:func:`dualalp.features._csr_steps`), or with
-        ``dense`` a dense block; both support ``rows @ theta`` and
-        ``weights @ rows``. Raises SamplingSupportError on a draw of
-        probability zero, before any row is gathered."""
-        q = (sp.state_prob if states else sp.pair_prob)(idx)
-        importance_weight_guard(q)
+        """What an estimator reads at its draws: (q_pair, mu0, rows of Phi) at
+        the pair draws and (q_state, res_base, rows of S) at the state draws.
+        On 2-D (steps, m) draws the rows are per-step CSR views
+        (:func:`dualalp.features._csr_steps`); with ``dense`` the draws are
+        1-D and the rows dense blocks. Raises SamplingSupportError on a draw
+        of probability zero on either side, before any row is gathered."""
+        q_pair, q_state = sp.pair_prob(pair_idx), sp.state_prob(state_idx)
+        importance_weight_guard(q_pair)
+        importance_weight_guard(q_state)
         if dense:
-            return q, self.state_operator[idx].toarray() if states else self.fs.rows(idx)
-        return q, _csr_steps(self.state_operator if states else self.fs.phi, idx[None])[0]
+            rows, state_rows = self.fs.rows(pair_idx), self.state_operator[state_idx].toarray()
+        else:
+            rows = _csr_steps(self.fs.phi, pair_idx)
+            state_rows = _csr_steps(self.state_operator, state_idx)
+        return (q_pair, self.fs.mu0[pair_idx], rows,
+                q_state, self.res_base[state_idx], state_rows)
 
     def subgradient_estimate(self, sp: SamplingPair, penalty: float, theta: np.ndarray,
                              rng: np.random.Generator | None = None,
@@ -191,11 +200,10 @@ class Surrogate:
         if len(pair_idx) != len(state_idx):
             raise InputShapeError(f"pair_idx and state_idx must have one length, got "
                                   f"{len(pair_idx)} and {len(state_idx)}")
-        q_pair, rows = self.gather(sp, pair_idx)
-        q_state, state_rows = self.gather(sp, state_idx, states=True)
-        return self.weighted_subgradient(penalty, theta, rows, self.fs.mu0[pair_idx],
-                                         1.0 / q_pair, state_rows, self.res_base[state_idx],
-                                         q_state)
+        q_pair, occ, rows, q_state, res, state_rows = (
+            part[0] for part in self.gather(sp, pair_idx[None], state_idx[None]))
+        return self.weighted_subgradient(penalty, theta, rows, occ, 1.0 / q_pair,
+                                         state_rows, res, q_state)
 
     def weighted_subgradient(self, penalty: float, theta: np.ndarray, rows,
                              occ: np.ndarray, inv_q_pair: np.ndarray,
@@ -218,10 +226,10 @@ class Surrogate:
         state index. The two index arrays are nonempty and 1-D, else
         InputShapeError, and need not have the same length."""
         _check_draws(pair_idx, state_idx)
-        q_pair, rows = self.gather(sp, pair_idx)
-        neg = np.abs(np.minimum(self.fs.mu0[pair_idx] + rows @ theta, 0.0)) / q_pair
-        q_state, state_rows = self.gather(sp, state_idx, states=True)
-        return neg, np.abs(state_rows @ theta + self.res_base[state_idx]) / q_state
+        q_pair, occ, rows, q_state, res, state_rows = (
+            part[0] for part in self.gather(sp, pair_idx[None], state_idx[None]))
+        return (np.abs(np.minimum(occ + rows @ theta, 0.0)) / q_pair,
+                np.abs(state_rows @ theta + res) / q_state)
 
     def violation_summands(self, sp: SamplingPair, theta: np.ndarray,
                            pair_idx: np.ndarray, state_idx: np.ndarray) -> np.ndarray:
@@ -314,13 +322,11 @@ def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
 
     def refill(rng):
         nonlocal pos, rows, state_rows, neg_grads, state_terms, occ, res
-        pairs, states = draw(sp, rng, block)
-        q_pair, rows = surrogate.gather(sp, pairs, dense=True)
-        q_state, state_rows = surrogate.gather(sp, states, states=True, dense=True)
+        q_pair, occ, rows, q_state, res, state_rows = surrogate.gather(
+            sp, *draw(sp, rng, block), dense=True)
         neg_grads = loss_phi - (penalty / q_pair)[:, None] * rows
         state_terms = (penalty / q_state)[:, None] * state_rows
-        occ = surrogate.fs.mu0[pairs].tolist()
-        res = surrogate.res_base[states].tolist()
+        occ, res = occ.tolist(), res.tolist()
         pos = 0
 
     def grad(theta, rng):
@@ -345,39 +351,27 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     """Gradient estimator over m draws per step, with block-presampled draws,
     for a run of ``iterations`` steps.
 
-    Each refill draws the indices of k = max(1, MINIBATCH_BLOCK // m) steps,
-    at most the steps the run has left, in one
-    :meth:`SamplingPair.sample_steps`: the draws of k successive :func:`draw`
-    calls. It computes what does not depend on theta, vectorised over the
-    block: the sampling probabilities and their support check, 1 / q_pair,
-    mu0 and res_base at the draws, and the rows, as CSR views of one row
-    slice per side (:func:`dualalp.features._csr_steps`). A step then runs
+    Each refill draws k = max(1, MINIBATCH_BLOCK // m) steps, at most the
+    steps the run has left, in one :meth:`SamplingPair.sample_steps` (the
+    draws of k successive :func:`draw` calls), and reads them in one
+    :meth:`Surrogate.gather`. A step runs
     :meth:`Surrogate.weighted_subgradient`, as
     :meth:`Surrogate.subgradient_estimate` does, so on the same draws the two
-    give the same bits. A draw of probability zero raises
-    SamplingSupportError at the refill that draws it, before the steps that
-    precede it in its block. Every gradient is a fresh array.
+    give the same bits. A draw of probability zero raises at the refill that
+    draws it. Every gradient is a fresh array.
     """
-    fs = surrogate.fs
     steps = max(1, MINIBATCH_BLOCK // m)
     left = iterations
     pos = count = 0
-    inv_q_pair = q_state = occ = res = pair_rows = state_rows = None
+    inv_q_pair = occ = pair_rows = q_state = res = state_rows = None
 
     def refill(rng):
-        nonlocal left, pos, count, inv_q_pair, q_state, occ, res, pair_rows, state_rows
+        nonlocal left, pos, count, inv_q_pair, occ, pair_rows, q_state, res, state_rows
         count = min(steps, max(left, 1))
         left -= count
-        pairs, states = sp.sample_steps(rng, count, m)
-        q_pair = sp.pair_prob(pairs)
-        importance_weight_guard(q_pair)
-        q_state = sp.state_prob(states)
-        importance_weight_guard(q_state)
+        q_pair, occ, pair_rows, q_state, res, state_rows = surrogate.gather(
+            sp, *sp.sample_steps(rng, count, m))
         inv_q_pair = 1.0 / q_pair
-        occ = fs.mu0[pairs]
-        res = surrogate.res_base[states]
-        pair_rows = _csr_steps(fs.phi, pairs)
-        state_rows = _csr_steps(surrogate.state_operator, states)
         pos = 0
 
     def grad(theta, rng):
@@ -399,10 +393,7 @@ def resolve_learning_rate(learning_rate, radius: float, penalty: float,
     if learning_rate == "auto":
         bound = math.sqrt(dim) + penalty * (c_pair + c_state)
         return radius / (bound * math.sqrt(iterations))
-    rate = float(learning_rate)
-    if rate < 0:
-        raise ParameterError("learning rate must be nonnegative")
-    return rate
+    return float(learning_rate)
 
 
 def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float,

@@ -57,13 +57,13 @@ SEED_ENV_VAR = "DUALALP_SEED"
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite number: JSON reads NaN and Infinity, which no key allows."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
 
 
 def _is_finite_list(value) -> bool:
-    """A list of numbers, none of them NaN or infinite (JSON reads both)."""
-    return isinstance(value, list) and all(_is_number(v) and -math.inf < v < math.inf
-                                           for v in value)
+    return isinstance(value, list) and all(_is_number(v) for v in value)
 
 
 def _rule(what: str, ok: Callable, numeric: bool = True) -> Callable:

@@ -76,6 +76,8 @@ class FeatureSpace:
         if phi.shape[0] != model.num_pairs:
             raise InputShapeError(
                 f"phi must have {model.num_pairs} rows, got {phi.shape[0]}")
+        if not np.isfinite(phi.data).all():
+            raise ParameterError("phi entries must be finite")
         if normalize:
             col_mass = np.asarray(abs(phi).sum(axis=0)).ravel()
             if np.any(col_mass <= 0):
@@ -93,6 +95,8 @@ class FeatureSpace:
             mu0 = np.asarray(mu0, dtype=float)
             if mu0.shape != (model.num_pairs,):
                 raise InputShapeError(f"mu0 must have length {model.num_pairs}")
+            if not np.isfinite(mu0).all():
+                raise ParameterError("mu0 entries must be finite")
         self.mu0 = mu0
         self.loss_phi = model.loss @ phi
         self.loss_mu0 = fixed_dot(model.loss, mu0)

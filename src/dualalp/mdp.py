@@ -74,13 +74,14 @@ class MdpModel:
         if loss.shape != (n_pairs,):
             raise InputShapeError(f"loss must have length {n_pairs}, got shape {loss.shape}")
         row_sums = np.asarray(trans.sum(axis=1)).ravel()
-        bad = np.abs(row_sums - 1.0) > PROB_ATOL
+        # a non-finite entry makes its row sum non-finite, and NaN fails every "<="
+        bad = ~(np.abs(row_sums - 1.0) <= PROB_ATOL)
         if bad.any():
             i = int(np.flatnonzero(bad)[0])
             raise ParameterError(f"transition row {i} sums to {row_sums[i]!r}, expected 1")
-        if trans.nnz and trans.data.min() < 0:
+        if trans.nnz and not trans.data.min() >= 0:
             raise ParameterError("transition probabilities must be nonnegative")
-        if loss.size and (loss.min() < 0 or loss.max() > 1):
+        if loss.size and not (loss.min() >= 0 and loss.max() <= 1):
             raise ParameterError("loss entries must lie in [0, 1]")
         return MdpModel(num_states, num_actions, trans, loss)
 

@@ -690,6 +690,17 @@ BAD_VALUES = [
     ("solve-avg", None, "trace_stride", "10"),  # a traceback
     ("meta-disc", None, "trace_stride", True),  # recorded every iteration
     ("bench-queue", None, "trace_stride", 0),
+    # JSON reads NaN and Infinity; these passed their checks and the model was built
+    ("solve-avg", "solver", "penalty", float("inf")),
+    ("solve-avg", "solver", "sum_target", float("nan")),
+    ("solve-avg", "solver", "learning_rate", float("inf")),
+    ("solve-disc", "solver", "radius", float("inf")),
+    ("meta-avg", "solver", "tolerance", float("inf")),
+    ("meta-avg", "meta", "violation_bound", float("inf")),
+    ("meta-disc", "meta", "selection_weight", float("inf")),
+    ("bench-queue", "bench", "penalty", float("inf")),
+    ("bench-queue", "bench", "learning_rate", float("inf")),
+    ("bench-queue", "bench", "radius", float("inf")),
 ]
 
 
@@ -720,6 +731,29 @@ def test_every_key_checked_before_model(tmp_path, monkeypatch, capsys, mode, sec
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and key in err
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("edit", ["nan-mu0", "inf-phi"])
+def test_non_finite_feature_fixture_fails_before_the_run(tmp_path, monkeypatch, capsys, edit):
+    # a NaN mu0 ran the whole solve and then failed on its policy (exit 2), and
+    # an infinite entry of phi failed at the first trace row (exit 4)
+    def no_run(*args, **kwargs):
+        pytest.fail("the solver ran on non-finite features")
+
+    monkeypatch.setattr(cli.avgcost, "sgd_solve_avg", no_run)
+    doc = json.loads((DATA / "features3.json").read_text())
+    if edit == "nan-mu0":
+        doc["mu0"] = [float("nan")] + [0.0] * 7
+    else:
+        doc["columns"][0]["entries"][0]["value"] = float("inf")
+    features_path = tmp_path / "features.json"
+    features_path.write_text(json.dumps(doc))
+    cfg = json.loads(base_config(tmp_path).read_text())
+    cfg["features"]["path"] = str(features_path)
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    assert main(["solve-avg", "--config", str(tmp_path / "config.json"),
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"{edit[4:]} entries must be finite" in capsys.readouterr().err
 
 
 def test_bad_values_cover_every_table_key():

@@ -64,6 +64,17 @@ def test_normalization_rejects_zero_column():
         FeatureSpace(model, sp.csr_matrix(phi), normalize=True)
 
 
+@pytest.mark.parametrize("where, value", [("phi", np.nan), ("phi", np.inf), ("mu0", np.nan),
+                                          ("mu0", -np.inf)])
+def test_feature_space_rejects_non_finite_entries(where, value):
+    model = random_mdp(np.random.default_rng(25), 3, 2)
+    phi, mu0 = np.ones((6, 2)), np.full(6, 1.0 / 6)
+    (phi[:, 0] if where == "phi" else mu0)[3] = value
+    for normalize in (False, True):
+        with pytest.raises(ParameterError, match=f"{where} entries must be finite"):
+            FeatureSpace(model, phi, mu0=mu0, normalize=normalize)
+
+
 def test_loss_phi_matches_enumeration():
     rng = np.random.default_rng(24)
     model = random_mdp(rng, 4, 3)
@@ -586,9 +597,8 @@ def test_narrow_rows_match_dense_rows_random():
     # the discounted surrogate takes no mu0, so it gets the features without it
     for surrogate in (Surrogate.average_cost(model, fs),
                       Surrogate.discounted(model, FeatureSpace(model, fs.phi), 0.9, None)):
-        q_pair, rows = surrogate.gather(sample, pair_idx, dense=True)
-        q_state, state_rows = surrogate.gather(sample, state_idx, states=True, dense=True)
-        occ, res = surrogate.fs.mu0[pair_idx], surrogate.res_base[state_idx]
+        q_pair, occ, rows, q_state, res, state_rows = surrogate.gather(
+            sample, pair_idx, state_idx, dense=True)
         dense = (surrogate.weighted_subgradient(2.0, theta, rows, occ, 1.0 / q_pair,
                                                 state_rows, res, q_state),
                  np.abs(np.minimum(occ + rows @ theta, 0.0)) / q_pair

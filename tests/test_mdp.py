@@ -54,6 +54,19 @@ def test_model_validation_rejects_bad_rows():
         MdpModel.create(2, 1, np.eye(2), np.zeros(3))
 
 
+@pytest.mark.parametrize("kernel_row, loss", [
+    ([np.nan, 1.0], [0.1, 0.2]),
+    ([np.inf, 0.0], [0.1, 0.2]),
+    ([0.5, 0.5], [np.nan, 0.2]),
+    ([0.5, 0.5], [0.1, np.inf]),
+], ids=["nan-kernel-entry", "inf-kernel-entry", "nan-loss", "inf-loss"])
+def test_model_validation_rejects_non_finite_entries(kernel_row, loss):
+    # NaN passed both checks: "abs(nan - 1) > tol" and "nan < 0" are False
+    kernel = np.array([[kernel_row], [[0.2, 0.8]]])
+    with pytest.raises(ParameterError):
+        MdpModel.from_dense(kernel, np.reshape(loss, (2, 1)))
+
+
 def test_policy_validation():
     with pytest.raises(ParameterError):
         Policy(np.array([[0.5, 0.6]]))

@@ -10,6 +10,7 @@ bit.
 """
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -51,10 +52,8 @@ def reference_buffered_grad(surrogate, sp, penalty, branches):
     buf = {"pos": block}
 
     def refill(rng):
-        pairs, states = draw(sp, rng, block)
-        buf["q_pair"], buf["rows"] = surrogate.gather(sp, pairs, dense=True)
-        buf["q_state"], buf["drift"] = surrogate.gather(sp, states, states=True, dense=True)
-        buf["occ0"], buf["res0"] = surrogate.fs.mu0[pairs], surrogate.res_base[states]
+        (buf["q_pair"], buf["occ0"], buf["rows"], buf["q_state"], buf["res0"],
+         buf["drift"]) = surrogate.gather(sp, *draw(sp, rng, block), dense=True)
         buf["pos"] = 0
 
     def grad(theta, rng):
@@ -272,6 +271,44 @@ def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
         grad(np.zeros(fs.dim), np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("path", ["explicit subgradient", "violation estimate",
+                                  "single-draw refill", "minibatch refill"])
+def test_state_draw_out_of_support_gathers_no_row(monkeypatch, path):
+    """Every estimator checks both sides' support before it gathers a row of
+    either side, so a zero-probability state draw gathers no pair row."""
+    model, fs = _dirichlet_instance()
+    probs = np.full(model.num_states, 1.0 / (model.num_states - 1))
+    probs[2] = 0.0
+    sampler = SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
+                           c_pair=1.0, c_state=1.0, state_probs=probs)
+    pairs, states = np.array([0, 4, 7]), np.array([1, 3, 2])
+
+    def no_gather(*args):
+        pytest.fail("rows were gathered for a zero-probability draw")
+
+    # the sampler never draws state 2, so the paths that draw are handed it
+    monkeypatch.setattr(_sgd, "draw", lambda sp, rng, m: (np.resize(pairs, m),
+                                                          np.resize(states, m)))
+    monkeypatch.setattr(SamplingPair, "sample_steps", lambda self, rng, steps, m: (
+        np.resize(pairs, (steps, m)), np.resize(states, (steps, m))))
+    monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
+    monkeypatch.setattr(FeatureSpace, "rows", no_gather)
+    surrogate, theta, rng = Surrogate.average_cost(model, fs), np.zeros(fs.dim), None
+    calls = {
+        "explicit subgradient": [lambda: surrogate.subgradient_estimate(
+            sampler, 2.0, theta, pair_idx=pairs, state_idx=states)],
+        "violation estimate": [
+            lambda: surrogate.violation_summands(sampler, theta, pairs, states),
+            lambda: surrogate.estimate_violations(sampler, theta, 3, rng, batch=3)],
+        "single-draw refill": [lambda: make_buffered_grad(surrogate, sampler, 2.0)(theta, rng)],
+        "minibatch refill": [
+            lambda: make_minibatch_grad(surrogate, sampler, 2.0, 3, 10)(theta, rng)],
+    }
+    for call in calls[path]:
+        with pytest.raises(SamplingSupportError):
+            call()
+
+
 @pytest.mark.parametrize("pair_idx, state_idx", [([1], [2, 2, 2]), ([], []), ([[1]], [[2]])],
                          ids=["different-lengths", "empty", "2-d"])
 @pytest.mark.parametrize("objective", ["average cost", "discounted"])
@@ -369,6 +406,20 @@ RUN_RULES = [  # (field, bad value, message) for the fields both configs share
     ("iterations", 0, "iterations must be >= 1"),
     ("minibatch", 0, "minibatch must be >= 1"),
     ("lr_halving_period", -5, "lr_halving_period must be null or a positive integer"),
+    # these used to fail later with a bare error, or run with another meaning
+    ("iterations", 2.5, "iterations must be >= 1"),
+    ("iterations", True, "iterations must be >= 1"),
+    ("minibatch", 2.5, "minibatch must be >= 1"),
+    ("minibatch", True, "minibatch must be >= 1"),
+    ("trace_stride", -3, "trace_stride must be >= 1"),
+    ("trace_stride", 2.5, "trace_stride must be >= 1"),
+    ("trace_violation_samples", 0, "trace_violation_samples must be >= 1"),
+    ("learning_rate", "fast", "learning_rate must be"),
+    ("learning_rate", -0.1, "learning_rate must be"),
+    ("learning_rate", math.inf, "learning_rate must be"),
+    ("learning_rate", math.nan, "learning_rate must be"),
+    ("penalty", math.nan, "penalty must be positive"),
+    ("penalty", math.inf, "penalty must be positive"),
 ]
 DISC_RULES = [("discount", value, "discount must lie in") for value in (0.0, 1.0, 1.5)]
 
@@ -378,7 +429,9 @@ DISC_RULES = [("discount", value, "discount must lie in") for value in (0.0, 1.0
     *[(DiscSolverConfig, *rule) for rule in DISC_RULES],
 ])
 def test_run_config_rules(config_cls, field, value, message):
-    _config(config_cls)  # the base values pass
+    _config(config_cls)  # the base values pass, and so do numpy numbers
+    _config(config_cls, iterations=np.int64(10), minibatch=np.int32(2),
+            trace_stride=np.int64(5), learning_rate=np.float64(0.1))
     with pytest.raises(ParameterError, match=message):
         _config(config_cls, **{field: value})
 
