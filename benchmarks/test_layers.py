@@ -4,7 +4,8 @@ LBFS induced chain, and its discounted value function and discounted visits
 at gamma = 0.9 and 0.99), of the exact subgradient and of the
 minibatch and single-draw estimators, per call and per step of the
 block-presampled SGD estimators (the minibatch step also for the discounted
-surrogate at gamma = 0.99 and m = 100),
+surrogate at gamma = 0.99 and m = 100), of one block refill of the m = 1000
+minibatch estimator (the draws of its 16 steps and the gather of their rows),
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
 20 pairs, and a 64-draw trace row over the 19,600 desk pairs, for the
@@ -154,6 +155,20 @@ def test_minibatch_block_step(benchmark, desk):
         grad(theta, rng)
     assert benchmark.pedantic(grad, args=(theta, rng), rounds=100,
                               iterations=steps).shape == theta.shape
+
+
+def test_minibatch_refill_desk(benchmark, desk):
+    """One refill of the m = 1000 minibatch estimator, the theta-independent
+    part of its steps: the draws of MINIBATCH_BLOCK // 1000 = 16 steps in one
+    ``sample_steps`` and one ``Surrogate.gather`` of their Phi and drift rows."""
+    surrogate, sampler, _ = desk
+    steps = MINIBATCH_BLOCK // DRAWS
+    rng = np.random.default_rng(7)
+
+    def refill():
+        return surrogate.gather(sampler, *sampler.sample_steps(rng, steps, DRAWS))
+
+    assert len(benchmark(refill)[2]) == steps
 
 
 def test_minibatch_block_step_disc(benchmark, desk):

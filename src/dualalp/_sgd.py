@@ -36,7 +36,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import CapacityError, ConvergenceError, InputShapeError, ParameterError
-from .features import FeatureSpace, SamplingPair, _csr_steps, importance_weight_guard
+from .features import (FeatureSpace, SamplingPair, _csr_steps, _dense_rows,
+                       importance_weight_guard)
 from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution, fixed_dot,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
@@ -165,19 +166,31 @@ class Surrogate:
         return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
                 + penalty * (signs @ self.state_operator))
 
+    def _check_draws(self, pair_idx: np.ndarray, state_idx: np.ndarray) -> None:
+        """Explicit draws are nonempty 1-D integer arrays of pairs in
+        [0, num_pairs) and states in [0, num_states): a row gather would fail
+        on an empty one with a bare error and read a 2-D one as another
+        shape, and a probability lookup would take -1 as the last index."""
+        for idx, size in ((pair_idx, self.model.num_pairs), (state_idx, self.model.num_states)):
+            if np.ndim(idx) != 1 or len(idx) == 0:
+                raise InputShapeError(f"draw indices must be a nonempty 1-D array, "
+                                      f"got shape {np.shape(idx)}")
+            if idx.dtype.kind not in "iu" or not (idx.min() >= 0 and idx.max() < size):
+                raise InputShapeError(f"draw indices must be integers in [0, {size})")
+
     def gather(self, sp: SamplingPair, pair_idx: np.ndarray, state_idx: np.ndarray,
                dense: bool = False):
         """What an estimator reads at its draws: (q_pair, mu0, rows of Phi) at
         the pair draws and (q_state, res_base, rows of S) at the state draws.
-        On 2-D (steps, m) draws the rows are per-step CSR views
-        (:func:`dualalp.features._csr_steps`); with ``dense`` the draws are
-        1-D and the rows dense blocks. Raises SamplingSupportError on a draw
-        of probability zero on either side, before any row is gathered."""
+        On 2-D (steps, m) draws the rows are per-step views of one gather per
+        side (:func:`dualalp.features._csr_steps`); with ``dense`` the draws
+        are 1-D and the rows dense blocks. Raises SamplingSupportError on a
+        draw of probability zero on either side, before any row is gathered."""
         q_pair, q_state = sp.pair_prob(pair_idx), sp.state_prob(state_idx)
         importance_weight_guard(q_pair)
         importance_weight_guard(q_state)
         if dense:
-            rows, state_rows = self.fs.rows(pair_idx), self.state_operator[state_idx].toarray()
+            rows, state_rows = self.fs.rows(pair_idx), _dense_rows(self.state_operator, state_idx)
         else:
             rows = _csr_steps(self.fs.phi, pair_idx)
             state_rows = _csr_steps(self.state_operator, state_idx)
@@ -196,7 +209,7 @@ class Surrogate:
         elif pair_idx is None or state_idx is None:
             raise ParameterError("either an rng or both pair_idx and state_idx are required")
         pair_idx, state_idx = np.atleast_1d(pair_idx), np.atleast_1d(state_idx)
-        _check_draws(pair_idx, state_idx)
+        self._check_draws(pair_idx, state_idx)
         if len(pair_idx) != len(state_idx):
             raise InputShapeError(f"pair_idx and state_idx must have one length, got "
                                   f"{len(pair_idx)} and {len(state_idx)}")
@@ -225,7 +238,7 @@ class Surrogate:
         q_pair at each pair index and |S theta + res_base| / q_state at each
         state index. The two index arrays are nonempty and 1-D, else
         InputShapeError, and need not have the same length."""
-        _check_draws(pair_idx, state_idx)
+        self._check_draws(pair_idx, state_idx)
         q_pair, occ, rows, q_state, res, state_rows = (
             part[0] for part in self.gather(sp, pair_idx[None], state_idx[None]))
         return (np.abs(np.minimum(occ + rows @ theta, 0.0)) / q_pair,
@@ -271,15 +284,6 @@ class SgdProblem:
     project: Callable[[np.ndarray], np.ndarray]
     violation_estimate: Callable[[np.ndarray, np.random.Generator], float]
     make_policy: Callable[[np.ndarray], Policy]
-
-
-def _check_draws(*idx_arrays: np.ndarray) -> None:
-    """Explicit draws are nonempty 1-D index arrays: a row gather would fail on
-    an empty one with a bare error, and read a 2-D one as another shape."""
-    for idx in idx_arrays:
-        if np.ndim(idx) != 1 or len(idx) == 0:
-            raise InputShapeError(f"draw indices must be a nonempty 1-D array, "
-                                  f"got shape {np.shape(idx)}")
 
 
 def distinct_counts(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

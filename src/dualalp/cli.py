@@ -71,7 +71,7 @@ def _rule(what: str, ok: Callable, numeric: bool = True) -> Callable:
     ok(value) holds; a numeric rule first needs a number."""
     def check(name: str, value) -> None:
         if numeric and not _is_number(value):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not ok(value):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
     return check

@@ -7,17 +7,19 @@ A feature matrix has one row per state-action pair (x-major flattening, as in
 at state x' under rate kappa is the d-vector (P - kappa*B)^T_{:,x'} Phi, i.e.
 the one-step inflow minus kappa times the action-marginal at x'.
 
-Phi and every one-step operator are kept in CSR form only, and every
-estimator reads its sampled rows of either as CSR views of one public,
-bounds-checked row slice (:func:`_csr_steps`): the minibatch SGD estimator
-slices the rows of all the steps of a refill at once, and every other sampled
-gather is a one-step view. A view's two products call the compiled kernels
-that scipy's ``csr @ vector`` and ``vector @ csr`` end in, ``csr_matvec`` and
-``csc_matvec`` from the private ``scipy.sparse._sparsetools``, on the same
-arrays in the same order, so they give the public products' bits without
-scipy's per-call index checks and constructors.
-``test_csr_steps_match_public_products`` pins the bits to scipy's public
-products. The public row accessors return dense blocks.
+Phi and every one-step operator are kept in CSR form only, and every sampled
+row of either is read through one bounds-checked gather (:func:`_row_gather`),
+which fills the arrays of scipy's ``matrix[idx]`` with the kernel that slice
+ends in, ``csr_row_index`` from the private ``scipy.sparse._sparsetools``,
+without scipy's per-call index conversions and constructors. The minibatch
+SGD estimator gathers all the steps of a refill at once and reads each step
+through a view of the block (:func:`_csr_steps`). A view's two products call
+the kernels of scipy's ``csr @ vector`` and ``vector @ csr``, ``csr_matvec``
+and ``csc_matvec``, and dense blocks are filled by ``csr_todense``, the kernel
+of ``toarray``, on the same arrays in the same order, so every read gives the
+bits of the public slice and products (``test_row_gather_matches_public_slice``,
+``test_csr_steps_match_public_products``). The public row accessors return
+dense blocks.
 
 No padded fixed-width (ELL) copy of Phi's rows is kept: at the paper preset
 (4,112,784 rows of width 4) it would take about 263 MB, and it is no faster.
@@ -45,12 +47,13 @@ reproducible under per-run seeds.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse._sparsetools import csc_matvec, csr_matvec
+from scipy.sparse._sparsetools import csc_matvec, csr_matvec, csr_row_index, csr_todense
 
 from .errors import InputShapeError, ParameterError, SamplingSupportError
 from .mdp import MdpModel, _aggregation_matrix, fixed_dot
@@ -107,7 +110,7 @@ class FeatureSpace:
 
     def rows(self, pair_idx: np.ndarray) -> np.ndarray:
         """(n, d) dense block of feature rows for the given pair indices."""
-        return self.phi[pair_idx].toarray()
+        return _dense_rows(self.phi, pair_idx)
 
     # -- operator rows ------------------------------------------------------
 
@@ -129,11 +132,11 @@ class FeatureSpace:
 
     def drift_rows(self, states: np.ndarray, kappa: float) -> np.ndarray:
         """(n, d) dense block of drift vectors for the given states."""
-        return self._operator((1.0, -kappa))[states].toarray()
+        return _dense_rows(self._operator((1.0, -kappa)), states)
 
     def feasibility_rows(self, states: np.ndarray, kappa: float) -> np.ndarray:
         """(n, d) dense block of feasibility vectors for the given states."""
-        return self._operator((-kappa, 1.0))[states].toarray()
+        return _dense_rows(self._operator((-kappa, 1.0)), states)
 
     # -- pointwise products -------------------------------------------------
 
@@ -160,6 +163,11 @@ class SamplingPair:
     state_probs: np.ndarray | None = None
 
     def __post_init__(self):
+        for name in ("c_pair", "c_state"):
+            # the "auto" learning rate is built from these bounds; NaN fails the test
+            value = getattr(self, name)
+            if not 0.0 <= value < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0, got {value!r}")
         for name, size in (("pair_probs", self.num_pairs), ("state_probs", self.num_states)):
             cum = guide = None
             probs = getattr(self, name)
@@ -258,12 +266,14 @@ def _search(cum: np.ndarray, guide: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 class _CsrRows:
-    """Rows of a sparse (n, d) matrix in CSR arrays: ``rows @ theta`` gives
-    their n inner products and ``weights @ rows`` their weighted sum as a
-    d-vector. Both make the kernel call of scipy's ``csr @ vector``
-    (``csr_matvec``) and ``vector @ csr`` (``csc_matvec`` on the transpose),
-    so they give the bits of the public products. The kernels check no
-    bounds, so a vector of the wrong shape raises InputShapeError first.
+    """Rows of a sparse (n, d) matrix in CSR arrays, where ``indptr`` gives
+    each row's start and end as positions in ``indices`` and ``data``, which
+    may hold other rows too: ``rows @ theta`` gives their n inner products
+    and ``weights @ rows`` their weighted sum as a d-vector. Both make the
+    kernel call of scipy's ``csr @ vector`` (``csr_matvec``) and
+    ``vector @ csr`` (``csc_matvec`` on the transpose), so they give the bits
+    of the public products. The kernels check no bounds, so a vector of the
+    wrong shape raises InputShapeError first.
     """
 
     __array_ufunc__ = None  # ``ndarray @ rows`` defers to __rmatmul__
@@ -288,18 +298,45 @@ class _CsrRows:
         return out
 
 
+def _row_gather(matrix: sp.csr_matrix, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The indptr, indices and data of ``matrix[idx]`` for a 1-D integer index
+    array, in the matrix's index dtype, at a cost that follows len(idx), not
+    the number of rows. ``csr_row_index`` checks no bounds, so an index that
+    is not an integer in [0, rows) raises InputShapeError first."""
+    idx = np.asarray(idx)
+    rows = matrix.shape[0]
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
+            idx.size and not (idx.min() >= 0 and idx.max() < rows)):
+        raise InputShapeError(f"row indices must be a 1-D integer array in [0, {rows})")
+    indptr = matrix.indptr
+    pos = idx.astype(np.intp, copy=False)  # numpy gathers fastest with native-width indices
+    block_ptr = np.zeros(len(idx) + 1, dtype=indptr.dtype)
+    np.cumsum(indptr[1:][pos] - indptr[pos], out=block_ptr[1:])
+    indices = np.empty(block_ptr[-1], dtype=indptr.dtype)
+    data = np.empty(block_ptr[-1], dtype=matrix.dtype)
+    csr_row_index(len(idx), idx.astype(indptr.dtype, copy=False), indptr, matrix.indices,
+                  matrix.data, indices, data)
+    return block_ptr, indices, data
+
+
+def _dense_rows(matrix: sp.csr_matrix, idx) -> np.ndarray:
+    """``matrix[idx].toarray()``, filled by the kernel of ``toarray``."""
+    indptr, indices, data = _row_gather(matrix, idx)
+    out = np.zeros((len(indptr) - 1, matrix.shape[1]), dtype=data.dtype)
+    csr_todense(out.shape[0], out.shape[1], indptr, indices, data, out)
+    return out
+
+
 def _csr_steps(matrix: sp.csr_matrix, idx: np.ndarray) -> list[_CsrRows]:
     """The rows of a CSR matrix at each row of a 2-D index array (steps, m):
-    one public, bounds-checked slice ``matrix[idx.ravel()]`` for them all,
-    and per step a :class:`_CsrRows` viewing its m rows, with indptr rebased
-    to 0."""
-    m = idx.shape[1]
-    block = matrix[idx.ravel()]
-    indptr, dim = block.indptr, matrix.shape[1]
-    bounds = indptr[::m].tolist()  # where each step's nonzeros start, and where the last ends
-    return [_CsrRows(indptr[i * m:(i + 1) * m + 1] - lo, block.indices[lo:hi],
-                     block.data[lo:hi], dim)
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    one :func:`_row_gather` of them all, and per step a :class:`_CsrRows`
+    viewing its m rows. The views share the block's indices and data, and
+    each takes its slice of the block's indptr as it is, since the kernels
+    read the offsets as positions in those arrays."""
+    steps, m = idx.shape
+    indptr, indices, data = _row_gather(matrix, idx.ravel())
+    dim = matrix.shape[1]
+    return [_CsrRows(indptr[i * m:(i + 1) * m + 1], indices, data, dim) for i in range(steps)]
 
 
 def importance_weight_guard(prob: np.ndarray) -> None:

@@ -465,7 +465,8 @@ def test_solver_numeric_fields_type_checked(tmp_path, monkeypatch, capsys, solve
     cfg = base_config(tmp_path, **solver)
     assert main(["solve-avg", "--config", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     (name, value), = solver.items()
-    assert f"config error: solver.{name} must be a number, got {value!r}" in capsys.readouterr().err
+    expected = f"config error: solver.{name} must be a finite number, got {value!r}"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bench", [{"minibatch": "1000"}, {"penalty": False},
@@ -478,7 +479,8 @@ def test_bench_numeric_fields_type_checked(tmp_path, monkeypatch, capsys, bench)
     assert main(["bench-queue", "--preset", "desk", "--config", str(cfg),
                  "--out", str(tmp_path / "o")]) == EXIT_CONFIG
     (name, value), = bench.items()
-    assert f"config error: bench.{name} must be a number, got {value!r}" in capsys.readouterr().err
+    expected = f"config error: bench.{name} must be a finite number, got {value!r}"
+    assert expected in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["solve-avg", "solve-disc", "meta-disc"])

@@ -447,6 +447,58 @@ def test_csr_steps_empty_and_short_rows():
     np.testing.assert_array_equal(weighted, [1.5, 3.0, -1.5, 0.0])
 
 
+def _assert_gather_matches_public(matrix, idx):
+    """``_row_gather`` gives the arrays of scipy's ``matrix[idx]``, dtypes
+    included, and ``_dense_rows`` the bits of its ``toarray()``."""
+    public = matrix[idx]
+    for got, expected in zip(features._row_gather(matrix, idx),
+                             (public.indptr, public.indices, public.data)):
+        assert got.dtype == expected.dtype
+        np.testing.assert_array_equal(got, expected)
+    dense = features._dense_rows(matrix, idx)
+    assert dense.tobytes() == public.toarray().tobytes() and dense.shape == public.shape
+
+
+def test_row_gather_matches_public_slice(desk_space):
+    model, fs = desk_space
+    rng = np.random.default_rng(50)
+    drift = fs._operator((1.0, -1.0))
+    feasibility = random_features(rng, random_mdp(rng, 40, 3), 12,
+                                  density=0.3)._operator((-0.9, 1.0))
+    # rows 0 and 2 are empty
+    small = sp.csr_matrix(np.array([[0.0, 0.0, 0.0], [1.5, 0.0, -2.0], [0.0, 0.0, 0.0],
+                                    [0.0, 3.0, 0.5]]))
+    cases = [(fs.phi, rng.integers(0, model.num_pairs, size=16_000)),
+             (drift, rng.integers(0, model.num_states, size=16_000)),
+             (fs.phi, rng.integers(0, model.num_pairs, size=1)),
+             (drift, np.array([model.num_states - 1])),
+             (feasibility, rng.integers(0, 40, size=25)),
+             (small, np.array([0, 2, 2, 1, 0, 3, 3, 2])),
+             (small, np.array([2]))]
+    for matrix, idx in cases:
+        for dtype in (np.int32, np.int64):
+            _assert_gather_matches_public(matrix, idx.astype(dtype))
+    # a matrix with 64-bit index arrays is gathered in them (scipy's slice narrows them)
+    wide = small.copy()
+    wide.indptr, wide.indices = wide.indptr.astype(np.int64), wide.indices.astype(np.int64)
+    idx = np.array([3, 0, 1], dtype=np.int32)
+    assert features._row_gather(wide, idx)[1].dtype == np.int64
+    assert features._dense_rows(wide, idx).tobytes() == small[idx].toarray().tobytes()
+    pairs = rng.integers(0, model.num_pairs, size=512)
+    assert fs.rows(pairs).tobytes() == fs.phi[pairs].toarray().tobytes()
+    assert fs.rows(list(pairs[:3])).tobytes() == fs.phi[pairs[:3]].toarray().tobytes()
+
+
+@pytest.mark.parametrize("idx", [[-1], [4], [0, 4], np.array([0.0]), np.array([True]),
+                                 np.array([[0]])],
+                         ids=["negative", "past-the-end", "one-past", "float", "bool", "2-d"])
+def test_row_gather_refuses_indices_outside_the_rows(idx):
+    # the kernel reads whatever the offsets point at, so every index is checked first
+    matrix = sp.csr_matrix(np.arange(12.0).reshape(4, 3))
+    with pytest.raises(InputShapeError, match=r"\[0, 4\)"):
+        features._row_gather(matrix, idx)
+
+
 def test_csr_rows_reject_vectors_of_the_wrong_shape():
     # the compiled kernels check no bounds, so a short vector would be read past its end
     matrix = sp.csr_matrix(np.arange(12.0).reshape(3, 4))
@@ -515,6 +567,16 @@ def test_sampling_tables_must_be_distributions_of_the_right_length(side, probs, 
     with pytest.raises(error):
         features.SamplingPair(num_pairs=5, num_states=5, c_pair=1.0, c_state=1.0,
                               **{side: probs})
+
+
+@pytest.mark.parametrize("name", ["c_pair", "c_state"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -5.0], ids=["nan", "inf", "negative"])
+def test_coverage_constants_must_be_finite_and_nonnegative(name, value):
+    # a NaN constant used to fail later as a ConvergenceError, and -5 ran with a rate built from it
+    constants = {"c_pair": 1.0, "c_state": 1.0, name: value}
+    with pytest.raises(ParameterError, match=f"{name} must be finite and >= 0"):
+        features.SamplingPair(num_pairs=5, num_states=5, **constants)
+    features.SamplingPair(num_pairs=5, num_states=5, **{**constants, name: 0.0})
 
 
 def test_sampling_tables_stored_as_float_arrays():

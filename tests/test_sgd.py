@@ -293,6 +293,7 @@ def test_state_draw_out_of_support_gathers_no_row(monkeypatch, path):
         np.resize(pairs, (steps, m)), np.resize(states, (steps, m))))
     monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
     monkeypatch.setattr(FeatureSpace, "rows", no_gather)
+    monkeypatch.setattr(features, "_row_gather", no_gather)
     surrogate, theta, rng = Surrogate.average_cost(model, fs), np.zeros(fs.dim), None
     calls = {
         "explicit subgradient": [lambda: surrogate.subgradient_estimate(
@@ -329,6 +330,37 @@ def test_explicit_draws_of_the_wrong_shape_raise(monkeypatch, objective, pair_id
         else:
             subgradient_estimate_disc(model, surrogate.fs, sampler, 1.7, 0.85, None,
                                       np.zeros(fs.dim), **draws)
+
+
+@pytest.mark.parametrize("side, index", [("pair_idx", -1), ("pair_idx", "end"),
+                                         ("state_idx", -1), ("state_idx", "end"),
+                                         ("state_idx", 0.0)],
+                         ids=["pair-negative", "pair-past-the-end", "state-negative",
+                              "state-past-the-end", "state-float"])
+@pytest.mark.parametrize("objective", ["average cost", "discounted"])
+def test_explicit_draws_out_of_range_raise(monkeypatch, objective, side, index):
+    # pair -1 used to read the last pair silently, and one past the end raised a bare IndexError
+    model, fs = _fixture_instance()
+    (_, surrogate, sampler), = [s for s in _surrogates(model, fs) if s[0] == objective]
+    size = model.num_pairs if side == "pair_idx" else model.num_states
+    draws = {"pair_idx": np.array([0, 1]), "state_idx": np.array([0, 1])}
+    draws[side] = np.array([1, size if index == "end" else index])
+
+    def no_read(*args):
+        pytest.fail("a probability or row was read for a draw out of range")
+
+    for name in ("pair_prob", "state_prob"):
+        monkeypatch.setattr(SamplingPair, name, no_read)
+    monkeypatch.setattr(features, "_row_gather", no_read)
+    theta = np.zeros(fs.dim)
+    with pytest.raises(InputShapeError, match=rf"integers in \[0, {size}\)"):
+        if objective == "average cost":
+            subgradient_estimate(model, fs, sampler, 1.7, theta, **draws)
+        else:
+            subgradient_estimate_disc(model, surrogate.fs, sampler, 1.7, 0.85, None, theta,
+                                      **draws)
+    with pytest.raises(InputShapeError, match=rf"integers in \[0, {size}\)"):
+        surrogate.violation_summands(sampler, theta, draws["pair_idx"], draws["state_idx"])
 
 
 @pytest.mark.parametrize("dim", [1, 3, 170])
