@@ -35,10 +35,10 @@ from typing import Callable
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import CapacityError, ConvergenceError, InputShapeError, ParameterError
+from .errors import ConvergenceError, InputShapeError, ParameterError
 from .features import (FeatureSpace, SamplingPair, _csr_steps, _dense_rows,
                        importance_weight_guard)
-from .mdp import (DENSE_GUARD, MdpModel, Policy, _check_state_distribution, fixed_dot,
+from .mdp import (MdpModel, Policy, _check_state_distribution, fixed_dot, is_integer,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
 
@@ -47,8 +47,12 @@ MINIBATCH_BLOCK = 16384  # draws per side presampled by one minibatch refill
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
+    """A SeedSequence as given, or the one a non-negative integer seeds."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
+    if not is_integer(seed) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer or a SeedSequence, "
+                             f"got {seed!r}")
     return np.random.SeedSequence(seed)
 
 
@@ -62,14 +66,14 @@ def check_halving_period(period, error: type = ParameterError) -> None:
     """A learning-rate halving period is None (no halving) or a positive
     integer: a negative one would double the rate, zero would turn halving off
     and a fraction would halve at uneven steps."""
-    if period is not None and (type(period) is not int or period < 1):
+    if period is not None and (not is_integer(period) or period < 1):
         raise error(f"lr_halving_period must be null or a positive integer, got {period!r}")
 
 
 def check_positive_int(name: str, value) -> None:
     """A count is a positive integer (numpy integers count, bools do not): a
     fraction or a nonpositive count has no meaning."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+    if not is_integer(value) or value < 1:
         raise ParameterError(f"{name} must be >= 1 (a positive integer), got {value!r}")
 
 
@@ -110,12 +114,7 @@ class SolverConfig:
             raise ParameterError(f'learning_rate must be "auto" or a finite number >= 0, '
                                  f"got {rate!r}")
         check_halving_period(self.lr_halving_period)
-
-
-def _guard_exact(model: MdpModel):
-    if model.num_pairs > DENSE_GUARD:
-        raise CapacityError(
-            f"exact enumeration limited to num_states*num_actions <= {DENSE_GUARD}")
+        as_seed_sequence(self.seed)  # a bad seed fails here, not when the run starts
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,6 @@ class Surrogate:
         return cls(model, fs, fs._operator((-gamma, 1.0)), -alpha)
 
     def violations_exact(self, theta: np.ndarray) -> tuple[float, float]:
-        _guard_exact(self.model)
         neg_mass = float(np.abs(np.minimum(self.fs.occupancy_vector(theta), 0.0)).sum())
         residual = float(np.abs(self.state_operator @ theta + self.res_base).sum())
         return neg_mass, residual
@@ -160,7 +158,6 @@ class Surrogate:
         return self.fs.loss_mu0 + float(self.fs.loss_phi @ theta) + penalty * (v_neg + v_res)
 
     def exact_subgradient(self, penalty: float, theta: np.ndarray) -> np.ndarray:
-        _guard_exact(self.model)
         active = (self.fs.occupancy_vector(theta) < 0.0).astype(float)
         signs = np.sign(self.state_operator @ theta + self.res_base)
         return (self.fs.loss_phi - penalty * (self.fs.phi.T @ active)
@@ -413,8 +410,7 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
     Raises ConvergenceError, naming t, when the running average is non-finite
     at a recorded row.
     """
-    if iterations < 1:
-        raise ParameterError("iterations must be >= 1")
+    check_positive_int("iterations", iterations)
     check_halving_period(lr_halving_period)
     ss_grad, ss_trace = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(ss_grad)

@@ -40,7 +40,7 @@ class AvgSolverConfig(SolverConfig):
 
 
 def violations_exact(model: MdpModel, fs: FeatureSpace, theta: np.ndarray) -> tuple[float, float]:
-    """Exact (negative-mass, stationarity-residual) pair by full enumeration."""
+    """Exact (negative-mass, stationarity-residual) pair, by sparse products."""
     return Surrogate.average_cost(model, fs).violations_exact(theta)
 
 

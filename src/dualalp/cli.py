@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration or parameter error, 3 capacity error,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -31,7 +30,7 @@ from .errors import (CapacityError, ConfigError, ConvergenceError, DualAlpError,
                      InputShapeError, SamplingSupportError)
 from .features import make_norm_proportional_sampling, make_uniform_sampling
 from .grid import build_penalty_grid
-from .mdp import (DENSE_GUARD, _check_state_distribution, average_cost, fixed_dot,
+from .mdp import (_check_state_distribution, average_cost, fixed_dot, is_integer,
                   policy_from_occupancy, stationary_state_action, value_function)
 from .trace import MetaResult, RunTrace
 
@@ -84,10 +83,10 @@ def _one_of(*choices) -> Callable:
 _number = _rule("a number", lambda v: True)
 _positive = _rule("positive", lambda v: v > 0)
 _fraction = _rule("in (0, 1)", lambda v: 0 < v < 1)
-_positive_int = _rule("a positive integer", lambda v: type(v) is int and v >= 1)
-_nonnegative_int = _rule("a non-negative integer", lambda v: type(v) is int and v >= 0)
+_positive_int = _rule("a positive integer", lambda v: is_integer(v) and v >= 1)
+_nonnegative_int = _rule("a non-negative integer", lambda v: is_integer(v) and v >= 0)
 _cap = _rule("null or a positive integer",
-             lambda v: v is None or (type(v) is int and v >= 1), numeric=False)
+             lambda v: v is None or (is_integer(v) and v >= 1), numeric=False)
 _flag = _rule("true or false", lambda v: type(v) is bool, numeric=False)
 _path = _rule("null or a file path", lambda v: v is None or isinstance(v, str), numeric=False)
 _distribution = _rule('"uniform", null or a list of finite numbers',
@@ -194,17 +193,13 @@ def _resolve_section(config: dict, section: str, table: dict) -> dict:
 
 
 def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as handle:
-            config = json.load(handle)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError(f"config file must hold a JSON object, got {config!r}")
+    """The config file's object. A top-level key outside the known sections
+    (and trace_stride) is refused; a mode may ignore a known one."""
+    config = {} if path is None else fixtures.read_json(path, "config file")
+    unknown = set(config) - {"problem", "features", "sampling", "solver", "eval", "meta",
+                             "bench", "policy", "trace_stride"}
+    if unknown:
+        raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
     return config
 
 
@@ -276,13 +271,6 @@ def _make_eval_hook(mode_cfg: dict, model, spec, gamma=None, alpha=None):
     return lambda policy: _simulated_cost(mode_cfg, spec, policy)[0]
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=2)
-        handle.write("\n")
-
-
 def _write_trace(trace, path: Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     trace.write_csv(path)
@@ -293,7 +281,7 @@ def _write_summary(out_dir: Path, mode: str, resolved_config: dict, seed,
     summary = {"config": {"mode": mode, **resolved_config},
                "provenance": {"seed": seed, "iterations": int(iterations)},
                "result": result}
-    _write_json(summary, out_dir / "summary.json")
+    fixtures.write_json(summary, out_dir / "summary.json")
     return summary
 
 
@@ -420,8 +408,7 @@ def run_solver(mode: str, config: dict, out_dir: Path) -> dict:
         _write_trace(trace, out_dir / "trace.csv")
         iterations = cfg.iterations
         fields = {"penalty": solver["penalty"], **_trace_summary(trace)}
-        if model.num_pairs <= DENSE_GUARD:
-            fields["violations_exact"] = list(objective.violations_exact(trace.theta))
+        fields["violations_exact"] = list(objective.violations_exact(trace.theta))
     return _write_summary(out_dir, mode, resolved, solver["seed"], iterations,
                           {**fields, **objective.summary})
 
@@ -532,7 +519,7 @@ def run_print_grid(violation_bound: float, weight: float, tolerance: float,
                "result": {"points": [float(p) for p in grid.points]},
                "provenance": {"seed": None, "iterations": 0}}
     if out_dir is not None:
-        _write_json(summary, out_dir / "summary.json")
+        fixtures.write_json(summary, out_dir / "summary.json")
     return summary
 
 

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._sgd import (SolverConfig, Surrogate, check_radius, meta_loop, run_projected_sgd,
-                   sgd_solve)
+from ._sgd import (SolverConfig, Surrogate, check_positive_int, check_radius, meta_loop,
+                   run_projected_sgd, sgd_solve)
 from .avgcost import project_theta_avg
 from .errors import ParameterError
 from .features import FeatureSpace, SamplingPair
@@ -47,7 +47,7 @@ class DiscSolverConfig(SolverConfig):
 
 def violations_exact_disc(model: MdpModel, fs: FeatureSpace, gamma: float,
                           alpha: np.ndarray | None, theta: np.ndarray) -> tuple[float, float]:
-    """Exact (negative-mass, feasibility-residual) pair by full enumeration."""
+    """Exact (negative-mass, feasibility-residual) pair, by sparse products."""
     return Surrogate.discounted(model, fs, gamma, alpha).violations_exact(theta)
 
 
@@ -160,6 +160,8 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
         raise ParameterError("gamma must lie in (0, 1)")
     if not 0.0 < failure_prob < 1.0:
         raise ParameterError("failure_prob must lie in (0, 1)")
+    if max_iterations_per_point is not None:
+        check_positive_int("max_iterations_per_point", max_iterations_per_point)
     Surrogate.discounted(model, fs, gamma, alpha)  # alpha and mu0 fail before the grid runs
     scale = math.sqrt(fs.dim) * fs.column_norm_bound * radius
     if violation_bound is None:
@@ -174,7 +176,7 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
         iterations = run_count_disc(penalty, radius, sp.c_pair, sp.c_state,
                                     fs.dim, tolerance, failure_prob)
         if max_iterations_per_point is not None:
-            iterations = min(iterations, int(max_iterations_per_point))
+            iterations = min(iterations, max_iterations_per_point)
         return iterations
 
     def solve(penalty, iterations, run_seed):

@@ -11,10 +11,16 @@ Feature fixture::
     {"normalize": true,
      "mu0": null | [... X*A values ...],
      "columns": [{"name": "optional", "entries": [{"x": 0, "a": 1, "value": 0.3}, ...]}, ...]}
+
+``x``, ``a`` and ``next`` are integers in range and ``normalize`` (default
+false) is a JSON bool. A missing file, invalid JSON, a missing field or a
+``normalize`` of another type raises ConfigError; a count or index that is not
+an integer in range raises InputShapeError (:meth:`MdpModel.pair_index`).
 """
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -24,24 +30,39 @@ from .features import FeatureSpace
 from .mdp import MdpModel
 
 
-def _require(doc: dict, key: str, where: str):
-    if key not in doc:
-        raise ConfigError(f"{where} is missing required field {key!r}")
-    return doc[key]
+def read_json(path, what: str) -> dict:
+    """The JSON object in the file at ``path``, named ``what`` in the
+    ConfigError of a missing file, invalid JSON or another JSON value."""
+    try:
+        with open(path) as handle:
+            doc = json.load(handle)
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{what} not found: {path}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must hold a JSON object, got {doc!r}")
+    return doc
+
+
+def write_json(doc: dict, path) -> None:
+    """Write ``doc`` as sorted, indented JSON and a newline; makes the parent directories."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump(doc, handle, sort_keys=True, indent=2)
+        handle.write("\n")
 
 
 def load_mdp_fixture(path) -> MdpModel:
-    with open(path) as handle:
-        doc = json.load(handle)
-    return mdp_from_dict(doc, where=str(path))
+    return mdp_from_dict(read_json(path, "mdp fixture"), where=str(path))
 
 
 def mdp_from_dict(doc: dict, where: str = "mdp fixture") -> MdpModel:
-    num_states = int(_require(doc, "num_states", where))
-    num_actions = int(_require(doc, "num_actions", where))
-    loss = np.asarray(_require(doc, "loss", where), dtype=float)
-    records = [(rec["x"], rec["a"], rec["next"], rec["p"])
-               for rec in _require(doc, "transitions", where)]
+    try:
+        num_states, num_actions, loss = doc["num_states"], doc["num_actions"], doc["loss"]
+        records = [(rec["x"], rec["a"], rec["next"], rec["p"]) for rec in doc["transitions"]]
+    except KeyError as exc:
+        raise ConfigError(f"{where} is missing required field {exc}") from exc
     return MdpModel.from_records(num_states, num_actions, records, loss)
 
 
@@ -52,37 +73,33 @@ def save_mdp_fixture(model: MdpModel, path) -> None:
                for i, j, p in zip(coo.row, coo.col, coo.data)]
     doc = {"num_states": model.num_states, "num_actions": model.num_actions,
            "loss": [float(v) for v in model.loss], "transitions": records}
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(doc, path)
 
 
 def load_feature_fixture(path, model: MdpModel) -> FeatureSpace:
-    with open(path) as handle:
-        doc = json.load(handle)
-    return features_from_dict(doc, model, where=str(path))
+    return features_from_dict(read_json(path, "feature fixture"), model, where=str(path))
 
 
 def features_from_dict(doc: dict, model: MdpModel,
                        where: str = "feature fixture") -> FeatureSpace:
-    columns = _require(doc, "columns", where)
-    if not columns:
+    normalize = doc.get("normalize", False)
+    if type(normalize) is not bool:
+        raise ConfigError(f"{where}: normalize must be true or false, got {normalize!r}")
+    rows, cols, data, names = [], [], [], []
+    try:
+        for j, column in enumerate(doc["columns"]):
+            names.append(column.get("name", f"f{j}"))
+            for entry in column.get("entries", []):
+                rows.append(model.pair_index(entry["x"], entry["a"]))
+                cols.append(j)
+                data.append(entry["value"])
+    except KeyError as exc:
+        raise ConfigError(f"{where} is missing required field {exc}") from exc
+    if not names:
         raise ConfigError(f"{where} has no feature columns")
-    rows, cols, data = [], [], []
-    names = []
-    for j, column in enumerate(columns):
-        names.append(column.get("name", f"f{j}"))
-        for entry in column.get("entries", []):
-            rows.append(int(entry["x"]) * model.num_actions + int(entry["a"]))
-            cols.append(j)
-            data.append(float(entry["value"]))
-    phi = sp.coo_matrix((data, (rows, cols)),
-                        shape=(model.num_pairs, len(columns)))
-    mu0 = doc.get("mu0")
-    if mu0 is not None:
-        mu0 = np.asarray(mu0, dtype=float)
-    return FeatureSpace(model, phi, mu0=mu0,
-                        normalize=bool(doc.get("normalize", False)), names=names)
+    phi = sp.coo_matrix((np.asarray(data, dtype=float), (rows, cols)),
+                        shape=(model.num_pairs, len(names)))
+    return FeatureSpace(model, phi, mu0=doc.get("mu0"), normalize=normalize, names=names)
 
 
 def save_feature_fixture(fs: FeatureSpace, path) -> None:
@@ -99,6 +116,4 @@ def save_feature_fixture(fs: FeatureSpace, path) -> None:
         columns.append({"name": name, "entries": entries})
     mu0 = None if not fs.mu0.any() else [float(v) for v in fs.mu0]
     doc = {"normalize": False, "mu0": mu0, "columns": columns}
-    with open(path, "w") as handle:
-        json.dump(doc, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    write_json(doc, path)

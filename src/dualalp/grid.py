@@ -27,12 +27,14 @@ def build_penalty_grid(violation_bound: float, weight: float,
                        tolerance: float) -> PenaltyGrid:
     """Construct the grid of penalty gains.
 
-    Requires violation_bound > 0, weight > 0 and 0 < tolerance <
+    Requires finite violation_bound > 0 and weight > 0 and 0 < tolerance <
     2*sqrt(violation_bound) (so the start lies strictly below the cap and the
-    grid has at least two points).
+    grid has at least two points). An infinite violation_bound would give a
+    zero start and zero steps, and the grid would never reach its cap.
     """
-    if violation_bound <= 0 or weight <= 0:
-        raise ParameterError("violation_bound and weight must be positive")
+    if not (0.0 < violation_bound < np.inf and 0.0 < weight < np.inf):
+        raise ParameterError(f"violation_bound and weight must be positive and finite, "
+                             f"got {violation_bound!r} and {weight!r}")
     if not 0.0 < tolerance < 2.0 * np.sqrt(violation_bound):
         raise ParameterError(
             f"tolerance must lie in (0, 2*sqrt(violation_bound)) = "

@@ -7,6 +7,7 @@ Vectors over pairs (occupancies, losses) are plain 1-D numpy arrays of length
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,25 @@ def fixed_dot(a: np.ndarray, b: np.ndarray) -> float:
     may use; this sum does not. The exact oracles and the violation estimator
     use it for sums whose length grows with the model."""
     return float((a * b).sum())
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer, not a bool: the package's one integer test."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_index(name: str, value, size: int) -> int:
+    """An index: InputShapeError unless ``value`` is an integer in [0, size)."""
+    if not is_integer(value) or not 0 <= value < size:
+        raise InputShapeError(f"{name} {value!r} is not an integer in [0, {size})")
+    return int(value)
+
+
+def pair_index(num_states: int, num_actions: int, x, a) -> int:
+    """The package's one rule for the flat pair index x * num_actions + a;
+    InputShapeError unless x and a are integers in range."""
+    return (check_index("state", x, num_states) * num_actions
+            + check_index("action", a, num_actions))
 
 
 def _aggregation_matrix(num_states: int, num_actions: int) -> sp.csr_matrix:
@@ -87,11 +107,15 @@ class MdpModel:
 
     @staticmethod
     def from_records(num_states: int, num_actions: int, records, loss) -> "MdpModel":
-        """Build from an iterable of (x, a, next_state, prob) tuples."""
+        """Build from (x, a, next_state, prob) tuples of integers in range."""
+        if not (is_integer(num_states) and is_integer(num_actions)
+                and num_states > 0 < num_actions):
+            raise InputShapeError(f"state and action counts must be positive integers, "
+                                  f"got {num_states!r} and {num_actions!r}")
         rows, cols, data = [], [], []
         for x, a, nxt, p in records:
-            rows.append(x * num_actions + a)
-            cols.append(nxt)
+            rows.append(pair_index(num_states, num_actions, x, a))
+            cols.append(check_index("next state", nxt, num_states))
             data.append(p)
         trans = sp.coo_matrix((data, (rows, cols)),
                               shape=(num_states * num_actions, num_states))
@@ -106,7 +130,7 @@ class MdpModel:
                                np.asarray(loss, dtype=float).reshape(-1))
 
     def pair_index(self, x: int, a: int) -> int:
-        return x * self.num_actions + a
+        return pair_index(self.num_states, self.num_actions, x, a)
 
 
 @dataclass(frozen=True)

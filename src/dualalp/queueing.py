@@ -15,17 +15,17 @@ Joint actions are flattened as a = 2*i + j with i the server-1 choice
 from __future__ import annotations
 
 import logging
-import numbers
 from dataclasses import dataclass
 from itertools import compress, product
 
 import numpy as np
 import scipy.sparse as sp
 
-from ._sgd import _map_points
+from ._sgd import _map_points, as_seed_sequence
 from .errors import CapacityError, InputShapeError, ParameterError
 from .features import FeatureSpace
-from .mdp import DENSE_GUARD, MdpModel, Policy, stationary_state_action
+from .mdp import (DENSE_GUARD, MdpModel, Policy, check_index, is_integer,
+                  stationary_state_action)
 
 logger = logging.getLogger(__name__)
 
@@ -84,15 +84,9 @@ PAPER_COMPONENT_INTERVALS = ((0, 10), (11, 20), (21, 25))
 DESK_COMPONENT_INTERVALS = ((0, 3), (4, 6), (7, 9))
 
 
-def _is_integer(value) -> bool:
-    """A Python or numpy integer; bools do not count."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
 def served_queues(action: int) -> tuple[int, int]:
     """Queue indices attended by (server 1, server 2) under a joint action."""
-    if not 0 <= action < NUM_ACTIONS:
-        raise InputShapeError(f"action {action} out of range")
+    check_index("action", action, NUM_ACTIONS)
     return SERVER1_CHOICES[action // 2], SERVER2_CHOICES[action % 2]
 
 
@@ -103,19 +97,14 @@ def encode_state(spec: QueueNetSpec, lengths) -> int:
         raise InputShapeError(f"four queue lengths required, got {len(lengths)}")
     idx = 0
     for k in (3, 2, 1, 0):
-        length = lengths[k]
-        if not _is_integer(length) or not 0 <= length <= spec.buffers[k]:
-            raise InputShapeError(f"queue {k} length {length!r} is not an integer "
-                                  f"in [0, {spec.buffers[k]}]")
-        idx = idx * (spec.buffers[k] + 1) + int(length)
+        radix = spec.buffers[k] + 1
+        idx = idx * radix + check_index(f"queue {k} length", lengths[k], radix)
     return idx
 
 
 def decode_state(spec: QueueNetSpec, idx: int) -> tuple[int, int, int, int]:
     """The four queue lengths of a flat state index, a Python or numpy integer."""
-    if not _is_integer(idx) or not 0 <= idx < spec.num_states:
-        raise InputShapeError(f"state index {idx!r} is not an integer "
-                              f"in [0, {spec.num_states})")
+    check_index("state index", idx, spec.num_states)
     return tuple(int(v) for v in _decode_array(spec, [idx])[0])
 
 
@@ -254,16 +243,12 @@ def heuristic_policy(spec: QueueNetSpec, kind: str) -> Policy:
     return Policy(probs.reshape(spec.num_states, NUM_ACTIONS))
 
 
-def _check_integer(name: str, value) -> None:
-    if not _is_integer(value):
-        raise ParameterError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_trajectory(spec: QueueNetSpec, policy: Policy, steps, burn_in) -> None:
     """Integer ``steps`` and ``burn_in`` with ``0 <= burn_in < steps``, and a policy
     table of this network."""
-    _check_integer("horizon", steps)
-    _check_integer("burn_in", burn_in)
+    for name, value in (("horizon", steps), ("burn_in", burn_in)):
+        if not is_integer(value):
+            raise ParameterError(f"{name} must be an integer, got {value!r}")
     if not 0 <= burn_in < steps:
         raise ParameterError(f"horizon must exceed burn_in >= 0 (got {steps}, {burn_in})")
     if policy.probs.shape != (spec.num_states, NUM_ACTIONS):
@@ -356,7 +341,7 @@ def heuristic_stationary_trajectory(spec: QueueNetSpec, policy: Policy,
     ``burn_in`` on one trajectory (the full-scale substitute for the exact
     stationary solve of :func:`dualalp.mdp.stationary_distribution`). Per step,
     one uniform picks the action, then :func:`step` draws its four."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(as_seed_sequence(seed))
     visited = _visited_pairs(spec, policy, burn_in + length, burn_in, rng)
     return np.bincount(visited, minlength=spec.num_states * NUM_ACTIONS) / length
 
@@ -435,11 +420,12 @@ def evaluate_policy_simulated(spec: QueueNetSpec, policy: Policy, horizon: int,
     loaded, starting and stopping the pool cost 20-50 ms, against 0.5-1.1 us per
     simulated step: the pool pays from about 40k steps per replication.
     """
-    _check_integer("reps", reps)
+    if not is_integer(reps):
+        raise ParameterError(f"reps must be an integer, got {reps!r}")
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     _check_trajectory(spec, policy, horizon, burn_in)
-    rep_seeds = np.random.SeedSequence(seed).spawn(reps)
+    rep_seeds = as_seed_sequence(seed).spawn(reps)
 
     def rep_mean(r):
         visited = _visited_pairs(spec, policy, horizon, burn_in,

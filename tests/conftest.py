@@ -1,9 +1,18 @@
+import os
+
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
 from dualalp.features import FeatureSpace
 from dualalp.mdp import MdpModel, Policy
+
+
+def pytest_report_header(config):
+    """The versions and BLAS thread count that outputs and timings depend on."""
+    return (f"numpy {np.__version__}, scipy {scipy.__version__}, "
+            f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
 
 
 def random_mdp(rng, num_states, num_actions, sharpness=1.0):

@@ -146,6 +146,15 @@ def test_print_grid_stdout(capsys):
     assert float(lines[1]) == pytest.approx(1.25)
 
 
+@pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf")])
+def test_print_grid_refuses_non_finite_input(capsys, flag, value):
+    # printed a one-point grid and exited 0 (an infinite --v-max never returned;
+    # tests/test_grid.py covers it in the library)
+    args = {"--v-max": "1.0", "--beta": "1.0", "--epsilon": "0.05", flag: value}
+    assert main(["print-grid", *[part for item in args.items() for part in item]]) == EXIT_CONFIG
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_eval_policy_heuristic(tmp_path):
     small = {
         "problem": {"queue_preset": "desk"},
@@ -857,6 +866,34 @@ def test_non_object_config_document_is_config_error(tmp_path, capsys, document):
     assert capsys.readouterr().err.startswith(
         "config error: config file must hold a JSON object")
     assert not out.exists()
+
+
+def test_unknown_top_level_key_is_config_error(tmp_path, monkeypatch, capsys):
+    # {"solvr": {"iterations": 5}} ran the default 1000 iterations and exited 0
+    monkeypatch.setattr(cli.fixtures, "load_mdp_fixture", _no_model)
+    doc = _mode_config(tmp_path, "solve-avg")
+    doc["solvr"] = {"iterations": 5}
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    assert main(["solve-avg", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: unknown top-level config keys: ['solvr']")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, section, args", [
+    ("solve-avg", "meta", []),  # criterion 9 runs solve-* on a config with a meta section
+    ("solve-disc", "bench", ["--seed", "3"]),
+    ("bench-queue", "solver", ["--seed", "3"]),  # the seed override writes solver and bench
+], ids=["solve-with-meta", "solve-with-bench", "bench-with-solver"])
+def test_known_sections_a_mode_does_not_read_are_allowed(tmp_path, mode, section, args):
+    doc = ({"bench": {"iterations": 400, "minibatch": 16}} if mode == "bench-queue"
+           else _mode_config(tmp_path, mode))
+    doc[section] = {"seed": 1} if section == "solver" else {}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([mode, "--config", str(cfg), "--out", str(tmp_path / "o"), *args]) == 0
 
 
 @pytest.mark.parametrize("mode, section, key, value", [

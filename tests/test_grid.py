@@ -51,3 +51,14 @@ def test_degenerate_parameters_rejected():
     # tolerance so large the start would already exceed the cap
     with pytest.raises(ParameterError):
         build_penalty_grid(1.0, 1.0, 2.1)
+
+
+@pytest.mark.parametrize("violation_bound, weight, tolerance", [
+    (np.inf, 1.0, 0.05), (np.nan, 1.0, 0.05), (1.0, np.inf, 0.05), (1.0, np.nan, 0.05),
+    (1.0, 1.0, np.inf), (1.0, 1.0, np.nan)])
+def test_non_finite_parameters_rejected(violation_bound, weight, tolerance):
+    # an infinite violation_bound started at 0 and stepped by 0, so the grid
+    # grew until the process was killed; an infinite or NaN weight gave one point
+    with pytest.raises(ParameterError):
+        build_penalty_grid(violation_bound, weight, tolerance)
+

@@ -1,0 +1,357 @@
+"""Typed refusals of bad input, one parametrised test per module: each case
+names the call, the error class it must raise and a piece of its message.
+
+The fixture cases read malformed copies of ``tests/data/mdp4.json`` (4 states,
+2 actions) and ``tests/data/features3.json``; the CLI cases check that the same
+errors leave ``dualalp`` with their exit codes instead of a traceback.
+"""
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from dualalp import avgcost, discounted, fixtures
+from dualalp._sgd import SolverConfig, run_projected_sgd
+from dualalp.cli import EXIT_CONFIG, EXIT_INPUT_SHAPE, SEED_ENV_VAR, main
+from dualalp.errors import ConfigError, InputShapeError, ParameterError
+from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
+                              make_uniform_sampling)
+from dualalp.mdp import (DENSE_GUARD, MdpModel, Policy, bellman_average, bellman_discounted,
+                         solve_optimal)
+from dualalp.queueing import (DESK_SPEC, QueueNetSpec, build_features, build_mdp,
+                              evaluate_policy_simulated, heuristic_policy, served_queues)
+from dualalp.trace import read_trace_csv
+
+DATA = Path(__file__).parent / "data"
+
+
+def mdp4():
+    return fixtures.load_mdp_fixture(DATA / "mdp4.json")
+
+
+def raises(error, match, call):
+    with pytest.raises(error, match=match):
+        call()
+
+
+# --------------------------------------------------------------- fixtures
+
+def _mdp_doc(edit):
+    doc = json.loads((DATA / "mdp4.json").read_text())
+    edit(doc)
+    return doc
+
+
+def _feature_doc(edit):
+    doc = json.loads((DATA / "features3.json").read_text())
+    edit(doc)
+    return doc
+
+
+def _set_entry(key, value):
+    def edit(doc):
+        doc["columns"][0]["entries"][0][key] = value
+    return edit
+
+
+def _set_record(key, value):
+    def edit(doc):
+        doc["transitions"][0][key] = value
+    return edit
+
+
+# (id, "mdp" or "features", edit of the document, error, message)
+FIXTURE_CASES = [
+    # a = 5 landed on pair 7 = (x 3, a 1), x: 1.7 read as 1, "false" normalized
+    ("feature-action-out-of-range", "features", _set_entry("a", 5), InputShapeError,
+     r"action 5 is not an integer in \[0, 2\)"),
+    ("feature-state-out-of-range", "features", _set_entry("x", 4), InputShapeError,
+     r"state 4 is not an integer in \[0, 4\)"),
+    ("feature-state-negative", "features", _set_entry("x", -1), InputShapeError,
+     r"state -1 is not an integer"),
+    ("feature-state-fraction", "features", _set_entry("x", 1.7), InputShapeError,
+     r"state 1.7 is not an integer"),
+    ("feature-state-bool", "features", _set_entry("x", True), InputShapeError,
+     r"state True is not an integer"),
+    ("normalize-string", "features", lambda doc: doc.update(normalize="false"), ConfigError,
+     "normalize must be true or false, got 'false'"),
+    ("feature-entry-without-value", "features",
+     lambda doc: doc["columns"][0]["entries"][0].pop("value"), ConfigError,
+     "missing required field 'value'"),
+    ("no-columns-key", "features", lambda doc: doc.pop("columns"), ConfigError,
+     "missing required field 'columns'"),
+    ("no-columns", "features", lambda doc: doc.update(columns=[]), ConfigError,
+     "has no feature columns"),
+    ("record-state-out-of-range", "mdp", _set_record("x", 4), InputShapeError,
+     r"state 4 is not an integer in \[0, 4\)"),
+    ("record-next-out-of-range", "mdp", _set_record("next", 4), InputShapeError,
+     r"next state 4 is not an integer in \[0, 4\)"),
+    ("record-action-fraction", "mdp", _set_record("a", 0.5), InputShapeError,
+     r"action 0.5 is not an integer"),
+    ("record-without-p", "mdp", lambda doc: doc["transitions"][0].pop("p"), ConfigError,
+     "missing required field 'p'"),
+    ("no-num-actions", "mdp", lambda doc: doc.pop("num_actions"), ConfigError,
+     "missing required field 'num_actions'"),
+    ("fractional-count", "mdp", lambda doc: doc.update(num_states=4.5), InputShapeError,
+     "state and action counts must be positive integers, got 4.5 and 2"),
+]
+
+
+@pytest.mark.parametrize("kind, edit, error, match",
+                         [case[1:] for case in FIXTURE_CASES],
+                         ids=[case[0] for case in FIXTURE_CASES])
+def test_fixture_refusals(tmp_path, kind, edit, error, match):
+    if kind == "mdp":
+        path = tmp_path / "mdp.json"
+        path.write_text(json.dumps(_mdp_doc(edit)))
+        raises(error, match, lambda: fixtures.load_mdp_fixture(path))
+    else:
+        path = tmp_path / "features.json"
+        path.write_text(json.dumps(_feature_doc(edit)))
+        raises(error, match, lambda: fixtures.load_feature_fixture(path, mdp4()))
+
+
+@pytest.mark.parametrize("content, match", [
+    (None, "mdp fixture not found: "), ("{", "mdp fixture is not valid JSON: "),
+    ("[1]", "mdp fixture must hold a JSON object")])
+def test_unreadable_fixture_is_config_error(tmp_path, content, match):
+    # a missing file or invalid JSON was a traceback (exit 1)
+    path = tmp_path / "mdp.json"
+    if content is not None:
+        path.write_text(content)
+    raises(ConfigError, match, lambda: fixtures.load_mdp_fixture(path))
+
+
+# (id, which fixture the config names, its document or None for a missing file, exit code)
+CLI_FIXTURE_CASES = [
+    ("missing-mdp-file", "mdp", None, EXIT_CONFIG),
+    ("invalid-mdp-json", "mdp", "{", EXIT_CONFIG),
+    ("missing-feature-file", "features", None, EXIT_CONFIG),
+    ("missing-record-field", "mdp",
+     json.dumps(_mdp_doc(lambda doc: doc["transitions"][0].pop("next"))), EXIT_CONFIG),
+    ("normalize-string", "features",
+     json.dumps(_feature_doc(lambda doc: doc.update(normalize="false"))), EXIT_CONFIG),
+    ("action-out-of-range", "features", json.dumps(_feature_doc(_set_entry("a", 5))),
+     EXIT_INPUT_SHAPE),
+    ("fractional-state", "features", json.dumps(_feature_doc(_set_entry("x", 1.7))),
+     EXIT_INPUT_SHAPE),
+]
+
+
+@pytest.mark.parametrize("which, content, code", [case[1:] for case in CLI_FIXTURE_CASES],
+                         ids=[case[0] for case in CLI_FIXTURE_CASES])
+def test_cli_fixture_errors_exit_with_their_codes(tmp_path, capsys, which, content, code):
+    paths = {"mdp": str(DATA / "mdp4.json"), "features": str(DATA / "features3.json")}
+    paths[which] = str(tmp_path / f"{which}.json")
+    if content is not None:
+        Path(paths[which]).write_text(content)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"problem": {"mdp_path": paths["mdp"]},
+                               "features": {"path": paths["features"]},
+                               "solver": {"iterations": 5}}))
+    out = tmp_path / "o"
+    assert main(["solve-avg", "--config", str(cfg), "--out", str(out)]) == code
+    prefix = "config error: " if code == EXIT_CONFIG else "input shape error: "
+    assert capsys.readouterr().err.startswith(prefix)
+    assert not out.exists()
+
+
+# --------------------------------------------------------------- mdp
+
+def _negative_kernel():
+    return MdpModel.create(2, 1, np.array([[1.5, -0.5], [0.0, 1.0]]), np.zeros(2))
+
+
+MDP_CASES = [
+    ("negative-probability", _negative_kernel, ParameterError,
+     "transition probabilities must be nonnegative"),
+    ("policy-not-2d", lambda: Policy(np.full(4, 0.5)), InputShapeError,
+     r"policy probabilities must be a 2-D"),
+    ("bellman-average-length", lambda: bellman_average(mdp4(), np.zeros(3)),
+     InputShapeError, "h must have length 4"),
+    ("bellman-discounted-length", lambda: bellman_discounted(mdp4(), np.zeros(5), 0.9),
+     InputShapeError, "J must have length 4"),
+    ("solve-optimal-no-gamma", lambda: solve_optimal(mdp4(), "discounted"), ParameterError,
+     "discounted mode needs gamma"),
+    ("solve-optimal-bad-gamma", lambda: solve_optimal(mdp4(), "discounted", gamma=1.0),
+     ParameterError, r"gamma must lie in \(0, 1\), got 1.0"),
+    ("solve-optimal-unknown-mode", lambda: solve_optimal(mdp4(), "avg"), ParameterError,
+     "unknown mode 'avg'"),
+    ("pair-index-out-of-range", lambda: mdp4().pair_index(0, 2), InputShapeError,
+     r"action 2 is not an integer in \[0, 2\)"),
+    ("pair-index-fraction", lambda: mdp4().pair_index(1.0, 0), InputShapeError,
+     "state 1.0 is not an integer"),
+    ("record-next-negative",
+     lambda: MdpModel.from_records(1, 1, [(0, 0, -1, 1.0)], [0.0]), InputShapeError,
+     r"next state -1 is not an integer in \[0, 1\)"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [case[1:] for case in MDP_CASES],
+                         ids=[case[0] for case in MDP_CASES])
+def test_mdp_refusals(call, error, match):
+    raises(error, match, call)
+
+
+def test_pair_index_accepts_numpy_integers():
+    assert mdp4().pair_index(np.int64(3), np.int32(1)) == 7
+
+
+# --------------------------------------------------------------- features
+
+def _space(**kwargs):
+    model = mdp4()
+    return FeatureSpace(model, kwargs.pop("phi", sp.eye(8, 2, format="csr")), **kwargs)
+
+
+FEATURE_CASES = [
+    ("phi-rows", lambda: _space(phi=sp.csr_matrix((7, 2))), InputShapeError,
+     "phi must have 8 rows, got 7"),
+    ("names-length", lambda: _space(names=["only"]), InputShapeError,
+     "one name per feature column expected"),
+    ("mu0-length", lambda: _space(mu0=np.zeros(7)), InputShapeError,
+     "mu0 must have length 8"),
+    ("norm-proportional-zero-phi",
+     lambda: make_norm_proportional_sampling(mdp4(), _space(phi=sp.csr_matrix((8, 2))), 1.0),
+     ParameterError, "norm-proportional sampling needs a nonzero feature matrix"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [case[1:] for case in FEATURE_CASES],
+                         ids=[case[0] for case in FEATURE_CASES])
+def test_features_refusals(call, error, match):
+    raises(error, match, call)
+
+
+# --------------------------------------------------------------- _sgd and the solvers
+
+def _meta_disc(**kwargs):
+    model = mdp4()
+    fs = fixtures.load_feature_fixture(DATA / "features3.json", model)
+    args = {"gamma": 0.9, "alpha": None, "tolerance": 0.6, "failure_prob": 0.2, "seed": 5,
+            "radius": 1.5, "violation_bound": 0.8, "selection_weight": 0.8, **kwargs}
+    return discounted.meta_solve_disc(model, fs, make_uniform_sampling(model, fs, 0.9), **args)
+
+
+SOLVER_CASES = [
+    ("sgd-zero-iterations", lambda: run_projected_sgd(None, 0, 0.1, seed=0), ParameterError,
+     "iterations must be >= 1"),
+    ("config-negative-seed", lambda: SolverConfig(penalty=1.0, radius=1.0, iterations=5,
+                                                  seed=-1),
+     ParameterError, "seed must be a non-negative integer or a SeedSequence, got -1"),
+    ("config-fractional-seed", lambda: SolverConfig(penalty=1.0, radius=1.0, iterations=5,
+                                                    seed=1.5),
+     ParameterError, "seed must be a non-negative integer"),
+    ("meta-disc-gamma", lambda: _meta_disc(gamma=1.0), ParameterError,
+     r"gamma must lie in \(0, 1\)"),
+    # the cap was cast with int(), so 2.7 ran 2 steps per point
+    ("meta-disc-fractional-cap", lambda: _meta_disc(max_iterations_per_point=2.7),
+     ParameterError, r"max_iterations_per_point must be >= 1 \(a positive integer\), got 2.7"),
+    ("meta-disc-zero-cap", lambda: _meta_disc(max_iterations_per_point=0),
+     ParameterError, "max_iterations_per_point must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [case[1:] for case in SOLVER_CASES],
+                         ids=[case[0] for case in SOLVER_CASES])
+def test_solver_refusals(call, error, match):
+    raises(error, match, call)
+
+
+def test_numpy_integer_halving_period_and_cap_are_accepted():
+    cfg = SolverConfig(penalty=1.0, radius=1.0, iterations=np.int64(5),
+                       lr_halving_period=np.int64(5), seed=np.int64(3))
+    assert cfg.lr_halving_period == 5
+    result = _meta_disc(max_iterations_per_point=np.int64(3))
+    assert result.iterations_per_point.tolist() == [3] * len(result.grid_points)
+
+
+def test_exact_violations_above_dense_guard():
+    """The exact oracles are sparse products, so they run on a model of more
+    than DENSE_GUARD pairs: action 0 stays, action 1 moves to the next state."""
+    num_states = DENSE_GUARD // 2 + 1
+    num_pairs = 2 * num_states
+    states = np.arange(num_states)
+    kernel = sp.csr_matrix((np.ones(num_pairs), np.stack([states, (states + 1) % num_states],
+                                                         axis=1).ravel(),
+                            np.arange(num_pairs + 1)), shape=(num_pairs, num_states))
+    model = MdpModel.create(num_states, 2, kernel, np.zeros(num_pairs))
+    assert model.num_pairs > DENSE_GUARD
+    rng = np.random.default_rng(3)
+    phi = sp.random(num_pairs, 3, density=2e-5, random_state=rng, format="csr")
+    phi.data -= 0.5
+    fs = FeatureSpace(model, phi)
+    theta = np.array([1.0, -2.0, 0.5])
+    u = (phi @ theta).reshape(num_states, 2)
+    neg_mass = np.abs(np.minimum(u, 0.0)).sum()
+    outflow, inflow = u.sum(axis=1), u[:, 0] + np.roll(u[:, 1], 1)
+    np.testing.assert_allclose(avgcost.violations_exact(model, fs, theta),
+                               (neg_mass, np.abs(inflow - outflow).sum()), rtol=1e-12)
+    gamma, alpha = 0.9, np.full(num_states, 1.0 / num_states)
+    np.testing.assert_allclose(
+        discounted.violations_exact_disc(model, fs, gamma, None, theta),
+        (neg_mass, np.abs(outflow - gamma * inflow - alpha).sum()), rtol=1e-12)
+
+
+# --------------------------------------------------------------- queueing and trace
+
+QUEUE_CASES = [
+    ("probability-count", lambda: QueueNetSpec((2, 1, 1, 2), (0.1,), (0.2,) * 4),
+     ParameterError, "two arrival and four service probabilities required"),
+    ("action-out-of-range", lambda: served_queues(4), InputShapeError,
+     r"action 4 is not an integer in \[0, 4\)"),
+    ("action-fraction", lambda: served_queues(1.5), InputShapeError,
+     "action 1.5 is not an integer"),
+    # a bare ValueError from numpy
+    ("simulation-negative-seed", lambda: evaluate_policy_simulated(
+        DESK_SPEC, heuristic_policy(DESK_SPEC, "LBFS"), 200, 20, 1, seed=-1),
+     ParameterError, "seed must be a non-negative integer or a SeedSequence, got -1"),
+]
+
+
+@pytest.mark.parametrize("call, error, match", [case[1:] for case in QUEUE_CASES],
+                         ids=[case[0] for case in QUEUE_CASES])
+def test_queueing_refusals(call, error, match):
+    raises(error, match, call)
+
+
+def test_build_features_refuses_unknown_stationary_mode():
+    spec = QueueNetSpec((2, 1, 1, 2), (0.1, 0.1), (0.2, 0.2, 0.3, 0.3))
+    raises(ParameterError, "unknown stationary_mode 'simulated'",
+           lambda: build_features(spec, build_mdp(spec), loss_intervals=((1, 6),),
+                                  component_intervals=((0, 2),),
+                                  stationary_mode="simulated"))
+
+
+def test_trace_refuses_bad_header(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_text("t,objective,v_hat\n1,0.5,0.1\n")
+    raises(InputShapeError, "unexpected trace header", lambda: read_trace_csv(path))
+
+
+# --------------------------------------------------------------- cli
+
+# (id, config document or a raw string, environment seed, message)
+CLI_CASES = [
+    ("invalid-json", "{\"solver\": ", None, "config error: config file is not valid JSON"),
+    ("unknown-preset", {"problem": {"queue_preset": "huge"}}, None,
+     "config error: unknown queue preset 'huge'"),
+    ("no-features", {"problem": {"mdp_path": str(DATA / "mdp4.json")}}, None,
+     "config error: config needs features.path (or a queue problem)"),
+    ("env-seed-not-integer", {}, "7.5", f"config error: {SEED_ENV_VAR} must be an integer"),
+]
+
+
+@pytest.mark.parametrize("document, env_seed, message", [case[1:] for case in CLI_CASES],
+                         ids=[case[0] for case in CLI_CASES])
+def test_cli_refusals(tmp_path, monkeypatch, capsys, document, env_seed, message):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(document if isinstance(document, str) else json.dumps(document))
+    if env_seed is not None:
+        monkeypatch.setenv(SEED_ENV_VAR, env_seed)
+    out = tmp_path / "o"
+    assert main(["solve-avg", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
