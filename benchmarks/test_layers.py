@@ -37,8 +37,8 @@ import pytest
 import scipy.sparse as sp
 
 from dualalp import _sgd, avgcost, discounted, features, fixtures, mdp, queueing
-from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, Surrogate, make_buffered_grad,
-                          make_minibatch_grad)
+from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, Surrogate, make_buffered_step,
+                          make_minibatch_step)
 from dualalp.discounted import meta_solve_disc, project_theta_disc
 
 DRAWS = 1000
@@ -145,15 +145,15 @@ def test_sampler_build_desk(benchmark, desk_model):
 
 
 def test_minibatch_block_step(benchmark, desk):
-    """One m = 1000 step of the SGD minibatch estimator, with the block refill
+    """One m = 1000 SGD minibatch step, theta - rate * g, with the block refill
     amortized over its MINIBATCH_BLOCK // 1000 steps."""
     surrogate, sampler, theta = desk
     steps = MINIBATCH_BLOCK // DRAWS
-    grad = make_minibatch_grad(surrogate, sampler, 2.0, DRAWS, 10**6)
+    step = make_minibatch_step(surrogate, sampler, 2.0, DRAWS, 10**6)
     rng = np.random.default_rng(3)
     for _ in range(steps):  # the first block outside the timing
-        grad(theta, rng)
-    assert benchmark.pedantic(grad, args=(theta, rng), rounds=100,
+        step(theta, rng, 0.01)
+    assert benchmark.pedantic(step, args=(theta, rng, 0.01), rounds=100,
                               iterations=steps).shape == theta.shape
 
 
@@ -172,31 +172,36 @@ def test_minibatch_refill_desk(benchmark, desk):
 
 
 def test_minibatch_block_step_disc(benchmark, desk):
-    """One m = 100 step of the discounted minibatch estimator at gamma = 0.99
-    (desk feasibility rows, the features without mu0), with the block refill
-    amortized over its MINIBATCH_BLOCK // 100 steps."""
+    """One m = 100 discounted minibatch step at gamma = 0.99 (desk feasibility
+    rows, the features without mu0), with the block refill amortized over its
+    MINIBATCH_BLOCK // 100 steps."""
     surrogate, _, theta = desk
     model = surrogate.model
     fs = features.FeatureSpace(model, surrogate.fs.phi)
     sampler = features.make_norm_proportional_sampling(model, fs, kappa=0.99)
     m = 100
     steps = MINIBATCH_BLOCK // m
-    grad = make_minibatch_grad(Surrogate.discounted(model, fs, 0.99, None), sampler, 2.0, m,
+    step = make_minibatch_step(Surrogate.discounted(model, fs, 0.99, None), sampler, 2.0, m,
                                10**6)
     rng = np.random.default_rng(3)
     for _ in range(steps):  # the first block outside the timing
-        grad(theta, rng)
-    assert benchmark.pedantic(grad, args=(theta, rng), rounds=100,
+        step(theta, rng, 0.01)
+    assert benchmark.pedantic(step, args=(theta, rng, 0.01), rounds=100,
                               iterations=steps).shape == theta.shape
 
 
 def test_buffered_step(benchmark, desk):
-    """One m = 1 step, with the block refill amortized over GRAD_BLOCK calls."""
+    """One m = 1 step and the average-cost projection, with the block refill
+    and its candidate table amortized over GRAD_BLOCK calls."""
     surrogate, sampler, theta = desk
-    grad = make_buffered_grad(surrogate, sampler, 2.0)
+    step = make_buffered_step(surrogate, sampler, 2.0)
     rng = np.random.default_rng(4)
-    grad(theta, rng)  # the first block's dense gathers happen outside the timing
-    assert benchmark.pedantic(grad, args=(theta, rng), rounds=20,
+
+    def projected_step():
+        return avgcost.project_theta_avg(step(theta, rng, 0.01), 200.0, 1.0)
+
+    projected_step()  # the first block's dense gathers happen outside the timing
+    assert benchmark.pedantic(projected_step, rounds=20,
                               iterations=GRAD_BLOCK).shape == theta.shape
 
 
@@ -250,18 +255,18 @@ def small_disc():
 
 
 def test_single_draw_step_d3(benchmark, small_disc):
-    """One m = 1 discounted step at d = 3: the buffered gradient and the ball
-    projection, with the block refill amortized over GRAD_BLOCK calls."""
+    """One m = 1 discounted step at d = 3 and the ball projection, with the
+    block refill and its candidate table amortized over GRAD_BLOCK calls."""
     surrogate, sampler = small_disc
-    grad = make_buffered_grad(surrogate, sampler, 2.0)
+    step = make_buffered_step(surrogate, sampler, 2.0)
     rng = np.random.default_rng(5)
     theta = np.array([0.4, -0.2, 0.3])
 
-    def step():
-        return project_theta_disc(theta - 0.01 * grad(theta, rng), 1.3)
+    def projected_step():
+        return project_theta_disc(step(theta, rng, 0.01), 1.3)
 
-    step()
-    assert benchmark.pedantic(step, rounds=50, iterations=GRAD_BLOCK).shape == (3,)
+    projected_step()
+    assert benchmark.pedantic(projected_step, rounds=50, iterations=GRAD_BLOCK).shape == (3,)
 
 
 @pytest.mark.parametrize("norm", [0.5, 2.0], ids=["inside", "outside"])

@@ -18,9 +18,9 @@ against it, and every sampled estimator reads its draws through
 The loop is strictly sequential in the iterate; randomness is split into one
 stream for the gradient draws and one for the trace-time violation estimates,
 so changing the recording stride never perturbs the iterate path. Both SGD
-gradient estimators draw ahead in blocks that hold exactly the draws the steps
-would have taken one at a time, so the iterate path is bit for bit that of a
-per-step estimator.
+steps, ``step(theta, rng, rate)`` = theta - rate * g before the projection,
+draw ahead in blocks that hold exactly the draws the steps would have taken
+one at a time, so the iterate path is bit for bit that of a per-step estimator.
 """
 from __future__ import annotations
 
@@ -273,11 +273,12 @@ class Surrogate:
 
 @dataclass
 class SgdProblem:
-    """Everything the generic loop needs to know about one surrogate."""
+    """Everything the generic loop needs to know about one surrogate;
+    ``step(theta, rng, rate)`` is a fresh theta - rate * g before projection."""
 
     loss_phi: np.ndarray
     objective_offset: float
-    grad_batch: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    step: Callable[[np.ndarray, np.random.Generator, float], np.ndarray]
     project: Callable[[np.ndarray], np.ndarray]
     violation_estimate: Callable[[np.ndarray, np.random.Generator], float]
     make_policy: Callable[[np.ndarray], Policy]
@@ -300,57 +301,81 @@ def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray
     return sp.sample_pairs(rng, m), sp.sample_states(rng, m)
 
 
-def make_buffered_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float):
-    """Single-draw gradient estimator with block-presampled draws, for
-    minibatch 1 (:func:`make_minibatch_grad` serves larger minibatches).
+def make_buffered_step(surrogate: Surrogate, sp: SamplingPair, penalty: float):
+    """Single-draw SGD step with block-presampled draws, for minibatch 1
+    (:func:`make_minibatch_step` serves larger minibatches):
+    ``step(theta, rng, rate)`` is a fresh array, bit for bit theta - rate * g.
 
     Each refill draws ``GRAD_BLOCK`` pairs and states in one :func:`draw`, so
-    the draw stream is still fully determined by the rng, and gathers their
-    rows. It also precomputes, per draw, the gradient when the negativity
-    term is active, loss_phi - (penalty / q_pair) * row, and the residual
-    term (penalty / q_state) * state_row: the IEEE operations of a per-step
-    evaluation, in its order, only vectorised over the block. A step is then
-    two ``ndarray.dot`` calls (the BLAS dot product that ``@`` takes on two
-    vectors, at about half the call overhead), a choice of base and at most
-    one vector add or subtract. One matrix-vector product for both dot
-    products, or sums over Python floats, would round differently. Every
-    gradient is a fresh array the caller may mutate.
+    the draw stream is still fully determined by the rng, gathers their rows
+    and computes per draw n_i = loss_phi - (penalty / q_pair) * row, the
+    gradient with the negativity term active, and t_i = (penalty / q_state) *
+    state_row. A step writes (-rate) * (loss_phi ± t_i) and (-rate) * (n_i ±
+    t_i) into one table for the draws its rate is expected to hold for (what
+    is left of the previous rate's run, or as many as steps the rate has held
+    if more): a block at a constant rate, or a period of a rate that changes
+    every P steps, takes one fill. A step that would fill 16 draws or fewer,
+    or has a zero residual, takes the per-step form: a fill costs five vector
+    calls, and at d in the hundreds as much per draw as a draw saves. The
+    IEEE operations are those of the per-step form, in its order, and
+    theta + (-x) is theta - x exactly. A step is then two ``ndarray.dot``
+    calls (BLAS, half the call overhead of ``@``) and one vector add; one
+    matrix-vector product, or sums over Python floats, would round otherwise.
     """
     loss_phi = surrogate.fs.loss_phi
     block = GRAD_BLOCK
     pos = block
-    rows = state_rows = neg_grads = state_terms = occ = res = None
+    # (-table_rate) * (loss + t, loss - t, n + t, n - t) for the draws below scaled_end
+    table = np.empty((4 * block, loss_phi.size))
+    quarters = table.reshape(4, block, -1)
+    table_rate, last_rate, held, span, scaled_end = None, None, 0, 0, 0
+    rows = state_rows = neg_grads = state_terms = neg_occ = neg_res = None
 
     def refill(rng):
-        nonlocal pos, rows, state_rows, neg_grads, state_terms, occ, res
+        nonlocal pos, scaled_end, rows, state_rows, neg_grads, state_terms, neg_occ, neg_res
         q_pair, occ, rows, q_state, res, state_rows = surrogate.gather(
             sp, *draw(sp, rng, block), dense=True)
         neg_grads = loss_phi - (penalty / q_pair)[:, None] * rows
         state_terms = (penalty / q_state)[:, None] * state_rows
-        occ, res = occ.tolist(), res.tolist()
-        pos = 0
+        # a rounded sum has the sign of the exact one, so occ + x < 0 exactly when x < -occ
+        neg_occ, neg_res = (-occ).tolist(), (-res).tolist()
+        pos = scaled_end = 0
 
-    def grad(theta, rng):
-        nonlocal pos
+    def step(theta, rng, rate):
+        nonlocal pos, held, span, last_rate, table_rate, scaled_end
         if pos >= block:
             refill(rng)
-        i = pos
-        pos = i + 1
-        base = neg_grads[i] if occ[i] + rows[i].dot(theta) < 0.0 else loss_phi
-        resid = state_rows[i].dot(theta) + res[i]
-        if resid > 0.0:
-            return base + state_terms[i]
-        if resid < 0.0:
-            return base - state_terms[i]
-        return base.copy()
+        if rate == last_rate:
+            held += 1
+        else:
+            span, held, last_rate = held + 1, 0, rate
+        i, pos = pos, pos + 1
+        k = i + 2 * block if rows[i].dot(theta) < neg_occ[i] else i
+        state_dot = state_rows[i].dot(theta)
+        if state_dot < neg_res[i]:
+            k += block
+        elif not state_dot > neg_res[i]:  # a zero residual: the base alone
+            return theta - (loss_phi if k == i else neg_grads[i]) * rate
+        if (i >= scaled_end or rate != table_rate) and max(span - held, held) > 16:
+            scaled_end, table_rate = min(block, i + max(span - held, held)), rate
+            terms, negs = state_terms[i:scaled_end], neg_grads[i:scaled_end]
+            for q, base in enumerate((loss_phi, loss_phi, negs, negs)):
+                (np.subtract if q % 2 else np.add)(base, terms, out=quarters[q, i:scaled_end])
+            quarters[:, i:scaled_end] *= -rate
+        if i < scaled_end and rate == table_rate:
+            return theta + table[k]
+        q = (k - i) // block
+        base = neg_grads[i] if q > 1 else loss_phi
+        return theta - (base - state_terms[i] if q % 2 else base + state_terms[i]) * rate
 
-    return grad
+    return step
 
 
-def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, m: int,
+def make_minibatch_step(surrogate: Surrogate, sp: SamplingPair, penalty: float, m: int,
                         iterations: int):
-    """Gradient estimator over m draws per step, with block-presampled draws,
-    for a run of ``iterations`` steps.
+    """SGD step over m draws per step, with block-presampled draws, for a run
+    of ``iterations`` steps: ``step(theta, rng, rate)`` is a fresh array, bit
+    for bit theta - rate * g.
 
     Each refill draws k = max(1, MINIBATCH_BLOCK // m) steps, at most the
     steps the run has left, in one :meth:`SamplingPair.sample_steps` (the
@@ -359,7 +384,7 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     :meth:`Surrogate.weighted_subgradient`, as
     :meth:`Surrogate.subgradient_estimate` does, so on the same draws the two
     give the same bits. A draw of probability zero raises at the refill that
-    draws it. Every gradient is a fresh array.
+    draws it.
     """
     steps = max(1, MINIBATCH_BLOCK // m)
     left = iterations
@@ -375,16 +400,19 @@ def make_minibatch_grad(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
         inv_q_pair = 1.0 / q_pair
         pos = 0
 
-    def grad(theta, rng):
+    def step(theta, rng, rate):
         nonlocal pos
         if pos >= count:
             refill(rng)
         i = pos
         pos = i + 1
-        return surrogate.weighted_subgradient(penalty, theta, pair_rows[i], occ[i],
-                                              inv_q_pair[i], state_rows[i], res[i], q_state[i])
+        update = surrogate.weighted_subgradient(penalty, theta, pair_rows[i], occ[i],
+                                                inv_q_pair[i], state_rows[i], res[i], q_state[i])
+        update *= -rate
+        update += theta
+        return update
 
-    return grad
+    return step
 
 
 def resolve_learning_rate(learning_rate, radius: float, penalty: float,
@@ -403,8 +431,8 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
     """Run theta_{t+1} = project(theta_t - eta_t * mean-of-minibatch gradient)
     from theta_1 = 0 and return the trace of the running average.
 
-    ``problem.grad_batch(theta, rng)`` is one step's gradient estimate, over
-    the draws per step that it was built for.
+    ``problem.step(theta, rng, rate)`` is theta_t - eta_t * g before the
+    projection (:class:`SgdProblem`).
     ``eval_hook(policy) -> float`` is called at recorded rows only, with the
     policy of the running average.
     Raises ConvergenceError, naming t, when the running average is non-finite
@@ -419,7 +447,7 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
     theta = np.zeros(problem.loss_phi.size)
     theta_sum = np.zeros(problem.loss_phi.size)
     rec_t, rec_obj, rec_vhat, rec_cost = [], [], [], []
-    grad_batch, project = problem.grad_batch, problem.project
+    step, project = problem.step, problem.project
     for t in range(1, iterations + 1):
         theta_sum += theta
         if t % stride == 0 or t == iterations:
@@ -438,8 +466,7 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
             rate = learning_rate * 2.0 ** (-((t - 1) // lr_halving_period))
         else:
             rate = learning_rate
-        grad = grad_batch(theta, rng)
-        theta = project(theta - rate * grad)
+        theta = project(step(theta, rng, rate))
     theta_hat = theta_sum / iterations
     return RunTrace(iterations=np.asarray(rec_t, dtype=np.int64),
                     objective=np.asarray(rec_obj),
@@ -453,26 +480,25 @@ def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
               violation_estimate, eval_hook=None) -> RunTrace:
     """One projected SGD run of ``cfg`` on the surrogate from theta_1 = 0.
 
-    The gradients come from :func:`make_buffered_grad` at minibatch 1 and
-    from :func:`make_minibatch_grad` at every larger minibatch; both
-    presample their draws in blocks, and both give the iterates of a
-    per-step estimator bit for bit. ``run`` is :func:`run_projected_sgd`,
+    The steps come from :func:`make_buffered_step` at minibatch 1 and from
+    :func:`make_minibatch_step` at every larger minibatch; both presample
+    their draws in blocks, and both give the iterates of a per-step
+    estimator bit for bit. ``run`` is :func:`run_projected_sgd`,
     and ``project`` and ``violation_estimate`` call the projection and the
     violation estimator, as the calling solver module looks them up, so
     wrappers installed on that module see every call.
     """
     fs = surrogate.fs
     if cfg.minibatch == 1:
-        grad_batch = make_buffered_grad(surrogate, sp, cfg.penalty)
+        step = make_buffered_step(surrogate, sp, cfg.penalty)
     else:
-        grad_batch = make_minibatch_grad(surrogate, sp, cfg.penalty, cfg.minibatch,
-                                         cfg.iterations)
+        step = make_minibatch_step(surrogate, sp, cfg.penalty, cfg.minibatch, cfg.iterations)
 
     def make_policy(theta):
         return policy_from_occupancy(fs.occupancy_vector(theta), surrogate.model.num_actions)
 
     problem = SgdProblem(loss_phi=fs.loss_phi,
-                         objective_offset=fs.loss_mu0, grad_batch=grad_batch,
+                         objective_offset=fs.loss_mu0, step=step,
                          project=project, violation_estimate=violation_estimate,
                          make_policy=make_policy)
     rate = resolve_learning_rate(cfg.learning_rate, cfg.radius, cfg.penalty,

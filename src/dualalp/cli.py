@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 configuration or parameter error, 3 capacity error,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -30,8 +29,9 @@ from .errors import (CapacityError, ConfigError, ConvergenceError, DualAlpError,
                      InputShapeError, SamplingSupportError)
 from .features import make_norm_proportional_sampling, make_uniform_sampling
 from .grid import build_penalty_grid
-from .mdp import (_check_state_distribution, average_cost, fixed_dot, is_integer,
-                  policy_from_occupancy, stationary_state_action, value_function)
+from .mdp import (_check_state_distribution, average_cost, fixed_dot, is_integer, is_number,
+                  is_number_list, policy_from_occupancy, stationary_state_action,
+                  value_function)
 from .trace import MetaResult, RunTrace
 
 EXIT_OK = 0
@@ -55,21 +55,11 @@ EXIT_CODES = (
 SEED_ENV_VAR = "DUALALP_SEED"
 
 
-def _is_number(value) -> bool:
-    """A finite number: JSON reads NaN and Infinity, which no key allows."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and -math.inf < value < math.inf)
-
-
-def _is_finite_list(value) -> bool:
-    return isinstance(value, list) and all(_is_number(v) for v in value)
-
-
 def _rule(what: str, ok: Callable, numeric: bool = True) -> Callable:
     """A table row's check(name, value), which raises ConfigError unless
     ok(value) holds; a numeric rule first needs a number."""
     def check(name: str, value) -> None:
-        if numeric and not _is_number(value):
+        if numeric and not is_number(value):
             raise ConfigError(f"{name} must be a finite number, got {value!r}")
         if not ok(value):
             raise ConfigError(f"{name} must be {what}, got {value!r}")
@@ -90,8 +80,8 @@ _cap = _rule("null or a positive integer",
 _flag = _rule("true or false", lambda v: type(v) is bool, numeric=False)
 _path = _rule("null or a file path", lambda v: v is None or isinstance(v, str), numeric=False)
 _distribution = _rule('"uniform", null or a list of finite numbers',
-                      lambda v: v in ("uniform", None) or _is_finite_list(v), numeric=False)
-_theta = _rule("a list of finite numbers", _is_finite_list, numeric=False)
+                      lambda v: v in ("uniform", None) or is_number_list(v), numeric=False)
+_theta = _rule("a list of finite numbers", is_number_list, numeric=False)
 
 
 def _rate(name: str, value) -> None:

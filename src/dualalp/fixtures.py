@@ -12,9 +12,11 @@ Feature fixture::
      "mu0": null | [... X*A values ...],
      "columns": [{"name": "optional", "entries": [{"x": 0, "a": 1, "value": 0.3}, ...]}, ...]}
 
-``x``, ``a`` and ``next`` are integers in range and ``normalize`` (default
-false) is a JSON bool. A missing file, invalid JSON, a missing field or a
-``normalize`` of another type raises ConfigError; a count or index that is not
+``x``, ``a`` and ``next`` are integers in range, ``normalize`` (default
+false) is a JSON bool, transitions, columns and entries are JSON objects, and
+``loss``, ``mu0``, ``p`` and ``value`` are finite JSON numbers
+(:func:`dualalp.mdp.is_number`). A missing file, invalid JSON, a missing field
+or a field of another type raises ConfigError; a count or index that is not
 an integer in range raises InputShapeError (:meth:`MdpModel.pair_index`).
 """
 from __future__ import annotations
@@ -27,7 +29,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError
 from .features import FeatureSpace
-from .mdp import MdpModel
+from .mdp import MdpModel, is_number, is_number_list
 
 
 def read_json(path, what: str) -> dict:
@@ -45,6 +47,38 @@ def read_json(path, what: str) -> dict:
     return doc
 
 
+def _objects(value, what: str, where: str) -> list:
+    """``value`` if it is a list of JSON objects, else ConfigError."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: {what} must be a list of JSON objects, got {value!r}")
+    for k, item in enumerate(value):
+        if not isinstance(item, dict):
+            raise ConfigError(f"{where}: {what} must be JSON objects, got {item!r} at index {k}")
+    return value
+
+
+def _number(value, what: str, where: str, at: str):
+    """``value`` if it is a finite JSON number, else ConfigError: a string
+    would be parsed, a bool read as 0 or 1, a list fail in scipy."""
+    if not is_number(value):
+        raise ConfigError(f"{where}: {what} must be finite JSON numbers, got {value!r} at {at}")
+    return value
+
+
+def _numbers(value, name: str, where: str) -> list:
+    """``value`` if it is a list of finite JSON numbers
+    (:func:`dualalp.mdp.is_number_list`), else ConfigError naming the first
+    entry that is not one."""
+    if is_number_list(value):
+        return value
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: {name} must be a list of finite JSON numbers, "
+                          f"got {value!r}")
+    k = next(k for k, v in enumerate(value) if not is_number(v))
+    raise ConfigError(f"{where}: {name} entries must be finite JSON numbers, "
+                      f"got {value[k]!r} at index {k}")
+
+
 def write_json(doc: dict, path) -> None:
     """Write ``doc`` as sorted, indented JSON and a newline; makes the parent directories."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
@@ -59,8 +93,11 @@ def load_mdp_fixture(path) -> MdpModel:
 
 def mdp_from_dict(doc: dict, where: str = "mdp fixture") -> MdpModel:
     try:
-        num_states, num_actions, loss = doc["num_states"], doc["num_actions"], doc["loss"]
-        records = [(rec["x"], rec["a"], rec["next"], rec["p"]) for rec in doc["transitions"]]
+        num_states, num_actions = doc["num_states"], doc["num_actions"]
+        loss = _numbers(doc["loss"], "loss", where)
+        records = [(rec["x"], rec["a"], rec["next"],
+                    _number(rec["p"], "transition probabilities", where, f"transition {k}"))
+                   for k, rec in enumerate(_objects(doc["transitions"], "transitions", where))]
     except KeyError as exc:
         raise ConfigError(f"{where} is missing required field {exc}") from exc
     return MdpModel.from_records(num_states, num_actions, records, loss)
@@ -87,19 +124,24 @@ def features_from_dict(doc: dict, model: MdpModel,
         raise ConfigError(f"{where}: normalize must be true or false, got {normalize!r}")
     rows, cols, data, names = [], [], [], []
     try:
-        for j, column in enumerate(doc["columns"]):
+        for j, column in enumerate(_objects(doc["columns"], "columns", where)):
             names.append(column.get("name", f"f{j}"))
-            for entry in column.get("entries", []):
+            entries = _objects(column.get("entries", []), f"column {j} entries", where)
+            for k, entry in enumerate(entries):
                 rows.append(model.pair_index(entry["x"], entry["a"]))
                 cols.append(j)
-                data.append(entry["value"])
+                data.append(_number(entry["value"], "phi entries", where,
+                                    f"column {j} entry {k}"))
     except KeyError as exc:
         raise ConfigError(f"{where} is missing required field {exc}") from exc
     if not names:
         raise ConfigError(f"{where} has no feature columns")
     phi = sp.coo_matrix((np.asarray(data, dtype=float), (rows, cols)),
                         shape=(model.num_pairs, len(names)))
-    return FeatureSpace(model, phi, mu0=doc.get("mu0"), normalize=normalize, names=names)
+    mu0 = doc.get("mu0")
+    if mu0 is not None:
+        mu0 = _numbers(mu0, "mu0", where)
+    return FeatureSpace(model, phi, mu0=mu0, normalize=normalize, names=names)
 
 
 def save_feature_fixture(fs: FeatureSpace, path) -> None:

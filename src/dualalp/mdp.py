@@ -39,6 +39,18 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_number(value) -> bool:
+    """A finite real number, not a bool or a string: the package's one number
+    test for read input (JSON reads NaN and Infinity, which no input allows)."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and -math.inf < value < math.inf)
+
+
+def is_number_list(value) -> bool:
+    """A list of :func:`is_number` values: the package's one number-list test."""
+    return isinstance(value, list) and all(is_number(v) for v in value)
+
+
 def check_index(name: str, value, size: int) -> int:
     """An index: InputShapeError unless ``value`` is an integer in [0, size)."""
     if not is_integer(value) or not 0 <= value < size:

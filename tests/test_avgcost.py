@@ -307,23 +307,24 @@ def test_sgd_non_finite_iterate_raises_with_t():
     calls = []
     estimated_at = []
 
-    def grad_batch(theta, rng):
+    def step(theta, rng, rate):
         calls.append(1)
-        return np.full(2, np.nan if len(calls) >= 7 else 0.5)
+        return theta - rate * np.full(2, np.nan if len(calls) >= 7 else 0.5)
 
     def violation_estimate(theta_bar, rng):
         estimated_at.append(theta_bar.copy())
         return 0.0
 
     problem = SgdProblem(loss_phi=np.ones(2), objective_offset=0.0,
-                         grad_batch=grad_batch, project=lambda th: th,
+                         step=step, project=lambda th: th,
                          violation_estimate=violation_estimate,
                          make_policy=lambda th: None)
-    # the 7th gradient makes theta_8 NaN; the next recorded row is t = 10
+    # the 7th step makes theta_8 NaN; the next recorded row is t = 10, before its step
     with pytest.raises(ConvergenceError, match=r"t=10\b"):
         run_projected_sgd(problem, iterations=20, learning_rate=0.1, seed=0,
                           trace_stride=5)
     assert len(estimated_at) == 1 and np.isfinite(estimated_at[0]).all()
+    assert len(calls) == 9
 
 
 def test_sgd_recovers_feasible_feature_optimum():

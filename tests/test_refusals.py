@@ -62,6 +62,40 @@ def _set_record(key, value):
     return edit
 
 
+def _set_item(*path_and_value):
+    """Replace the item at the path of keys and indices with the last argument."""
+    *path, last, value = path_and_value
+
+    def edit(doc):
+        for key in path:
+            doc = doc[key]
+        doc[last] = value
+    return edit
+
+
+# (id, "mdp" or "features", edit of the document, message) of the fields of
+# another JSON type: a string p died in scipy with a ValueError, a list entry
+# with a TypeError, p: true was reported as a bad row sum, and a string loss,
+# value or mu0 entry was parsed without a word
+TYPE_CASES = [
+    ("record-p-string", "mdp", _set_record("p", "0.5"),
+     "transition probabilities must be finite JSON numbers, got '0.5' at transition 0"),
+    ("record-p-bool", "mdp", _set_record("p", True),
+     "transition probabilities must be finite JSON numbers, got True at transition 0"),
+    ("record-not-object", "mdp", _set_item("transitions", 0, [0, 0, 0, 0.5]),
+     r"transitions must be JSON objects, got \[0, 0, 0, 0.5\] at index 0"),
+    ("loss-entry-string", "mdp", _set_item("loss", 1, "0.5"),
+     "loss entries must be finite JSON numbers, got '0.5' at index 1"),
+    ("loss-string", "mdp", lambda doc: doc.update(loss="0.5"),
+     "loss must be a list of finite JSON numbers, got '0.5'"),
+    ("feature-entry-list", "features", _set_item("columns", 0, "entries", 0, [1, 0, 0.3]),
+     r"column 0 entries must be JSON objects, got \[1, 0, 0.3\] at index 0"),
+    ("feature-value-string", "features", _set_entry("value", "0.5"),
+     "phi entries must be finite JSON numbers, got '0.5' at column 0 entry 0"),
+    ("mu0-entry-string", "features", lambda doc: doc.update(mu0=["0.125"] + [0.125] * 7),
+     "mu0 entries must be finite JSON numbers, got '0.125' at index 0"),
+]
+
 # (id, "mdp" or "features", edit of the document, error, message)
 FIXTURE_CASES = [
     # a = 5 landed on pair 7 = (x 3, a 1), x: 1.7 read as 1, "false" normalized
@@ -96,6 +130,7 @@ FIXTURE_CASES = [
      "missing required field 'num_actions'"),
     ("fractional-count", "mdp", lambda doc: doc.update(num_states=4.5), InputShapeError,
      "state and action counts must be positive integers, got 4.5 and 2"),
+    *[(name, kind, edit, ConfigError, match) for name, kind, edit, match in TYPE_CASES],
 ]
 
 
@@ -137,6 +172,8 @@ CLI_FIXTURE_CASES = [
      EXIT_INPUT_SHAPE),
     ("fractional-state", "features", json.dumps(_feature_doc(_set_entry("x", 1.7))),
      EXIT_INPUT_SHAPE),
+    *[(name, kind, json.dumps((_mdp_doc if kind == "mdp" else _feature_doc)(edit)), EXIT_CONFIG)
+      for name, kind, edit, _ in TYPE_CASES],
 ]
 
 

@@ -2,11 +2,11 @@
 forms, and the checks on the run configurations and the learning-rate
 halving period.
 
-``make_buffered_grad`` (one draw per step), ``make_minibatch_grad`` (m draws
+``make_buffered_step`` (one draw per step), ``make_minibatch_step`` (m draws
 per step, through ``SamplingPair.sample_steps``) and ``project_theta_disc``
 compute their values from per-block precomputed terms; the reference forms
-do the same arithmetic one step at a time, and every value must agree bit for
-bit.
+do the same arithmetic one step at a time, a step being
+``theta - rate * gradient``, and every value must agree bit for bit.
 """
 import dataclasses
 import hashlib
@@ -22,7 +22,7 @@ import pytest
 
 from dualalp import _sgd, features
 from dualalp._sgd import (GRAD_BLOCK, MINIBATCH_BLOCK, SgdProblem, Surrogate, draw,
-                          make_buffered_grad, make_minibatch_grad, run_projected_sgd)
+                          make_buffered_step, make_minibatch_step, run_projected_sgd)
 from dualalp.avgcost import (AvgSolverConfig, estimate_violations, sgd_solve_avg,
                              subgradient_estimate)
 from dualalp.cli import run_bench_queue
@@ -42,11 +42,18 @@ from conftest import narrow_random_space, random_features, random_mdp
 
 DATA = Path(__file__).parent / "data"
 CALLS = 3 * GRAD_BLOCK + 1  # three full blocks and the first step of a fourth
+# rate at call t: constant, halved every 100 calls (so inside the 512-draw
+# blocks), halved at every call (down through the subnormals to 0), changed
+# after ever shorter runs (from about 30 calls down to 1), and zero
+RATES = {"constant": lambda t: 0.3, "halving": lambda t: 0.3 * 2.0 ** -(t // 100),
+         "halving every call": lambda t: 0.3 * 2.0 ** -t,
+         "shrinking runs": lambda t: 0.3 / (1 + t * t // 997), "zero": lambda t: 0.0}
 
 
 def reference_buffered_grad(surrogate, sp, penalty, branches):
     """The per-step estimator: one dict-buffered closure that evaluates every
-    term at its step. ``branches`` counts the terms each step took."""
+    term at its step. ``branches`` counts the (negativity, residual) terms
+    each step took."""
     loss_phi = surrogate.fs.loss_phi
     block = GRAD_BLOCK
     buf = {"pos": block}
@@ -64,20 +71,16 @@ def reference_buffered_grad(surrogate, sp, penalty, branches):
         row = buf["rows"][i]
         drift = buf["drift"][i]
         g = loss_phi.copy()
-        if buf["occ0"][i] + row @ theta < 0.0:
-            branches["negativity"] += 1
+        negativity = buf["occ0"][i] + row @ theta < 0.0
+        if negativity:
             g -= (penalty / buf["q_pair"][i]) * row
-        else:
-            branches["no negativity"] += 1
         resid = drift @ theta + buf["res0"][i]
         if resid > 0.0:
-            branches["residual > 0"] += 1
             g += (penalty / buf["q_state"][i]) * drift
         elif resid < 0.0:
-            branches["residual < 0"] += 1
             g -= (penalty / buf["q_state"][i]) * drift
-        else:
-            branches["residual = 0"] += 1
+        branches[negativity, "residual " + (">" if resid > 0.0 else "<" if resid < 0.0
+                                            else "=") + " 0"] += 1
         return g
 
     return grad
@@ -133,26 +136,41 @@ def _surrogates(model, fs):
 @pytest.mark.parametrize("instance", [_fixture_instance, _dirichlet_instance],
                          ids=["tests-data", "dirichlet-6"])
 def test_buffered_grad_matches_per_step_reference(instance):
+    """``make_buffered_step`` against theta - rate * the per-step gradient, at
+    a constant rate, rates that change inside the blocks (every 100 steps,
+    every step, or after ever shorter runs) and rate 0."""
     model, fs = instance()
-    loss_phi = fs.loss_phi.copy()
-    branches = Counter()
-    for name, surrogate, sampler in _surrogates(model, fs):
-        penalty = 1.7
-        grad = make_buffered_grad(surrogate, sampler, penalty)
-        reference = reference_buffered_grad(surrogate, sampler, penalty, branches)
-        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-        thetas = np.random.default_rng(6)
-        for call in range(CALLS):
-            # theta = 0 every fifth call: the average-cost residual is then exactly 0
-            theta = np.zeros(fs.dim) if call % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
-            g, expected = grad(theta, rng), reference(theta, rng_ref)
-            assert same_bits(g, expected), (name, call)
-            assert g.base is None and not np.shares_memory(g, surrogate.fs.loss_phi)
-            g *= -3.0  # the caller owns the gradient
-            np.testing.assert_array_equal(surrogate.fs.loss_phi, loss_phi)
-        assert rng.random() == rng_ref.random()  # the same draws were taken
-    assert set(branches) == {"negativity", "no negativity", "residual > 0",
-                             "residual < 0", "residual = 0"}
+    # a signed mu0 makes the negativity term active at theta = 0, where the
+    # average-cost residual is exactly 0
+    signed = FeatureSpace(model, fs.phi, mu0=np.random.default_rng(7).normal(
+        scale=0.05, size=model.num_pairs))
+    cases = _surrogates(model, fs) + [("signed mu0", Surrogate.average_cost(model, signed),
+                                      make_uniform_sampling(model, signed, 1.0))]
+    for schedule, rate_at in RATES.items():
+        branches = Counter()
+        for name, surrogate, sampler in cases:
+            loss_phi = surrogate.fs.loss_phi.copy()
+            penalty = 1.7
+            step = make_buffered_step(surrogate, sampler, penalty)
+            reference = reference_buffered_grad(surrogate, sampler, penalty, branches)
+            rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+            thetas = np.random.default_rng(6)
+            for call in range(CALLS):
+                # theta = 0 every fifth call: the average-cost residual is then exactly 0
+                theta = (np.zeros(fs.dim) if call % 5 == 0
+                         else thetas.normal(scale=2.0, size=fs.dim))
+                given, rate = theta.copy(), rate_at(call)
+                out, expected = step(theta, rng, rate), theta - rate * reference(theta, rng_ref)
+                assert same_bits(out, expected), (schedule, name, call)
+                assert same_bits(theta, given), (schedule, name, call)
+                assert out.base is None and not np.shares_memory(out, theta)
+                assert not np.shares_memory(out, surrogate.fs.loss_phi)
+                out *= -3.0  # the caller owns the step; later calls must not see this
+                np.testing.assert_array_equal(surrogate.fs.loss_phi, loss_phi)
+            assert rng.random() == rng_ref.random()  # the same draws were taken
+        assert set(branches) == {(negativity, "residual " + sign + " 0")
+                                 for negativity in (True, False)
+                                 for sign in (">", "<", "=")}, schedule
 
 
 # ------------------------------------------------------- minibatch estimator
@@ -207,27 +225,32 @@ def _wide_csr():
     pytest.param(_wide_csr, 1000, id="wide-dense-1000"),
     pytest.param(_desk_discounted, 100, id="desk-disc-100")])
 def test_minibatch_grad_matches_subgradient_estimate(instance, m):
+    """``make_minibatch_step`` against theta - rate * subgradient_estimate on
+    the same draws, at a rate halved every 100 steps and 0 every seventh."""
     steps = max(1, MINIBATCH_BLOCK // m)
     iterations = 2 * steps + 3  # two full refills and a third cut short by the run's end
     for name, surrogate, sampler in instance():
         fs = surrogate.fs
         loss_phi = fs.loss_phi.copy()
         penalty = 1.7
-        grad = make_minibatch_grad(surrogate, sampler, penalty, m, iterations)
+        step = make_minibatch_step(surrogate, sampler, penalty, m, iterations)
         rng, rng_ref, rng_written = (np.random.default_rng(5) for _ in range(3))
         thetas = np.random.default_rng(6)
         for t in range(iterations):
             # theta = 0 every fifth step: the average-cost residual is then exactly 0
             theta = np.zeros(fs.dim) if t % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
-            g = grad(theta, rng)
+            given = theta.copy()
+            rate = 0.0 if t % 7 == 3 else 0.3 * 2.0 ** -(t // 100)
+            out = step(theta, rng, rate)
             pairs, states = draw(sampler, rng_ref, m)
             expected = surrogate.subgradient_estimate(sampler, penalty, theta, pair_idx=pairs,
                                                       state_idx=states)
-            assert same_bits(g, expected), (name, t)
+            assert same_bits(out, theta - rate * expected), (name, t)
+            assert same_bits(theta, given), (name, t)
             written = reference_subgradient(surrogate, sampler, penalty, theta, rng_written, m)
             assert same_bits(expected, written), (name, t)
-            assert g.base is None and not np.shares_memory(g, surrogate.fs.loss_phi)
-            g *= -3.0  # the caller owns the gradient
+            assert out.base is None and not np.shares_memory(out, surrogate.fs.loss_phi)
+            out *= -3.0  # the caller owns the step
             np.testing.assert_array_equal(surrogate.fs.loss_phi, loss_phi)
         # the last refill drew only the steps left, as many as the reference took
         assert rng.bit_generator.state == rng_ref.bit_generator.state, name
@@ -265,10 +288,10 @@ def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
 
     monkeypatch.setattr(SamplingPair, "sample_steps", last_draw_unsupported)
     monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
-    grad = make_minibatch_grad(Surrogate.average_cost(model, fs), sampler, 2.0, 4, 10)
+    step = make_minibatch_step(Surrogate.average_cost(model, fs), sampler, 2.0, 4, 10)
     # the draw is the last of the block, and the first step already raises
     with pytest.raises(SamplingSupportError):
-        grad(np.zeros(fs.dim), np.random.default_rng(0))
+        step(np.zeros(fs.dim), np.random.default_rng(0), 0.1)
 
 
 @pytest.mark.parametrize("path", ["explicit subgradient", "violation estimate",
@@ -301,9 +324,10 @@ def test_state_draw_out_of_support_gathers_no_row(monkeypatch, path):
         "violation estimate": [
             lambda: surrogate.violation_summands(sampler, theta, pairs, states),
             lambda: surrogate.estimate_violations(sampler, theta, 3, rng, batch=3)],
-        "single-draw refill": [lambda: make_buffered_grad(surrogate, sampler, 2.0)(theta, rng)],
+        "single-draw refill": [
+            lambda: make_buffered_step(surrogate, sampler, 2.0)(theta, rng, 0.1)],
         "minibatch refill": [
-            lambda: make_minibatch_grad(surrogate, sampler, 2.0, 3, 10)(theta, rng)],
+            lambda: make_minibatch_step(surrogate, sampler, 2.0, 3, 10)(theta, rng, 0.1)],
     }
     for call in calls[path]:
         with pytest.raises(SamplingSupportError):
@@ -528,7 +552,7 @@ REJECTED_CALLS = {
                                                discount=0.9),
     "sgd_problem-dim": lambda: SgdProblem(
         dim=1, loss_phi=np.ones(1), objective_offset=0.0,
-        grad_batch=lambda theta, rng: np.ones(1), project=lambda theta: theta,
+        step=lambda theta, rng, rate: theta - rate, project=lambda theta: theta,
         violation_estimate=lambda theta, rng: 0.0, make_policy=lambda theta: None),
     "build_features-heuristics": lambda: build_features(DESK_SPEC, build_mdp(DESK_SPEC),
                                                         heuristics=("LBFS",)),
@@ -604,7 +628,7 @@ def test_solver_configs_accept_halving_period(config_cls, period):
 @pytest.mark.parametrize("period", BAD_PERIODS, ids=BAD_PERIOD_IDS)
 def test_run_projected_sgd_rejects_bad_halving_period(period):
     problem = SgdProblem(loss_phi=np.ones(1), objective_offset=0.0,
-                         grad_batch=lambda theta, rng: np.ones(1),
+                         step=lambda theta, rng, rate: theta - rate,
                          project=lambda theta: theta,
                          violation_estimate=lambda theta, rng: 0.0,
                          make_policy=lambda theta: None)
