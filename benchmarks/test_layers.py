@@ -4,7 +4,9 @@ LBFS induced chain, and its discounted value function and discounted visits
 at gamma = 0.9 and 0.99), of the exact subgradient and of the
 minibatch and single-draw estimators, per call and per step of the
 block-presampled SGD estimators (the minibatch step also for the discounted
-surrogate at gamma = 0.99 and m = 100), of one block refill of the m = 1000
+surrogate at gamma = 0.99 and m = 100), each with its refills in this process
+and in the forked producer, of a 300-step desk solve at m = 1000 on both
+refill paths, of one block refill of the m = 1000
 minibatch estimator (the draws of its 16 steps and the gather of their rows),
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
@@ -144,22 +146,43 @@ def test_sampler_build_desk(benchmark, desk_model):
     assert len(samplers) == 2 and all(s.c_state > 0 for s in samplers)
 
 
-def test_minibatch_block_step(benchmark, desk):
-    """One m = 1000 SGD minibatch step, theta - rate * g, with the block refill
-    amortized over its MINIBATCH_BLOCK // 1000 steps."""
-    surrogate, sampler, theta = desk
-    steps = MINIBATCH_BLOCK // DRAWS
-    step = make_minibatch_step(surrogate, sampler, 2.0, DRAWS, 10**6)
+REFILL_PATHS = ("in-process", "forked")
+
+
+def refill_path(monkeypatch, path):
+    """Two usable CPUs let a long minibatch run fork its refill producer
+    (``_sgd._may_fork``), one keeps its refills in this process."""
+    monkeypatch.setattr(_sgd, "_cpu_count", lambda: 2 if path == "forked" else 1)
+
+
+def _timed_steps(benchmark, step, theta, steps):
+    """Time ``step`` after a first block outside the timing, then stop the
+    producer of a forked run."""
     rng = np.random.default_rng(3)
-    for _ in range(steps):  # the first block outside the timing
+    for _ in range(steps):
         step(theta, rng, 0.01)
-    assert benchmark.pedantic(step, args=(theta, rng, 0.01), rounds=100,
-                              iterations=steps).shape == theta.shape
+    try:
+        assert benchmark.pedantic(step, args=(theta, rng, 0.01), rounds=100,
+                                  iterations=steps).shape == theta.shape
+    finally:
+        step.close()
+
+
+@pytest.mark.parametrize("path", REFILL_PATHS)
+def test_minibatch_block_step(benchmark, monkeypatch, desk, path):
+    """One m = 1000 SGD minibatch step, theta - rate * g, with the block refill
+    amortized over its MINIBATCH_BLOCK // 1000 steps, in this process or in
+    the forked producer."""
+    surrogate, sampler, theta = desk
+    refill_path(monkeypatch, path)
+    step = make_minibatch_step(surrogate, sampler, 2.0, DRAWS, 10**6)
+    _timed_steps(benchmark, step, theta, MINIBATCH_BLOCK // DRAWS)
 
 
 def test_minibatch_refill_desk(benchmark, desk):
-    """One refill of the m = 1000 minibatch estimator, the theta-independent
-    part of its steps: the draws of MINIBATCH_BLOCK // 1000 = 16 steps in one
+    """One in-process refill of the m = 1000 minibatch estimator, the
+    theta-independent part of its steps that a forked producer takes off the
+    steps' CPU: the draws of MINIBATCH_BLOCK // 1000 = 16 steps in one
     ``sample_steps`` and one ``Surrogate.gather`` of their Phi and drift rows."""
     surrogate, sampler, _ = desk
     steps = MINIBATCH_BLOCK // DRAWS
@@ -171,23 +194,34 @@ def test_minibatch_refill_desk(benchmark, desk):
     assert len(benchmark(refill)[2]) == steps
 
 
-def test_minibatch_block_step_disc(benchmark, desk):
+@pytest.mark.parametrize("path", REFILL_PATHS)
+def test_minibatch_block_step_disc(benchmark, monkeypatch, desk, path):
     """One m = 100 discounted minibatch step at gamma = 0.99 (desk feasibility
     rows, the features without mu0), with the block refill amortized over its
-    MINIBATCH_BLOCK // 100 steps."""
+    MINIBATCH_BLOCK // 100 steps, in this process or in the forked producer."""
     surrogate, _, theta = desk
     model = surrogate.model
     fs = features.FeatureSpace(model, surrogate.fs.phi)
     sampler = features.make_norm_proportional_sampling(model, fs, kappa=0.99)
     m = 100
-    steps = MINIBATCH_BLOCK // m
+    refill_path(monkeypatch, path)
     step = make_minibatch_step(Surrogate.discounted(model, fs, 0.99, None), sampler, 2.0, m,
                                10**6)
-    rng = np.random.default_rng(3)
-    for _ in range(steps):  # the first block outside the timing
-        step(theta, rng, 0.01)
-    assert benchmark.pedantic(step, args=(theta, rng, 0.01), rounds=100,
-                              iterations=steps).shape == theta.shape
+    _timed_steps(benchmark, step, theta, MINIBATCH_BLOCK // m)
+
+
+@pytest.mark.parametrize("path", REFILL_PATHS)
+def test_desk_solve_300_steps(benchmark, monkeypatch, desk, path):
+    """A 300-step average-cost solve of the perfbench desk-queue config (m =
+    1000, 75 ring blocks), from the fork of the producer to its reaping."""
+    surrogate, sampler, _ = desk
+    refill_path(monkeypatch, path)
+    cfg = avgcost.AvgSolverConfig(penalty=2.0, radius=2.0, iterations=300, minibatch=DRAWS,
+                                  learning_rate=1e-4, lr_halving_period=2000, seed=0,
+                                  sum_target=0.0)
+    trace = benchmark.pedantic(avgcost.sgd_solve_avg, rounds=5,
+                               args=(surrogate.model, surrogate.fs, sampler, cfg))
+    assert np.isfinite(trace.theta).all()
 
 
 def test_buffered_step(benchmark, desk):

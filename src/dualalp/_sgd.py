@@ -24,20 +24,24 @@ one at a time, so the iterate path is bit for bit that of a per-step estimator.
 """
 from __future__ import annotations
 
+import contextlib
 import gc
 import math
+import mmap
 import numbers
 import os
+import signal
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .errors import ConvergenceError, InputShapeError, ParameterError
-from .features import (FeatureSpace, SamplingPair, _csr_steps, _dense_rows,
-                       importance_weight_guard)
+from .errors import ConvergenceError, DualAlpError, InputShapeError, ParameterError
+from .features import (FeatureSpace, SamplingPair, _csr_steps, _dense_rows, _row_gather,
+                       _step_views, importance_weight_guard)
 from .mdp import (MdpModel, Policy, _check_state_distribution, fixed_dot, is_integer,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
@@ -183,16 +187,20 @@ class Surrogate:
         side (:func:`dualalp.features._csr_steps`); with ``dense`` the draws
         are 1-D and the rows dense blocks. Raises SamplingSupportError on a
         draw of probability zero on either side, before any row is gathered."""
-        q_pair, q_state = sp.pair_prob(pair_idx), sp.state_prob(state_idx)
-        importance_weight_guard(q_pair)
-        importance_weight_guard(q_state)
+        q_pair, occ, q_state, res = self.draw_terms(sp, pair_idx, state_idx)
         if dense:
             rows, state_rows = self.fs.rows(pair_idx), _dense_rows(self.state_operator, state_idx)
         else:
             rows = _csr_steps(self.fs.phi, pair_idx)
             state_rows = _csr_steps(self.state_operator, state_idx)
-        return (q_pair, self.fs.mu0[pair_idx], rows,
-                q_state, self.res_base[state_idx], state_rows)
+        return q_pair, occ, rows, q_state, res, state_rows
+
+    def draw_terms(self, sp: SamplingPair, pair_idx: np.ndarray, state_idx: np.ndarray):
+        """q_pair, mu0, q_state and res_base at the draws, support checked."""
+        q_pair, q_state = sp.pair_prob(pair_idx), sp.state_prob(state_idx)
+        importance_weight_guard(q_pair)
+        importance_weight_guard(q_state)
+        return q_pair, self.fs.mu0[pair_idx], q_state, self.res_base[state_idx]
 
     def subgradient_estimate(self, sp: SamplingPair, penalty: float, theta: np.ndarray,
                              rng: np.random.Generator | None = None,
@@ -385,19 +393,30 @@ def make_minibatch_step(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
     :meth:`Surrogate.subgradient_estimate` does, so on the same draws the two
     give the same bits. A draw of probability zero raises at the refill that
     draws it.
+
+    A run of more ring blocks (quarter refills) than RING_SLOTS forks, where
+    :func:`_may_fork` allows, a :class:`_RefillProducer` at its first step,
+    with the draws, rows, raising step and iterates of the in-process refills.
+    The first step's generator serves the run and ends in the in-process end
+    state. ``step.close()`` stops the producer.
     """
     steps = max(1, MINIBATCH_BLOCK // m)
     left = iterations
     pos = count = 0
-    inv_q_pair = occ = pair_rows = q_state = res = state_rows = None
+    producer = inv_q_pair = occ = pair_rows = q_state = res = state_rows = None
 
     def refill(rng):
-        nonlocal left, pos, count, inv_q_pair, occ, pair_rows, q_state, res, state_rows
-        count = min(steps, max(left, 1))
+        nonlocal left, pos, count, producer, inv_q_pair, occ, pair_rows, q_state, res, state_rows
+        if left == iterations and _ring_blocks(steps, iterations)[1] > RING_SLOTS and _may_fork():
+            producer = _RefillProducer(surrogate, sp, rng, m, steps, iterations)
+        if producer is not None and producer.done < producer.blocks:
+            count, inv_q_pair, occ, pair_rows, q_state, res, state_rows = producer.next(rng)
+        else:
+            count = min(steps, max(left, 1))
+            q_pair, occ, pair_rows, q_state, res, state_rows = surrogate.gather(
+                sp, *sp.sample_steps(rng, count, m))
+            inv_q_pair = 1.0 / q_pair
         left -= count
-        q_pair, occ, pair_rows, q_state, res, state_rows = surrogate.gather(
-            sp, *sp.sample_steps(rng, count, m))
-        inv_q_pair = 1.0 / q_pair
         pos = 0
 
     def step(theta, rng, rate):
@@ -412,7 +431,109 @@ def make_minibatch_step(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
         update += theta
         return update
 
+    step.close = lambda: producer and producer.stop()
     return step
+
+
+RING_SLOTS = 4  # slots of a refill producer's ring, which hold one refill in all
+GATHERED = ("indptr", "indices", "data")  # a matrix's _row_gather arrays in a ring slot
+
+
+def _ring_blocks(steps: int, iterations: int) -> tuple[int, int]:
+    """(steps per ring block, ring blocks of the run): a quarter refill each."""
+    split = -(-steps // RING_SLOTS)
+    return split, sum(-(-min(steps, iterations - s) // split) for s in range(0, iterations, steps))
+
+
+class _RefillProducer:
+    """A forked child that runs a minibatch run's refills ahead of its steps
+    on a copy of the run's generator. It checks each refill whole
+    (:meth:`Surrogate.draw_terms`), then gathers it block by block into a
+    ring: one shared mapping of RING_SLOTS slots, each the per-draw terms and
+    the :func:`_row_gather` arrays of Phi (0) and S (1) for ``split`` steps.
+    On a duplex pipe the child sends ``(steps, error, state)`` per block,
+    with the final generator state at the last block or an error, and the
+    consumer returns each read slot while the child needs it."""
+
+    def __init__(self, surrogate: Surrogate, sp: SamplingPair, rng: np.random.Generator,
+                 m: int, steps: int, iterations: int):
+        import multiprocessing
+
+        split, self.blocks = _ring_blocks(steps, iterations)
+        self.m, self.dim, self.done = m, surrogate.fs.dim, 0
+        matrices = (surrogate.fs.phi, surrogate.state_operator)
+        fields = [("terms", float, (4, split * m))]
+        for j, matrix in enumerate(matrices):
+            n, width = split * m, int(np.diff(matrix.indptr).max(initial=0))
+            fields += [(f"indptr{j}", matrix.indptr.dtype, n + 1),
+                       (f"indices{j}", matrix.indptr.dtype, n * width),
+                       (f"data{j}", matrix.dtype, n * width)]
+        slot = np.dtype(fields, align=True)
+        self.ring = np.frombuffer(mmap.mmap(-1, RING_SLOTS * slot.itemsize), slot)
+        self.pipe, pipe = multiprocessing.Pipe()
+        pid = os.fork()
+        if pid:
+            pipe.close()
+            self.stop = weakref.finalize(self, _stop_child, pid)
+            return
+        block = 0
+        try:
+            gc.freeze()  # as in a meta worker: keep the inherited pages shared
+            self.pipe.close()
+            for start in range(0, iterations, steps):
+                count = min(steps, iterations - start)
+                pair_idx, state_idx = sp.sample_steps(rng, count, m)
+                q_pair, occ, q_state, res = surrogate.draw_terms(sp, pair_idx, state_idx)
+                for lo in range(0, count, split):
+                    hi = min(lo + split, count)
+                    if block >= RING_SLOTS:
+                        pipe.recv_bytes()  # the consumer has read the slot's last block
+                    slot = self.ring[block % RING_SLOTS]
+                    for row, term in zip(slot["terms"], (1.0 / q_pair, occ, q_state, res)):
+                        row[:(hi - lo) * m] = term[lo:hi].ravel()
+                    for j, idx in enumerate((pair_idx, state_idx)):
+                        _row_gather(matrices[j], idx[lo:hi].ravel(),
+                                    [slot[name + str(j)] for name in GATHERED])
+                    block += 1
+                    last = start + hi == iterations
+                    pipe.send((hi - lo, None, rng.bit_generator.state if last else None))
+        except Exception as exc:
+            pipe.send((0, exc, rng.bit_generator.state))
+        finally:
+            os._exit(0)
+
+    def next(self, rng: np.random.Generator):
+        """(steps, inv_q_pair, occ, pair_rows, q_state, res, state_rows) of the
+        next ring block; ``rng`` takes the child's final state with the last."""
+        k = self.done
+        try:
+            if 0 < k <= self.blocks - RING_SLOTS:
+                self.pipe.send_bytes(b"")  # block k - 1 is read; the child needs its slot
+            count, error, state = self.pipe.recv()
+        except (EOFError, OSError) as exc:
+            self.stop()
+            raise DualAlpError(f"the refill producer ended before ring block {k} of "
+                               f"{self.blocks}") from exc
+        slot, n = self.ring[k % RING_SLOTS], count * self.m
+        if state is not None:
+            rng.bit_generator.state = state
+            self.stop()
+            self.ring = None  # the mapping goes with the last block's views
+        if error is not None:
+            raise error
+        self.done += 1
+        pair_rows, state_rows = (
+            _step_views(*(slot[name + str(j)] for name in GATHERED), self.m, self.dim, n)
+            for j in (0, 1))
+        inv_q_pair, occ, q_state, res = slot["terms"][:, :n].reshape(4, count, self.m)
+        return count, inv_q_pair, occ, pair_rows, q_state, res, state_rows
+
+
+def _stop_child(pid: int) -> None:
+    """Kill and reap a forked child."""
+    with contextlib.suppress(ProcessLookupError, ChildProcessError):
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def resolve_learning_rate(learning_rate, radius: float, penalty: float,
@@ -436,10 +557,16 @@ def run_projected_sgd(problem: SgdProblem, iterations: int, learning_rate: float
     ``eval_hook(policy) -> float`` is called at recorded rows only, with the
     policy of the running average.
     Raises ConvergenceError, naming t, when the running average is non-finite
-    at a recorded row.
+    at a recorded row, and ParameterError when a positive rate would fall
+    below the smallest normal float (``sys.float_info.min``) by the last
+    step: such steps cannot move theta, or run on subnormals.
     """
     check_positive_int("iterations", iterations)
     check_halving_period(lr_halving_period)
+    halvings = (iterations - 1) // (lr_halving_period or iterations)
+    if learning_rate > 0 and learning_rate * 2.0 ** -halvings < np.finfo(float).tiny:
+        raise ParameterError(f"the learning rate {learning_rate!r} halved {halvings} times "
+                             f"falls below the smallest normal float")
     ss_grad, ss_trace = as_seed_sequence(seed).spawn(2)
     rng = np.random.default_rng(ss_grad)
     rng_trace = np.random.default_rng(ss_trace)
@@ -503,9 +630,13 @@ def sgd_solve(surrogate: Surrogate, sp: SamplingPair, cfg, run, project,
                          make_policy=make_policy)
     rate = resolve_learning_rate(cfg.learning_rate, cfg.radius, cfg.penalty,
                                  sp.c_pair, sp.c_state, fs.dim, cfg.iterations)
-    return run(problem, cfg.iterations, rate, cfg.seed,
-               lr_halving_period=cfg.lr_halving_period, trace_stride=cfg.trace_stride,
-               eval_hook=eval_hook)
+    try:
+        return run(problem, cfg.iterations, rate, cfg.seed,
+                   lr_halving_period=cfg.lr_halving_period, trace_stride=cfg.trace_stride,
+                   eval_hook=eval_hook)
+    finally:
+        if cfg.minibatch > 1:
+            step.close()  # a run that raised may have left a refill producer running
 
 
 def _cpu_count() -> int:
@@ -513,6 +644,18 @@ def _cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """The one rule for forking (meta points, simulated replications, minibatch
+    refills): two usable CPUs or more, the fork start method, not a daemonic
+    process (a pool worker cannot have children) and no other Python thread
+    (a lock one of them holds would stay held in the forked copy)."""
+    import multiprocessing  # here, so that runs that never fork do not load it
+
+    return (_cpu_count() >= 2 and "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+            and threading.active_count() == 1)
 
 
 _worker_point = None  # the per-point function a forked worker inherits
@@ -535,22 +678,19 @@ def _map_points(point, order: list[int]) -> dict:
     :func:`meta_loop` and the replications of
     :func:`dualalp.queueing.evaluate_policy_simulated`.
 
-    With one usable CPU, without the fork start method, inside a daemonic
-    process (a pool worker cannot have children) or beside other Python
-    threads (a lock one of them holds would stay held in the forked copy) the
-    points run in a plain loop in index order. Otherwise they run in a forked
-    pool of up to one worker per CPU, which takes them in the given order: the
-    workers inherit ``point`` instead of unpickling it, so only indices go out
-    and only results, or a raised exception, come back.
+    With one point, or where :func:`_may_fork` refuses, the points run in a
+    plain loop in index order. Otherwise they run in a forked pool of up to
+    one worker per CPU, which takes them in the given order: the workers
+    inherit ``point`` instead of unpickling it, so only indices go out and
+    only results, or a raised exception, come back.
     """
-    import multiprocessing  # here, so that runs without a meta loop never load it
-
-    workers = min(len(order), _cpu_count())
-    if (workers < 2 or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon or threading.active_count() > 1):
+    if len(order) < 2 or not _may_fork():
         return {k: point(k) for k in sorted(order)}
+    import multiprocessing
+
     context = multiprocessing.get_context("fork")
-    with context.Pool(workers, initializer=_init_worker, initargs=(point,)) as pool:
+    with context.Pool(min(len(order), _cpu_count()), initializer=_init_worker,
+                      initargs=(point,)) as pool:
         return dict(pool.imap_unordered(_run_worker_point, order))
 
 

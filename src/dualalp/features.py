@@ -298,11 +298,13 @@ class _CsrRows:
         return out
 
 
-def _row_gather(matrix: sp.csr_matrix, idx) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _row_gather(matrix: sp.csr_matrix, idx, out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The indptr, indices and data of ``matrix[idx]`` for a 1-D integer index
     array, in the matrix's index dtype, at a cost that follows len(idx), not
-    the number of rows. ``csr_row_index`` checks no bounds, so an index that
-    is not an integer in [0, rows) raises InputShapeError first."""
+    the number of rows; with ``out``, three such arrays, in views of their
+    leading entries. ``csr_row_index`` checks no bounds, so an index that is
+    not an integer in [0, rows), or rows that do not fit ``out``, raise
+    InputShapeError first."""
     idx = np.asarray(idx)
     rows = matrix.shape[0]
     if idx.ndim != 1 or idx.dtype.kind not in "iu" or (
@@ -310,11 +312,16 @@ def _row_gather(matrix: sp.csr_matrix, idx) -> tuple[np.ndarray, np.ndarray, np.
         raise InputShapeError(f"row indices must be a 1-D integer array in [0, {rows})")
     indptr = matrix.indptr
     pos = idx.astype(np.intp, copy=False)  # numpy gathers fastest with native-width indices
-    block_ptr = np.zeros(len(idx) + 1, dtype=indptr.dtype)
+    n = len(idx)
+    block_ptr = np.empty(n + 1, dtype=indptr.dtype) if out is None else out[0][:n + 1]
+    block_ptr[0] = 0
     np.cumsum(indptr[1:][pos] - indptr[pos], out=block_ptr[1:])
-    indices = np.empty(block_ptr[-1], dtype=indptr.dtype)
-    data = np.empty(block_ptr[-1], dtype=matrix.dtype)
-    csr_row_index(len(idx), idx.astype(indptr.dtype, copy=False), indptr, matrix.indices,
+    nnz = block_ptr[-1]
+    indices = np.empty(nnz, dtype=indptr.dtype) if out is None else out[1][:nnz]
+    data = np.empty(nnz, dtype=matrix.dtype) if out is None else out[2][:nnz]
+    if len(indices) != nnz or len(data) != nnz:
+        raise InputShapeError(f"{nnz} gathered nonzeros do not fit the given arrays")
+    csr_row_index(n, idx.astype(indptr.dtype, copy=False), indptr, matrix.indices,
                   matrix.data, indices, data)
     return block_ptr, indices, data
 
@@ -333,10 +340,13 @@ def _csr_steps(matrix: sp.csr_matrix, idx: np.ndarray) -> list[_CsrRows]:
     viewing its m rows. The views share the block's indices and data, and
     each takes its slice of the block's indptr as it is, since the kernels
     read the offsets as positions in those arrays."""
-    steps, m = idx.shape
-    indptr, indices, data = _row_gather(matrix, idx.ravel())
-    dim = matrix.shape[1]
-    return [_CsrRows(indptr[i * m:(i + 1) * m + 1], indices, data, dim) for i in range(steps)]
+    return _step_views(*_row_gather(matrix, idx.ravel()), idx.shape[1], matrix.shape[1],
+                       idx.size)
+
+
+def _step_views(indptr, indices, data, m: int, dim: int, n: int) -> list[_CsrRows]:
+    """A :class:`_CsrRows` view of each step's m rows of n gathered rows."""
+    return [_CsrRows(indptr[i:i + m + 1], indices, data, dim) for i in range(0, n, m)]
 
 
 def importance_weight_guard(prob: np.ndarray) -> None:

@@ -275,6 +275,12 @@ def _meta_disc(**kwargs):
 SOLVER_CASES = [
     ("sgd-zero-iterations", lambda: run_projected_sgd(None, 0, 0.1, seed=0), ParameterError,
      "iterations must be >= 1"),
+    # with the rate halved at every step, 2 ** -1023 is below the smallest normal float
+    ("sgd-rate-halved-below-normal", lambda: run_projected_sgd(
+        None, 1024, 1.0, seed=0, lr_halving_period=1), ParameterError,
+     "the learning rate 1.0 halved 1023 times falls below the smallest normal float"),
+    ("sgd-subnormal-rate", lambda: run_projected_sgd(None, 5, 1e-310, seed=0), ParameterError,
+     "the learning rate 1e-310 halved 0 times falls below"),
     ("config-negative-seed", lambda: SolverConfig(penalty=1.0, radius=1.0, iterations=5,
                                                   seed=-1),
      ParameterError, "seed must be a non-negative integer or a SeedSequence, got -1"),
@@ -378,6 +384,11 @@ CLI_CASES = [
     ("no-features", {"problem": {"mdp_path": str(DATA / "mdp4.json")}}, None,
      "config error: config needs features.path (or a queue problem)"),
     ("env-seed-not-integer", {}, "7.5", f"config error: {SEED_ENV_VAR} must be an integer"),
+    ("rate-halved-below-normal", {
+        "problem": {"mdp_path": str(DATA / "mdp4.json")},
+        "features": {"path": str(DATA / "features3.json")},
+        "solver": {"iterations": 1100, "learning_rate": 0.5, "lr_halving_period": 1}}, None,
+     "error: the learning rate 0.5 halved 1099 times falls below the smallest normal float"),
 ]
 
 

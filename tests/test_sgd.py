@@ -10,12 +10,18 @@ do the same arithmetic one step at a time, a step being
 """
 import dataclasses
 import hashlib
+import itertools
 import math
+import mmap
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +34,7 @@ from dualalp.avgcost import (AvgSolverConfig, estimate_violations, sgd_solve_avg
 from dualalp.cli import run_bench_queue
 from dualalp.discounted import (DiscSolverConfig, estimate_violations_disc,
                                 project_theta_disc, sgd_solve_disc, subgradient_estimate_disc)
-from dualalp.errors import InputShapeError, ParameterError, SamplingSupportError
+from dualalp.errors import DualAlpError, InputShapeError, ParameterError, SamplingSupportError
 from dualalp.features import (FeatureSpace, SamplingPair, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
@@ -201,6 +207,39 @@ def test_sample_steps_matches_successive_draws(m):
         assert rng.bit_generator.state == rng_ref.bit_generator.state, name
 
 
+REFILL_PATHS = ("in-process", "forked")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes forked through ``os.fork`` during the test."""
+    pids, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+def select_refill_path(monkeypatch, path):
+    """A minibatch run of enough ring blocks forks its refill producer where
+    the fork rule allows: two usable CPUs allow it, one does not. A Python
+    thread left running by pytest would refuse it too, so the tests count
+    the forks rather than trust the path."""
+    monkeypatch.setattr(_sgd, "_cpu_count", lambda: 2 if path == "forked" else 1)
+
+
+def assert_reaped(pids):
+    """No process of ``pids`` is left, not even as a zombie."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
 def _desk_discounted():
     """The desk preset's discounted surrogate at gamma = 0.99 (narrow Phi:
     about 4 of 170 columns per row) with its norm-proportional sampler."""
@@ -224,19 +263,24 @@ def _wide_csr():
     pytest.param(_wide_csr, 16, id="wide-dense-16"),
     pytest.param(_wide_csr, 1000, id="wide-dense-1000"),
     pytest.param(_desk_discounted, 100, id="desk-disc-100")])
-def test_minibatch_grad_matches_subgradient_estimate(instance, m):
+def test_minibatch_grad_matches_subgradient_estimate(monkeypatch, forks, instance, m):
     """``make_minibatch_step`` against theta - rate * subgradient_estimate on
-    the same draws, at a rate halved every 100 steps and 0 every seventh."""
+    the same draws, at a rate halved every 100 steps and 0 every seventh, on
+    the in-process refill and on the forked producer, and two steps past the
+    run's end, which refill in-process on both."""
     steps = max(1, MINIBATCH_BLOCK // m)
     iterations = 2 * steps + 3  # two full refills and a third cut short by the run's end
-    for name, surrogate, sampler in instance():
+    assert _sgd._ring_blocks(steps, iterations)[1] > _sgd.RING_SLOTS
+    for (name, surrogate, sampler), path in itertools.product(instance(), REFILL_PATHS):
+        select_refill_path(monkeypatch, path)
+        del forks[:]
         fs = surrogate.fs
         loss_phi = fs.loss_phi.copy()
         penalty = 1.7
         step = make_minibatch_step(surrogate, sampler, penalty, m, iterations)
         rng, rng_ref, rng_written = (np.random.default_rng(5) for _ in range(3))
         thetas = np.random.default_rng(6)
-        for t in range(iterations):
+        for t in range(iterations + 2):
             # theta = 0 every fifth step: the average-cost residual is then exactly 0
             theta = np.zeros(fs.dim) if t % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
             given = theta.copy()
@@ -252,8 +296,12 @@ def test_minibatch_grad_matches_subgradient_estimate(instance, m):
             assert out.base is None and not np.shares_memory(out, surrogate.fs.loss_phi)
             out *= -3.0  # the caller owns the step
             np.testing.assert_array_equal(surrogate.fs.loss_phi, loss_phi)
-        # the last refill drew only the steps left, as many as the reference took
+            if t == iterations - 1:
+                # the last refill drew only the steps left, as many as the reference took
+                assert rng.bit_generator.state == rng_ref.bit_generator.state, name
+                assert_reaped(forks)  # the producer is gone once the run's draws are in
         assert rng.bit_generator.state == rng_ref.bit_generator.state, name
+        assert len(forks) == (path == "forked"), (name, path)
 
 
 # sha256 of theta from bench-queue on the desk preset with its defaults (m = 1000,
@@ -292,6 +340,159 @@ def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
     # the draw is the last of the block, and the first step already raises
     with pytest.raises(SamplingSupportError):
         step(np.zeros(fs.dim), np.random.default_rng(0), 0.1)
+
+
+@pytest.mark.parametrize("side", ["pairs", "states"])
+def test_minibatch_support_error_on_both_refill_paths(monkeypatch, forks, side):
+    """A zero-probability draw planted last in the third refill raises at
+    that refill's first step on both paths, after the rows of the two refills
+    before it and none of its own, and the generator ends where the
+    in-process refill leaves it. The rows are counted in shared memory, so
+    the producer's gathers count too."""
+    model, fs = _dirichlet_instance()
+    size = model.num_pairs if side == "pairs" else model.num_states
+    probs = np.full(size, 1.0 / (size - 1))
+    probs[2] = 0.0
+    sampler = SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
+                           c_pair=1.0, c_state=1.0,
+                           **{("pair_probs" if side == "pairs" else "state_probs"): probs})
+    m, calls = 1000, [0]
+    steps = MINIBATCH_BLOCK // m
+    sample_steps, row_gather = SamplingPair.sample_steps, features._row_gather
+    gathered = np.ndarray(1, np.int64, mmap.mmap(-1, 8))
+
+    def third_refill_unsupported(self, rng, count, size):
+        drawn = dict(zip(["pairs", "states"], sample_steps(self, rng, count, size)))
+        calls[0] += 1
+        if calls[0] == 3:
+            drawn[side][-1, -1] = 2  # the sampler never draws it, so plant it
+        return drawn["pairs"], drawn["states"]
+
+    def counting_gather(matrix, idx, out=None):
+        gathered[0] += len(idx)
+        return row_gather(matrix, idx, out)
+
+    monkeypatch.setattr(SamplingPair, "sample_steps", third_refill_unsupported)
+    monkeypatch.setattr(features, "_row_gather", counting_gather)
+    monkeypatch.setattr(_sgd, "_row_gather", counting_gather)
+    seen = {}
+    for path in REFILL_PATHS:
+        select_refill_path(monkeypatch, path)
+        calls[0] = gathered[0] = 0
+        del forks[:]
+        step = make_minibatch_step(Surrogate.average_cost(model, fs), sampler, 2.0, m,
+                                   5 * steps)
+        rng = np.random.default_rng(0)
+        with pytest.raises(SamplingSupportError):
+            for t in range(5 * steps):
+                step(np.zeros(fs.dim), rng, 0.1)
+        seen[path] = (t, int(gathered[0]), rng.bit_generator.state)
+        assert len(forks) == (path == "forked")
+        assert_reaped(forks)
+    assert seen["forked"] == seen["in-process"]
+    assert seen["forked"][:2] == (2 * steps, 2 * 2 * steps * m)
+
+
+def _narrow_avg():
+    model, fs = narrow_random_space(np.random.default_rng(8))
+    return Surrogate.average_cost(model, fs), make_uniform_sampling(model, fs, 1.0)
+
+
+NARROW_ITERATIONS = 3000  # 12 ring blocks at m = 16
+
+
+def test_minibatch_solve_on_both_refill_paths(monkeypatch, forks):
+    """A whole minibatch solve gives the same trace on both paths, and the
+    producer of the forked one is reaped when the run ends."""
+    surrogate, sampler = _narrow_avg()
+    cfg = AvgSolverConfig(penalty=2.0, radius=2.0, iterations=NARROW_ITERATIONS, minibatch=16,
+                          seed=4, trace_stride=500, sum_target=0.0)
+    traces = []
+    for path in REFILL_PATHS:
+        select_refill_path(monkeypatch, path)
+        del forks[:]
+        traces.append(sgd_solve_avg(surrogate.model, surrogate.fs, sampler, cfg))
+        assert len(forks) == (path == "forked")
+        assert_reaped(forks)
+    for name in ("iterations", "objective", "v_hat", "theta"):
+        assert same_bits(getattr(traces[0], name), getattr(traces[1], name)), name
+
+
+def test_no_producer_outlives_a_run_that_raises(monkeypatch, forks):
+    surrogate, sampler = _narrow_avg()
+    select_refill_path(monkeypatch, "forked")
+    cfg = AvgSolverConfig(penalty=2.0, radius=2.0, iterations=NARROW_ITERATIONS, minibatch=16,
+                          trace_stride=1000, sum_target=0.0)
+
+    def hook(policy):  # at t = 1000, in the fourth of 12 ring blocks
+        os.kill(forks[0], 0)  # the producer is still running
+        raise RuntimeError("stopped by the hook")
+
+    with pytest.raises(RuntimeError, match="stopped by the hook"):
+        sgd_solve_avg(surrogate.model, surrogate.fs, sampler, cfg, eval_hook=hook)
+    assert len(forks) == 1
+    assert_reaped(forks)
+
+
+def test_no_producer_outlives_a_dropped_step(monkeypatch, forks):
+    surrogate, sampler = _narrow_avg()
+    select_refill_path(monkeypatch, "forked")
+    step = make_minibatch_step(surrogate, sampler, 2.0, 16, NARROW_ITERATIONS)
+    step(np.zeros(surrogate.fs.dim), np.random.default_rng(0), 0.1)
+    assert len(forks) == 1
+    os.kill(forks[0], 0)  # the producer is still running
+    del step  # the step holds the producer in no reference cycle, so it goes at once
+    assert_reaped(forks)
+
+
+def test_killed_producer_raises_naming_the_block(monkeypatch, forks):
+    surrogate, sampler = _narrow_avg()
+    select_refill_path(monkeypatch, "forked")
+    step = make_minibatch_step(surrogate, sampler, 2.0, 16, NARROW_ITERATIONS)
+    theta, rng = np.zeros(surrogate.fs.dim), np.random.default_rng(0)
+    step(theta, rng, 0.1)
+    os.kill(forks[0], signal.SIGKILL)
+    with pytest.raises(DualAlpError, match=r"refill producer ended before ring block \d+ of 12"):
+        for _ in range(NARROW_ITERATIONS):
+            step(theta, rng, 0.1)
+    assert_reaped(forks)
+
+
+@pytest.mark.parametrize("setting", ["forks", "one CPU", "no fork", "daemon", "threads",
+                                     "four ring blocks"])
+def test_fork_rule_selects_the_refill_path(monkeypatch, forks, setting):
+    """The fork rule of the meta workers (:func:`_sgd._may_fork`) also
+    decides the refills, and a run of no more ring blocks than slots gains
+    nothing from a producer: each failing condition refills in-process, with
+    the same steps."""
+    surrogate, sampler = _narrow_avg()
+    m, release, waiters = 1000, threading.Event(), []
+    iterations = 16 if setting == "four ring blocks" else 17  # 4 steps per ring block
+    select_refill_path(monkeypatch, "in-process" if setting == "one CPU" else "forked")
+    if setting == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    elif setting == "daemon":
+        monkeypatch.setattr(multiprocessing, "current_process",
+                            lambda: SimpleNamespace(daemon=True))
+    elif setting == "threads":
+        waiters.append(threading.Thread(target=release.wait, args=(30,)))
+        waiters[0].start()
+    step = make_minibatch_step(surrogate, sampler, 2.0, m, iterations)
+    rng, rng_ref = np.random.default_rng(1), np.random.default_rng(1)
+    theta = np.random.default_rng(2).normal(size=surrogate.fs.dim)
+    try:
+        for _ in range(iterations):
+            pairs, states = draw(sampler, rng_ref, m)
+            expected = surrogate.subgradient_estimate(sampler, 2.0, theta, pair_idx=pairs,
+                                                      state_idx=states)
+            assert same_bits(step(theta, rng, 0.1), theta - 0.1 * expected)
+    finally:
+        release.set()
+        for waiter in waiters:
+            waiter.join(5)
+    assert len(forks) == (setting == "forks")
+    assert_reaped(forks)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 @pytest.mark.parametrize("path", ["explicit subgradient", "violation estimate",
@@ -623,6 +824,34 @@ def test_solver_configs_reject_bad_halving_period(config_cls, period):
 @pytest.mark.parametrize("period", [None, 1, 50])
 def test_solver_configs_accept_halving_period(config_cls, period):
     assert _config(config_cls, lr_halving_period=period).lr_halving_period == period
+
+
+@pytest.mark.parametrize("learning_rate, iterations, accepted", [
+    (1.0, 1023, True), (1.0, 1024, False), (0.0, 2000, True), (2.0, 1024, True),
+    (2.0 ** -1022, 1, True), (2.0 ** -1023, 1, False)])
+def test_run_projected_sgd_refuses_rates_below_normal_floats(learning_rate, iterations,
+                                                            accepted):
+    """Halved at every step, the last step's rate is learning_rate * 2 **
+    -(iterations - 1); a positive one below ``sys.float_info.min`` (2 **
+    -1022) is refused before any step, a zero rate is not."""
+    stepped = []
+    problem = SgdProblem(loss_phi=np.ones(1), objective_offset=0.0,
+                         step=lambda theta, rng, rate: stepped.append(rate) or theta - rate,
+                         project=lambda theta: theta,
+                         violation_estimate=lambda theta, rng: 0.0,
+                         make_policy=lambda theta: None)
+
+    def run():
+        run_projected_sgd(problem, iterations=iterations, learning_rate=learning_rate, seed=0,
+                          lr_halving_period=1, trace_stride=iterations)
+
+    if accepted:
+        run()
+        assert stepped[-1] >= sys.float_info.min or learning_rate == 0.0
+    else:
+        with pytest.raises(ParameterError, match="falls below the smallest normal float"):
+            run()
+        assert not stepped
 
 
 @pytest.mark.parametrize("period", BAD_PERIODS, ids=BAD_PERIOD_IDS)
