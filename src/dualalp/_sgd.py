@@ -21,6 +21,9 @@ so changing the recording stride never perturbs the iterate path. Both SGD
 steps, ``step(theta, rng, rate)`` = theta - rate * g before the projection,
 draw ahead in blocks that hold exactly the draws the steps would have taken
 one at a time, so the iterate path is bit for bit that of a per-step estimator.
+A long minibatch run draws its blocks in a forked :class:`_RefillProducer`;
+the generator given to its first step serves the whole run and ends in the
+state the in-process blocks leave.
 """
 from __future__ import annotations
 
@@ -396,8 +399,8 @@ def make_minibatch_step(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
 
     A run of more ring blocks (quarter refills) than RING_SLOTS forks, where
     :func:`_may_fork` allows, a :class:`_RefillProducer` at its first step,
-    with the draws, rows, raising step and iterates of the in-process refills.
-    The first step's generator serves the run and ends in the in-process end
+    with the draws, rows, raising step and iterates of the in-process refills;
+    the first step's generator serves the run and ends in the in-process end
     state. ``step.close()`` stops the producer.
     """
     steps = max(1, MINIBATCH_BLOCK // m)
@@ -447,13 +450,11 @@ def _ring_blocks(steps: int, iterations: int) -> tuple[int, int]:
 
 class _RefillProducer:
     """A forked child that runs a minibatch run's refills ahead of its steps
-    on a copy of the run's generator. It checks each refill whole
-    (:meth:`Surrogate.draw_terms`), then gathers it block by block into a
-    ring: one shared mapping of RING_SLOTS slots, each the per-draw terms and
-    the :func:`_row_gather` arrays of Phi (0) and S (1) for ``split`` steps.
-    On a duplex pipe the child sends ``(steps, error, state)`` per block,
-    with the final generator state at the last block or an error, and the
-    consumer returns each read slot while the child needs it."""
+    on a copy of the run's generator: it checks each refill whole, then
+    gathers it block by block into a ring, one shared mapping of RING_SLOTS
+    slots of per-draw terms and :func:`_row_gather` arrays of Phi (0) and S
+    (1). Per block it sends ``(steps, error, state)``, with the final state at
+    the last block or an error, and takes back each read slot it needs."""
 
     def __init__(self, surrogate: Surrogate, sp: SamplingPair, rng: np.random.Generator,
                  m: int, steps: int, iterations: int):
@@ -503,8 +504,8 @@ class _RefillProducer:
             os._exit(0)
 
     def next(self, rng: np.random.Generator):
-        """(steps, inv_q_pair, occ, pair_rows, q_state, res, state_rows) of the
-        next ring block; ``rng`` takes the child's final state with the last."""
+        """The next ring block, as the in-process refill has it; ``rng`` takes
+        the child's final state with the last."""
         k = self.done
         try:
             if 0 < k <= self.blocks - RING_SLOTS:

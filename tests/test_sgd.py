@@ -428,9 +428,12 @@ def test_no_producer_outlives_a_run_that_raises(monkeypatch, forks):
         os.kill(forks[0], 0)  # the producer is still running
         raise RuntimeError("stopped by the hook")
 
-    with pytest.raises(RuntimeError, match="stopped by the hook"):
+    with pytest.raises(RuntimeError, match="stopped by the hook") as caught:
         sgd_solve_avg(surrogate.model, surrogate.fs, sampler, cfg, eval_hook=hook)
     assert len(forks) == 1
+    # the traceback keeps the run's frames, and so its step, alive: the solve
+    # itself must have stopped the producer
+    assert caught.traceback
     assert_reaped(forks)
 
 
