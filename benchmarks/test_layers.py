@@ -179,19 +179,17 @@ def test_minibatch_block_step(benchmark, monkeypatch, desk, path):
     _timed_steps(benchmark, step, theta, MINIBATCH_BLOCK // DRAWS)
 
 
-def test_minibatch_refill_desk(benchmark, desk):
+def test_minibatch_refill_desk(benchmark, monkeypatch, desk):
     """One in-process refill of the m = 1000 minibatch estimator, the
     theta-independent part of its steps that a forked producer takes off the
     steps' CPU: the draws of MINIBATCH_BLOCK // 1000 = 16 steps in one
-    ``sample_steps`` and one ``Surrogate.gather`` of their Phi and drift rows."""
+    ``sample_steps``, their support check and the gather of their Phi and
+    drift rows into the run's one-slot ring (``_sgd._Refills.next``)."""
     surrogate, sampler, _ = desk
-    steps = MINIBATCH_BLOCK // DRAWS
+    refill_path(monkeypatch, "in-process")
     rng = np.random.default_rng(7)
-
-    def refill():
-        return surrogate.gather(sampler, *sampler.sample_steps(rng, steps, DRAWS))
-
-    assert len(benchmark(refill)[2]) == steps
+    refills = _sgd._Refills(surrogate, sampler, rng, DRAWS, 10**6)
+    assert len(benchmark(refills.next, rng)[0]) == MINIBATCH_BLOCK // DRAWS
 
 
 @pytest.mark.parametrize("path", REFILL_PATHS)

@@ -21,9 +21,10 @@ so changing the recording stride never perturbs the iterate path. Both SGD
 steps, ``step(theta, rng, rate)`` = theta - rate * g before the projection,
 draw ahead in blocks that hold exactly the draws the steps would have taken
 one at a time, so the iterate path is bit for bit that of a per-step estimator.
-A long minibatch run draws its blocks in a forked :class:`_RefillProducer`;
-the generator given to its first step serves the whole run and ends in the
-state the in-process blocks leave.
+A minibatch run draws, checks and gathers its blocks in one fill
+(:func:`_fill`), which a long run forks into a child and every other run
+runs in this process (:class:`_Refills`); the generator given to its first
+step serves the whole run and ends in the same state on both.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, DualAlpError, InputShapeError, ParameterError
-from .features import (FeatureSpace, SamplingPair, _csr_steps, _dense_rows, _row_gather,
+from .features import (FeatureSpace, SamplingPair, _CsrRows, _dense_rows, _row_gather,
                        _step_views, importance_weight_guard)
 from .mdp import (MdpModel, Policy, _check_state_distribution, fixed_dot, is_integer,
                   policy_from_occupancy)
@@ -184,18 +185,18 @@ class Surrogate:
 
     def gather(self, sp: SamplingPair, pair_idx: np.ndarray, state_idx: np.ndarray,
                dense: bool = False):
-        """What an estimator reads at its draws: (q_pair, mu0, rows of Phi) at
-        the pair draws and (q_state, res_base, rows of S) at the state draws.
-        On 2-D (steps, m) draws the rows are per-step views of one gather per
-        side (:func:`dualalp.features._csr_steps`); with ``dense`` the draws
-        are 1-D and the rows dense blocks. Raises SamplingSupportError on a
-        draw of probability zero on either side, before any row is gathered."""
+        """What an estimator reads at its 1-D draws: (q_pair, mu0, rows of
+        Phi) at the pair draws and (q_state, res_base, rows of S) at the state
+        draws. The rows of each side are one :func:`_row_gather`, read as a
+        :class:`dualalp.features._CsrRows`, or with ``dense`` as a dense
+        block. Raises SamplingSupportError on a draw of probability zero on
+        either side, before any row is gathered."""
         q_pair, occ, q_state, res = self.draw_terms(sp, pair_idx, state_idx)
         if dense:
             rows, state_rows = self.fs.rows(pair_idx), _dense_rows(self.state_operator, state_idx)
         else:
-            rows = _csr_steps(self.fs.phi, pair_idx)
-            state_rows = _csr_steps(self.state_operator, state_idx)
+            rows = _CsrRows(*_row_gather(self.fs.phi, pair_idx), self.fs.dim)
+            state_rows = _CsrRows(*_row_gather(self.state_operator, state_idx), self.fs.dim)
         return q_pair, occ, rows, q_state, res, state_rows
 
     def draw_terms(self, sp: SamplingPair, pair_idx: np.ndarray, state_idx: np.ndarray):
@@ -221,8 +222,7 @@ class Surrogate:
         if len(pair_idx) != len(state_idx):
             raise InputShapeError(f"pair_idx and state_idx must have one length, got "
                                   f"{len(pair_idx)} and {len(state_idx)}")
-        q_pair, occ, rows, q_state, res, state_rows = (
-            part[0] for part in self.gather(sp, pair_idx[None], state_idx[None]))
+        q_pair, occ, rows, q_state, res, state_rows = self.gather(sp, pair_idx, state_idx)
         return self.weighted_subgradient(penalty, theta, rows, occ, 1.0 / q_pair,
                                          state_rows, res, q_state)
 
@@ -247,8 +247,7 @@ class Surrogate:
         state index. The two index arrays are nonempty and 1-D, else
         InputShapeError, and need not have the same length."""
         self._check_draws(pair_idx, state_idx)
-        q_pair, occ, rows, q_state, res, state_rows = (
-            part[0] for part in self.gather(sp, pair_idx[None], state_idx[None]))
+        q_pair, occ, rows, q_state, res, state_rows = self.gather(sp, pair_idx, state_idx)
         return (np.abs(np.minimum(occ + rows @ theta, 0.0)) / q_pair,
                 np.abs(state_rows @ theta + res) / q_state)
 
@@ -386,148 +385,153 @@ def make_minibatch_step(surrogate: Surrogate, sp: SamplingPair, penalty: float, 
                         iterations: int):
     """SGD step over m draws per step, with block-presampled draws, for a run
     of ``iterations`` steps: ``step(theta, rng, rate)`` is a fresh array, bit
-    for bit theta - rate * g.
+    for bit theta - rate * g, and a step past the run raises ParameterError.
 
-    Each refill draws k = max(1, MINIBATCH_BLOCK // m) steps, at most the
-    steps the run has left, in one :meth:`SamplingPair.sample_steps` (the
-    draws of k successive :func:`draw` calls), and reads them in one
-    :meth:`Surrogate.gather`. A step runs
+    The steps read the blocks of :class:`_Refills`, whose draws are those of
+    successive :func:`draw` calls on the first step's generator, and run
     :meth:`Surrogate.weighted_subgradient`, as
     :meth:`Surrogate.subgradient_estimate` does, so on the same draws the two
     give the same bits. A draw of probability zero raises at the refill that
-    draws it.
-
-    A run of more ring blocks (quarter refills) than RING_SLOTS forks, where
-    :func:`_may_fork` allows, a :class:`_RefillProducer` at its first step,
-    with the draws, rows, raising step and iterates of the in-process refills;
-    the first step's generator serves the run and ends in the in-process end
-    state. ``step.close()`` stops the producer.
+    draws it. ``step.close()`` stops the refills.
     """
-    steps = max(1, MINIBATCH_BLOCK // m)
-    left = iterations
-    pos = count = 0
-    producer = inv_q_pair = occ = pair_rows = q_state = res = state_rows = None
-
-    def refill(rng):
-        nonlocal left, pos, count, producer, inv_q_pair, occ, pair_rows, q_state, res, state_rows
-        if left == iterations and _ring_blocks(steps, iterations)[1] > RING_SLOTS and _may_fork():
-            producer = _RefillProducer(surrogate, sp, rng, m, steps, iterations)
-        if producer is not None and producer.done < producer.blocks:
-            count, inv_q_pair, occ, pair_rows, q_state, res, state_rows = producer.next(rng)
-        else:
-            count = min(steps, max(left, 1))
-            q_pair, occ, pair_rows, q_state, res, state_rows = surrogate.gather(
-                sp, *sp.sample_steps(rng, count, m))
-            inv_q_pair = 1.0 / q_pair
-        left -= count
-        pos = 0
+    refills, block = None, iter(())
 
     def step(theta, rng, rate):
-        nonlocal pos
-        if pos >= count:
-            refill(rng)
-        i = pos
-        pos = i + 1
-        update = surrogate.weighted_subgradient(penalty, theta, pair_rows[i], occ[i],
-                                                inv_q_pair[i], state_rows[i], res[i], q_state[i])
+        nonlocal refills, block
+        terms = next(block, None)
+        if terms is None:
+            refills = refills or _Refills(surrogate, sp, rng, m, iterations)
+            block = zip(*refills.next(rng))
+            terms = next(block)
+        update = surrogate.weighted_subgradient(penalty, theta, *terms)
         update *= -rate
         update += theta
         return update
 
-    step.close = lambda: producer and producer.stop()
+    step.close = lambda: refills and refills.stop()
     return step
 
 
-RING_SLOTS = 4  # slots of a refill producer's ring, which hold one refill in all
+RING_SLOTS = 4  # slots of a forked fill's ring, which hold one refill in all
 GATHERED = ("indptr", "indices", "data")  # a matrix's _row_gather arrays in a ring slot
 
 
-def _ring_blocks(steps: int, iterations: int) -> tuple[int, int]:
-    """(steps per ring block, ring blocks of the run): a quarter refill each."""
-    split = -(-steps // RING_SLOTS)
+def _ring_blocks(steps: int, iterations: int, slots: int) -> tuple[int, int]:
+    """(steps per ring block, ring blocks of the run) for refills of ``steps``
+    steps in a ring of ``slots`` slots: a 1 / slots refill each."""
+    split = -(-steps // slots)
     return split, sum(-(-min(steps, iterations - s) // split) for s in range(0, iterations, steps))
 
 
-class _RefillProducer:
-    """A forked child that runs a minibatch run's refills ahead of its steps
-    on a copy of the run's generator: it checks each refill whole, then
-    gathers it block by block into a ring, one shared mapping of RING_SLOTS
-    slots of per-draw terms and :func:`_row_gather` arrays of Phi (0) and S
-    (1). Per block it sends ``(steps, error, state)``, with the final state at
-    the last block or an error, and takes back each read slot it needs."""
+def _fill(surrogate: Surrogate, sp: SamplingPair, rng: np.random.Generator, m: int,
+          steps: int, split: int, iterations: int, ring: np.ndarray):
+    """Draw, check and gather a minibatch run's refills into the slots of
+    ``ring`` in turn, yielding each block's step count once it is written.
+    A refill of up to ``steps`` steps is one :meth:`SamplingPair.sample_steps`
+    and one support check (:meth:`Surrogate.draw_terms`); a block of up to
+    ``split`` of its steps holds their 1 / q_pair, mu0, q_state and res_base
+    and one :func:`_row_gather` each of their rows of Phi (0) and S (1)."""
+    matrices = (surrogate.fs.phi, surrogate.state_operator)
+    block = 0
+    for start in range(0, iterations, steps):
+        count = min(steps, iterations - start)
+        pair_idx, state_idx = sp.sample_steps(rng, count, m)
+        q_pair, occ, q_state, res = surrogate.draw_terms(sp, pair_idx, state_idx)
+        for lo in range(0, count, split):
+            hi = min(lo + split, count)
+            slot = ring[block % len(ring)]
+            for row, term in zip(slot["terms"], (1.0 / q_pair, occ, q_state, res)):
+                row[:(hi - lo) * m] = term[lo:hi].ravel()
+            for j, idx in enumerate((pair_idx, state_idx)):
+                _row_gather(matrices[j], idx[lo:hi].ravel(),
+                            [slot[name + str(j)] for name in GATHERED])
+            block += 1
+            yield hi - lo
+
+
+class _Refills:
+    """The ring blocks of a minibatch run, as :func:`_fill` writes them with
+    the generator ``rng``, which ends in the same state on both paths.
+
+    A run of more quarter refills than RING_SLOTS, where :func:`_may_fork`
+    allows, forks a child that runs the fill ahead of the steps into a shared
+    mapping of RING_SLOTS quarter-refill slots. Per block it sends ``(steps,
+    error, state)``, with the generator's state at the last block or an
+    error, and takes back each read slot it needs. Every other run fills a
+    private slot of one refill in this process, when the steps reach it."""
 
     def __init__(self, surrogate: Surrogate, sp: SamplingPair, rng: np.random.Generator,
-                 m: int, steps: int, iterations: int):
-        import multiprocessing
-
-        split, self.blocks = _ring_blocks(steps, iterations)
-        self.m, self.dim, self.done = m, surrogate.fs.dim, 0
-        matrices = (surrogate.fs.phi, surrogate.state_operator)
+                 m: int, iterations: int):
+        steps = min(max(1, MINIBATCH_BLOCK // m), iterations)
+        forked = _ring_blocks(steps, iterations, RING_SLOTS)[1] > RING_SLOTS and _may_fork()
+        slots = RING_SLOTS if forked else 1
+        split, self.blocks = _ring_blocks(steps, iterations, slots)
+        self.m, self.dim, self.done, self.pipe = m, surrogate.fs.dim, 0, None
         fields = [("terms", float, (4, split * m))]
-        for j, matrix in enumerate(matrices):
+        for j, matrix in enumerate((surrogate.fs.phi, surrogate.state_operator)):
             n, width = split * m, int(np.diff(matrix.indptr).max(initial=0))
             fields += [(f"indptr{j}", matrix.indptr.dtype, n + 1),
                        (f"indices{j}", matrix.indptr.dtype, n * width),
                        (f"data{j}", matrix.dtype, n * width)]
         slot = np.dtype(fields, align=True)
-        self.ring = np.frombuffer(mmap.mmap(-1, RING_SLOTS * slot.itemsize), slot)
+        self.ring = np.frombuffer(mmap.mmap(-1, slots * slot.itemsize), slot)
+        fill = _fill(surrogate, sp, rng, m, steps, split, iterations, self.ring)
+        if not forked:
+            self.fill, self.stop = fill, fill.close
+            return
+        import multiprocessing
+
         self.pipe, pipe = multiprocessing.Pipe()
         pid = os.fork()
         if pid:
             pipe.close()
             self.stop = weakref.finalize(self, _stop_child, pid)
             return
-        block = 0
         try:
             gc.freeze()  # as in a meta worker: keep the inherited pages shared
             self.pipe.close()
-            for start in range(0, iterations, steps):
-                count = min(steps, iterations - start)
-                pair_idx, state_idx = sp.sample_steps(rng, count, m)
-                q_pair, occ, q_state, res = surrogate.draw_terms(sp, pair_idx, state_idx)
-                for lo in range(0, count, split):
-                    hi = min(lo + split, count)
-                    if block >= RING_SLOTS:
-                        pipe.recv_bytes()  # the consumer has read the slot's last block
-                    slot = self.ring[block % RING_SLOTS]
-                    for row, term in zip(slot["terms"], (1.0 / q_pair, occ, q_state, res)):
-                        row[:(hi - lo) * m] = term[lo:hi].ravel()
-                    for j, idx in enumerate((pair_idx, state_idx)):
-                        _row_gather(matrices[j], idx[lo:hi].ravel(),
-                                    [slot[name + str(j)] for name in GATHERED])
-                    block += 1
-                    last = start + hi == iterations
-                    pipe.send((hi - lo, None, rng.bit_generator.state if last else None))
+            for block, count in enumerate(fill, 1):
+                last = block == self.blocks
+                pipe.send((count, None, rng.bit_generator.state if last else None))
+                if RING_SLOTS <= block < self.blocks:
+                    pipe.recv_bytes()  # the consumer has read the slot the next block takes
         except Exception as exc:
             pipe.send((0, exc, rng.bit_generator.state))
         finally:
             os._exit(0)
 
     def next(self, rng: np.random.Generator):
-        """The next ring block, as the in-process refill has it; ``rng`` takes
-        the child's final state with the last."""
+        """The next ring block's per-step arguments of
+        :meth:`Surrogate.weighted_subgradient`; with the last forked block,
+        ``rng`` takes the child's final state."""
         k = self.done
-        try:
-            if 0 < k <= self.blocks - RING_SLOTS:
-                self.pipe.send_bytes(b"")  # block k - 1 is read; the child needs its slot
-            count, error, state = self.pipe.recv()
-        except (EOFError, OSError) as exc:
-            self.stop()
-            raise DualAlpError(f"the refill producer ended before ring block {k} of "
-                               f"{self.blocks}") from exc
-        slot, n = self.ring[k % RING_SLOTS], count * self.m
-        if state is not None:
-            rng.bit_generator.state = state
-            self.stop()
-            self.ring = None  # the mapping goes with the last block's views
-        if error is not None:
-            raise error
+        if k == self.blocks:
+            raise ParameterError("a step past the end of the minibatch run")
+        if self.pipe is None:
+            count, slot = next(self.fill), self.ring[0]
+        else:
+            try:
+                if 0 < k <= self.blocks - RING_SLOTS:
+                    self.pipe.send_bytes(b"")  # block k - 1 is read; the child needs its slot
+                count, error, state = self.pipe.recv()
+            except (EOFError, OSError) as exc:
+                self.stop()
+                raise DualAlpError(f"the refill producer ended before ring block {k} of "
+                                   f"{self.blocks}") from exc
+            slot = self.ring[k % RING_SLOTS]
+            if state is not None:
+                rng.bit_generator.state = state
+                self.stop()
+                self.ring = None  # the mapping goes with the last block's views
+            if error is not None:
+                raise error
         self.done += 1
+        n = count * self.m
         pair_rows, state_rows = (
             _step_views(*(slot[name + str(j)] for name in GATHERED), self.m, self.dim, n)
             for j in (0, 1))
         inv_q_pair, occ, q_state, res = slot["terms"][:, :n].reshape(4, count, self.m)
-        return count, inv_q_pair, occ, pair_rows, q_state, res, state_rows
+        return pair_rows, occ, inv_q_pair, state_rows, res, q_state
 
 
 def _stop_child(pid: int) -> None:

@@ -12,8 +12,8 @@ row of either is read through one bounds-checked gather (:func:`_row_gather`),
 which fills the arrays of scipy's ``matrix[idx]`` with the kernel that slice
 ends in, ``csr_row_index`` from the private ``scipy.sparse._sparsetools``,
 without scipy's per-call index conversions and constructors. The minibatch
-SGD estimator gathers all the steps of a refill at once and reads each step
-through a view of the block (:func:`_csr_steps`). A view's two products call
+SGD estimator gathers many steps at once and reads each step through a view
+of the block (:func:`_step_views`). A view's two products call
 the kernels of scipy's ``csr @ vector`` and ``vector @ csr``, ``csr_matvec``
 and ``csc_matvec``, and dense blocks are filled by ``csr_todense``, the kernel
 of ``toarray``, on the same arrays in the same order, so every read gives the
@@ -334,18 +334,11 @@ def _dense_rows(matrix: sp.csr_matrix, idx) -> np.ndarray:
     return out
 
 
-def _csr_steps(matrix: sp.csr_matrix, idx: np.ndarray) -> list[_CsrRows]:
-    """The rows of a CSR matrix at each row of a 2-D index array (steps, m):
-    one :func:`_row_gather` of them all, and per step a :class:`_CsrRows`
-    viewing its m rows. The views share the block's indices and data, and
-    each takes its slice of the block's indptr as it is, since the kernels
-    read the offsets as positions in those arrays."""
-    return _step_views(*_row_gather(matrix, idx.ravel()), idx.shape[1], matrix.shape[1],
-                       idx.size)
-
-
 def _step_views(indptr, indices, data, m: int, dim: int, n: int) -> list[_CsrRows]:
-    """A :class:`_CsrRows` view of each step's m rows of n gathered rows."""
+    """A :class:`_CsrRows` view of each step's m rows of the first n rows of
+    a :func:`_row_gather` of many steps. The views share its indices and data,
+    and each takes its slice of its indptr as it is, since the kernels read
+    the offsets as positions in those arrays."""
     return [_CsrRows(indptr[i:i + m + 1], indices, data, dim) for i in range(0, n, m)]
 
 

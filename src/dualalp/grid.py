@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
+
+MAX_GRID_POINTS = 10**6  # about 2 / tolerance^2 points at violation_bound = weight = 1
 
 
 @dataclass(frozen=True)
@@ -30,7 +32,8 @@ def build_penalty_grid(violation_bound: float, weight: float,
     Requires finite violation_bound > 0 and weight > 0 and 0 < tolerance <
     2*sqrt(violation_bound) (so the start lies strictly below the cap and the
     grid has at least two points). An infinite violation_bound would give a
-    zero start and zero steps, and the grid would never reach its cap.
+    zero start and zero steps, and the grid would never reach its cap. A grid
+    of more than MAX_GRID_POINTS points raises CapacityError.
     """
     if not (0.0 < violation_bound < np.inf and 0.0 < weight < np.inf):
         raise ParameterError(f"violation_bound and weight must be positive and finite, "
@@ -44,6 +47,8 @@ def build_penalty_grid(violation_bound: float, weight: float,
     points = [h]
     append = points.append
     while h < cap:
+        if len(points) == MAX_GRID_POINTS:
+            raise CapacityError(f"the penalty grid passes {MAX_GRID_POINTS} points")
         h = h + tolerance / (violation_bound + weight / (h * h))
         append(h)
     return PenaltyGrid(weight=float(weight), points=np.asarray(points))

@@ -164,14 +164,11 @@ def build_mdp(spec: QueueNetSpec) -> MdpModel:
             bumped[:, 0] += arr1
             bumped[:, 2] += arr3
             # a departure moves a job only if the served queue held one
-            if dep1:
-                busy = states[:, q_s1] > 0
-                for queue, change in DEPARTURE_EFFECTS[q_s1]:
-                    bumped[busy, queue] += change
-            if dep2:
-                busy = states[:, q_s2] > 0
-                for queue, change in DEPARTURE_EFFECTS[q_s2]:
-                    bumped[busy, queue] += change
+            for served, departs in ((q_s1, dep1), (q_s2, dep2)):
+                if departs:
+                    busy = states[:, served] > 0
+                    for queue, change in DEPARTURE_EFFECTS[served]:
+                        bumped[busy, queue] += change
             np.clip(bumped, 0, caps, out=bumped)
             rows.append(state_idx * NUM_ACTIONS + action)
             cols.append(_encode_array(spec, bumped))

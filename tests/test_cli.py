@@ -146,6 +146,25 @@ def test_print_grid_stdout(capsys):
     assert float(lines[1]) == pytest.approx(1.25)
 
 
+def test_grid_past_the_point_limit_exits_capacity(tmp_path, capsys):
+    # a grid of about 2,000,001 points: refused before a point is printed or solved
+    assert main(["print-grid", "--v-max", "1.0", "--beta", "1.0", "--epsilon", "1e-3",
+                 "--out", str(tmp_path / "grid")]) == EXIT_CAPACITY
+    captured = capsys.readouterr()
+    assert captured.out == "" and "capacity error" in captured.err
+    assert not (tmp_path / "grid" / "summary.json").exists()
+    cfg = tmp_path / "meta.json"
+    cfg.write_text(json.dumps({
+        "problem": {"mdp_path": str(DATA / "mdp4.json")},
+        "features": {"path": str(DATA / "features3.json")},
+        "solver": {"radius": 1.5, "seed": 3, "tolerance": 1e-3, "failure_prob": 0.2},
+        "meta": {"violation_bound": 1.0, "selection_weight": 1.0}}))
+    out = tmp_path / "out"
+    assert main(["meta-avg", "--config", str(cfg), "--out", str(out)]) == EXIT_CAPACITY
+    assert "penalty grid passes 1000000 points" in capsys.readouterr().err
+    assert not (out / "summary.json").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--beta", "nan"), ("--beta", "inf")])
 def test_print_grid_refuses_non_finite_input(capsys, flag, value):
     # printed a one-point grid and exited 0 (an infinite --v-max never returned;

@@ -398,11 +398,18 @@ def test_csr_gather_branch_gives_identical_sgd_runs():
 
 # ------------------------------------------------------- CSR rows per refill
 
+def _ring_steps(matrix, idx):
+    """The per-step views of the rows at a 2-D index array (steps, m), read
+    from one gather of them all as a minibatch refill's ring is read."""
+    return features._step_views(*features._row_gather(matrix, idx.ravel()), idx.shape[1],
+                                matrix.shape[1], idx.size)
+
+
 def _assert_steps_match_public(matrix, idx, seed):
-    """Each step of ``_csr_steps(matrix, idx)`` gives the bits of scipy's
+    """Each step of ``_ring_steps(matrix, idx)`` gives the bits of scipy's
     public ``matrix[idx[i]] @ theta`` and ``weights @ matrix[idx[i]]``."""
     rng = np.random.default_rng(seed)
-    steps = features._csr_steps(matrix, idx)
+    steps = _ring_steps(matrix, idx)
     assert len(steps) == len(idx)
     for i, rows in enumerate(steps):
         public = matrix[idx[i]]
@@ -426,7 +433,7 @@ def test_csr_steps_match_public_products(desk_space):
     _assert_steps_match_public(feasibility, rng.integers(0, 40, size=(9, 1)), 48)
     # the kernels convert a strided or integer vector as the public products do
     idx = rng.integers(0, 40, size=(2, 25))
-    rows, public = features._csr_steps(feasibility, idx)[1], feasibility[idx[1]]
+    rows, public = _ring_steps(feasibility, idx)[1], feasibility[idx[1]]
     strided = rng.standard_normal(24)[::2]
     assert (rows @ strided).tobytes() == (public @ strided).tobytes()
     assert (np.arange(25) @ rows).tobytes() == (np.arange(25) @ public).tobytes()
@@ -440,7 +447,7 @@ def test_csr_steps_empty_and_short_rows():
     # the block's first, middle and last rows are empty, and so is all of step 1
     idx = np.array([[0, 1, 3], [2, 0, 2], [4, 3, 0]])
     _assert_steps_match_public(matrix, idx, 49)
-    rows = features._csr_steps(matrix, idx)
+    rows = _ring_steps(matrix, idx)
     np.testing.assert_array_equal(rows[1] @ np.ones(4), np.zeros(3))
     weighted = np.ones(3) @ rows[0]
     assert weighted.shape == (4,)
@@ -502,7 +509,7 @@ def test_row_gather_refuses_indices_outside_the_rows(idx):
 def test_csr_rows_reject_vectors_of_the_wrong_shape():
     # the compiled kernels check no bounds, so a short vector would be read past its end
     matrix = sp.csr_matrix(np.arange(12.0).reshape(3, 4))
-    rows = features._csr_steps(matrix, np.array([[0, 2, 1]]))[0]
+    rows = _ring_steps(matrix, np.array([[0, 2, 1]]))[0]
     for theta in (np.zeros(3), np.zeros(5), np.zeros((4, 1))):
         with pytest.raises(InputShapeError, match="theta"):
             rows @ theta
@@ -671,11 +678,11 @@ def test_narrow_rows_match_dense_rows_random():
         for a, b in zip(csr, dense):
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * np.abs(b).max())
     pairs = np.array([0, 5, 5, 89])
-    block = features._csr_steps(fs.phi, pairs[None])[0]
+    block = _ring_steps(fs.phi, pairs[None])[0]
     np.testing.assert_array_equal(block @ np.eye(fs.dim)[3], fs.rows(pairs)[:, 3])
     # a weighted sum is a full d-vector even when no row reaches the last column
     short = np.flatnonzero(fs.phi[:, fs.dim - 1].toarray().ravel() == 0)[:3]
-    np.testing.assert_array_equal(np.ones(3) @ features._csr_steps(fs.phi, short[None])[0],
+    np.testing.assert_array_equal(np.ones(3) @ _ring_steps(fs.phi, short[None])[0],
                                   fs.rows(short).sum(axis=0))
 
 
@@ -690,7 +697,7 @@ def test_support_guard_fires_before_narrow_gather(monkeypatch):
     def no_gather(*args):
         pytest.fail("rows were gathered for a zero-probability draw")
 
-    monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
+    monkeypatch.setattr(_sgd, "_row_gather", no_gather)
     surrogate = Surrogate.average_cost(model, fs)
     pairs, states = np.array([3, 7, 9]), np.array([0, 1, 2])
     with pytest.raises(SamplingSupportError):

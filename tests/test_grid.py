@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from dualalp.errors import ParameterError
-from dualalp.grid import build_penalty_grid
+from dualalp.errors import CapacityError, ParameterError
+from dualalp.grid import MAX_GRID_POINTS, build_penalty_grid
 
 
 def test_first_recurrence_step_example():
@@ -39,6 +39,13 @@ def test_grid_size_frozen_regression():
     sizes = [len(build_penalty_grid(1.0, 1.0, tol)) for tol in (0.1, 0.01)]
     assert sizes == [201, 20001]
     assert 90 <= sizes[1] / sizes[0] <= 110
+
+
+def test_grid_past_the_point_limit_raises():
+    # about 2 / tol^2 = 2,000,001 points; the limit stops the loop before it grows unbounded
+    assert MAX_GRID_POINTS == 10**6
+    with pytest.raises(CapacityError, match="passes 1000000 points"):
+        build_penalty_grid(1.0, 1.0, 1e-3)
 
 
 def test_degenerate_parameters_rejected():

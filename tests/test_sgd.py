@@ -266,11 +266,10 @@ def _wide_csr():
 def test_minibatch_grad_matches_subgradient_estimate(monkeypatch, forks, instance, m):
     """``make_minibatch_step`` against theta - rate * subgradient_estimate on
     the same draws, at a rate halved every 100 steps and 0 every seventh, on
-    the in-process refill and on the forked producer, and two steps past the
-    run's end, which refill in-process on both."""
+    the in-process refill and on the forked producer, for the whole run."""
     steps = max(1, MINIBATCH_BLOCK // m)
     iterations = 2 * steps + 3  # two full refills and a third cut short by the run's end
-    assert _sgd._ring_blocks(steps, iterations)[1] > _sgd.RING_SLOTS
+    assert _sgd._ring_blocks(steps, iterations, _sgd.RING_SLOTS)[1] > _sgd.RING_SLOTS
     for (name, surrogate, sampler), path in itertools.product(instance(), REFILL_PATHS):
         select_refill_path(monkeypatch, path)
         del forks[:]
@@ -280,7 +279,7 @@ def test_minibatch_grad_matches_subgradient_estimate(monkeypatch, forks, instanc
         step = make_minibatch_step(surrogate, sampler, penalty, m, iterations)
         rng, rng_ref, rng_written = (np.random.default_rng(5) for _ in range(3))
         thetas = np.random.default_rng(6)
-        for t in range(iterations + 2):
+        for t in range(iterations):
             # theta = 0 every fifth step: the average-cost residual is then exactly 0
             theta = np.zeros(fs.dim) if t % 5 == 0 else thetas.normal(scale=2.0, size=fs.dim)
             given = theta.copy()
@@ -300,8 +299,27 @@ def test_minibatch_grad_matches_subgradient_estimate(monkeypatch, forks, instanc
                 # the last refill drew only the steps left, as many as the reference took
                 assert rng.bit_generator.state == rng_ref.bit_generator.state, name
                 assert_reaped(forks)  # the producer is gone once the run's draws are in
-        assert rng.bit_generator.state == rng_ref.bit_generator.state, name
         assert len(forks) == (path == "forked"), (name, path)
+
+
+@pytest.mark.parametrize("path", REFILL_PATHS)
+def test_minibatch_step_past_the_run_raises(monkeypatch, forks, path):
+    """A step past the run's ``iterations`` raises on both refill paths, with
+    no producer left and the generator where the run's steps left it."""
+    surrogate, sampler = _narrow_avg()
+    select_refill_path(monkeypatch, path)
+    m, iterations = 1000, 17  # five ring blocks of up to 4 steps
+    step = make_minibatch_step(surrogate, sampler, 2.0, m, iterations)
+    rng, rng_ref = np.random.default_rng(1), np.random.default_rng(1)
+    theta = np.zeros(surrogate.fs.dim)
+    for _ in range(iterations):
+        step(theta, rng, 0.1)
+        draw(sampler, rng_ref, m)
+    with pytest.raises(ParameterError, match="past the end of the minibatch run"):
+        step(theta, rng, 0.1)
+    assert len(forks) == (path == "forked")
+    assert_reaped(forks)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 # sha256 of theta from bench-queue on the desk preset with its defaults (m = 1000,
@@ -335,7 +353,7 @@ def test_minibatch_grad_support_error_at_refill(monkeypatch, side):
         pytest.fail("rows were gathered for a zero-probability draw")
 
     monkeypatch.setattr(SamplingPair, "sample_steps", last_draw_unsupported)
-    monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
+    monkeypatch.setattr(_sgd, "_row_gather", no_gather)
     step = make_minibatch_step(Surrogate.average_cost(model, fs), sampler, 2.0, 4, 10)
     # the draw is the last of the block, and the first step already raises
     with pytest.raises(SamplingSupportError):
@@ -518,7 +536,7 @@ def test_state_draw_out_of_support_gathers_no_row(monkeypatch, path):
                                                           np.resize(states, m)))
     monkeypatch.setattr(SamplingPair, "sample_steps", lambda self, rng, steps, m: (
         np.resize(pairs, (steps, m)), np.resize(states, (steps, m))))
-    monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
+    monkeypatch.setattr(_sgd, "_row_gather", no_gather)
     monkeypatch.setattr(FeatureSpace, "rows", no_gather)
     monkeypatch.setattr(features, "_row_gather", no_gather)
     surrogate, theta, rng = Surrogate.average_cost(model, fs), np.zeros(fs.dim), None
@@ -551,7 +569,7 @@ def test_explicit_draws_of_the_wrong_shape_raise(monkeypatch, objective, pair_id
     def no_gather(*args):
         pytest.fail("rows were gathered for draws of the wrong shape")
 
-    monkeypatch.setattr(_sgd, "_csr_steps", no_gather)
+    monkeypatch.setattr(_sgd, "_row_gather", no_gather)
     with pytest.raises(InputShapeError):
         if objective == "average cost":
             subgradient_estimate(model, fs, sampler, 1.7, np.zeros(fs.dim), **draws)
