@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import CapacityError, ParameterError
 
-MAX_GRID_POINTS = 10**6  # about 2 / tolerance^2 points at violation_bound = weight = 1
+MAX_GRID_POINTS = 10**6  # a grid has about 2 * weight * violation_bound / tolerance^2 points
 
 
 @dataclass(frozen=True)
