@@ -11,7 +11,9 @@ minibatch estimator (the draws of its 16 steps and the gather of their rows),
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
 20 pairs, and a 64-draw trace row over the 19,600 desk pairs, for the
-average-cost and for the discounted surrogate at gamma = 0.99), and of a
+average-cost and for the discounted surrogate at gamma = 0.99), of one
+65,536-draw batch of its draws counted per pair (over the 20 meta pairs and
+the 19,600 desk pairs, on the path the counting rule picks), and of a
 two-point discounted meta run on the 4-state fixture, in one process and in
 forked workers, which shows what starting the worker pool costs a tiny grid,
 and of the paper preset (1,028,196 states): one heuristic policy table, the
@@ -258,21 +260,41 @@ def test_estimate_violations_desk_trace_row_disc(benchmark, desk):
                      theta, 64, rng) >= 0.0
 
 
-def test_estimate_violations_meta_point(benchmark):
-    """One meta-point estimate at the average-cost meta size: 534,552 draws
-    over 20 pairs and 10 states (a 10-state, 2-action Dirichlet MDP with d = 4
-    stationary-distribution features and norm-proportional sampling)."""
+@pytest.fixture(scope="module")
+def meta_point():
+    """The average-cost meta size: a 10-state, 2-action Dirichlet MDP (20
+    pairs) with d = 4 stationary-distribution features and norm-proportional
+    sampling."""
     rng = np.random.default_rng(200)
     model = mdp.MdpModel.from_dense(rng.dirichlet(np.ones(10), size=(10, 2)),
                                     rng.random((10, 2)))
     cols = [mdp.stationary_state_action(model, mdp.Policy(rng.dirichlet(np.ones(2), size=10)))
             for _ in range(4)]
     fs = features.FeatureSpace(model, sp.csr_matrix(np.column_stack(cols)))
-    sampler = features.make_norm_proportional_sampling(model, fs, kappa=1.0)
+    return model, fs, features.make_norm_proportional_sampling(model, fs, kappa=1.0)
+
+
+def test_estimate_violations_meta_point(benchmark, meta_point):
+    """One meta-point estimate at the average-cost meta size: 534,552 draws
+    over 20 pairs and 10 states."""
+    model, fs, sampler = meta_point
     theta = np.array([0.9, -0.5, 0.4, 0.2])
     rng = np.random.default_rng(7)
     assert benchmark(avgcost.estimate_violations, model, fs, sampler, theta, 534_552,
                      rng) > 0.0
+
+
+@pytest.mark.parametrize("table", ["meta pairs", "desk pairs"])
+def test_count_violation_batch(benchmark, request, table):
+    """One 65,536-draw batch of a violation estimate reduced to its distinct
+    pairs and their counts, on the path the rule picks: over the 20 meta
+    pairs (3277 draws per entry) counted from the sorted uniforms, over the
+    19,600 desk pairs (3.3 per entry) drawn and reduced by distinct_counts."""
+    fixture = request.getfixturevalue("meta_point" if table == "meta pairs" else "desk")
+    sampler = fixture[2] if table == "meta pairs" else fixture[1]
+    rng = np.random.default_rng(8)
+    values, counts = benchmark(sampler.count_pairs, rng, 1 << 16)
+    assert counts.sum() == 1 << 16 and len(values) <= sampler.num_pairs
 
 
 @pytest.fixture(scope="module")

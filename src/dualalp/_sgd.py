@@ -45,7 +45,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, DualAlpError, InputShapeError, ParameterError
 from .features import (FeatureSpace, SamplingPair, _CsrRows, _dense_rows, _row_gather,
-                       _step_views, importance_weight_guard)
+                       _step_views, distinct_counts, importance_weight_guard)
 from .mdp import (MdpModel, Policy, _check_state_distribution, fixed_dot, is_integer,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
@@ -265,17 +265,17 @@ class Surrogate:
         drawn ``batch`` at a time.
 
         A batch evaluates the terms once per distinct drawn pair and state and
-        weights each by how often it was drawn (:func:`distinct_counts`), so
-        its cost follows the number of distinct indices, not the number of
-        draws. The draws are those of the per-draw form; only the order of
-        the summation differs."""
+        weights each by how often it was drawn (:meth:`SamplingPair.count_pairs`,
+        which counts a batch of many draws per entry without drawing it), so
+        its cost follows the number of distinct indices, not of draws. The
+        draws are those of the per-draw form; only the summation order differs."""
         check_positive_int("n", n)
         check_positive_int("batch", batch)
         total = 0.0
         for start in range(0, n, batch):
-            pair_idx, state_idx = draw(sp, rng, min(batch, n - start))
-            pairs, pair_counts = distinct_counts(pair_idx)
-            states, state_counts = distinct_counts(state_idx)
+            size = min(batch, n - start)
+            pairs, pair_counts = sp.count_pairs(rng, size)
+            states, state_counts = sp.count_states(rng, size)
             neg, res = self.violation_terms(sp, theta, pairs, states)
             total += fixed_dot(pair_counts, neg) + fixed_dot(state_counts, res)
         return total / n
@@ -292,18 +292,6 @@ class SgdProblem:
     project: Callable[[np.ndarray], np.ndarray]
     violation_estimate: Callable[[np.ndarray, np.random.Generator], float]
     make_policy: Callable[[np.ndarray], Policy]
-
-
-def distinct_counts(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of a nonempty 1-D integer array and how often
-    each occurs: ``np.unique(idx, return_counts=True)`` in fewer numpy calls,
-    which a 64-draw trace-row estimate notices."""
-    idx = np.sort(idx)
-    bounds = np.empty(idx.size + 1, dtype=bool)  # where a run of equal values starts or ends
-    bounds[0] = bounds[-1] = True
-    np.not_equal(idx[1:], idx[:-1], out=bounds[1:-1])
-    edges = bounds.nonzero()[0]
-    return idx[edges[:-1]], edges[1:] - edges[:-1]
 
 
 def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -466,7 +454,7 @@ class _Refills:
         forked = _ring_blocks(steps, iterations, RING_SLOTS)[1] > RING_SLOTS and _may_fork()
         slots = RING_SLOTS if forked else 1
         split, self.blocks = _ring_blocks(steps, iterations, slots)
-        self.m, self.dim, self.done, self.pipe = m, surrogate.fs.dim, 0, None
+        self.m, self.dim, self.done, self.failed, self.pipe = m, surrogate.fs.dim, 0, False, None
         fields = [("terms", float, (4, split * m))]
         for j, matrix in enumerate((surrogate.fs.phi, surrogate.state_operator)):
             n, width = split * m, int(np.diff(matrix.indptr).max(initial=0))
@@ -503,16 +491,21 @@ class _Refills:
     def next(self, rng: np.random.Generator):
         """The next ring block's per-step arguments of
         :meth:`Surrogate.weighted_subgradient`; with the last forked block,
-        ``rng`` takes the child's final state."""
+        ``rng`` takes the child's final state. Once a block raised, every call
+        raises ParameterError naming it."""
         k = self.done
+        if self.failed:
+            raise ParameterError(f"a step after ring block {k} of {self.blocks} raised")
         if k == self.blocks:
             raise ParameterError("a step past the end of the minibatch run")
+        self.failed = True  # until block k is read
         if self.pipe is None:
             count, slot = next(self.fill), self.ring[0]
         else:
             try:
                 if 0 < k <= self.blocks - RING_SLOTS:
-                    self.pipe.send_bytes(b"")  # block k - 1 is read; the child needs its slot
+                    with contextlib.suppress(ConnectionError):  # a child that raised has left
+                        self.pipe.send_bytes(b"")  # block k - 1 is read; the child needs its slot
                 count, error, state = self.pipe.recv()
             except (EOFError, OSError) as exc:
                 self.stop()
@@ -525,7 +518,7 @@ class _Refills:
                 self.ring = None  # the mapping goes with the last block's views
             if error is not None:
                 raise error
-        self.done += 1
+        self.done, self.failed = k + 1, False
         n = count * self.m
         pair_rows, state_rows = (
             _step_views(*(slot[name + str(j)] for name in GATHERED), self.m, self.dim, n)

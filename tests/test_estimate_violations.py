@@ -5,7 +5,9 @@ summands, and the checks on its draw counts.
 distinct drawn pair and state and weights them by their counts. The reference
 below takes the same draws and averages ``violation_summands``, one summand
 per draw; only the summation order differs, so the two must agree to a few
-units in the last place and leave the generator in the same state.
+units in the last place and leave the generator in the same state. A batch
+of many draws per table entry is counted from its sorted uniforms instead of
+drawn; against the same estimator on drawn batches it must give equal bits.
 """
 from pathlib import Path
 
@@ -16,8 +18,9 @@ from dualalp._sgd import Surrogate, distinct_counts, draw
 from dualalp.avgcost import estimate_violations
 from dualalp.discounted import estimate_violations_disc
 from dualalp.errors import ParameterError
-from dualalp.features import make_norm_proportional_sampling, make_uniform_sampling
+from dualalp.features import _COUNT_FACTOR, make_norm_proportional_sampling, make_uniform_sampling
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
+from dualalp.mdp import fixed_dot
 
 from conftest import random_features, random_mdp
 
@@ -82,6 +85,41 @@ def test_estimate_matches_mean_of_summands(instance, n, batch):
     assert expected > 0.0  # theta violates, so the comparison is not 0 == 0
     np.testing.assert_allclose(estimate, expected, rtol=RTOL, atol=0.0)
     assert rng.bit_generator.state == rng_ref.bit_generator.state  # the same draws
+
+
+def drawn_estimate(surrogate, sp, theta, n, rng, batch):
+    """The estimator with every batch drawn and reduced by ``distinct_counts``,
+    whatever its size: the same sums on the same counts."""
+    total = 0.0
+    for start in range(0, n, batch):
+        pair_idx, state_idx = draw(sp, rng, min(batch, n - start))
+        pairs, pair_counts = distinct_counts(pair_idx)
+        states, state_counts = distinct_counts(state_idx)
+        neg, res = surrogate.violation_terms(sp, theta, pairs, states)
+        total += fixed_dot(pair_counts, neg) + fixed_dot(state_counts, res)
+    return total / n
+
+
+@pytest.mark.parametrize("instance", INSTANCES, ids=[case[0] for case in INSTANCES])
+@pytest.mark.parametrize("side", ["below", "states counted", "both counted"])
+def test_estimate_equals_drawn_counts_bit_for_bit(instance, side):
+    """A batch counted from its sorted uniforms gives the v-hat of the drawn
+    batch bit for bit, around the counting rule of each side: batches just
+    below the states' crossover, at it (the longer pair table is still
+    searched) and at the pairs' (both counted), and a short last batch below
+    both. A uniform side is never counted."""
+    _, surrogate, sampler, theta = instance
+    model = surrogate.model
+    assert model.num_pairs > model.num_states
+    batch = {"below": _COUNT_FACTOR * model.num_states - 1,
+             "states counted": _COUNT_FACTOR * model.num_states,
+             "both counted": _COUNT_FACTOR * model.num_pairs}[side]
+    n = 2 * batch + 3
+    rng, rng_ref = np.random.default_rng(13), np.random.default_rng(13)
+    estimate = surrogate.estimate_violations(sampler, theta, n, rng, batch)
+    assert estimate > 0.0
+    assert estimate == drawn_estimate(surrogate, sampler, theta, n, rng_ref, batch)
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 BAD_COUNTS = [0, -5, 2.5, 3.0, True, "8", None]

@@ -411,6 +411,43 @@ def test_minibatch_support_error_on_both_refill_paths(monkeypatch, forks, side):
     assert seen["forked"][:2] == (2 * steps, 2 * 2 * steps * m)
 
 
+@pytest.mark.parametrize("path", REFILL_PATHS)
+def test_step_after_a_failed_refill_raises(monkeypatch, forks, path):
+    """A step after the refill that raised raises ParameterError naming that
+    ring block, on both paths, with no producer left running. A state of zero
+    probability is planted in the third refill of a run of 5000 steps at
+    m = 16: refills of 1024 steps, 20 ring blocks forked and 5 in-process."""
+    model, fs = _dirichlet_instance()
+    probs = np.full(model.num_states, 1.0 / (model.num_states - 1))
+    probs[2] = 0.0
+    sampler = SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
+                           c_pair=1.0, c_state=1.0, state_probs=probs)
+    sample_steps, calls = SamplingPair.sample_steps, [0]
+
+    def third_refill_unsupported(self, rng, count, size):
+        pairs, states = sample_steps(self, rng, count, size)
+        calls[0] += 1
+        if calls[0] == 3:
+            states[0, 0] = 2  # the sampler never draws it, so plant it
+        return pairs, states
+
+    monkeypatch.setattr(SamplingPair, "sample_steps", third_refill_unsupported)
+    select_refill_path(monkeypatch, path)
+    m, iterations = 16, 5000
+    step = make_minibatch_step(Surrogate.average_cost(model, fs), sampler, 2.0, m, iterations)
+    theta, rng = np.zeros(fs.dim), np.random.default_rng(0)
+    with pytest.raises(SamplingSupportError):
+        for t in range(iterations):
+            step(theta, rng, 0.1)
+    assert t == 2 * MINIBATCH_BLOCK // m
+    failed = "ring block 8 of 20" if path == "forked" else "ring block 2 of 5"
+    for _ in range(2):
+        with pytest.raises(ParameterError, match=f"a step after {failed} raised"):
+            step(theta, rng, 0.1)
+    assert len(forks) == (path == "forked")
+    assert_reaped(forks)
+
+
 def _narrow_avg():
     model, fs = narrow_random_space(np.random.default_rng(8))
     return Surrogate.average_cost(model, fs), make_uniform_sampling(model, fs, 1.0)
@@ -532,8 +569,8 @@ def test_state_draw_out_of_support_gathers_no_row(monkeypatch, path):
         pytest.fail("rows were gathered for a zero-probability draw")
 
     # the sampler never draws state 2, so the paths that draw are handed it
-    monkeypatch.setattr(_sgd, "draw", lambda sp, rng, m: (np.resize(pairs, m),
-                                                          np.resize(states, m)))
+    monkeypatch.setattr(SamplingPair, "sample_pairs", lambda self, rng, m: np.resize(pairs, m))
+    monkeypatch.setattr(SamplingPair, "sample_states", lambda self, rng, m: np.resize(states, m))
     monkeypatch.setattr(SamplingPair, "sample_steps", lambda self, rng, steps, m: (
         np.resize(pairs, (steps, m)), np.resize(states, (steps, m))))
     monkeypatch.setattr(_sgd, "_row_gather", no_gather)
