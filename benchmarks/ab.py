@@ -17,13 +17,58 @@ Example, timing one step of two gradient estimators built on the same draws::
     print(result["a"]["median"], result["b"]["median"], result["b"]["wins"])
 
 Repetitions are in one process, so both sides share its memory and caches;
-compare processes or checkouts with perfbench instead.
+compare processes with perfbench instead.
+
+:func:`load_checkout` loads another checkout's ``dualalp`` beside the one this
+process imports, so that :func:`alternate` can time the two versions of a
+function in one process::
+
+    parent = load_checkout("/path/to/parent/src")
+    step_a = parent["dualalp._sgd"].make_buffered_step(...)  # on parent objects
 """
 from __future__ import annotations
 
+import importlib
 import statistics
+import sys
 import time
+from pathlib import Path
 from typing import Callable
+
+PACKAGE = "dualalp"
+
+
+def _package_modules() -> dict:
+    return {name: module for name, module in sys.modules.items()
+            if name == PACKAGE or name.startswith(PACKAGE + ".")}
+
+
+def load_checkout(src_dir) -> dict:
+    """Import every module of the ``dualalp`` package under ``src_dir`` (a
+    checkout's ``src``) and return them by name (``"dualalp"``,
+    ``"dualalp._sgd"``, ...). The caller's ``sys.modules`` entries of the
+    package are put back afterwards, so its own imports resolve as before.
+    The two copies do not mix: no module of the package imports from the
+    package inside a function, so the loaded modules bind each other's names
+    at import, and objects built from one copy go to that copy's functions.
+    Only what is pickled (a forked pool's results, a producer's error) comes
+    back as the caller's classes."""
+    src = str(Path(src_dir).resolve())
+    saved = _package_modules()
+    for name in saved:
+        del sys.modules[name]
+    sys.path.insert(0, src)
+    try:
+        for path in sorted(Path(src, PACKAGE).glob("*.py")):
+            importlib.import_module(PACKAGE if path.stem == "__init__"
+                                    else f"{PACKAGE}.{path.stem}")
+        loaded = _package_modules()
+    finally:
+        sys.path.remove(src)
+        for name in _package_modules():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    return loaded
 
 
 def _summary(samples: list[float], wins: int) -> dict:

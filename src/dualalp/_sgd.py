@@ -12,8 +12,8 @@ cost) and the rows of the state operator S are the drift rows (P - B)^T Phi
 for average cost and the feasibility rows (B - gamma P)^T Phi for discounted
 cost. A :class:`Surrogate` holds what differs between the two; the exact
 oracles, the estimators, the SGD problem and the meta loop are written once
-against it, and every sampled estimator reads its draws through
-:meth:`Surrogate.gather`.
+against it, and every sampled draw passes :meth:`Surrogate.draw_terms`, the
+one support check, before a row of it is gathered.
 
 The loop is strictly sequential in the iterate; randomness is split into one
 stream for the gradient draws and one for the trace-time violation estimates,
@@ -45,7 +45,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, DualAlpError, InputShapeError, ParameterError
 from .features import (FeatureSpace, SamplingPair, _CsrRows, _dense_rows, _row_gather,
-                       _step_views, distinct_counts, importance_weight_guard)
+                       _step_views, check_model, distinct_counts, importance_weight_guard)
 from .mdp import (MdpModel, Policy, _check_state_distribution, fixed_dot, is_integer,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
@@ -132,7 +132,8 @@ class Surrogate:
     ``state_operator`` is the (X, d) state operator S in CSR form, the
     feature space's memoized one-step operator, and ``res_base`` is added
     inside the residual (one entry per state). The baseline occupancy and
-    its loss are the feature space's ``mu0`` and ``loss_mu0``.
+    its loss are the feature space's ``mu0`` and ``loss_mu0``. Both
+    constructors refuse a ``model`` that is not ``fs.model``.
     """
 
     model: MdpModel
@@ -143,6 +144,7 @@ class Surrogate:
     @classmethod
     def average_cost(cls, model: MdpModel, fs: FeatureSpace) -> Surrogate:
         """Drift rows at rate 1, no residual offset."""
+        check_model(model, fs)
         return cls(model, fs, fs._operator((1.0, -1.0)), np.zeros(model.num_states))
 
     @classmethod
@@ -151,6 +153,7 @@ class Surrogate:
         """Feasibility rows at rate gamma, residual offset -alpha (None means
         the uniform initial distribution). The discounted dual has no
         baseline occupancy: a nonzero ``fs.mu0`` raises ParameterError."""
+        check_model(model, fs)
         alpha = _check_state_distribution(model, alpha)
         if fs.mu0.any():
             raise ParameterError("the discounted surrogate takes no baseline occupancy mu0")
@@ -183,20 +186,15 @@ class Surrogate:
             if idx.dtype.kind not in "iu" or not (idx.min() >= 0 and idx.max() < size):
                 raise InputShapeError(f"draw indices must be integers in [0, {size})")
 
-    def gather(self, sp: SamplingPair, pair_idx: np.ndarray, state_idx: np.ndarray,
-               dense: bool = False):
+    def gather(self, sp: SamplingPair, pair_idx: np.ndarray, state_idx: np.ndarray):
         """What an estimator reads at its 1-D draws: (q_pair, mu0, rows of
         Phi) at the pair draws and (q_state, res_base, rows of S) at the state
         draws. The rows of each side are one :func:`_row_gather`, read as a
-        :class:`dualalp.features._CsrRows`, or with ``dense`` as a dense
-        block. Raises SamplingSupportError on a draw of probability zero on
-        either side, before any row is gathered."""
+        :class:`dualalp.features._CsrRows`. Raises SamplingSupportError on a
+        draw of probability zero on either side, before any row is gathered."""
         q_pair, occ, q_state, res = self.draw_terms(sp, pair_idx, state_idx)
-        if dense:
-            rows, state_rows = self.fs.rows(pair_idx), _dense_rows(self.state_operator, state_idx)
-        else:
-            rows = _CsrRows(*_row_gather(self.fs.phi, pair_idx), self.fs.dim)
-            state_rows = _CsrRows(*_row_gather(self.state_operator, state_idx), self.fs.dim)
+        rows = _CsrRows(*_row_gather(self.fs.phi, pair_idx), self.fs.dim)
+        state_rows = _CsrRows(*_row_gather(self.state_operator, state_idx), self.fs.dim)
         return q_pair, occ, rows, q_state, res, state_rows
 
     def draw_terms(self, sp: SamplingPair, pair_idx: np.ndarray, state_idx: np.ndarray):
@@ -305,8 +303,9 @@ def make_buffered_step(surrogate: Surrogate, sp: SamplingPair, penalty: float):
     ``step(theta, rng, rate)`` is a fresh array, bit for bit theta - rate * g.
 
     Each refill draws ``GRAD_BLOCK`` pairs and states in one :func:`draw`, so
-    the draw stream is still fully determined by the rng, gathers their rows
-    and computes per draw n_i = loss_phi - (penalty / q_pair) * row, the
+    the draw stream is still fully determined by the rng, checks them with
+    :meth:`Surrogate.draw_terms`, gathers their rows as dense blocks and
+    computes per draw n_i = loss_phi - (penalty / q_pair) * row, the
     gradient with the negativity term active, and t_i = (penalty / q_state) *
     state_row. A step writes (-rate) * (loss_phi ± t_i) and (-rate) * (n_i ±
     t_i) into one table for the draws its rate is expected to hold for (what
@@ -331,8 +330,10 @@ def make_buffered_step(surrogate: Surrogate, sp: SamplingPair, penalty: float):
 
     def refill(rng):
         nonlocal pos, scaled_end, rows, state_rows, neg_grads, state_terms, neg_occ, neg_res
-        q_pair, occ, rows, q_state, res, state_rows = surrogate.gather(
-            sp, *draw(sp, rng, block), dense=True)
+        pair_idx, state_idx = draw(sp, rng, block)
+        q_pair, occ, q_state, res = surrogate.draw_terms(sp, pair_idx, state_idx)
+        rows = surrogate.fs.rows(pair_idx)
+        state_rows = _dense_rows(surrogate.state_operator, state_idx)
         neg_grads = loss_phi - (penalty / q_pair)[:, None] * rows
         state_terms = (penalty / q_state)[:, None] * state_rows
         # a rounded sum has the sign of the exact one, so occ + x < 0 exactly when x < -occ

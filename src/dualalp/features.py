@@ -400,9 +400,18 @@ def _drift_norms(fs: FeatureSpace, kappa: float) -> np.ndarray:
     return norms
 
 
+def check_model(model: MdpModel, fs: FeatureSpace) -> None:
+    """The model an entry point takes beside ``fs`` is the one ``fs`` was built
+    on, whose operators it holds: another model's sizes would scale, draw and
+    broadcast against them (InputShapeError)."""
+    if model is not fs.model:
+        raise InputShapeError("the model is not the one the feature space was built on")
+
+
 def make_uniform_sampling(model: MdpModel, fs: FeatureSpace, kappa: float) -> SamplingPair:
     """Uniform q over pairs and states. The coverage constants are one pass
     over the nonzeros of Phi and of the one-step operators."""
+    check_model(model, fs)
     c_pair = float(_row_norms_sparse(fs.phi).max(initial=0.0) * model.num_pairs)
     c_state = float(_drift_norms(fs, kappa).max(initial=0.0) * model.num_states)
     return SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
@@ -415,6 +424,7 @@ def make_norm_proportional_sampling(model: MdpModel, fs: FeatureSpace,
     proportional to the norm of the action-marginal of Phi at the state
     (one-step look-ahead choice). Requires positive normalizers and full
     coverage of the drift support."""
+    check_model(model, fs)
     row_norms = _row_norms_sparse(fs.phi)
     z_pair = row_norms.sum()
     marg_norms = _row_norms_sparse(

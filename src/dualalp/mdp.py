@@ -188,6 +188,8 @@ def policy_from_occupancy(u: np.ndarray, num_actions: int) -> Policy:
     The rows are normalized in place in the clipped copy, so the call holds
     one (X, A) table.
     """
+    if not is_integer(num_actions) or num_actions < 1:
+        raise InputShapeError(f"num_actions must be a positive integer, got {num_actions!r}")
     u = np.asarray(u, dtype=float)
     if u.ndim != 1 or u.size % num_actions != 0:
         raise InputShapeError(f"occupancy must be a flat vector whose length is a multiple "

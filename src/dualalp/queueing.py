@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from ._sgd import _map_points, as_seed_sequence
 from .errors import CapacityError, InputShapeError, ParameterError
 from .features import FeatureSpace
-from .mdp import (DENSE_GUARD, MdpModel, Policy, check_index, is_integer,
+from .mdp import (DENSE_GUARD, MdpModel, Policy, check_index, is_integer, is_number,
                   stationary_state_action)
 
 logger = logging.getLogger(__name__)
@@ -51,13 +51,14 @@ class QueueNetSpec:
     service_probs: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if len(self.buffers) != 4 or any(b < 1 for b in self.buffers):
-            raise ParameterError("four buffer capacities >= 1 required")
+        if len(self.buffers) != 4 or not all(is_integer(b) and b >= 1 for b in self.buffers):
+            raise ParameterError(f"four integer buffer capacities >= 1 required, "
+                                 f"got {self.buffers!r}")
         probs = tuple(self.arrival_probs) + tuple(self.service_probs)
         if len(self.arrival_probs) != 2 or len(self.service_probs) != 4:
             raise ParameterError("two arrival and four service probabilities required")
-        if any(not 0.0 <= p <= 1.0 for p in probs):
-            raise ParameterError("probabilities must lie in [0, 1]")
+        if not all(is_number(p) and 0.0 <= p <= 1.0 for p in probs):
+            raise ParameterError(f"probabilities must be numbers in [0, 1], got {probs!r}")
 
     @property
     def num_states(self) -> int:

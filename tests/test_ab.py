@@ -1,8 +1,14 @@
-"""``benchmarks/ab.py`` on two callables timed by a fake clock."""
+"""``benchmarks/ab.py`` on two callables timed by a fake clock, and a second
+copy of the package loaded beside this one."""
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import dualalp
+from dualalp import _sgd, features, fixtures
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -47,3 +53,37 @@ def test_alternate_one_repetition_and_ties():
 def test_alternate_rejects_empty_runs(reps, number):
     with pytest.raises(ValueError):
         _ab().alternate(lambda: None, lambda: None, reps=reps, number=number)
+
+
+def _single_draw_thetas(package: dict, steps: int = 600) -> np.ndarray:
+    """The iterates of ``steps`` single-draw steps on the fixture, built only
+    from the modules in ``package``."""
+    fixtures, features, sgd = (package[f"dualalp.{name}"] for name in ("fixtures", "features",
+                                                                       "_sgd"))
+    model = fixtures.load_mdp_fixture(ROOT / "tests" / "data" / "mdp4.json")
+    fs = fixtures.load_feature_fixture(ROOT / "tests" / "data" / "features3.json", model)
+    step = sgd.make_buffered_step(sgd.Surrogate.average_cost(model, fs),
+                                  features.make_norm_proportional_sampling(model, fs, 1.0), 1.7)
+    rng, theta, thetas = np.random.default_rng(5), np.zeros(fs.dim), []
+    for t in range(steps):
+        theta = step(theta, rng, 0.3 * 2.0 ** -(t // 100))
+        thetas.append(theta)
+    return np.array(thetas)
+
+
+def test_load_checkout_loads_a_second_copy_and_restores_sys_modules():
+    before = dict(sys.modules)
+    loaded = _ab().load_checkout(ROOT / "src")
+    assert sys.modules["dualalp"] is dualalp and sys.modules["dualalp._sgd"] is _sgd
+    assert {name: module for name, module in sys.modules.items()
+            if name.startswith("dualalp")} == {
+        name: module for name, module in before.items() if name.startswith("dualalp")}
+    assert {"dualalp", "dualalp._sgd", "dualalp.cli", "dualalp.features"} <= loaded.keys()
+    for name, module in loaded.items():
+        assert module is not before.get(name)
+    # the copies do not mix: the loaded _sgd reads the loaded features
+    assert loaded["dualalp._sgd"].FeatureSpace is loaded["dualalp.features"].FeatureSpace
+    assert loaded["dualalp._sgd"].FeatureSpace is not dualalp.FeatureSpace
+    this = {"dualalp.fixtures": fixtures, "dualalp.features": features, "dualalp._sgd": _sgd}
+    ours, theirs = _single_draw_thetas(this), _single_draw_thetas(loaded)
+    assert ours.tobytes() == theirs.tobytes()

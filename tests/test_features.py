@@ -753,8 +753,9 @@ def test_narrow_rows_match_dense_rows_random():
     # the discounted surrogate takes no mu0, so it gets the features without it
     for surrogate in (Surrogate.average_cost(model, fs),
                       Surrogate.discounted(model, FeatureSpace(model, fs.phi), 0.9, None)):
-        q_pair, occ, rows, q_state, res, state_rows = surrogate.gather(
-            sample, pair_idx, state_idx, dense=True)
+        q_pair, occ, q_state, res = surrogate.draw_terms(sample, pair_idx, state_idx)
+        rows = surrogate.fs.rows(pair_idx)
+        state_rows = features._dense_rows(surrogate.state_operator, state_idx)
         dense = (surrogate.weighted_subgradient(2.0, theta, rows, occ, 1.0 / q_pair,
                                                 state_rows, res, q_state),
                  np.abs(np.minimum(occ + rows @ theta, 0.0)) / q_pair

@@ -19,7 +19,7 @@ from dualalp.errors import ConfigError, InputShapeError, ParameterError
 from dualalp.features import (FeatureSpace, make_norm_proportional_sampling,
                               make_uniform_sampling)
 from dualalp.mdp import (DENSE_GUARD, MdpModel, Policy, bellman_average, bellman_discounted,
-                         solve_optimal)
+                         policy_from_occupancy, solve_optimal)
 from dualalp.queueing import (DESK_SPEC, QueueNetSpec, build_features, build_mdp,
                               evaluate_policy_simulated, heuristic_policy, served_queues)
 from dualalp.trace import read_trace_csv
@@ -223,6 +223,9 @@ MDP_CASES = [
     ("record-next-negative",
      lambda: MdpModel.from_records(1, 1, [(0, 0, -1, 1.0)], [0.0]), InputShapeError,
      r"next state -1 is not an integer in \[0, 1\)"),
+    # a ZeroDivisionError
+    ("occupancy-zero-actions", lambda: policy_from_occupancy(np.ones(4), 0), InputShapeError,
+     "num_actions must be a positive integer, got 0"),
 ]
 
 
@@ -243,6 +246,12 @@ def _space(**kwargs):
     return FeatureSpace(model, kwargs.pop("phi", sp.eye(8, 2, format="csr")), **kwargs)
 
 
+def _norm_proportional(**kwargs):
+    """The norm-proportional sampler of ``_space(**kwargs)`` on its own model."""
+    space = _space(**kwargs)
+    return make_norm_proportional_sampling(space.model, space, 1.0)
+
+
 FEATURE_CASES = [
     ("phi-rows", lambda: _space(phi=sp.csr_matrix((7, 2))), InputShapeError,
      "phi must have 8 rows, got 7"),
@@ -250,8 +259,7 @@ FEATURE_CASES = [
      "one name per feature column expected"),
     ("mu0-length", lambda: _space(mu0=np.zeros(7)), InputShapeError,
      "mu0 must have length 8"),
-    ("norm-proportional-zero-phi",
-     lambda: make_norm_proportional_sampling(mdp4(), _space(phi=sp.csr_matrix((8, 2))), 1.0),
+    ("norm-proportional-zero-phi", lambda: _norm_proportional(phi=sp.csr_matrix((8, 2))),
      ParameterError, "norm-proportional sampling needs a nonzero feature matrix"),
 ]
 
@@ -260,6 +268,31 @@ FEATURE_CASES = [
                          ids=[case[0] for case in FEATURE_CASES])
 def test_features_refusals(call, error, match):
     raises(error, match, call)
+
+
+# (id, call(model, fs, sampler)) of the entry points that take a model beside a
+# feature space, with features3 and its sampler on mdp4 and a 3-state model:
+# they ran on, scaled the sampler by the wrong sizes, refused valid draws or
+# died in numpy's broadcast
+OTHER_MODEL_CASES = [
+    ("oracle", lambda model, fs, sampler: discounted.exact_subgradient_disc(
+        model, fs, 1.0, 0.9, None, np.zeros(fs.dim))),
+    ("estimator", lambda model, fs, sampler: avgcost.estimate_violations(
+        model, fs, sampler, np.zeros(fs.dim), 10, np.random.default_rng(0))),
+    ("solver", lambda model, fs, sampler: avgcost.sgd_solve_avg(
+        model, fs, sampler, avgcost.AvgSolverConfig(penalty=1.0, radius=1.5, iterations=5))),
+    ("sampler", lambda model, fs, sampler: make_uniform_sampling(model, fs, 1.0)),
+]
+
+
+@pytest.mark.parametrize("call", [case[1] for case in OTHER_MODEL_CASES],
+                         ids=[case[0] for case in OTHER_MODEL_CASES])
+def test_other_model_than_the_feature_space_s_is_refused(call):
+    model = mdp4()
+    fs = fixtures.load_feature_fixture(DATA / "features3.json", model)
+    other = MdpModel.from_dense(np.full((3, 2, 3), 1.0 / 3.0), np.zeros((3, 2)))
+    raises(InputShapeError, "the model is not the one the feature space was built on",
+           lambda: call(other, fs, make_uniform_sampling(model, fs, 1.0)))
 
 
 # --------------------------------------------------------------- _sgd and the solvers
@@ -343,6 +376,15 @@ def test_exact_violations_above_dense_guard():
 QUEUE_CASES = [
     ("probability-count", lambda: QueueNetSpec((2, 1, 1, 2), (0.1,), (0.2,) * 4),
      ParameterError, "two arrival and four service probabilities required"),
+    # num_states was 28.0, and build_mdp and heuristic_policy raised TypeErrors
+    ("buffer-fraction", lambda: QueueNetSpec((2.5, 1, 1, 1), (0.1, 0.1), (0.2,) * 4),
+     ParameterError, r"four integer buffer capacities >= 1 required, got \(2.5, 1, 1, 1\)"),
+    # read as a buffer of 1
+    ("buffer-bool", lambda: QueueNetSpec((True, 1, 1, 1), (0.1, 0.1), (0.2,) * 4),
+     ParameterError, r"four integer buffer capacities >= 1 required, got \(True"),
+    # a TypeError from the comparison
+    ("probability-string", lambda: QueueNetSpec((2, 1, 1, 2), ("0.1", 0.1), (0.2,) * 4),
+     ParameterError, r"probabilities must be numbers in \[0, 1\], got \('0.1'"),
     ("action-out-of-range", lambda: served_queues(4), InputShapeError,
      r"action 4 is not an integer in \[0, 4\)"),
     ("action-fraction", lambda: served_queues(1.5), InputShapeError,

@@ -58,15 +58,19 @@ RATES = {"constant": lambda t: 0.3, "halving": lambda t: 0.3 * 2.0 ** -(t // 100
 
 def reference_buffered_grad(surrogate, sp, penalty, branches):
     """The per-step estimator: one dict-buffered closure that evaluates every
-    term at its step. ``branches`` counts the (negativity, residual) terms
+    term at its step, on the draws of one :func:`draw` per block, with scipy's
+    public row slices. ``branches`` counts the (negativity, residual) terms
     each step took."""
     loss_phi = surrogate.fs.loss_phi
     block = GRAD_BLOCK
     buf = {"pos": block}
 
     def refill(rng):
-        (buf["q_pair"], buf["occ0"], buf["rows"], buf["q_state"], buf["res0"],
-         buf["drift"]) = surrogate.gather(sp, *draw(sp, rng, block), dense=True)
+        pair_idx, state_idx = draw(sp, rng, block)
+        buf["q_pair"], buf["q_state"] = sp.pair_prob(pair_idx), sp.state_prob(state_idx)
+        buf["occ0"], buf["res0"] = surrogate.fs.mu0[pair_idx], surrogate.res_base[state_idx]
+        buf["rows"] = surrogate.fs.phi[pair_idx].toarray()
+        buf["drift"] = surrogate.state_operator[state_idx].toarray()
         buf["pos"] = 0
 
     def grad(theta, rng):

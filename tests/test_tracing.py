@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dualalp import avgcost, discounted
+from dualalp._sgd import GRAD_BLOCK
 from dualalp.features import make_uniform_sampling
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -68,5 +69,15 @@ def test_traced_disc_sgd_run_records_its_iterations(desk_fixture):
     assert metrics["discounted.project_calls"] == 30
     assert metrics["avgcost.project_calls"] == 0
     assert metrics["sgd.errors"] == 0
+    # under uniform sampling every batch draws: each single-draw refill is one
+    # draw() of GRAD_BLOCK per side and one FeatureSpace.rows, and each trace
+    # row's estimate one draw of trace_violation_samples per side
+    refills, rows = -(-cfg.iterations // GRAD_BLOCK), len(traced.iterations)
+    samples = cfg.trace_violation_samples
+    assert (refills, rows, samples) == (1, 30, 64)
+    assert metrics["features.rows_calls"] == refills
+    assert metrics["features.rows_gathered"] == GRAD_BLOCK * refills
+    assert metrics["features.sample_calls"] == 2 * refills + 2 * rows
+    assert metrics["features.draws"] == 2 * GRAD_BLOCK * refills + 2 * samples * rows
     untraced = discounted.sgd_solve_disc(model, fs, sampler, cfg)
     np.testing.assert_array_equal(traced.theta, untraced.theta)
