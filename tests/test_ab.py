@@ -58,12 +58,12 @@ def test_alternate_rejects_empty_runs(reps, number):
 def _single_draw_thetas(package: dict, steps: int = 600) -> np.ndarray:
     """The iterates of ``steps`` single-draw steps on the fixture, built only
     from the modules in ``package``."""
-    fixtures, features, sgd = (package[f"dualalp.{name}"] for name in ("fixtures", "features",
-                                                                       "_sgd"))
-    model = fixtures.load_mdp_fixture(ROOT / "tests" / "data" / "mdp4.json")
-    fs = fixtures.load_feature_fixture(ROOT / "tests" / "data" / "features3.json", model)
+    loader, sampling, sgd = (package[f"dualalp.{name}"] for name in ("fixtures", "features",
+                                                                     "_sgd"))
+    model = loader.load_mdp_fixture(ROOT / "tests" / "data" / "mdp4.json")
+    fs = loader.load_feature_fixture(ROOT / "tests" / "data" / "features3.json", model)
     step = sgd.make_buffered_step(sgd.Surrogate.average_cost(model, fs),
-                                  features.make_norm_proportional_sampling(model, fs, 1.0), 1.7)
+                                  sampling.make_norm_proportional_sampling(model, fs, 1.0), 1.7)
     rng, theta, thetas = np.random.default_rng(5), np.zeros(fs.dim), []
     for t in range(steps):
         theta = step(theta, rng, 0.3 * 2.0 ** -(t // 100))

@@ -287,7 +287,7 @@ OTHER_MODEL_CASES = [
 
 @pytest.mark.parametrize("call", [case[1] for case in OTHER_MODEL_CASES],
                          ids=[case[0] for case in OTHER_MODEL_CASES])
-def test_other_model_than_the_feature_space_s_is_refused(call):
+def test_entry_points_refuse_another_model(call):
     model = mdp4()
     fs = fixtures.load_feature_fixture(DATA / "features3.json", model)
     other = MdpModel.from_dense(np.full((3, 2, 3), 1.0 / 3.0), np.zeros((3, 2)))
