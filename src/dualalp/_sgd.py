@@ -270,13 +270,76 @@ class Surrogate:
         check_positive_int("n", n)
         check_positive_int("batch", batch)
         total = 0.0
-        for start in range(0, n, batch):
-            size = min(batch, n - start)
-            pairs, pair_counts = sp.count_pairs(rng, size)
-            states, state_counts = sp.count_states(rng, size)
+        for pairs, pair_counts, states, state_counts in _counted_draws(sp, rng, n, batch):
             neg, res = self.violation_terms(sp, theta, pairs, states)
             total += fixed_dot(pair_counts, neg) + fixed_dot(state_counts, res)
         return total / n
+
+    def estimate_violations_stopped(self, sp: SamplingPair, theta: np.ndarray,
+                                    ranges: tuple[float, float], tolerance: float,
+                                    failure_prob: float, cap: int, rng: np.random.Generator,
+                                    batch: int = 1 << 16) -> tuple[float, int]:
+        """(v_hat, n): the mean of :meth:`violation_summands` over n <= cap
+        draws of each distribution, n chosen by an empirical-Bernstein
+        stopping rule (Mnih, Szepesvári & Audibert, ICML 2008), and within
+        ``tolerance`` of the total violation except with probability at most
+        ``failure_prob`` when each side's summands lie in its range of
+        ``ranges`` = (b_pair, b_state) and the cap is a Hoeffding count for
+        their sum (the meta-algorithm's counts are).
+
+        The draws come in stages, ``batch`` at a time, each side counted per
+        table entry over all stages. Check j follows the stage that brings the
+        draws to n_j = n_1 2^(j-1); n_1 = ceil(3 (b_pair + b_state) L_1 /
+        tolerance) is the smallest n at which check 1 could pass at zero
+        variance. At check j each side's mean is within
+        sqrt(2 V L_j / n_j) + 3 b L_j / n_j of its expectation, V the side's
+        empirical variance and L_j = ln(3 / delta_j), except with probability
+        delta_j (Audibert, Munos & Szepesvári, TCS 2009, Theorem 1). The
+        estimate stops at the first check where the two widths sum to at most
+        ``tolerance`` and every drawn summand lies in [0, b] of its side; a
+        check that cannot pass draws on, and the last stage ends at ``cap``,
+        with no check.
+
+        The split of delta = failure_prob: half to the estimate at the cap,
+        whose Hoeffding bound 2 exp(-2 n eps^2 / (b_pair + b_state)^2) is at
+        most delta / 2 at the meta-algorithm's counts with delta = its
+        failure_prob / K, and a quarter to each side's checks, delta_j =
+        delta 2^-j / 4 at check j, so L_j = ln(12 2^j / delta). A wrong
+        estimate needs one of these bounds to fail: probability at most
+        delta / 2 + 2 * delta / 4 = delta."""
+        check_positive_int("cap", cap)
+        check_positive_int("batch", batch)
+        bounds = np.asarray(ranges, dtype=float)
+        totals = (np.zeros(self.model.num_pairs, dtype=np.int64),
+                  np.zeros(self.model.num_states, dtype=np.int64))
+
+        def log_term(j: int) -> float:  # L_j
+            return math.log(12.0 * 2.0 ** j / failure_prob)
+
+        n, check = 0, 0
+        end = math.ceil(3.0 * bounds.sum() * log_term(1) / tolerance)
+        while True:
+            end = min(end, cap)
+            for pairs, pair_counts, states, state_counts in _counted_draws(sp, rng, end - n,
+                                                                           batch):
+                totals[0][pairs] += pair_counts
+                totals[1][states] += state_counts
+            n = end
+            drawn = [counts.nonzero()[0] for counts in totals]
+            weights = [counts[idx] for counts, idx in zip(totals, drawn)]
+            terms = self.violation_terms(sp, theta, *drawn)
+            sums = [fixed_dot(c, x) for c, x in zip(weights, terms)]
+            if n == cap:
+                break
+            check += 1
+            width, log_j = 0.0, log_term(check)
+            for c, x, total, b in zip(weights, terms, sums, bounds):
+                variance = fixed_dot(c, (x - total / n) ** 2) / n
+                width += math.sqrt(2.0 * variance * log_j / n) + 3.0 * b * log_j / n
+            if width <= tolerance and all(x.max() <= b for x, b in zip(terms, bounds)):
+                break
+            end = 2 * n
+        return (sums[0] + sums[1]) / n, n
 
 
 @dataclass
@@ -295,6 +358,15 @@ class SgdProblem:
 def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
     """m pair draws, then m state draws: the order every estimator draws in."""
     return sp.sample_pairs(rng, m), sp.sample_states(rng, m)
+
+
+def _counted_draws(sp: SamplingPair, rng: np.random.Generator, n: int, batch: int):
+    """n draws of each distribution, ``batch`` pairs then ``batch`` states at
+    a time (the last batch may be smaller), each batch as (pairs, their
+    counts, states, their counts)."""
+    for start in range(0, n, batch):
+        size = min(batch, n - start)
+        yield (*sp.count_pairs(rng, size), *sp.count_states(rng, size))
 
 
 def make_buffered_step(surrogate: Surrogate, sp: SamplingPair, penalty: float):
@@ -700,8 +772,9 @@ def meta_loop(grid, seed, loss_phi: np.ndarray, n_violation: int, run_count, sol
         linear objective + (H + horizon) * estimated violation + weight / (H * scale).
 
     ``run_count(H)`` gives the iterations of a point, ``solve(H, iterations,
-    seed)`` runs it and ``estimate(theta, n, rng)`` estimates its violation
-    from n draws. Per-point seeds derive deterministically from the master
+    seed)`` runs it and ``estimate(theta, rng)`` estimates its violation,
+    returning (v_hat, draws per side) with draws at most ``n_violation``, the
+    cap the result reports. Per-point seeds derive deterministically from the master
     seed, so every point is independent of the others and is dispatched to
     worker processes (see :func:`_map_points`), longest run first; the result
     does not depend on the number of workers. Ties in the selection go to the
@@ -715,14 +788,14 @@ def meta_loop(grid, seed, loss_phi: np.ndarray, n_violation: int, run_count, sol
         run_ss, est_ss = seeds[k].spawn(2)
         trace = solve(penalties[k], run_counts[k], run_ss)
         return (trace, float(loss_phi @ trace.theta),
-                estimate(trace.theta, n_violation, np.random.default_rng(est_ss)))
+                *estimate(trace.theta, np.random.default_rng(est_ss)))
 
     longest_first = sorted(range(len(penalties)), key=lambda k: -run_counts[k])
     by_index = _map_points(solve_point, longest_first)
-    traces, lin_objs, v_hats = zip(*(by_index[k] for k in range(len(penalties))))
+    traces, lin_objs, v_hats, draws = zip(*(by_index[k] for k in range(len(penalties))))
     points = np.asarray(grid.points, dtype=float)
     lin_objs = np.asarray(lin_objs)
-    v_hats = np.asarray(v_hats)
+    v_hats = np.asarray(v_hats, dtype=float)
     selection = lin_objs + (points + horizon) * v_hats + grid.weight / (points * scale)
     chosen = int(np.argmin(selection))
     return MetaResult(grid_points=points, selection_weight=grid.weight, traces=list(traces),
@@ -730,4 +803,5 @@ def meta_loop(grid, seed, loss_phi: np.ndarray, n_violation: int, run_count, sol
                       selection_values=selection, chosen_index=chosen,
                       theta=traces[chosen].theta, policy=traces[chosen].policy,
                       iterations_per_point=np.asarray(run_counts, dtype=np.int64),
-                      violation_samples=n_violation)
+                      violation_samples=n_violation,
+                      violation_draws=np.asarray(draws, dtype=np.int64))

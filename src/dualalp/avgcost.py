@@ -127,7 +127,9 @@ def run_count_avg(penalty: float, radius: float, tolerance: float,
 def violation_sample_count_avg(radius: float, c_pair: float, c_state: float,
                                tolerance: float, failure_prob: float,
                                num_grid_points: int) -> int:
-    """Estimation budget 8 (S(C1+1) + S C2)^2 / eps^2 * log(4K/delta)."""
+    """Estimation budget 8 (S(C1+1) + S C2)^2 / eps^2 * log(4K/delta): the cap
+    on the draws of each meta point's stopped violation estimate
+    (:meth:`dualalp._sgd.Surrogate.estimate_violations_stopped`)."""
     scale = radius * (c_pair + 1.0) + radius * c_state
     return max(1, math.ceil(8.0 * scale * scale / (tolerance * tolerance)
                             * math.log(4.0 * num_grid_points / failure_prob)))
@@ -143,11 +145,16 @@ def meta_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     minimizing  linear objective + penalty * estimated violation +
     selection_weight / penalty.
 
-    Per-point seeds derive deterministically from the master seed; ties in the
-    selection go to the lowest grid index.
+    Each point's violation estimate stops at an empirical-Bernstein bound of
+    width ``tolerance`` at failure probability failure_prob / K, and draws at
+    most :func:`violation_sample_count_avg` per side. Per-point seeds derive
+    deterministically from the master seed; ties in the selection go to the
+    lowest grid index.
     """
     if not 0.0 < failure_prob < 1.0:
         raise ParameterError("failure_prob must lie in (0, 1)")
+    surrogate = Surrogate.average_cost(model, fs)  # another model fails before the grid runs
+    ranges = (radius * (sp.c_pair + 1.0), radius * sp.c_state)  # S(C1+1), S C2 of the budget
     grid = build_penalty_grid(violation_bound, selection_weight, tolerance)
     num_points = len(grid)
     n_violation = violation_sample_count_avg(radius, sp.c_pair, sp.c_state,
@@ -165,4 +172,5 @@ def meta_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
         run_count=lambda penalty: run_count_avg(penalty, radius, tolerance,
                                                 failure_prob, num_points),
         solve=solve,
-        estimate=lambda theta, n, rng: estimate_violations(model, fs, sp, theta, n, rng))
+        estimate=lambda theta, rng: surrogate.estimate_violations_stopped(
+            sp, theta, ranges, tolerance, failure_prob / num_points, n_violation, rng))

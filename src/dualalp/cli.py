@@ -297,6 +297,7 @@ def _meta_summary(result: MetaResult) -> dict:
         "chosen_penalty": float(result.chosen_penalty),
         "iterations_per_point": [int(v) for v in result.iterations_per_point],
         "violation_samples": int(result.violation_samples),
+        "violation_draws": [int(v) for v in result.violation_draws],
         "theta": [float(v) for v in result.theta],
     }
 

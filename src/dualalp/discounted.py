@@ -130,7 +130,9 @@ def run_count_disc(penalty: float, radius: float, c_pair: float, c_state: float,
 def violation_sample_count_disc(radius: float, c_pair: float, c_state: float,
                                 tolerance: float, failure_prob: float,
                                 num_grid_points: int) -> int:
-    """Estimation budget (S(C3 + 2 C4))^2 / (2 eps^2) * log(4K/delta)."""
+    """Estimation budget (S(C3 + 2 C4))^2 / (2 eps^2) * log(4K/delta): the cap
+    on the draws of each meta point's stopped violation estimate
+    (:meth:`dualalp._sgd.Surrogate.estimate_violations_stopped`)."""
     scale = radius * (c_pair + 2.0 * c_state)
     return max(1, math.ceil(scale * scale / (2.0 * tolerance * tolerance)
                             * math.log(4.0 * num_grid_points / failure_prob)))
@@ -150,7 +152,10 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     Defaults: violation bound 4 sqrt(d) C S and selection weight
     6 sqrt(d) C S / (1 - gamma), with C the feature operator 1-norm bound.
     Selection minimizes  linear objective + (H + 1/(1-gamma)) * estimated
-    violation + weight / (H (1-gamma)).
+    violation + weight / (H (1-gamma)). Each point's violation estimate stops
+    at an empirical-Bernstein bound of width ``tolerance`` at failure
+    probability failure_prob / K, and draws at most
+    :func:`violation_sample_count_disc` per side.
 
     The worst-case per-point iteration formula grows like (S H (C3+C4)/eps)^2
     and is far beyond what small instances need; ``max_iterations_per_point``
@@ -162,7 +167,8 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
         raise ParameterError("failure_prob must lie in (0, 1)")
     if max_iterations_per_point is not None:
         check_positive_int("max_iterations_per_point", max_iterations_per_point)
-    Surrogate.discounted(model, fs, gamma, alpha)  # alpha and mu0 fail before the grid runs
+    surrogate = Surrogate.discounted(model, fs, gamma, alpha)  # fails before the grid runs
+    ranges = (radius * sp.c_pair, 2.0 * radius * sp.c_state)  # S C3, 2 S C4 of the budget
     scale = math.sqrt(fs.dim) * fs.column_norm_bound * radius
     if violation_bound is None:
         violation_bound = 4.0 * scale
@@ -189,6 +195,6 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
 
     return meta_loop(
         grid, seed, fs.loss_phi, n_violation, run_count=run_count, solve=solve,
-        estimate=lambda theta, n, rng: estimate_violations_disc(
-            model, fs, sp, gamma, alpha, theta, n, rng),
+        estimate=lambda theta, rng: surrogate.estimate_violations_stopped(
+            sp, theta, ranges, tolerance, failure_prob / len(grid), n_violation, rng),
         horizon=1.0 / (1.0 - gamma), scale=1.0 - gamma)

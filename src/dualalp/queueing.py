@@ -15,6 +15,7 @@ Joint actions are flattened as a = 2*i + j with i the server-1 choice
 from __future__ import annotations
 
 import logging
+from collections.abc import Sized
 from dataclasses import dataclass
 from itertools import compress, product
 
@@ -41,6 +42,11 @@ DEPARTURE_EFFECTS = {
 }
 
 
+def _has_length(value, n: int) -> bool:
+    """A sized collection of n entries (a number or None has no length)."""
+    return isinstance(value, Sized) and len(value) == n
+
+
 @dataclass(frozen=True)
 class QueueNetSpec:
     """Buffer capacities, arrival probabilities (queues 0 and 2) and service
@@ -51,12 +57,13 @@ class QueueNetSpec:
     service_probs: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if len(self.buffers) != 4 or not all(is_integer(b) and b >= 1 for b in self.buffers):
+        if not _has_length(self.buffers, 4) or not all(is_integer(b) and b >= 1
+                                                       for b in self.buffers):
             raise ParameterError(f"four integer buffer capacities >= 1 required, "
                                  f"got {self.buffers!r}")
-        probs = tuple(self.arrival_probs) + tuple(self.service_probs)
-        if len(self.arrival_probs) != 2 or len(self.service_probs) != 4:
+        if not (_has_length(self.arrival_probs, 2) and _has_length(self.service_probs, 4)):
             raise ParameterError("two arrival and four service probabilities required")
+        probs = tuple(self.arrival_probs) + tuple(self.service_probs)
         if not all(is_number(p) and 0.0 <= p <= 1.0 for p in probs):
             raise ParameterError(f"probabilities must be numbers in [0, 1], got {probs!r}")
 

@@ -56,7 +56,9 @@ class MetaResult:
 
     Selection bookkeeping is kept per grid point so the choice can be audited
     offline: ``selection_values[k]`` is recomputable from ``linear_objectives``,
-    ``violation_estimates`` and the grid alone.
+    ``violation_estimates`` and the grid alone. ``violation_samples`` is the
+    cap on each point's violation draws per side and ``violation_draws[k]``
+    the draws point k's estimate used.
     """
 
     grid_points: np.ndarray
@@ -70,6 +72,7 @@ class MetaResult:
     policy: Policy = None
     iterations_per_point: np.ndarray = None
     violation_samples: int = 0
+    violation_draws: np.ndarray = None
 
     @property
     def chosen_penalty(self) -> float:

@@ -8,21 +8,30 @@ per draw; only the summation order differs, so the two must agree to a few
 units in the last place and leave the generator in the same state. A batch
 of many draws per table entry is counted from its sorted uniforms instead of
 drawn; against the same estimator on drawn batches it must give equal bits.
+
+The stopped estimator (``Surrogate.estimate_violations_stopped``) of the meta
+points is checked in the form of criterion 6, where the violation is
+positive: over 200 seeded trials per objective the share of estimates off by
+more than the tolerance stays within the failure probability, and no
+estimate draws more than its cap.
 """
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dualalp._sgd import Surrogate, distinct_counts, draw
-from dualalp.avgcost import estimate_violations
-from dualalp.discounted import estimate_violations_disc
+from dualalp.avgcost import estimate_violations, project_theta_avg, violation_sample_count_avg
+from dualalp.discounted import (estimate_violations_disc, project_theta_disc,
+                                violation_sample_count_disc)
 from dualalp.errors import ParameterError
-from dualalp.features import _COUNT_FACTOR, make_norm_proportional_sampling, make_uniform_sampling
+from dualalp.features import (_COUNT_FACTOR, FeatureSpace, SamplingPair,
+                              make_norm_proportional_sampling, make_uniform_sampling)
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
-from dualalp.mdp import fixed_dot
+from dualalp.mdp import discounted_visits, fixed_dot, solve_optimal
 
-from conftest import random_features, random_mdp
+from conftest import random_features, random_mdp, random_policy, stationary_features
 
 DATA = Path(__file__).parent / "data"
 RTOL = 1e-14  # nonnegative summands: a reordered sum stays within a few ulps
@@ -142,6 +151,10 @@ def test_bad_draw_counts_raise_parameter_error(value):
         disc.estimate_violations(disc_sampler, theta, 100, rng, value)
     with pytest.raises(ParameterError, match="n must be >= 1"):
         estimate_violations_disc(model, fs, disc_sampler, 0.85, None, theta, value, rng)
+    with pytest.raises(ParameterError, match="cap must be >= 1"):
+        avg.estimate_violations_stopped(sampler, theta, (1.0, 1.0), 0.1, 0.1, value, rng)
+    with pytest.raises(ParameterError, match="batch must be >= 1"):
+        avg.estimate_violations_stopped(sampler, theta, (1.0, 1.0), 0.1, 0.1, 100, rng, value)
     assert rng.bit_generator.state == state  # rejected before any draw
 
 
@@ -155,3 +168,110 @@ def test_numpy_integer_draw_counts_accepted():
     assert (estimate_violations(model, fs, sampler, theta, np.int64(300),
                                 np.random.default_rng(2))
             == estimate_violations(model, fs, sampler, theta, 300, np.random.default_rng(2)))
+
+
+# ------------------------------------------------------ the stopped estimator
+
+TOLERANCE, FAILURE_PROB = 0.05, 0.1  # the meta workloads' epsilon and delta, one point
+
+
+def _avg_stopped_instance():
+    """The average-cost meta instance of criterion 7 (seed 0) with its fourth
+    column replaced by a random unit-mass column, which is not stationary, at
+    a random theta of the sum-1 ball: (surrogate, sampler, theta, ranges, cap)."""
+    rng = np.random.default_rng(200)
+    model = random_mdp(rng, 10, 2)
+    phi = stationary_features(rng, model, 4).phi.toarray()
+    column = np.random.default_rng(900).random(model.num_pairs)
+    phi[:, 3] = column / column.sum()
+    fs = FeatureSpace(model, sp.csr_matrix(phi))
+    sampler = make_norm_proportional_sampling(model, fs, 1.0)
+    radius = 1.5
+    theta = project_theta_avg(np.random.default_rng(6).normal(size=4), radius, 1.0)
+    ranges = (radius * (sampler.c_pair + 1.0), radius * sampler.c_state)
+    cap = violation_sample_count_avg(radius, sampler.c_pair, sampler.c_state,
+                                     TOLERANCE, FAILURE_PROB, 1)
+    return Surrogate.average_cost(model, fs), sampler, theta, ranges, cap
+
+
+def _disc_space():
+    """The discounted meta instance of criterion 7 (seed 0, gamma 0.9):
+    (surrogate, norm-proportional sampler)."""
+    gamma = 0.9
+    rng = np.random.default_rng(210)
+    model = random_mdp(rng, 6, 2)
+    alpha = np.full(6, 1.0 / 6.0)
+    optimal = solve_optimal(model, "discounted", gamma=gamma, tol=1e-12)
+    cols = [discounted_visits(model, optimal.policy, gamma, alpha, tol=1e-12)]
+    cols += [discounted_visits(model, random_policy(rng, 6, 2), gamma, alpha, tol=1e-12)
+             for _ in range(2)]
+    fs = FeatureSpace(model, sp.csr_matrix(np.column_stack(cols)))
+    return (Surrogate.discounted(model, fs, gamma, alpha),
+            make_norm_proportional_sampling(model, fs, gamma))
+
+
+def _disc_ranges_and_cap(sampler, radius=1.3):
+    return ((radius * sampler.c_pair, 2.0 * radius * sampler.c_state),
+            violation_sample_count_disc(radius, sampler.c_pair, sampler.c_state,
+                                        TOLERANCE, FAILURE_PROB, 1))
+
+
+def _disc_stopped_instance():
+    """The discounted instance at a random theta of the radius-1.3 ball."""
+    surrogate, sampler = _disc_space()
+    theta = project_theta_disc(np.random.default_rng(6).normal(size=3), 1.3)
+    return (surrogate, sampler, theta, *_disc_ranges_and_cap(sampler))
+
+
+STOPPED_INSTANCES = {"avg": _avg_stopped_instance, "disc": _disc_stopped_instance}
+
+
+@pytest.mark.parametrize("kind", sorted(STOPPED_INSTANCES))
+def test_stopped_estimate_coverage(kind):
+    surrogate, sampler, theta, ranges, cap = STOPPED_INSTANCES[kind]()
+    v_exact = sum(surrogate.violations_exact(theta))
+    assert v_exact > 0.01
+    failures = 0
+    for trial in range(200):
+        rng = np.random.default_rng(3000 + trial)
+        v_hat, n = surrogate.estimate_violations_stopped(sampler, theta, ranges, TOLERANCE,
+                                                         FAILURE_PROB, cap, rng)
+        assert n < cap  # the rule stops before the cap
+        failures += abs(v_hat - v_exact) > TOLERANCE
+    assert failures <= FAILURE_PROB * 200
+
+
+@pytest.mark.parametrize("cap", [1, 7, 1000, 10**4, 10**5, 10**7])
+def test_stopped_estimate_draws_at_most_the_cap(cap):
+    """A cap below the rule's stop ends the estimate there; every side's
+    draws, read from how far the generator moved, are the n returned. An
+    estimate whose first stage reaches the cap is the fixed-n estimate."""
+    surrogate, sampler, theta, ranges, _ = _disc_stopped_instance()
+    rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    v_hat, n = surrogate.estimate_violations_stopped(sampler, theta, ranges, TOLERANCE,
+                                                     FAILURE_PROB, cap, rng, batch=4096)
+    assert n <= cap and (n == cap) == (cap <= 10**5)  # the rule stops at 344,032 draws
+    rng_ref.random(2 * n)  # one uniform per draw on either searched side
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+    if cap <= 4096:
+        assert v_hat == surrogate.estimate_violations(sampler, theta, cap,
+                                                      np.random.default_rng(5))
+
+
+def test_understated_range_runs_the_estimate_to_the_cap():
+    """A hand-built sampler that understates c_pair: where theta has no
+    negative occupancy every summand lies in range and the rule stops early;
+    where it has some, negativity summands exceed S C3 and the estimate runs
+    to the cap of the sampler's budget."""
+    surrogate, sampler = _disc_space()
+    low = SamplingPair(sampler.num_pairs, sampler.num_states, sampler.c_pair / 100.0,
+                       sampler.c_state, sampler.pair_probs, sampler.state_probs)
+    ranges, cap = _disc_ranges_and_cap(low)
+    feasible, negative = np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.3, -0.3])
+    assert surrogate.violations_exact(feasible)[0] == 0.0
+    assert surrogate.violations_exact(negative)[0] > 0.5
+    for theta, stops in ((feasible, True), (negative, False)):
+        _, n = surrogate.estimate_violations_stopped(low, theta, ranges, TOLERANCE,
+                                                     FAILURE_PROB, cap,
+                                                     np.random.default_rng(8))
+        assert (n < cap) == stops

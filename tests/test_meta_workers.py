@@ -2,6 +2,7 @@
 not depend on the number of workers, and a worker's exception must reach the
 caller with its type and fields intact. The fallback to a plain loop is shared
 with the replications of the queue simulator."""
+import dataclasses
 import multiprocessing
 import multiprocessing.pool
 import os
@@ -55,7 +56,7 @@ GRID = build_penalty_grid(1.0, 1.0, 0.5)
 def _toy_meta(solve):
     assert len(GRID) > 2
     return _sgd.meta_loop(GRID, 0, np.ones(2), 4, run_count=lambda penalty: 10,
-                          solve=solve, estimate=lambda theta, n, rng: 0.0)
+                          solve=solve, estimate=lambda theta, rng: (0.0, 4))
 
 
 def _toy_trace(iterations):
@@ -123,7 +124,7 @@ def test_plain_loop_where_forking_is_unsafe(monkeypatch, setting):
 def _assert_same_meta(seq, par):
     for name in ("grid_points", "selection_weight", "linear_objectives",
                  "violation_estimates", "selection_values", "chosen_index", "theta",
-                 "iterations_per_point", "violation_samples"):
+                 "iterations_per_point", "violation_samples", "violation_draws"):
         assert np.array_equal(getattr(seq, name), getattr(par, name)), name
     assert np.array_equal(seq.policy.probs, par.policy.probs)
     assert len(seq.traces) == len(par.traces) == len(seq.grid_points)
@@ -184,12 +185,14 @@ def test_meta_disc_does_not_depend_on_worker_count(monkeypatch, tmp_path, desk_f
     _assert_same_meta(seq, par)
 
 
+# the sampler is built on the feature space's own model, so a different ``model``
+# reaches the meta solver
 META_SOLVERS = {
     "avg": lambda model, fs, delta: meta_solve_avg(
-        model, fs, make_norm_proportional_sampling(model, fs, 1.0), violation_bound=0.5,
+        model, fs, make_norm_proportional_sampling(fs.model, fs, 1.0), violation_bound=0.5,
         selection_weight=0.5, tolerance=0.4, failure_prob=delta, seed=0, radius=1.5),
     "disc": lambda model, fs, delta: meta_solve_disc(
-        model, fs, make_norm_proportional_sampling(model, fs, 0.8), gamma=0.8, alpha=None,
+        model, fs, make_norm_proportional_sampling(fs.model, fs, 0.8), gamma=0.8, alpha=None,
         tolerance=0.5, failure_prob=delta, seed=0, radius=1.3, violation_bound=0.5,
         selection_weight=0.5, max_iterations_per_point=10),
 }
@@ -209,3 +212,27 @@ def test_meta_rejects_failure_prob_outside_unit_interval(monkeypatch, desk_fixtu
     monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
     with pytest.raises(errors.ParameterError, match="failure_prob must lie in"):
         META_SOLVERS[kind](*desk_fixture, delta)
+
+
+@pytest.mark.parametrize("kind", sorted(META_SOLVERS))
+def test_meta_rejects_another_model_before_the_grid_runs(monkeypatch, desk_fixture, kind):
+    # avg started a worker pool and raised InputShapeError inside a worker
+    _pool(monkeypatch, 2)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a worker pool was started before the model check")
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", refuse)
+    model, fs = desk_fixture
+    other = dataclasses.replace(model)
+    with pytest.raises(errors.InputShapeError,
+                       match="the model is not the one the feature space was built on"):
+        META_SOLVERS[kind](other, fs, 0.1)
+
+
+@pytest.mark.parametrize("kind", sorted(META_SOLVERS))
+def test_meta_violation_draws_stay_within_the_cap(desk_fixture, kind):
+    result = META_SOLVERS[kind](*desk_fixture, 0.1)
+    assert result.violation_draws.shape == result.grid_points.shape
+    assert np.all((result.violation_draws >= 1)
+                  & (result.violation_draws <= result.violation_samples))

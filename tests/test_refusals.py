@@ -382,6 +382,13 @@ QUEUE_CASES = [
     # read as a buffer of 1
     ("buffer-bool", lambda: QueueNetSpec((True, 1, 1, 1), (0.1, 0.1), (0.2,) * 4),
      ParameterError, r"four integer buffer capacities >= 1 required, got \(True"),
+    # TypeErrors from len() and tuple()
+    ("buffers-not-a-sequence", lambda: QueueNetSpec(5, (0.1, 0.1), (0.2,) * 4),
+     ParameterError, "four integer buffer capacities >= 1 required, got 5"),
+    ("arrival-probs-not-a-sequence", lambda: QueueNetSpec((2, 1, 1, 2), 0.1, (0.2,) * 4),
+     ParameterError, "two arrival and four service probabilities required"),
+    ("service-probs-none", lambda: QueueNetSpec((2, 1, 1, 2), (0.1, 0.1), None),
+     ParameterError, "two arrival and four service probabilities required"),
     # a TypeError from the comparison
     ("probability-string", lambda: QueueNetSpec((2, 1, 1, 2), ("0.1", 0.1), (0.2,) * 4),
      ParameterError, r"probabilities must be numbers in \[0, 1\], got \('0.1'"),
