@@ -52,6 +52,7 @@ from .trace import MetaResult, RunTrace
 
 GRAD_BLOCK = 512  # single-draw iterations served by one presampled block
 MINIBATCH_BLOCK = 16384  # draws per side presampled by one minibatch refill
+VIOLATION_BATCH = 1 << 16  # draws per side counted at once by a violation estimate
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
@@ -257,7 +258,7 @@ class Surrogate:
         return neg + res
 
     def estimate_violations(self, sp: SamplingPair, theta: np.ndarray, n: int,
-                            rng: np.random.Generator, batch: int = 1 << 16) -> float:
+                            rng: np.random.Generator, batch: int = VIOLATION_BATCH) -> float:
         """Unbiased importance-sampling estimate of the total violation: the
         mean of :meth:`violation_summands` over n draws of each distribution,
         drawn ``batch`` at a time.
@@ -277,8 +278,8 @@ class Surrogate:
 
     def estimate_violations_stopped(self, sp: SamplingPair, theta: np.ndarray,
                                     ranges: tuple[float, float], tolerance: float,
-                                    failure_prob: float, cap: int, rng: np.random.Generator,
-                                    batch: int = 1 << 16) -> tuple[float, int]:
+                                    failure_prob: float, cap: int,
+                                    rng: np.random.Generator) -> tuple[float, int]:
         """(v_hat, n): the mean of :meth:`violation_summands` over n <= cap
         draws of each distribution, n chosen by an empirical-Bernstein
         stopping rule (Mnih, Szepesvári & Audibert, ICML 2008), and within
@@ -287,9 +288,9 @@ class Surrogate:
         ``ranges`` = (b_pair, b_state) and the cap is a Hoeffding count for
         their sum (the meta-algorithm's counts are).
 
-        The draws come in stages, ``batch`` at a time, each side counted per
-        table entry over all stages. Check j follows the stage that brings the
-        draws to n_j = n_1 2^(j-1); n_1 = ceil(3 (b_pair + b_state) L_1 /
+        The draws come in stages, :data:`VIOLATION_BATCH` at a time, each side
+        counted per table entry over all stages. Check j follows the stage that
+        brings the draws to n_j = n_1 2^(j-1); n_1 = ceil(3 (b_pair + b_state) L_1 /
         tolerance) is the smallest n at which check 1 could pass at zero
         variance. At check j each side's mean is within
         sqrt(2 V L_j / n_j) + 3 b L_j / n_j of its expectation, V the side's
@@ -308,7 +309,6 @@ class Surrogate:
         estimate needs one of these bounds to fail: probability at most
         delta / 2 + 2 * delta / 4 = delta."""
         check_positive_int("cap", cap)
-        check_positive_int("batch", batch)
         bounds = np.asarray(ranges, dtype=float)
         totals = (np.zeros(self.model.num_pairs, dtype=np.int64),
                   np.zeros(self.model.num_states, dtype=np.int64))
@@ -320,8 +320,8 @@ class Surrogate:
         end = math.ceil(3.0 * bounds.sum() * log_term(1) / tolerance)
         while True:
             end = min(end, cap)
-            for pairs, pair_counts, states, state_counts in _counted_draws(sp, rng, end - n,
-                                                                           batch):
+            for pairs, pair_counts, states, state_counts in _counted_draws(
+                    sp, rng, end - n, VIOLATION_BATCH):
                 totals[0][pairs] += pair_counts
                 totals[1][states] += state_counts
             n = end

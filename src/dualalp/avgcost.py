@@ -124,13 +124,19 @@ def run_count_avg(penalty: float, radius: float, tolerance: float,
                                 * math.log(num_grid_points / failure_prob))))
 
 
+def violation_ranges_avg(radius: float, c_pair: float, c_state: float) -> tuple[float, float]:
+    """The ranges (S(C1+1), S C2) of a violation estimate's pair and state
+    summands, which the estimation budget and the stopping rule share."""
+    return radius * (c_pair + 1.0), radius * c_state
+
+
 def violation_sample_count_avg(radius: float, c_pair: float, c_state: float,
                                tolerance: float, failure_prob: float,
                                num_grid_points: int) -> int:
     """Estimation budget 8 (S(C1+1) + S C2)^2 / eps^2 * log(4K/delta): the cap
     on the draws of each meta point's stopped violation estimate
     (:meth:`dualalp._sgd.Surrogate.estimate_violations_stopped`)."""
-    scale = radius * (c_pair + 1.0) + radius * c_state
+    scale = sum(violation_ranges_avg(radius, c_pair, c_state))
     return max(1, math.ceil(8.0 * scale * scale / (tolerance * tolerance)
                             * math.log(4.0 * num_grid_points / failure_prob)))
 
@@ -154,7 +160,7 @@ def meta_solve_avg(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     if not 0.0 < failure_prob < 1.0:
         raise ParameterError("failure_prob must lie in (0, 1)")
     surrogate = Surrogate.average_cost(model, fs)  # another model fails before the grid runs
-    ranges = (radius * (sp.c_pair + 1.0), radius * sp.c_state)  # S(C1+1), S C2 of the budget
+    ranges = violation_ranges_avg(radius, sp.c_pair, sp.c_state)
     grid = build_penalty_grid(violation_bound, selection_weight, tolerance)
     num_points = len(grid)
     n_violation = violation_sample_count_avg(radius, sp.c_pair, sp.c_state,

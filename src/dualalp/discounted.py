@@ -127,13 +127,19 @@ def run_count_disc(penalty: float, radius: float, c_pair: float, c_state: float,
     return max(1, math.ceil(radius * radius / (tolerance * tolerance) * inner * inner))
 
 
+def violation_ranges_disc(radius: float, c_pair: float, c_state: float) -> tuple[float, float]:
+    """The ranges (S C3, 2 S C4) of a violation estimate's pair and state
+    summands, which the estimation budget and the stopping rule share."""
+    return radius * c_pair, 2.0 * radius * c_state
+
+
 def violation_sample_count_disc(radius: float, c_pair: float, c_state: float,
                                 tolerance: float, failure_prob: float,
                                 num_grid_points: int) -> int:
-    """Estimation budget (S(C3 + 2 C4))^2 / (2 eps^2) * log(4K/delta): the cap
+    """Estimation budget (S C3 + 2 S C4)^2 / (2 eps^2) * log(4K/delta): the cap
     on the draws of each meta point's stopped violation estimate
     (:meth:`dualalp._sgd.Surrogate.estimate_violations_stopped`)."""
-    scale = radius * (c_pair + 2.0 * c_state)
+    scale = sum(violation_ranges_disc(radius, c_pair, c_state))
     return max(1, math.ceil(scale * scale / (2.0 * tolerance * tolerance)
                             * math.log(4.0 * num_grid_points / failure_prob)))
 
@@ -168,7 +174,7 @@ def meta_solve_disc(model: MdpModel, fs: FeatureSpace, sp: SamplingPair, *,
     if max_iterations_per_point is not None:
         check_positive_int("max_iterations_per_point", max_iterations_per_point)
     surrogate = Surrogate.discounted(model, fs, gamma, alpha)  # fails before the grid runs
-    ranges = (radius * sp.c_pair, 2.0 * radius * sp.c_state)  # S C3, 2 S C4 of the budget
+    ranges = violation_ranges_disc(radius, sp.c_pair, sp.c_state)
     scale = math.sqrt(fs.dim) * fs.column_norm_bound * radius
     if violation_bound is None:
         violation_bound = 4.0 * scale

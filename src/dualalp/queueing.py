@@ -15,7 +15,6 @@ Joint actions are flattened as a = 2*i + j with i the server-1 choice
 from __future__ import annotations
 
 import logging
-from collections.abc import Sized
 from dataclasses import dataclass
 from itertools import compress, product
 
@@ -43,8 +42,11 @@ DEPARTURE_EFFECTS = {
 
 
 def _has_length(value, n: int) -> bool:
-    """A sized collection of n entries (a number or None has no length)."""
-    return isinstance(value, Sized) and len(value) == n
+    """A collection of n entries (a number, None or a 0-d array has no length)."""
+    try:
+        return len(value) == n
+    except TypeError:
+        return False
 
 
 @dataclass(frozen=True)

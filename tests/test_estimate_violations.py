@@ -22,9 +22,10 @@ import pytest
 import scipy.sparse as sp
 
 from dualalp._sgd import Surrogate, distinct_counts, draw
-from dualalp.avgcost import estimate_violations, project_theta_avg, violation_sample_count_avg
+from dualalp.avgcost import (estimate_violations, project_theta_avg, violation_ranges_avg,
+                             violation_sample_count_avg)
 from dualalp.discounted import (estimate_violations_disc, project_theta_disc,
-                                violation_sample_count_disc)
+                                violation_ranges_disc, violation_sample_count_disc)
 from dualalp.errors import ParameterError
 from dualalp.features import (_COUNT_FACTOR, FeatureSpace, SamplingPair,
                               make_norm_proportional_sampling, make_uniform_sampling)
@@ -153,8 +154,6 @@ def test_bad_draw_counts_raise_parameter_error(value):
         estimate_violations_disc(model, fs, disc_sampler, 0.85, None, theta, value, rng)
     with pytest.raises(ParameterError, match="cap must be >= 1"):
         avg.estimate_violations_stopped(sampler, theta, (1.0, 1.0), 0.1, 0.1, value, rng)
-    with pytest.raises(ParameterError, match="batch must be >= 1"):
-        avg.estimate_violations_stopped(sampler, theta, (1.0, 1.0), 0.1, 0.1, 100, rng, value)
     assert rng.bit_generator.state == state  # rejected before any draw
 
 
@@ -188,7 +187,7 @@ def _avg_stopped_instance():
     sampler = make_norm_proportional_sampling(model, fs, 1.0)
     radius = 1.5
     theta = project_theta_avg(np.random.default_rng(6).normal(size=4), radius, 1.0)
-    ranges = (radius * (sampler.c_pair + 1.0), radius * sampler.c_state)
+    ranges = violation_ranges_avg(radius, sampler.c_pair, sampler.c_state)
     cap = violation_sample_count_avg(radius, sampler.c_pair, sampler.c_state,
                                      TOLERANCE, FAILURE_PROB, 1)
     return Surrogate.average_cost(model, fs), sampler, theta, ranges, cap
@@ -211,7 +210,7 @@ def _disc_space():
 
 
 def _disc_ranges_and_cap(sampler, radius=1.3):
-    return ((radius * sampler.c_pair, 2.0 * radius * sampler.c_state),
+    return (violation_ranges_disc(radius, sampler.c_pair, sampler.c_state),
             violation_sample_count_disc(radius, sampler.c_pair, sampler.c_state,
                                         TOLERANCE, FAILURE_PROB, 1))
 
@@ -249,7 +248,7 @@ def test_stopped_estimate_draws_at_most_the_cap(cap):
     surrogate, sampler, theta, ranges, _ = _disc_stopped_instance()
     rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
     v_hat, n = surrogate.estimate_violations_stopped(sampler, theta, ranges, TOLERANCE,
-                                                     FAILURE_PROB, cap, rng, batch=4096)
+                                                     FAILURE_PROB, cap, rng)
     assert n <= cap and (n == cap) == (cap <= 10**5)  # the rule stops at 344,032 draws
     rng_ref.random(2 * n)  # one uniform per draw on either searched side
     assert rng.bit_generator.state == rng_ref.bit_generator.state

@@ -385,6 +385,8 @@ QUEUE_CASES = [
     # TypeErrors from len() and tuple()
     ("buffers-not-a-sequence", lambda: QueueNetSpec(5, (0.1, 0.1), (0.2,) * 4),
      ParameterError, "four integer buffer capacities >= 1 required, got 5"),
+    ("buffers-0d-array", lambda: QueueNetSpec(np.array(5), (0.1, 0.1), (0.2,) * 4),
+     ParameterError, r"four integer buffer capacities >= 1 required, got array\(5\)"),
     ("arrival-probs-not-a-sequence", lambda: QueueNetSpec((2, 1, 1, 2), 0.1, (0.2,) * 4),
      ParameterError, "two arrival and four service probabilities required"),
     ("service-probs-none", lambda: QueueNetSpec((2, 1, 1, 2), (0.1, 0.1), None),
