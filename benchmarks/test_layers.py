@@ -3,10 +3,11 @@ d = 170) of the feature and sampler builds, of the exact evaluation layer (the
 LBFS induced chain, and its discounted value function and discounted visits
 at gamma = 0.9 and 0.99), of the exact subgradient and of the
 minibatch and single-draw estimators, per call and per step of the
-block-presampled SGD estimators (the minibatch step also for the discounted
-surrogate at gamma = 0.99 and m = 100), each with its refills in this process
-and in the forked producer, of a 300-step desk solve at m = 1000 on both
-refill paths, of one block refill of the m = 1000
+block-presampled SGD estimators (the single-draw step at a constant rate and
+at rates halved every 2000 and every 100 steps, the minibatch step also for
+the discounted surrogate at gamma = 0.99 and m = 100), each with its refills
+in this process and in the forked producer, of a 300-step desk solve at m =
+1000 on both refill paths, of one block refill of the m = 1000
 minibatch estimator (the draws of its 16 steps and the gather of their rows),
 of one single-draw discounted SGD step at d = 3, where a step is almost all interpreter overhead,
 of the violation estimator at two extremes (a meta point's 534,552 draws over
@@ -34,6 +35,7 @@ To compare two commits, run this file from the root of each one's checkout.
 ``PYTHONPATH``, so ``PYTHONPATH=<other checkout>/src`` run from this tree
 still measures this tree's source.
 """
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -224,15 +226,22 @@ def test_desk_solve_300_steps(benchmark, monkeypatch, desk, path):
     assert np.isfinite(trace.theta).all()
 
 
-def test_buffered_step(benchmark, desk):
+@pytest.mark.parametrize("period", [None, 2000, 100], ids=["constant", "halving-2000",
+                                                          "halving-100"])
+def test_buffered_step(benchmark, desk, period):
     """One m = 1 step and the average-cost projection, with the block refill
-    and its candidate table amortized over GRAD_BLOCK calls."""
+    and its candidate table amortized over GRAD_BLOCK calls, at a constant
+    rate and at a rate halved every 2000 or every 100 steps, as
+    ``run_projected_sgd`` halves it: the table is filled again from the step
+    of each halving to the end of its block, which costs most when the
+    period is shorter than the block."""
     surrogate, sampler, theta = desk
     step = make_buffered_step(surrogate, sampler, 2.0)
-    rng = np.random.default_rng(4)
+    rng, calls = np.random.default_rng(4), itertools.count()
 
     def projected_step():
-        return avgcost.project_theta_avg(step(theta, rng, 0.01), 200.0, 1.0)
+        rate = 0.01 * 2.0 ** -(next(calls) // period) if period else 0.01
+        return avgcost.project_theta_avg(step(theta, rng, rate), 200.0, 1.0)
 
     projected_step()  # the first block's dense gathers happen outside the timing
     assert benchmark.pedantic(projected_step, rounds=20,

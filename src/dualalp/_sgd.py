@@ -258,10 +258,10 @@ class Surrogate:
         return neg + res
 
     def estimate_violations(self, sp: SamplingPair, theta: np.ndarray, n: int,
-                            rng: np.random.Generator, batch: int = VIOLATION_BATCH) -> float:
+                            rng: np.random.Generator) -> float:
         """Unbiased importance-sampling estimate of the total violation: the
         mean of :meth:`violation_summands` over n draws of each distribution,
-        drawn ``batch`` at a time.
+        drawn :data:`VIOLATION_BATCH` at a time.
 
         A batch evaluates the terms once per distinct drawn pair and state and
         weights each by how often it was drawn (:meth:`SamplingPair.count_pairs`,
@@ -269,9 +269,8 @@ class Surrogate:
         its cost follows the number of distinct indices, not of draws. The
         draws are those of the per-draw form; only the summation order differs."""
         check_positive_int("n", n)
-        check_positive_int("batch", batch)
         total = 0.0
-        for pairs, pair_counts, states, state_counts in _counted_draws(sp, rng, n, batch):
+        for pairs, pair_counts, states, state_counts in _counted_draws(sp, rng, n):
             neg, res = self.violation_terms(sp, theta, pairs, states)
             total += fixed_dot(pair_counts, neg) + fixed_dot(state_counts, res)
         return total / n
@@ -320,8 +319,7 @@ class Surrogate:
         end = math.ceil(3.0 * bounds.sum() * log_term(1) / tolerance)
         while True:
             end = min(end, cap)
-            for pairs, pair_counts, states, state_counts in _counted_draws(
-                    sp, rng, end - n, VIOLATION_BATCH):
+            for pairs, pair_counts, states, state_counts in _counted_draws(sp, rng, end - n):
                 totals[0][pairs] += pair_counts
                 totals[1][states] += state_counts
             n = end
@@ -360,12 +358,12 @@ def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray
     return sp.sample_pairs(rng, m), sp.sample_states(rng, m)
 
 
-def _counted_draws(sp: SamplingPair, rng: np.random.Generator, n: int, batch: int):
-    """n draws of each distribution, ``batch`` pairs then ``batch`` states at
-    a time (the last batch may be smaller), each batch as (pairs, their
-    counts, states, their counts)."""
-    for start in range(0, n, batch):
-        size = min(batch, n - start)
+def _counted_draws(sp: SamplingPair, rng: np.random.Generator, n: int):
+    """n draws of each distribution, :data:`VIOLATION_BATCH` pairs then as
+    many states at a time (the last batch may be smaller), each batch as
+    (pairs, their counts, states, their counts)."""
+    for start in range(0, n, VIOLATION_BATCH):
+        size = min(VIOLATION_BATCH, n - start)
         yield (*sp.count_pairs(rng, size), *sp.count_states(rng, size))
 
 
@@ -379,29 +377,27 @@ def make_buffered_step(surrogate: Surrogate, sp: SamplingPair, penalty: float):
     :meth:`Surrogate.draw_terms`, gathers their rows as dense blocks and
     computes per draw n_i = loss_phi - (penalty / q_pair) * row, the
     gradient with the negativity term active, and t_i = (penalty / q_state) *
-    state_row. A step writes (-rate) * (loss_phi ± t_i) and (-rate) * (n_i ±
-    t_i) into one table for the draws its rate is expected to hold for (what
-    is left of the previous rate's run, or as many as steps the rate has held
-    if more): a block at a constant rate, or a period of a rate that changes
-    every P steps, takes one fill. A step that would fill 16 draws or fewer,
-    or has a zero residual, takes the per-step form: a fill costs five vector
-    calls, and at d in the hundreds as much per draw as a draw saves. The
-    IEEE operations are those of the per-step form, in its order, and
-    theta + (-x) is theta - x exactly. A step is then two ``ndarray.dot``
-    calls (BLAS, half the call overhead of ``@``) and one vector add; one
-    matrix-vector product, or sums over Python floats, would round otherwise.
+    state_row. The first step of a block with a nonzero residual, and every
+    later one whose rate is not the table's, writes (-rate) * (loss_phi ±
+    t_i) and (-rate) * (n_i ± t_i) into one table from its draw to the end of
+    the block, so a block at one rate takes one fill. A step with a nonzero
+    residual returns theta + its table row, and one with a zero residual
+    theta - base * rate. The IEEE operations are those of the per-step form,
+    in its order, and theta + (-x) is theta - x exactly. A step is then two
+    ``ndarray.dot`` calls (BLAS, half the call overhead of ``@``) and one
+    vector add; one matrix-vector product, or sums over Python floats, would
+    round otherwise.
     """
     loss_phi = surrogate.fs.loss_phi
     block = GRAD_BLOCK
     pos = block
-    # (-table_rate) * (loss + t, loss - t, n + t, n - t) for the draws below scaled_end
+    # (-table_rate) * (loss + t, loss - t, n + t, n - t) from the last fill's draw on
     table = np.empty((4 * block, loss_phi.size))
     quarters = table.reshape(4, block, -1)
-    table_rate, last_rate, held, span, scaled_end = None, None, 0, 0, 0
-    rows = state_rows = neg_grads = state_terms = neg_occ = neg_res = None
+    table_rate = rows = state_rows = neg_grads = state_terms = neg_occ = neg_res = None
 
     def refill(rng):
-        nonlocal pos, scaled_end, rows, state_rows, neg_grads, state_terms, neg_occ, neg_res
+        nonlocal pos, table_rate, rows, state_rows, neg_grads, state_terms, neg_occ, neg_res
         pair_idx, state_idx = draw(sp, rng, block)
         q_pair, occ, q_state, res = surrogate.draw_terms(sp, pair_idx, state_idx)
         rows = surrogate.fs.rows(pair_idx)
@@ -410,16 +406,12 @@ def make_buffered_step(surrogate: Surrogate, sp: SamplingPair, penalty: float):
         state_terms = (penalty / q_state)[:, None] * state_rows
         # a rounded sum has the sign of the exact one, so occ + x < 0 exactly when x < -occ
         neg_occ, neg_res = (-occ).tolist(), (-res).tolist()
-        pos = scaled_end = 0
+        pos, table_rate = 0, None
 
     def step(theta, rng, rate):
-        nonlocal pos, held, span, last_rate, table_rate, scaled_end
+        nonlocal pos, table_rate
         if pos >= block:
             refill(rng)
-        if rate == last_rate:
-            held += 1
-        else:
-            span, held, last_rate = held + 1, 0, rate
         i, pos = pos, pos + 1
         k = i + 2 * block if rows[i].dot(theta) < neg_occ[i] else i
         state_dot = state_rows[i].dot(theta)
@@ -427,17 +419,12 @@ def make_buffered_step(surrogate: Surrogate, sp: SamplingPair, penalty: float):
             k += block
         elif not state_dot > neg_res[i]:  # a zero residual: the base alone
             return theta - (loss_phi if k == i else neg_grads[i]) * rate
-        if (i >= scaled_end or rate != table_rate) and max(span - held, held) > 16:
-            scaled_end, table_rate = min(block, i + max(span - held, held)), rate
-            terms, negs = state_terms[i:scaled_end], neg_grads[i:scaled_end]
-            for q, base in enumerate((loss_phi, loss_phi, negs, negs)):
-                (np.subtract if q % 2 else np.add)(base, terms, out=quarters[q, i:scaled_end])
-            quarters[:, i:scaled_end] *= -rate
-        if i < scaled_end and rate == table_rate:
-            return theta + table[k]
-        q = (k - i) // block
-        base = neg_grads[i] if q > 1 else loss_phi
-        return theta - (base - state_terms[i] if q % 2 else base + state_terms[i]) * rate
+        if rate != table_rate:
+            table_rate = rate
+            for q, base in enumerate((loss_phi, loss_phi, neg_grads[i:], neg_grads[i:])):
+                (np.subtract if q % 2 else np.add)(base, state_terms[i:], out=quarters[q, i:])
+            quarters[:, i:] *= -rate
+        return theta + table[k]
 
     return step
 

@@ -559,15 +559,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args) -> int:
+    # the first write makes --out; a file on its path would fail it only after the run
+    out_dir = None if args.out is None else Path(args.out)
+    for path in (out_dir, *out_dir.parents) if out_dir else ():
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--out {out_dir}: {path} exists and is not a directory")
     if args.mode == "print-grid":
-        out_dir = Path(args.out) if args.out else None
         run_print_grid(args.v_max, args.beta, args.epsilon, out_dir)
         return EXIT_OK
     config = _load_config(args.config)
     _apply_seed_override(config, args.seed)
     if args.trace_stride is not None:
         config["trace_stride"] = args.trace_stride
-    out_dir = Path(args.out)  # made by the first write, once the config has passed
     started = time.perf_counter()
     RUNNERS[args.mode](args, config, out_dir)
     elapsed = time.perf_counter() - started

@@ -15,9 +15,10 @@ Feature fixture::
 ``x``, ``a`` and ``next`` are integers in range, ``normalize`` (default
 false) is a JSON bool, transitions, columns and entries are JSON objects, and
 ``loss``, ``mu0``, ``p`` and ``value`` are finite JSON numbers
-(:func:`dualalp.mdp.is_number`). A missing file, invalid JSON, a missing field
-or a field of another type raises ConfigError; a count or index that is not
-an integer in range raises InputShapeError (:meth:`MdpModel.pair_index`).
+(:func:`dualalp.mdp.is_number`). A missing or unreadable file, invalid UTF-8
+or JSON, a missing field or a field of another type raises ConfigError; a
+count or index that is not an integer in range raises InputShapeError
+(:meth:`MdpModel.pair_index`).
 """
 from __future__ import annotations
 
@@ -34,13 +35,16 @@ from .mdp import MdpModel, is_number, is_number_list
 
 def read_json(path, what: str) -> dict:
     """The JSON object in the file at ``path``, named ``what`` in the
-    ConfigError of a missing file, invalid JSON or another JSON value."""
+    ConfigError of a missing or unreadable file (a directory, say), invalid
+    UTF-8 or JSON, or another JSON value."""
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except FileNotFoundError as exc:
         raise ConfigError(f"{what} not found: {path}") from exc
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"{what} cannot be read: {exc}") from exc
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must hold a JSON object, got {doc!r}")

@@ -80,16 +80,21 @@ class MetaResult:
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Parse a trace table back into column arrays (eval gaps become NaN)."""
-    with open(path) as handle:
+    """Parse a trace table back into column arrays (eval gaps become NaN). A
+    bad header, or a row other than four cells that parse, raises
+    InputShapeError, naming the row's line; a byte that is not UTF-8 reads
+    as U+FFFD, which no cell parses."""
+    with open(path, encoding="utf-8", errors="replace") as handle:
         header = handle.readline().strip().split(",")
         if tuple(header) != TRACE_COLUMNS:
             raise InputShapeError(f"unexpected trace header {header!r}")
         cols = {name: [] for name in TRACE_COLUMNS}
-        for line in handle:
-            cells = line.rstrip("\n").split(",")
-            cols["t"].append(int(cells[0]))
-            cols["objective"].append(float(cells[1]))
-            cols["v_hat"].append(float(cells[2]))
-            cols["eval_cost"].append(float(cells[3]) if cells[3] else np.nan)
+        for number, line in enumerate(handle, 2):
+            try:
+                t, objective, v_hat, cost = line.rstrip("\n").split(",")
+                row = int(t), float(objective), float(v_hat), float(cost) if cost else np.nan
+            except ValueError as exc:  # a short or long row, or a cell that does not parse
+                raise InputShapeError(f"trace line {number}: {exc}") from exc
+            for column, value in zip(cols.values(), row):
+                column.append(value)
     return {name: np.asarray(values) for name, values in cols.items()}

@@ -935,6 +935,26 @@ def test_out_dir_made_on_first_write(tmp_path):
     assert (out / "summary.json").is_file() and (out / "trace_000.csv").is_file()
 
 
+@pytest.mark.parametrize("out", ["file", "file/o"], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("mode", ["solve-avg", "print-grid"])
+def test_out_naming_a_file_is_refused_before_the_run(tmp_path, monkeypatch, capsys, mode, out):
+    # both ran to the end and then died on the write with FileExistsError (exit 1)
+    args = (["--config", str(base_config(tmp_path))] if mode == "solve-avg"
+            else ["--v-max", "1.0", "--beta", "1.0", "--epsilon", "0.5"])
+    (tmp_path / "file").write_text("kept")
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_run(*args):
+        pytest.fail("the run started")
+
+    monkeypatch.setattr(cli, "run_solver", no_run)
+    monkeypatch.setattr(cli, "run_print_grid", no_run)
+    assert main([mode, *args, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+    assert "exists and is not a directory" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "kept"
+
+
 def test_bench_queue_outputs_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a dot product of more than 10,000 entries across its
     # threads; the exact average cost over the 19,600 desk pairs read

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from dualalp import _sgd
 from dualalp._sgd import Surrogate, distinct_counts, draw
 from dualalp.avgcost import (estimate_violations, project_theta_avg, violation_ranges_avg,
                              violation_sample_count_avg)
@@ -87,10 +88,11 @@ INSTANCES = _instances()
                                       (1, 1 << 16), (1, 1)],
                          ids=["one batch", "whole batches", "partial last batch",
                               "batch 1", "n 1", "n 1 batch 1"])
-def test_estimate_matches_mean_of_summands(instance, n, batch):
+def test_estimate_matches_mean_of_summands(monkeypatch, instance, n, batch):
     _, surrogate, sampler, theta = instance
+    monkeypatch.setattr(_sgd, "VIOLATION_BATCH", batch)
     rng, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
-    estimate = surrogate.estimate_violations(sampler, theta, n, rng, batch)
+    estimate = surrogate.estimate_violations(sampler, theta, n, rng)
     expected = reference_estimate(surrogate, sampler, theta, n, rng_ref, batch)
     assert expected > 0.0  # theta violates, so the comparison is not 0 == 0
     np.testing.assert_allclose(estimate, expected, rtol=RTOL, atol=0.0)
@@ -112,7 +114,7 @@ def drawn_estimate(surrogate, sp, theta, n, rng, batch):
 
 @pytest.mark.parametrize("instance", INSTANCES, ids=[case[0] for case in INSTANCES])
 @pytest.mark.parametrize("side", ["below", "states counted", "both counted"])
-def test_estimate_equals_drawn_counts_bit_for_bit(instance, side):
+def test_estimate_equals_drawn_counts_bit_for_bit(monkeypatch, instance, side):
     """A batch counted from its sorted uniforms gives the v-hat of the drawn
     batch bit for bit, around the counting rule of each side: batches just
     below the states' crossover, at it (the longer pair table is still
@@ -125,8 +127,9 @@ def test_estimate_equals_drawn_counts_bit_for_bit(instance, side):
              "states counted": _COUNT_FACTOR * model.num_states,
              "both counted": _COUNT_FACTOR * model.num_pairs}[side]
     n = 2 * batch + 3
+    monkeypatch.setattr(_sgd, "VIOLATION_BATCH", batch)
     rng, rng_ref = np.random.default_rng(13), np.random.default_rng(13)
-    estimate = surrogate.estimate_violations(sampler, theta, n, rng, batch)
+    estimate = surrogate.estimate_violations(sampler, theta, n, rng)
     assert estimate > 0.0
     assert estimate == drawn_estimate(surrogate, sampler, theta, n, rng_ref, batch)
     assert rng.bit_generator.state == rng_ref.bit_generator.state
@@ -143,13 +146,13 @@ def test_bad_draw_counts_raise_parameter_error(value):
     model, fs = avg.model, avg.fs
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
-    # a negative batch used to return 0.0; zero and fractions raised untyped errors
-    with pytest.raises(ParameterError, match="batch must be >= 1"):
-        avg.estimate_violations(sampler, theta, 100, rng, value)
+    # a negative count used to return 0.0; zero and fractions raised untyped errors
+    with pytest.raises(ParameterError, match="n must be >= 1"):
+        avg.estimate_violations(sampler, theta, value, rng)
     with pytest.raises(ParameterError, match="n must be >= 1"):
         estimate_violations(model, fs, sampler, theta, value, rng)
-    with pytest.raises(ParameterError, match="batch must be >= 1"):
-        disc.estimate_violations(disc_sampler, theta, 100, rng, value)
+    with pytest.raises(ParameterError, match="n must be >= 1"):
+        disc.estimate_violations(disc_sampler, theta, value, rng)
     with pytest.raises(ParameterError, match="n must be >= 1"):
         estimate_violations_disc(model, fs, disc_sampler, 0.85, None, theta, value, rng)
     with pytest.raises(ParameterError, match="cap must be >= 1"):
@@ -157,12 +160,13 @@ def test_bad_draw_counts_raise_parameter_error(value):
     assert rng.bit_generator.state == state  # rejected before any draw
 
 
-def test_numpy_integer_draw_counts_accepted():
+def test_numpy_integer_draw_counts_accepted(monkeypatch):
     _, avg, sampler, theta = INSTANCES[0]
     model, fs = avg.model, avg.fs
-    plain = avg.estimate_violations(sampler, theta, 300, np.random.default_rng(2), 64)
+    monkeypatch.setattr(_sgd, "VIOLATION_BATCH", 64)  # 300 draws in five batches
+    plain = avg.estimate_violations(sampler, theta, 300, np.random.default_rng(2))
     numpy_ints = avg.estimate_violations(sampler, theta, np.int64(300),
-                                         np.random.default_rng(2), np.int32(64))
+                                         np.random.default_rng(2))
     assert numpy_ints == plain
     assert (estimate_violations(model, fs, sampler, theta, np.int64(300),
                                 np.random.default_rng(2))

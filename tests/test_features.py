@@ -797,5 +797,4 @@ def test_support_guard_fires_before_narrow_gather(monkeypatch):
     monkeypatch.setattr(features.SamplingPair, "sample_pairs", lambda self, rng, m: pairs[:m])
     monkeypatch.setattr(features.SamplingPair, "sample_states", lambda self, rng, m: states[:m])
     with pytest.raises(SamplingSupportError):
-        surrogate.estimate_violations(sample, np.zeros(fs.dim), 3, np.random.default_rng(0),
-                                      batch=3)
+        surrogate.estimate_violations(sample, np.zeros(fs.dim), 3, np.random.default_rng(0))

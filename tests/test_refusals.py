@@ -148,14 +148,30 @@ def test_fixture_refusals(tmp_path, kind, edit, error, match):
         raises(error, match, lambda: fixtures.load_feature_fixture(path, mdp4()))
 
 
+DIRECTORY = "a directory"  # a content that _put makes a directory of
+
+
+def _put(path, content):
+    """Make ``path`` hold ``content``: text, raw bytes, a directory
+    (DIRECTORY) or, for None, nothing."""
+    if content == DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
+        path.write_text(content)
+
+
 @pytest.mark.parametrize("content, match", [
     (None, "mdp fixture not found: "), ("{", "mdp fixture is not valid JSON: "),
-    ("[1]", "mdp fixture must hold a JSON object")])
+    ("[1]", "mdp fixture must hold a JSON object"),
+    (DIRECTORY, "mdp fixture cannot be read: "),
+    (b'{"num_states": "\xff"}', "mdp fixture is not valid JSON: 'utf-8' codec")])
 def test_unreadable_fixture_is_config_error(tmp_path, content, match):
-    # a missing file or invalid JSON was a traceback (exit 1)
+    # a missing file or invalid JSON was a traceback (exit 1), and so were a
+    # directory (IsADirectoryError) and invalid UTF-8 (UnicodeDecodeError)
     path = tmp_path / "mdp.json"
-    if content is not None:
-        path.write_text(content)
+    _put(path, content)
     raises(ConfigError, match, lambda: fixtures.load_mdp_fixture(path))
 
 
@@ -164,6 +180,8 @@ CLI_FIXTURE_CASES = [
     ("missing-mdp-file", "mdp", None, EXIT_CONFIG),
     ("invalid-mdp-json", "mdp", "{", EXIT_CONFIG),
     ("missing-feature-file", "features", None, EXIT_CONFIG),
+    ("mdp-path-a-directory", "mdp", DIRECTORY, EXIT_CONFIG),
+    ("mdp-invalid-utf8", "mdp", b"\xff\xfe{}", EXIT_CONFIG),
     ("missing-record-field", "mdp",
      json.dumps(_mdp_doc(lambda doc: doc["transitions"][0].pop("next"))), EXIT_CONFIG),
     ("normalize-string", "features",
@@ -182,8 +200,7 @@ CLI_FIXTURE_CASES = [
 def test_cli_fixture_errors_exit_with_their_codes(tmp_path, capsys, which, content, code):
     paths = {"mdp": str(DATA / "mdp4.json"), "features": str(DATA / "features3.json")}
     paths[which] = str(tmp_path / f"{which}.json")
-    if content is not None:
-        Path(paths[which]).write_text(content)
+    _put(Path(paths[which]), content)
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"problem": {"mdp_path": paths["mdp"]},
                                "features": {"path": paths["features"]},
@@ -425,11 +442,29 @@ def test_trace_refuses_bad_header(tmp_path):
     raises(InputShapeError, "unexpected trace header", lambda: read_trace_csv(path))
 
 
+@pytest.mark.parametrize("row, match", [
+    (b"2,0.5,0.1", "trace line 3: not enough values to unpack"),
+    (b"2,0.5,0.1,,7", "trace line 3: too many values to unpack"),
+    (b"2.5,0.5,0.1,", "trace line 3: invalid literal for int"),
+    (b"2,0.5,high,", "trace line 3: could not convert string to float: 'high'"),
+    (b"2,0.5,0.1,\xff", "trace line 3: could not convert string to float: '\ufffd'")],
+    ids=["short-row", "long-row", "fractional-t", "bad-float", "not-utf8"])
+def test_trace_refuses_bad_rows(tmp_path, row, match):
+    # a short row was a bare IndexError, an unparsed cell a bare ValueError and
+    # a byte that is not UTF-8 a UnicodeDecodeError
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"t,objective,v_hat,eval_cost\n1,0.5,0.1,\n" + row + b"\n")
+    raises(InputShapeError, match, lambda: read_trace_csv(path))
+
+
 # --------------------------------------------------------------- cli
 
-# (id, config document or a raw string, environment seed, message)
+# (id, config document or its raw text, bytes or DIRECTORY, environment seed, message)
 CLI_CASES = [
     ("invalid-json", "{\"solver\": ", None, "config error: config file is not valid JSON"),
+    ("config-a-directory", DIRECTORY, None, "config error: config file cannot be read: "),
+    ("config-invalid-utf8", b'{"solver": {"seed": "\xe9"}}', None,
+     "config error: config file is not valid JSON: 'utf-8' codec"),
     ("unknown-preset", {"problem": {"queue_preset": "huge"}}, None,
      "config error: unknown queue preset 'huge'"),
     ("no-features", {"problem": {"mdp_path": str(DATA / "mdp4.json")}}, None,
@@ -447,7 +482,7 @@ CLI_CASES = [
                          ids=[case[0] for case in CLI_CASES])
 def test_cli_refusals(tmp_path, monkeypatch, capsys, document, env_seed, message):
     cfg = tmp_path / "config.json"
-    cfg.write_text(document if isinstance(document, str) else json.dumps(document))
+    _put(cfg, document if isinstance(document, (str, bytes)) else json.dumps(document))
     if env_seed is not None:
         monkeypatch.setenv(SEED_ENV_VAR, env_seed)
     out = tmp_path / "o"

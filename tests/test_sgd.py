@@ -50,10 +50,13 @@ DATA = Path(__file__).parent / "data"
 CALLS = 3 * GRAD_BLOCK + 1  # three full blocks and the first step of a fourth
 # rate at call t: constant, halved every 100 calls (so inside the 512-draw
 # blocks), halved at every call (down through the subnormals to 0), changed
-# after ever shorter runs (from about 30 calls down to 1), and zero
+# after ever shorter runs (from about 30 calls down to 1), back to an earlier
+# rate inside a block (a table filled at 0.3 must not be read after a fill at
+# 0.1), and zero
 RATES = {"constant": lambda t: 0.3, "halving": lambda t: 0.3 * 2.0 ** -(t // 100),
          "halving every call": lambda t: 0.3 * 2.0 ** -t,
-         "shrinking runs": lambda t: 0.3 / (1 + t * t // 997), "zero": lambda t: 0.0}
+         "shrinking runs": lambda t: 0.3 / (1 + t * t // 997),
+         "returning rate": lambda t: 0.3 if t % 3 else 0.1, "zero": lambda t: 0.0}
 
 
 def reference_buffered_grad(surrogate, sp, penalty, branches):
@@ -148,7 +151,8 @@ def _surrogates(model, fs):
 def test_buffered_grad_matches_per_step_reference(instance):
     """``make_buffered_step`` against theta - rate * the per-step gradient, at
     a constant rate, rates that change inside the blocks (every 100 steps,
-    every step, or after ever shorter runs) and rate 0."""
+    every step, after ever shorter runs, or back to an earlier rate) and rate
+    0."""
     model, fs = instance()
     # a signed mu0 makes the negativity term active at theta = 0, where the
     # average-cost residual is exactly 0
@@ -586,7 +590,7 @@ def test_state_draw_out_of_support_gathers_no_row(monkeypatch, path):
             sampler, 2.0, theta, pair_idx=pairs, state_idx=states)],
         "violation estimate": [
             lambda: surrogate.violation_summands(sampler, theta, pairs, states),
-            lambda: surrogate.estimate_violations(sampler, theta, 3, rng, batch=3)],
+            lambda: surrogate.estimate_violations(sampler, theta, 3, rng)],
         "single-draw refill": [
             lambda: make_buffered_step(surrogate, sampler, 2.0)(theta, rng, 0.1)],
         "minibatch refill": [
@@ -810,6 +814,9 @@ REJECTED_CALLS = {
                                                      max_iters=10),
     "avg-batch": lambda: _estimate_with_batch(estimate_violations),
     "disc-batch": lambda: _estimate_with_batch(estimate_violations_disc, 0.9, None),
+    "surrogate-batch": lambda: _estimate_with_batch(
+        lambda model, fs, *args, **kwargs: Surrogate.average_cost(model, fs)
+        .estimate_violations(*args, **kwargs)),
     "occupancy-no-num_actions": lambda: policy_from_occupancy(np.ones((2, 2))),
     "meta_result-discount": lambda: MetaResult(grid_points=np.ones(1), selection_weight=1.0,
                                                discount=0.9),
