@@ -13,8 +13,8 @@ of one single-draw discounted SGD step at d = 3, where a step is almost all inte
 of the violation estimator at two extremes (a meta point's 534,552 draws over
 20 pairs, and a 64-draw trace row over the 19,600 desk pairs, for the
 average-cost and for the discounted surrogate at gamma = 0.99), of one
-65,536-draw batch of its draws counted per pair (over the 20 meta pairs and
-the 19,600 desk pairs, on the path the counting rule picks), and of a
+65,536-draw batch of its draws reduced to counts per pair and per state
+(over the meta and the desk tables), and of a
 two-point discounted meta run on the 4-state fixture, in one process and in
 forked workers, which shows what starting the worker pool costs a tiny grid,
 and of the paper preset (1,028,196 states): one heuristic policy table, the
@@ -295,15 +295,18 @@ def test_estimate_violations_meta_point(benchmark, meta_point):
 
 @pytest.mark.parametrize("table", ["meta pairs", "desk pairs"])
 def test_count_violation_batch(benchmark, request, table):
-    """One 65,536-draw batch of a violation estimate reduced to its distinct
-    pairs and their counts, on the path the rule picks: over the 20 meta
-    pairs (3277 draws per entry) counted from the sorted uniforms, over the
-    19,600 desk pairs (3.3 per entry) drawn and reduced by distinct_counts."""
+    """One 65,536-draw batch of a violation estimate, pairs then states, each
+    side drawn and reduced to its distinct indices and their counts by
+    distinct_counts: over the 20 meta pairs and 10 states (3277 and 6554
+    draws per entry) and over the 19,600 desk pairs and 4900 states (3.3 and
+    13.4 per entry)."""
     fixture = request.getfixturevalue("meta_point" if table == "meta pairs" else "desk")
     sampler = fixture[2] if table == "meta pairs" else fixture[1]
     rng = np.random.default_rng(8)
-    values, counts = benchmark(sampler.count_pairs, rng, 1 << 16)
-    assert counts.sum() == 1 << 16 and len(values) <= sampler.num_pairs
+    pairs, pair_counts, states, state_counts = benchmark(
+        lambda: next(_sgd._counted_draws(sampler, rng, 1 << 16)))
+    assert pair_counts.sum() == state_counts.sum() == 1 << 16
+    assert len(pairs) <= sampler.num_pairs and len(states) <= sampler.num_states
 
 
 @pytest.fixture(scope="module")

@@ -45,7 +45,7 @@ from scipy.sparse import csr_matrix
 
 from .errors import ConvergenceError, DualAlpError, InputShapeError, ParameterError
 from .features import (FeatureSpace, SamplingPair, _CsrRows, _dense_rows, _row_gather,
-                       _step_views, check_model, distinct_counts, importance_weight_guard)
+                       _step_views, check_model, importance_weight_guard)
 from .mdp import (MdpModel, Policy, _check_state_distribution, fixed_dot, is_integer,
                   policy_from_occupancy)
 from .trace import MetaResult, RunTrace
@@ -263,11 +263,11 @@ class Surrogate:
         mean of :meth:`violation_summands` over n draws of each distribution,
         drawn :data:`VIOLATION_BATCH` at a time.
 
-        A batch evaluates the terms once per distinct drawn pair and state and
-        weights each by how often it was drawn (:meth:`SamplingPair.count_pairs`,
-        which counts a batch of many draws per entry without drawing it), so
-        its cost follows the number of distinct indices, not of draws. The
-        draws are those of the per-draw form; only the summation order differs."""
+        A batch is drawn by :func:`draw` and reduced by :func:`distinct_counts`;
+        the terms are evaluated once per distinct drawn pair and state and
+        weighted by how often each was drawn, so the gathers follow the number
+        of distinct indices, not of draws. The draws are those of the per-draw
+        form; only the summation order differs."""
         check_positive_int("n", n)
         total = 0.0
         for pairs, pair_counts, states, state_counts in _counted_draws(sp, rng, n):
@@ -358,13 +358,24 @@ def draw(sp: SamplingPair, rng: np.random.Generator, m: int) -> tuple[np.ndarray
     return sp.sample_pairs(rng, m), sp.sample_states(rng, m)
 
 
+def distinct_counts(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of a nonempty 1-D integer array and how often
+    each occurs, as ``np.unique(idx, return_counts=True)`` in fewer numpy calls."""
+    idx = np.sort(idx)
+    bounds = np.empty(idx.size + 1, dtype=bool)  # where a run of equal values starts or ends
+    bounds[0] = bounds[-1] = True
+    np.not_equal(idx[1:], idx[:-1], out=bounds[1:-1])
+    edges = bounds.nonzero()[0]
+    return idx[edges[:-1]], edges[1:] - edges[:-1]
+
+
 def _counted_draws(sp: SamplingPair, rng: np.random.Generator, n: int):
-    """n draws of each distribution, :data:`VIOLATION_BATCH` pairs then as
-    many states at a time (the last batch may be smaller), each batch as
-    (pairs, their counts, states, their counts)."""
+    """n draws of each distribution, by :func:`draw` of :data:`VIOLATION_BATCH`
+    at a time (the last batch may be smaller), each batch as (pairs, their
+    counts, states, their counts) from :func:`distinct_counts`."""
     for start in range(0, n, VIOLATION_BATCH):
-        size = min(VIOLATION_BATCH, n - start)
-        yield (*sp.count_pairs(rng, size), *sp.count_states(rng, size))
+        pairs, states = draw(sp, rng, min(VIOLATION_BATCH, n - start))
+        yield (*distinct_counts(pairs), *distinct_counts(states))
 
 
 def make_buffered_step(surrogate: Surrogate, sp: SamplingPair, penalty: float):

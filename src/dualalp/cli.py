@@ -222,7 +222,7 @@ def _resolve_problem(config: dict):
         return model, None, {"mdp_path": problem["mdp_path"]}
     preset = problem.get("queue_preset")
     if preset is not None:
-        if preset not in QUEUE_PRESETS:
+        if not isinstance(preset, str) or preset not in QUEUE_PRESETS:  # a list is unhashable
             raise ConfigError(f"unknown queue preset {preset!r}")
         spec = QUEUE_PRESETS[preset][0]
         model = queueing.build_mdp(spec)

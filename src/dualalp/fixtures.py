@@ -23,6 +23,7 @@ count or index that is not an integer in range raises InputShapeError
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +36,11 @@ from .mdp import MdpModel, is_number, is_number_list
 
 def read_json(path, what: str) -> dict:
     """The JSON object in the file at ``path``, named ``what`` in the
-    ConfigError of a missing or unreadable file (a directory, say), invalid
-    UTF-8 or JSON, or another JSON value."""
+    ConfigError of a path that is not a string or ``os.PathLike`` (``open``
+    would take an integer for a file descriptor), a missing or unreadable file
+    (a directory, say), invalid UTF-8 or JSON, or another JSON value."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"{what} path must be a string, got {path!r}")
     try:
         with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)

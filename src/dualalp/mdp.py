@@ -74,6 +74,14 @@ def _aggregation_matrix(num_states: int, num_actions: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, (rows, cols)), shape=(num_states, num_states * num_actions))
 
 
+def _check_counts(num_states, num_actions) -> None:
+    """InputShapeError unless both counts are positive integers."""
+    if not (is_integer(num_states) and is_integer(num_actions)
+            and num_states > 0 < num_actions):
+        raise InputShapeError(f"state and action counts must be positive integers, "
+                              f"got {num_states!r} and {num_actions!r}")
+
+
 @dataclass(frozen=True)
 class MdpModel:
     """Finite MDP with a sparse forward kernel.
@@ -98,8 +106,12 @@ class MdpModel:
     def create(num_states: int, num_actions: int, transitions, loss) -> "MdpModel":
         """Build a model; ``transitions`` may be any scipy-sparse/dense (X*A, X)
         matrix and ``loss`` must lie in [0, 1]."""
+        _check_counts(num_states, num_actions)
         n_pairs = num_states * num_actions
-        trans = sp.csr_matrix(transitions, shape=(n_pairs, num_states), dtype=float)
+        if np.shape(transitions) != (n_pairs, num_states):
+            raise InputShapeError(f"transitions must have shape (X*A, X) = "
+                                  f"{(n_pairs, num_states)}, got {np.shape(transitions)}")
+        trans = sp.csr_matrix(transitions, dtype=float)
         trans.eliminate_zeros()
         trans.sort_indices()
         loss = np.asarray(loss, dtype=float)
@@ -120,10 +132,7 @@ class MdpModel:
     @staticmethod
     def from_records(num_states: int, num_actions: int, records, loss) -> "MdpModel":
         """Build from (x, a, next_state, prob) tuples of integers in range."""
-        if not (is_integer(num_states) and is_integer(num_actions)
-                and num_states > 0 < num_actions):
-            raise InputShapeError(f"state and action counts must be positive integers, "
-                                  f"got {num_states!r} and {num_actions!r}")
+        _check_counts(num_states, num_actions)  # the index checks below need them
         rows, cols, data = [], [], []
         for x, a, nxt, p in records:
             rows.append(pair_index(num_states, num_actions, x, a))
@@ -136,6 +145,9 @@ class MdpModel:
     @staticmethod
     def from_dense(kernel: np.ndarray, loss: np.ndarray) -> "MdpModel":
         """Build from a dense (X, A, X) kernel and (X, A) loss."""
+        kernel = np.asarray(kernel)
+        if kernel.ndim != 3 or kernel.shape[0] != kernel.shape[2]:
+            raise InputShapeError(f"kernel must have shape (X, A, X), got {kernel.shape}")
         num_states, num_actions, _ = kernel.shape
         return MdpModel.create(num_states, num_actions,
                                kernel.reshape(num_states * num_actions, num_states),

@@ -5,9 +5,8 @@ summands, and the checks on its draw counts.
 distinct drawn pair and state and weights them by their counts. The reference
 below takes the same draws and averages ``violation_summands``, one summand
 per draw; only the summation order differs, so the two must agree to a few
-units in the last place and leave the generator in the same state. A batch
-of many draws per table entry is counted from its sorted uniforms instead of
-drawn; against the same estimator on drawn batches it must give equal bits.
+units in the last place and leave the generator in the same state. Against
+the same sums on the same counts it must give equal bits.
 
 The stopped estimator (``Surrogate.estimate_violations_stopped``) of the meta
 points is checked in the form of criterion 6, where the violation is
@@ -28,8 +27,8 @@ from dualalp.avgcost import (estimate_violations, project_theta_avg, violation_r
 from dualalp.discounted import (estimate_violations_disc, project_theta_disc,
                                 violation_ranges_disc, violation_sample_count_disc)
 from dualalp.errors import ParameterError
-from dualalp.features import (_COUNT_FACTOR, FeatureSpace, SamplingPair,
-                              make_norm_proportional_sampling, make_uniform_sampling)
+from dualalp.features import (FeatureSpace, SamplingPair, make_norm_proportional_sampling,
+                              make_uniform_sampling)
 from dualalp.fixtures import load_feature_fixture, load_mdp_fixture
 from dualalp.mdp import discounted_visits, fixed_dot, solve_optimal
 
@@ -100,8 +99,8 @@ def test_estimate_matches_mean_of_summands(monkeypatch, instance, n, batch):
 
 
 def drawn_estimate(surrogate, sp, theta, n, rng, batch):
-    """The estimator with every batch drawn and reduced by ``distinct_counts``,
-    whatever its size: the same sums on the same counts."""
+    """The estimator written out: every batch drawn and reduced by
+    ``distinct_counts``, the same sums on the same counts."""
     total = 0.0
     for start in range(0, n, batch):
         pair_idx, state_idx = draw(sp, rng, min(batch, n - start))
@@ -113,19 +112,14 @@ def drawn_estimate(surrogate, sp, theta, n, rng, batch):
 
 
 @pytest.mark.parametrize("instance", INSTANCES, ids=[case[0] for case in INSTANCES])
-@pytest.mark.parametrize("side", ["below", "states counted", "both counted"])
-def test_estimate_equals_drawn_counts_bit_for_bit(monkeypatch, instance, side):
-    """A batch counted from its sorted uniforms gives the v-hat of the drawn
-    batch bit for bit, around the counting rule of each side: batches just
-    below the states' crossover, at it (the longer pair table is still
-    searched) and at the pairs' (both counted), and a short last batch below
-    both. A uniform side is never counted."""
+# the ids name where each size sat against a former rule that counted a batch
+# of 4 draws per table entry from its sorted uniforms on the 4-state fixture
+@pytest.mark.parametrize("batch", [15, 16, 32], ids=["below", "states counted", "both counted"])
+def test_estimate_equals_drawn_counts_bit_for_bit(monkeypatch, instance, batch):
+    """The estimator gives the v-hat of its batches drawn and reduced by
+    ``distinct_counts`` bit for bit, over two whole batches and a short last
+    one of 3 draws, and leaves the generator in the same state."""
     _, surrogate, sampler, theta = instance
-    model = surrogate.model
-    assert model.num_pairs > model.num_states
-    batch = {"below": _COUNT_FACTOR * model.num_states - 1,
-             "states counted": _COUNT_FACTOR * model.num_states,
-             "both counted": _COUNT_FACTOR * model.num_pairs}[side]
     n = 2 * batch + 3
     monkeypatch.setattr(_sgd, "VIOLATION_BATCH", batch)
     rng, rng_ref = np.random.default_rng(13), np.random.default_rng(13)

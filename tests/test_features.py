@@ -602,6 +602,17 @@ def test_guide_sampler_matches_searchsorted_random_distributions(size):
     _check_guide_search(*_pair_tables(probs), rng, 1000)
 
 
+def _planted_norm_probs():
+    """Norm-proportional pair probabilities of a narrow random space with
+    zeros planted first, in the middle and last, and the mass 5e-10 short of
+    1: the last entry's cum is forced from 1 - 5e-10 to 1.0, so the last
+    entry, of probability zero, is drawn by the uniforms in [1 - 5e-10, 1)."""
+    model, fs = narrow_random_space(np.random.default_rng(44))
+    probs = make_norm_proportional_sampling(model, fs, 1.0).pair_probs.copy()
+    probs[[0, len(probs) // 2, -1]] = 0.0
+    return probs * ((1.0 - 5e-10) / probs.sum())
+
+
 @pytest.mark.parametrize("probs", [
     [0.0, 0.0, 0.5, 0.5],  # leading zeros
     [0.3, 0.0, 0.0, 0.2, 0.0, 0.5],  # interior zeros
@@ -612,8 +623,9 @@ def test_guide_sampler_matches_searchsorted_random_distributions(size):
     [1.0 - 1e-9] + [1e-9 / 99] * 99,
     [1e-9 / 99] * 50 + [1.0 - 1e-9] + [1e-9 / 99] * 49,
     [0.1] * 10,  # sums to 1 - 1.1e-16 in floating point
+    _planted_norm_probs(),  # a last entry of probability 0 that is still drawn
 ], ids=["leading", "interior", "trailing", "mixed", "heavy-first", "heavy-middle",
-        "rounded-sum"])
+        "rounded-sum", "planted"])
 def test_guide_sampler_matches_searchsorted_edge_distributions(probs):
     _check_guide_search(*_pair_tables(probs), np.random.default_rng(len(probs)), 1000)
 
@@ -650,93 +662,6 @@ def test_desk_draw_stream_pinned(desk_space):
         "b46194fe3c4f604582052e0cb7fe353e9c496523af16b427850fb538496eccbd")
     assert hashlib.sha256(states.astype("<i8").tobytes()).hexdigest() == (
         "39399072a2476eb25c1033bf80e19ffc3e86a7be2850d0721baeec3c5456ea65")
-
-
-# ------------------------------------------------------------ counted draws
-
-def _planted_norm_probs():
-    """Norm-proportional pair probabilities of a narrow random space with
-    zeros planted first, in the middle and last, and the mass 5e-10 short of
-    1: the last entry's cum is forced from 1 - 5e-10 to 1.0, so the last
-    entry, of probability zero, is drawn by the uniforms in [1 - 5e-10, 1)."""
-    model, fs = narrow_random_space(np.random.default_rng(44))
-    probs = make_norm_proportional_sampling(model, fs, 1.0).pair_probs.copy()
-    probs[[0, len(probs) // 2, -1]] = 0.0
-    return probs * ((1.0 - 5e-10) / probs.sum())
-
-
-def _counting_tables(desk_space):
-    """(name, cum, guide) of the planted table and the desk norm-proportional
-    pair (19,600) and state (4900) tables."""
-    model, fs = desk_space
-    desk = make_norm_proportional_sampling(model, fs, 1.0)
-    return [("planted", *_pair_tables(_planted_norm_probs())),
-            ("desk pairs", *_pair_tables(desk.pair_probs)),
-            ("desk states", *_pair_tables(desk.state_probs))]
-
-
-def _searched(cum, guide, calls):
-    """A sampler that searches the table ``cum`` as ``sample_pairs`` does and
-    appends each call's size to ``calls``."""
-    def sample(rng, size):
-        calls.append(size)
-        return features._sample(cum, guide, len(cum), rng, size)
-    return sample
-
-
-def test_counted_draws_match_the_search_at_table_edges():
-    """Uniforms at every cumulative value, the double below each, 0.0 and the
-    largest double below 1, padded to a counted batch: the counts equal the
-    search's ``distinct_counts`` exactly, the zero-probability entries are
-    never drawn except the last, and the last is drawn."""
-    cum, guide = _pair_tables(_planted_norm_probs())
-    assert cum[-2] < 1.0 == cum[-1] and cum[-1] > cum[-2] + 4e-10
-    u = np.concatenate([cum, np.nextafter(cum, 0.0), [0.0, np.nextafter(1.0, 0.0)]])
-    u = u[u < 1.0]
-    size = features._COUNT_FACTOR * len(cum)
-    u = np.concatenate([u, np.random.default_rng(3).random(size - len(u))])
-    expected = _sgd.distinct_counts(features._search(cum, guide, u.copy()))
-    got = features._count(cum, None, _FixedUniforms(u.copy()), size)  # never searches
-    for value, want in zip(got, expected):
-        assert value.dtype == want.dtype and np.array_equal(value, want)
-    assert got[0][-1] == len(cum) - 1 and 0 not in got[0] and len(cum) // 2 not in got[0]
-
-
-@pytest.mark.parametrize("offset", [None, -1, 0, 1], ids=["batch 1", "just below", "at", "above"])
-def test_counted_draws_match_distinct_counts_of_the_search(desk_space, offset):
-    """Around the crossover, ``_COUNT_FACTOR`` draws per entry, and at a batch
-    of 1: the counts equal ``distinct_counts`` of the searched draws with ==,
-    in the same dtypes, the generator ends in the same state, and only a batch
-    below the crossover is searched."""
-    for name, cum, guide in _counting_tables(desk_space):
-        size = 1 if offset is None else features._COUNT_FACTOR * len(cum) + offset
-        calls = []
-        rng, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
-        got = features._count(cum, _searched(cum, guide, calls), rng, size)
-        expected = _sgd.distinct_counts(_searched(cum, guide, [])(rng_ref, size))
-        for value, want in zip(got, expected):
-            assert value.dtype == want.dtype and np.array_equal(value, want), (name, size)
-        assert rng.bit_generator.state == rng_ref.bit_generator.state, (name, size)
-        assert calls == ([size] if size < features._COUNT_FACTOR * len(cum) else []), name
-
-
-def test_sampler_counts_match_its_draws(desk_space):
-    """``count_pairs`` and ``count_states`` against ``distinct_counts`` of
-    ``sample_pairs`` and ``sample_states`` on one generator, on a counted
-    side, a searched side and a uniform side, which is never counted."""
-    model, fs = desk_space
-    desk = make_norm_proportional_sampling(model, fs, 1.0)
-    uniform_pairs = features.SamplingPair(num_pairs=model.num_pairs, num_states=model.num_states,
-                                          c_pair=1.0, c_state=1.0, state_probs=desk.state_probs)
-    size = features._COUNT_FACTOR * model.num_states  # counts the states, not the pairs
-    for sampler in (desk, uniform_pairs):
-        rng, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
-        counted = (sampler.count_pairs(rng, size), sampler.count_states(rng, size))
-        drawn = (sampler.sample_pairs(rng_ref, size), sampler.sample_states(rng_ref, size))
-        for (values, counts), idx in zip(counted, drawn):
-            want_values, want_counts = _sgd.distinct_counts(idx)
-            assert np.array_equal(values, want_values) and np.array_equal(counts, want_counts)
-        assert rng.bit_generator.state == rng_ref.bit_generator.state
 
 
 # ------------------------------------------------------------- narrow rows

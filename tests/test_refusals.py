@@ -166,12 +166,17 @@ def _put(path, content):
     (None, "mdp fixture not found: "), ("{", "mdp fixture is not valid JSON: "),
     ("[1]", "mdp fixture must hold a JSON object"),
     (DIRECTORY, "mdp fixture cannot be read: "),
-    (b'{"num_states": "\xff"}', "mdp fixture is not valid JSON: 'utf-8' codec")])
+    (b'{"num_states": "\xff"}', "mdp fixture is not valid JSON: 'utf-8' codec"),
+    (0, "mdp fixture path must be a string, got 0")])
 def test_unreadable_fixture_is_config_error(tmp_path, content, match):
     # a missing file or invalid JSON was a traceback (exit 1), and so were a
-    # directory (IsADirectoryError) and invalid UTF-8 (UnicodeDecodeError)
+    # directory (IsADirectoryError) and invalid UTF-8 (UnicodeDecodeError);
+    # an integer, given as the path itself, was opened as a file descriptor
     path = tmp_path / "mdp.json"
-    _put(path, content)
+    if isinstance(content, int):
+        path = content
+    else:
+        _put(path, content)
     raises(ConfigError, match, lambda: fixtures.load_mdp_fixture(path))
 
 
@@ -240,6 +245,20 @@ MDP_CASES = [
     ("record-next-negative",
      lambda: MdpModel.from_records(1, 1, [(0, 0, -1, 1.0)], [0.0]), InputShapeError,
      r"next state -1 is not an integer in \[0, 1\)"),
+    # bare ValueErrors from the unpacking and the reshape of the kernel
+    ("dense-kernel-2d", lambda: MdpModel.from_dense(np.ones((2, 2)), np.zeros((2, 2))),
+     InputShapeError, r"kernel must have shape \(X, A, X\), got \(2, 2\)"),
+    ("dense-kernel-not-square",
+     lambda: MdpModel.from_dense(np.full((2, 2, 3), 1 / 3), np.zeros((2, 2))), InputShapeError,
+     r"kernel must have shape \(X, A, X\), got \(2, 2, 3\)"),
+    # scipy's "index pointer size 4 should be 3"
+    ("create-transitions-shape", lambda: MdpModel.create(2, 1, sp.eye(3, 2), np.zeros(2)),
+     InputShapeError, r"transitions must have shape \(X\*A, X\) = \(2, 2\), got \(3, 2\)"),
+    # a TypeError
+    ("create-float-count", lambda: MdpModel.create(2.0, 1, np.eye(2), np.zeros(2)),
+     InputShapeError, "state and action counts must be positive integers, got 2.0 and 1"),
+    ("create-zero-actions", lambda: MdpModel.create(2, 0, np.zeros((0, 2)), np.zeros(0)),
+     InputShapeError, "state and action counts must be positive integers, got 2 and 0"),
     # a ZeroDivisionError
     ("occupancy-zero-actions", lambda: policy_from_occupancy(np.ones(4), 0), InputShapeError,
      "num_actions must be a positive integer, got 0"),
@@ -467,6 +486,14 @@ CLI_CASES = [
      "config error: config file is not valid JSON: 'utf-8' codec"),
     ("unknown-preset", {"problem": {"queue_preset": "huge"}}, None,
      "config error: unknown queue preset 'huge'"),
+    # a list was hashed by the preset lookup: TypeError, exit 1
+    ("preset-a-list", {"problem": {"queue_preset": ["desk"]}}, None,
+     "config error: unknown queue preset ['desk']"),
+    # open() took 0 for stdin (read, then closed) and True for stdout
+    ("mdp-path-an-integer", {"problem": {"mdp_path": 0}}, None,
+     "config error: mdp fixture path must be a string, got 0"),
+    ("mdp-path-a-bool", {"problem": {"mdp_path": True}}, None,
+     "config error: mdp fixture path must be a string, got True"),
     ("no-features", {"problem": {"mdp_path": str(DATA / "mdp4.json")}}, None,
      "config error: config needs features.path (or a queue problem)"),
     ("env-seed-not-integer", {}, "7.5", f"config error: {SEED_ENV_VAR} must be an integer"),

@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dualalp import avgcost, discounted
+from dualalp import _sgd, avgcost, discounted
 from dualalp._sgd import GRAD_BLOCK
-from dualalp.features import make_uniform_sampling
+from dualalp.features import make_norm_proportional_sampling, make_uniform_sampling
 
 _SPEC = importlib.util.spec_from_file_location(
     "perfbench_tracing", Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py")
@@ -81,3 +81,26 @@ def test_traced_disc_sgd_run_records_its_iterations(desk_fixture):
     assert metrics["features.draws"] == 2 * GRAD_BLOCK * refills + 2 * samples * rows
     untraced = discounted.sgd_solve_disc(model, fs, sampler, cfg)
     np.testing.assert_array_equal(traced.theta, untraced.theta)
+
+
+def test_traced_meta_run_counts_every_draw(monkeypatch, desk_fixture):
+    """A meta run in one process: every draw goes through ``sample_pairs`` and
+    ``sample_states``, so ``features.draws`` is each point's single-draw
+    refills, its trace rows' estimates and its violation estimate, both sides
+    of each. Norm-proportional sampling searches a table on both sides."""
+    monkeypatch.setattr(_sgd, "_cpu_count", lambda: 1)  # worker spans would be lost
+    model, fs = desk_fixture
+    sampler = make_norm_proportional_sampling(model, fs, 1.0)
+    tracer = tracing.Tracer()
+    tracer.begin_run("meta")
+    with tracer.installed():
+        result = avgcost.meta_solve_avg(model, fs, sampler, violation_bound=0.5,
+                                        selection_weight=0.5, tolerance=0.4,
+                                        failure_prob=0.1, seed=21, radius=1.5,
+                                        trace_stride=50)
+    assert len(result.grid_points) > 2
+    samples = _sgd.SolverConfig.trace_violation_samples  # the default each point runs with
+    refills = sum(-(-iterations // GRAD_BLOCK) for iterations in result.iterations_per_point)
+    rows = sum(len(trace.iterations) for trace in result.traces)
+    expected = 2 * (GRAD_BLOCK * refills + samples * rows + int(result.violation_draws.sum()))
+    assert tracing.layer_metrics(tracer, 0)["features.draws"] == expected
