@@ -397,11 +397,14 @@ def test_simulated_eval_paper(benchmark, monkeypatch, paper_lbfs, cpus):
     assert np.isfinite(mean) and std > 0.0
 
 
-def test_trajectory_paper(benchmark, paper_lbfs):
-    """One LBFS trajectory of 100,000 steps from the empty paper network, in
-    this process and without the pool, so the time per call in seconds times 10
-    is the loop's microseconds per simulated step."""
+@pytest.mark.parametrize("kind", ["LBFS", "LONGER"])
+def test_trajectory_paper(benchmark, paper_lbfs, kind):
+    """One trajectory of 100,000 steps from the empty paper network, in this
+    process and without the pool, so the time per call in seconds times 10 is
+    the loop's microseconds per simulated step. LBFS rows are deterministic;
+    LONGER's tie rows (0.5 per server) make the action depend on its uniform."""
     spec = queueing.PAPER_SPEC
-    visited = benchmark(lambda: queueing._visited_pairs(spec, paper_lbfs, 10**5, 0,
+    policy = paper_lbfs if kind == "LBFS" else queueing.heuristic_policy(spec, kind)
+    visited = benchmark(lambda: queueing._visited_pairs(spec, policy, 10**5, 0,
                                                         np.random.default_rng(0)))
     assert len(visited) == 10**5

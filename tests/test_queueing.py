@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing.pool
 import os
+import re
 import tracemalloc
 from itertools import product
 
@@ -455,6 +456,18 @@ def test_stationary_trajectory_rejects_empty_length():
         heuristic_stationary_trajectory(SMALL_SPEC, policy, length=0, burn_in=10)
 
 
+@pytest.mark.parametrize("length, burn_in, message", [
+    (True, 10, "length must be an integer, got True"),  # ran as a length of 1
+    (2.5, 10, "length must be an integer, got 2.5"),  # was reported as a horizon of 12.5
+    (10, -3, "burn_in must be >= 0, got -3"),  # was "(got 7, -3)"
+], ids=["bool-length", "float-length", "negative-burn-in"])
+def test_stationary_trajectory_checks_length_and_burn_in_by_name(length, burn_in, message):
+    # each is checked before the two are summed into the trajectory's horizon
+    policy = heuristic_policy(SMALL_SPEC, "LBFS")
+    with pytest.raises(ParameterError, match=re.escape(message)):
+        heuristic_stationary_trajectory(SMALL_SPEC, policy, length=length, burn_in=burn_in)
+
+
 @pytest.mark.usefixtures("no_pool")
 def test_evaluate_simulated_rejects_no_reps():
     with pytest.raises(ParameterError, match="reps must be >= 1"):
@@ -748,6 +761,37 @@ def test_kernel_matches_step_loop_across_draw_blocks():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("spec", [DESK_SPEC, SATURATING_SPEC, UNEVEN_SPEC],
+                         ids=["desk", "saturating", "uneven"])
+def test_kernel_matches_step_loop_with_burn_in_in_second_block(spec):
+    # the rows held across a block edge, and a burn-in that ends inside the
+    # second block of 4096 steps
+    policy = dirichlet_policy(spec, 59)
+    got = _visited_pairs(spec, policy, 10007, 4100, np.random.default_rng(61))
+    want = reference_visited_pairs(spec, policy, 10007, 4100, np.random.default_rng(61))
+    assert np.array_equal(got, want)
+
+
+# every probability 0: no step has an event, so whole blocks pass without one
+SILENT_SPEC = QueueNetSpec((2, 2, 2, 2), (0.0, 0.0), (0.0, 0.0, 0.0, 0.0))
+# an arrival at queue 0 on every step, so every step has an event
+BUSY_SPEC = QueueNetSpec((9, 6, 6, 9), (1.0, 0.3), (0.12, 0.12, 0.28, 0.28))
+
+
+@pytest.mark.parametrize("spec, steps, kind", [
+    (SILENT_SPEC, 2 * 4096 + 17, "dirichlet"),
+    (BUSY_SPEC, 10007, "dirichlet"),
+    (PAPER_SPEC, 5000, "LONGER"),
+], ids=["silent", "busy", "paper-longer"])
+def test_kernel_matches_step_loop_at_event_extremes(spec, steps, kind):
+    policy = dirichlet_policy(spec, 67) if kind == "dirichlet" else heuristic_policy(spec, kind)
+    got = _visited_pairs(spec, policy, steps, 0, np.random.default_rng(71))
+    want = reference_visited_pairs(spec, policy, steps, 0, np.random.default_rng(71))
+    assert np.array_equal(got, want)
+    if spec is SILENT_SPEC:
+        assert np.all(got // NUM_ACTIONS == 0)
+
+
 # sha256 of the outputs of both public simulators on the saturating network
 GOLDEN_SATURATING_SHA256 = {
     "LONGER": ("eba67a57c9a33cc2efdbac1ae24ae1360caac1a53641ffbb8ef1b3edb03a7c7a",
@@ -774,7 +818,7 @@ def test_simulators_reject_non_integer_horizon():
     policy = heuristic_policy(DESK_SPEC, "LBFS")
     with pytest.raises(ParameterError, match="horizon must be an integer"):
         evaluate_policy_simulated(DESK_SPEC, policy, 2000.0, 200, 2)
-    with pytest.raises(ParameterError, match="horizon must be an integer"):
+    with pytest.raises(ParameterError, match="length must be an integer"):
         heuristic_stationary_trajectory(DESK_SPEC, policy, length=2000.0, burn_in=200)
 
 
